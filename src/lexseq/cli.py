@@ -268,9 +268,7 @@ def _cmd_predict(args) -> int:
     tok_config = TokenizerConfig(
         max_sequence_length=model.dims.max_len, lowercase=not args.no_lowercase
     )
-    sequences = [
-        tokenizer.encode_text(doc.text, vocab, tok_config) for doc in docs
-    ]
+    sequences = [trainer.encode_document(doc, vocab, tok_config) for doc in docs]
     probs_list = trainer.map_forward(model, sequences, _workers())
     for doc, probs in zip(docs, probs_list):
         record = {

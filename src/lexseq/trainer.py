@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -107,7 +108,13 @@ def adam_update(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[BiLstmClassifier, AdamState]:
-    """One bias-corrected Adam step, applied in place to every tensor."""
+    """One bias-corrected Adam step, applied in place to every tensor.
+
+    Works through two scratch buffers with ``out=`` ufuncs, in the
+    operation order of ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``,
+    so the result is bit-identical to that expression without its
+    tensor-sized temporaries.
+    """
     state.t += 1
     bc1 = 1.0 - config.beta1 ** state.t
     bc2 = 1.0 - config.beta2 ** state.t
@@ -116,14 +123,33 @@ def adam_update(
     ):
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite gradient for tensor {name}")
+        step = np.empty_like(grad)
+        denom = np.empty_like(grad)
         m *= config.beta1
-        m += (1.0 - config.beta1) * grad
+        m += np.multiply(1.0 - config.beta1, grad, out=step)
         v *= config.beta2
-        v += (1.0 - config.beta2) * (grad * grad)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        np.multiply(grad, grad, out=denom)
+        v += np.multiply(1.0 - config.beta2, denom, out=denom)
+        np.divide(m, bc1, out=step)
+        np.multiply(config.learning_rate, step, out=step)
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += config.epsilon
+        step /= denom
+        param -= step
     return params, state
+
+
+def encode_document(
+    doc: Document,
+    vocab: Vocabulary,
+    tok_config: TokenizerConfig,
+) -> EncodedSequence:
+    """Encode one document; one with no tokens is a DataError naming it."""
+    seq = encode_text(doc.text, vocab, tok_config)
+    if seq.length == 0:
+        raise DataError(f"document {doc.id!r}: empty sequence (no tokens)")
+    return seq
 
 
 def _encode_labeled(
@@ -135,7 +161,7 @@ def _encode_labeled(
     for doc in docs:
         if doc.label is None:
             raise DataError(f"document {doc.id!r} is unlabeled")
-        sequences.append(encode_text(doc.text, vocab, tok_config))
+        sequences.append(encode_document(doc, vocab, tok_config))
         targets.append(doc.label)
     return sequences, targets
 
@@ -302,18 +328,32 @@ def save_checkpoint(
     path: str | Path,
     state: AdamState | None = None,
 ) -> None:
+    """Write ``model`` (and optionally its Adam state) to ``path``.
+
+    The bytes go to a temporary file in the target's directory, which
+    then replaces the target in one step, so a write that fails partway
+    leaves any existing checkpoint at ``path`` untouched.
+    """
     header = json.dumps(_header_dict(model, state), sort_keys=True,
                         separators=(",", ":"), ensure_ascii=False)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(header.encode("utf-8"))
-        fh.write(b"\n")
-        for _, arr in iter_parameters(model):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        if state is not None:
-            for group in (state.m, state.v):
-                for arr in group:
-                    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(header.encode("utf-8"))
+            fh.write(b"\n")
+            for _, arr in iter_parameters(model):
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            if state is not None:
+                for group in (state.m, state.v):
+                    for arr in group:
+                        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)  # only left behind by a failed write
 
 
 def load_checkpoint(

@@ -98,6 +98,18 @@ class TestPredict:
             np.testing.assert_allclose(record["probabilities"], [1 / 6] * 6,
                                        rtol=1e-5)
 
+    def test_document_without_tokens_names_its_id(self, workspace, tmp_path, capsys):
+        data = tmp_path / "blank.jsonl"
+        lines = [json.dumps({"id": "full-1", "text": "um dois"}),
+                 json.dumps({"id": "blank-2", "text": " ;; "})]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.run([
+            "predict", str(workspace["ckpt"]), str(data),
+            "--vocab", str(workspace["vocab_path"]),
+        ])
+        assert code == 2
+        assert "'blank-2'" in capsys.readouterr().err
+
     def test_digest_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         other_vocab = build_vocabulary(iter(["alpha", "beta"]), cap=10)
         other_path = tmp_path / "other_vocab.txt"

@@ -56,6 +56,33 @@ class TestLstmStep:
         assert gradient_check_error(model, seq, target) < 1e-6
 
 
+def _sigmoid_reference(z):
+    # the boolean-mask two-branch form that nn._sigmoid replaced
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_two_branch_reference(self, dtype):
+        rng = np.random.default_rng(4)
+        big = np.finfo(dtype).max
+        z = np.concatenate([
+            rng.normal(0.0, 8.0, 1_000_000).astype(dtype),
+            np.array([0.0, -0.0, 88.7, -88.7, 1e4, -1e4, big, -big], dtype),
+        ])
+        with np.errstate(over="ignore"):
+            expected = _sigmoid_reference(z)
+        got = nn._sigmoid(z)
+        assert got.dtype == dtype
+        npt.assert_array_equal(got.view(f"u{z.itemsize}"),
+                               expected.view(f"u{z.itemsize}"))
+
+
 class TestForward:
     def test_zero_model_uniform_probs(self):
         model = zeroed_model(tiny_dims(classes=6))
@@ -189,6 +216,30 @@ class TestBackward:
                 for a, b in zip(g32.arrays(), g64.arrays())
             )
             assert worst / scale < 1e-3
+
+    def test_long_sequence_gradients_hold_no_subnormal(self):
+        # over 1000 steps the backward signal vanishes; the flush keeps
+        # float32 BPTT off subnormals and leaves the gradients matching
+        # a float64 backward of the same parameters
+        dims = nn.ModelDims(vocab_rows=1002, embed_dim=8, hidden=16,
+                            classes=3, max_len=1000)
+        model32 = nn.init_parameters(dims, seed=0)
+        model64 = nn.init_parameters(dims, seed=0, dtype=np.float64)
+        ids = np.random.default_rng(0).permutation(1000) + 2
+        seq = EncodedSequence(ids=ids, length=1000)
+        _, t32 = nn.forward(seq, model32)
+        _, t64 = nn.forward(seq, model64)
+        g32 = nn.backward(t32, 1, model32)
+        g64 = nn.backward(t64, 1, model64)
+        tiny = np.finfo(np.float32).tiny
+        for a in g32.arrays():
+            assert not np.any((a != 0) & (np.abs(a) < tiny))
+        scale = max(np.abs(a).max() for a in g64.arrays())
+        worst = max(
+            np.abs(a.astype(np.float64) - b).max()
+            for a, b in zip(g32.arrays(), g64.arrays())
+        )
+        assert worst / scale < 1e-5  # float32 eps is 1.2e-7
 
     def test_pad_tail_contributes_nothing(self):
         model = nn.init_parameters(tiny_dims(), seed=8)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import SYNTH_LABELS, make_synthetic_corpus
 
-from lexseq import nn
+from lexseq import nn, trainer
 from lexseq.corpus import Document, LabelSet, SplitDataset, stratified_split
 from lexseq.errors import DataError, NumericError
 from lexseq.tokenizer import TokenizerConfig, build_vocabulary, iter_tokens
@@ -178,6 +178,15 @@ class TestTrain:
         _, history = train(model, split, vocab, config, tok_config=tok_cfg)
         assert history.epochs[0].train_loss == pytest.approx(math.log(6), rel=0.10)
 
+    def test_document_without_tokens_is_named(self):
+        split, vocab, tok_cfg = build_setup(n_docs=60)
+        blank = Document("blank-7", " ... ", split.train[0].label)
+        with_blank = SplitDataset(train=split.train, validation=(blank,) + split.validation,
+                                  test=split.test, seed=0, ratios=(0.7, 0.2, 0.1))
+        model = nn.init_parameters(small_dims(vocab), seed=0, labels=SYNTH_LABELS)
+        with pytest.raises(DataError, match="'blank-7'.*empty"):
+            train(model, with_blank, vocab, TrainConfig(epochs=1), tok_config=tok_cfg)
+
     def test_empty_train_partition_rejected(self):
         split, vocab, tok_cfg = build_setup(n_docs=60)
         empty = SplitDataset(train=(), validation=split.validation,
@@ -264,6 +273,20 @@ class TestCheckpoint:
         save_checkpoint(model, second)
         assert path.read_bytes() == second.read_bytes()
 
+    def test_failed_save_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
+        model, path, _, _, _ = self.roundtrip_model(tmp_path)
+        before = path.read_bytes()
+
+        def failing_parameters(m):
+            yield "embedding", m.embedding
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trainer, "iter_parameters", failing_parameters)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
 
 class TestEvaluate:
     def test_uniform_model_predicts_class_zero(self):
@@ -296,6 +319,13 @@ class TestEvaluate:
         model = nn.init_parameters(small_dims(vocab), seed=0, labels=SYNTH_LABELS)
         with pytest.raises(DataError):
             evaluate(model, [], vocab, tok_cfg)
+
+    def test_document_without_tokens_is_named(self):
+        split, vocab, tok_cfg = build_setup(n_docs=60)
+        model = nn.init_parameters(small_dims(vocab), seed=0, labels=SYNTH_LABELS)
+        docs = list(split.test) + [Document("blank-3", "", split.test[0].label)]
+        with pytest.raises(DataError, match="'blank-3'.*empty"):
+            evaluate(model, docs, vocab, tok_cfg)
 
     def test_unlabeled_doc_rejected(self):
         split, vocab, tok_cfg = build_setup(n_docs=60)
