@@ -49,7 +49,6 @@ from .nn import (
     init_parameters,
     iter_parameters,
     loss,
-    lstm_step,
     parameter_count,
     softmax,
 )

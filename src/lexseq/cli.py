@@ -2,9 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime/numeric
 error. Diagnostics go to stderr; machine-readable output goes to files
-or stdout. The optional ``LEXSEQ_THREADS`` environment variable bounds
-per-document fan-out during evaluate/predict; it never changes output
-bytes.
+or stdout.
 """
 
 from __future__ import annotations
@@ -108,15 +106,6 @@ def _require_files(*paths: str) -> None:
     for path in paths:
         if path is not None and not Path(path).exists():
             raise DataError(f"input path does not exist: {path}")
-
-
-def _workers() -> int:
-    raw = os.environ.get("LEXSEQ_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"LEXSEQ_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
 
 
 def _tok_config(args, max_len: int | None = None) -> TokenizerConfig:
@@ -249,8 +238,7 @@ def _cmd_evaluate(args) -> int:
     tok_config = TokenizerConfig(
         max_sequence_length=model.dims.max_len, lowercase=not args.no_lowercase
     )
-    report = trainer.evaluate(model, docs, vocab, tok_config=tok_config,
-                              workers=_workers())
+    report = trainer.evaluate(model, docs, vocab, tok_config=tok_config)
     report.save_json(args.output)
     if args.matrix_csv:
         report.save_matrix_csv(args.matrix_csv)
@@ -269,7 +257,7 @@ def _cmd_predict(args) -> int:
         max_sequence_length=model.dims.max_len, lowercase=not args.no_lowercase
     )
     sequences = [trainer.encode_document(doc, vocab, tok_config) for doc in docs]
-    probs_list = trainer.map_forward(model, sequences, _workers())
+    probs_list = trainer.map_forward(model, sequences, [doc.id for doc in docs])
     for doc, probs in zip(docs, probs_list):
         record = {
             "id": doc.id,

@@ -9,22 +9,43 @@ Gate blocks inside the fused pre-activation vector are ordered
 [input, forget, candidate, output]; this order is part of the
 checkpoint contract.
 
+:func:`forward` and :func:`backward` run a batch of documents in
+lockstep: every document and both directions advance through each
+timestep together. Rows are sorted longest first, so the rows still
+running at step s are a prefix ``[:k]``, and a step is one
+``h[:k] @ U.T`` per direction plus one set of gate ufuncs on both
+directions stacked. The backward direction reverses each row within
+its own length, so PAD never enters the recurrence and no masks are
+needed. The input projection ``x @ W.T`` runs for all steps before
+the loop.
+
+A document's bits do not depend on its batch: every operation is
+elementwise or a matrix product whose output row depends only on its
+own input row, and OpenBLAS gives such a row the same bits for any
+row count of 2 or more, though not through its one-row and
+matrix-vector kernels. So no product runs on fewer than two rows (the
+row floor); a lone row takes a spare zero row along. W and U are kept
+in Fortran order so that ``W.T`` and ``U.T`` are contiguous: OpenBLAS
+is several times slower on a few rows times a transposed C-ordered
+matrix. The layout changes no bit, and checkpoints are in C order.
+
 BPTT flushes every component of the backward state (dh, dc) whose
 magnitude is below ``GRAD_FLUSH`` (2**-100) to zero after each step,
-and stops once both are exactly zero. Over a long window the backward
-signal vanishes; in float32 it never reaches zero but sinks into
-subnormals, and every further step then runs on subnormal operands at
-about 20x the cost. A gradient change g of the flushed size moves a
-parameter by at most lr / eps * |g| through Adam, about 1e-26 at the
-default settings. The float64 finite-difference checks are not
-affected.
+and stops once the state of every row is exactly zero. Over a long
+window the backward signal vanishes; in float32 it never reaches zero
+but sinks into subnormals, and every further step then runs on
+subnormal operands at about 20x the cost. A gradient change g of the
+flushed size moves a parameter by at most lr / eps * |g| through Adam,
+about 1e-26 at the default settings. The float64 finite-difference
+checks are not affected.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -68,10 +89,6 @@ class LstmDirectionParams:
     U: np.ndarray
     b: np.ndarray
 
-    @property
-    def hidden(self) -> int:
-        return self.U.shape[1]
-
 
 @dataclass
 class DenseParams:
@@ -112,25 +129,24 @@ class BiLstmClassifier:
                 raise ValueError(
                     f"{name} has shape {arr.shape}, expected {expect[name]}"
                 )
+        for direction in (self.forward_dir, self.backward_dir):
+            direction.W = np.asfortranarray(direction.W)  # see module docstring
+            direction.U = np.asfortranarray(direction.U)
 
     @property
     def dtype(self) -> np.dtype:
         return self.embedding.dtype
 
     def clone(self) -> "BiLstmClassifier":
+        def direction(p: LstmDirectionParams) -> LstmDirectionParams:
+            # order="K" keeps W and U in Fortran order
+            return LstmDirectionParams(*(a.copy(order="K") for a in (p.W, p.U, p.b)))
+
         return BiLstmClassifier(
             dims=self.dims,
             embedding=self.embedding.copy(),
-            forward_dir=LstmDirectionParams(
-                self.forward_dir.W.copy(),
-                self.forward_dir.U.copy(),
-                self.forward_dir.b.copy(),
-            ),
-            backward_dir=LstmDirectionParams(
-                self.backward_dir.W.copy(),
-                self.backward_dir.U.copy(),
-                self.backward_dir.b.copy(),
-            ),
+            forward_dir=direction(self.forward_dir),
+            backward_dir=direction(self.backward_dir),
             head=DenseParams(self.head.W.copy(), self.head.b.copy()),
             labels=self.labels,
             vocab_digest=self.vocab_digest,
@@ -140,19 +156,6 @@ class BiLstmClassifier:
 
 # Canonical tensor order; initialization, Adam state, and the checkpoint
 # payload all follow it.
-PARAM_NAMES = (
-    "embedding",
-    "forward_dir.W",
-    "forward_dir.U",
-    "forward_dir.b",
-    "backward_dir.W",
-    "backward_dir.U",
-    "backward_dir.b",
-    "head.W",
-    "head.b",
-)
-
-
 def iter_parameters(model: BiLstmClassifier) -> Iterator[tuple[str, np.ndarray]]:
     yield "embedding", model.embedding
     yield "forward_dir.W", model.forward_dir.W
@@ -188,17 +191,7 @@ class Gradients:
         return cls(*(np.zeros_like(arr) for _, arr in iter_parameters(model)))
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        return (
-            self.embedding,
-            self.forward_W,
-            self.forward_U,
-            self.forward_b,
-            self.backward_W,
-            self.backward_U,
-            self.backward_b,
-            self.head_W,
-            self.head_b,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def zero_(self) -> None:
         for arr in self.arrays():
@@ -213,15 +206,12 @@ class Gradients:
                              for arr in self.arrays()))
 
 
-def iter_gradients(grads: Gradients) -> Iterator[tuple[str, np.ndarray]]:
-    for name, arr in zip(PARAM_NAMES, grads.arrays()):
-        yield name, arr
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # two-branch form: exp() only ever sees non-positive arguments
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # two-branch form, 1/(1+e) for z >= 0 and e/(1+e) for z < 0 with
+    # e = exp(-|z|), without a masked select: exp(min(z, 0)) is 1 or e.
+    # exp() only ever sees non-positive arguments.
+    d = 1.0 + np.exp(-np.abs(z))
+    return np.divide(np.exp(np.minimum(z, 0)), d, out=out)
 
 
 def _cell_phi(activation: str):
@@ -230,149 +220,145 @@ def _cell_phi(activation: str):
     return np.tanh
 
 
+def _phi_derivative(activation: str, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    if activation == "relu":
+        return (pre > 0).astype(pre.dtype)
+    return 1.0 - post * post  # tanh'
+
+
+def _cell_activation(model: BiLstmClassifier) -> str:
+    return "tanh" if model.activation == "relu_after_merge" else model.activation
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
+    """Softmax over the last axis (one row per document)."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-@dataclass
-class LstmStepCache:
-    z: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    pc: np.ndarray
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-
-
-def _gates(z, c_prev, phi, hidden):
-    sig = _sigmoid(z)  # the candidate block's share is unused
-    i = sig[:hidden]
-    f = sig[hidden:2 * hidden]
-    g = phi(z[2 * hidden:3 * hidden])
-    o = sig[3 * hidden:]
-    c = f * c_prev + i * g
-    pc = phi(c)
-    h = o * pc
-    return i, f, g, o, c, pc, h
-
-
-def lstm_step(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    p: LstmDirectionParams,
-    activation: str = "relu",
-) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
-    """One recurrence step: z = W x + U h_prev + b, gated cell update."""
-    hidden = p.hidden
-    if x.shape != (p.W.shape[1],) or h_prev.shape != (hidden,) or c_prev.shape != (hidden,):
-        raise ValueError(
-            f"shape mismatch: x {x.shape}, h_prev {h_prev.shape}, "
-            f"c_prev {c_prev.shape} against W {p.W.shape}, U {p.U.shape}"
-        )
-    phi = _cell_phi(activation if activation != "relu_after_merge" else "tanh")
-    z = p.W @ x + p.U @ h_prev + p.b
-    i, f, g, o, c, pc, h = _gates(z, c_prev, phi, hidden)
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
-        raise NumericError("non-finite LSTM state after a single step")
-    cache = LstmStepCache(z=z, i=i, f=f, g=g, o=o, c=c, pc=pc,
-                          x=x, h_prev=h_prev, c_prev=c_prev)
-    return h, c, cache
-
-
-@dataclass
-class DirectionTrace:
-    """Per-step caches in processing order (step s, not text position)."""
-
-    z: np.ndarray   # (L, 4H) gate pre-activations
-    i: np.ndarray   # (L, H)
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray   # cell states
-    pc: np.ndarray  # cell-output activation phi(c)
-    h: np.ndarray   # hidden states
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 @dataclass
 class ForwardTrace:
-    ids: np.ndarray           # (L,) the non-PAD token ids
-    x: np.ndarray             # (L, E) embedded inputs in text order
-    fwd: DirectionTrace
-    bwd: DirectionTrace       # step s covers text position L-1-s
-    merged_pre: np.ndarray
-    merged: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
-    length: int
+    """What BPTT reads from one lockstep forward pass.
+
+    Rows are the documents sorted longest first. Step s takes
+    ``steps[s]`` consecutive packed rows, one per running document,
+    after ``lead`` (at least 2) rows of zero state: PAD tokens, zero c
+    and h. Axis 1 is the direction; backward step s reads text position
+    ``length - 1 - s``. Per-document fields are in row order.
+    """
+
+    order: list[int]          # input index of each row
+    steps: list[int]          # rows running at each step
+    starts: list[int]         # first packed row of each step
+    lead: int                 # zero-state rows before step 0
+    tokens: np.ndarray        # (lead + N, 2) token ids
+    gates: np.ndarray         # (lead + N, 2, 4H) [i, f, g, o] after activation
+    c: np.ndarray             # (lead + N, 2, H) cell states
+    h: np.ndarray             # (lead + N, 2, H) hidden states
+    merged_pre: np.ndarray    # (B, H)
+    merged: np.ndarray        # (B, H)
+    probs: np.ndarray         # (B, classes)
     model: BiLstmClassifier = field(repr=False)
 
 
-def _run_direction(x_proc: np.ndarray, p: LstmDirectionParams, phi) -> DirectionTrace:
-    steps, _ = x_proc.shape
-    hidden = p.hidden
-    dtype = x_proc.dtype
-    z_all = x_proc @ p.W.T + p.b  # input contribution for every step at once
-    i_all = np.empty((steps, hidden), dtype)
-    f_all = np.empty((steps, hidden), dtype)
-    g_all = np.empty((steps, hidden), dtype)
-    o_all = np.empty((steps, hidden), dtype)
-    c_all = np.empty((steps, hidden), dtype)
-    pc_all = np.empty((steps, hidden), dtype)
-    h_all = np.empty((steps, hidden), dtype)
-    h = np.zeros(hidden, dtype)
-    c = np.zeros(hidden, dtype)
-    for s in range(steps):
-        z_all[s] += p.U @ h
-        i, f, g, o, c, pc, h = _gates(z_all[s], c, phi, hidden)
-        i_all[s], f_all[s], g_all[s], o_all[s] = i, f, g, o
-        c_all[s], pc_all[s], h_all[s] = c, pc, h
-    if not (np.all(np.isfinite(h_all)) and np.all(np.isfinite(c_all))):
-        bad = np.flatnonzero(
-            ~(np.isfinite(h_all).all(axis=1) & np.isfinite(c_all).all(axis=1))
-        )[0]
-        raise NumericError(f"non-finite LSTM state at timestep {int(bad)}")
-    return DirectionTrace(z=z_all, i=i_all, f=f_all, g=g_all, o=o_all,
-                          c=c_all, pc=pc_all, h=h_all)
+def _name(k: int, doc_ids: Sequence[str] | None) -> str:
+    return f"sequence {k}" if doc_ids is None else f"document {doc_ids[k]!r}"
 
 
-def forward(seq: EncodedSequence, model: BiLstmClassifier) -> tuple[np.ndarray, ForwardTrace]:
-    """Full pass over the non-PAD prefix of ``seq``.
+def _check_ids(seqs: Sequence[EncodedSequence], rows: int,
+               doc_ids: Sequence[str] | None) -> list[np.ndarray]:
+    for k, seq in enumerate(seqs):
+        if seq.length == 0:
+            raise DataError(f"{_name(k, doc_ids)}: empty sequence")
+    ids = [np.asarray(seq.ids[:seq.length]) for seq in seqs]
+    if int(np.concatenate(ids).max()) >= rows:  # one check for the whole batch
+        k = next(k for k, row in enumerate(ids) if int(row.max()) >= rows)
+        raise DataError(f"{_name(k, doc_ids)}: token id {int(ids[k].max())} "
+                        f"outside the embedding table ({rows} rows)")
+    return ids
 
-    PAD positions never enter either recurrence. The merge sums the
-    forward direction's final hidden state with the backward
-    direction's final hidden state (text position 0).
+
+def forward(
+    seqs: Sequence[EncodedSequence],
+    model: BiLstmClassifier,
+    doc_ids: Sequence[str] | None = None,
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Lockstep pass of a batch over each sequence's non-PAD prefix.
+
+    Returns the (B, classes) probabilities in input order and the trace
+    BPTT needs. PAD positions never enter either recurrence. The merge
+    sums the forward direction's final hidden state with the backward
+    direction's final hidden state (text position 0). A document's
+    probabilities do not depend on the other documents in the batch or
+    on their order. ``doc_ids`` only name the document in an error.
     """
-    if seq.length == 0:
-        raise DataError("empty sequence")
-    ids = np.asarray(seq.ids[:seq.length])
-    if int(ids.max()) >= model.dims.vocab_rows:
-        raise DataError(
-            f"token id {int(ids.max())} outside the embedding table "
-            f"({model.dims.vocab_rows} rows)"
-        )
-    phi = _cell_phi(model.activation if model.activation != "relu_after_merge" else "tanh")
-    x = model.embedding[ids]
-    fwd = _run_direction(x, model.forward_dir, phi)
-    bwd = _run_direction(x[::-1], model.backward_dir, phi)
-    merged_pre = fwd.h[-1] + bwd.h[-1]
-    if model.activation == "relu_after_merge":
-        merged = np.maximum(merged_pre, 0)
-    else:
-        merged = merged_pre
-    logits = model.head.W @ merged + model.head.b
+    if not seqs:
+        raise ValueError("forward needs at least one sequence")
+    ids = _check_ids(seqs, model.dims.vocab_rows, doc_ids)
+    hidden, dtype = model.dims.hidden, model.dtype
+    phi = _cell_phi(_cell_activation(model))
+
+    order = sorted(range(len(ids)), key=lambda k: -ids[k].size)
+    lens = np.array([ids[k].size for k in order])
+    batch, lead = len(ids), max(len(ids), 2)
+    by_step = np.zeros((lens[0], batch, 2), np.intp)  # each direction's
+    for j, k in enumerate(order):                     # token at each step
+        by_step[:lens[j], j, 0] = ids[k]
+        by_step[:lens[j], j, 1] = ids[k][::-1]
+    running = np.arange(lens[0])[:, None] < lens
+    steps = running.sum(axis=1).tolist()
+    tokens = np.zeros((lead + lens.sum(), 2), np.intp)
+    tokens[lead:] = by_step[running]
+
+    dirs = (model.forward_dir, model.backward_dir)
+    x = model.embedding[tokens]
+    gates = np.empty(tokens.shape + (4 * hidden,), dtype)
+    for d, p in enumerate(dirs):
+        np.matmul(x[:, d], p.W.T, out=gates[:, d])
+        gates[:, d] += p.b
+    c_all = np.zeros(tokens.shape + (hidden,), dtype)
+    h_all = np.zeros(tokens.shape + (hidden,), dtype)
+    hu = np.empty((lead, 2, 4 * hidden), dtype)
+    starts = []
+    prev, lo = 0, lead
+    for k in steps:
+        starts.append(lo)
+        m = max(k, 2)  # row floor: one-row products take other kernels
+        for d, p in enumerate(dirs):
+            np.matmul(h_all[prev:prev + m, d], p.U.T, out=hu[:m, d])
+        z = gates[lo:lo + k]
+        z += hu[:k]
+        g = phi(z[..., 2 * hidden:3 * hidden])
+        _sigmoid(z, out=z)  # the candidate block's share is overwritten next
+        z[..., 2 * hidden:3 * hidden] = g
+        c = c_all[lo:lo + k]
+        np.multiply(z[..., hidden:2 * hidden], c_all[prev:prev + k], out=c)
+        c += z[..., :hidden] * g
+        np.multiply(z[..., 3 * hidden:], phi(c), out=h_all[lo:lo + k])
+        prev, lo = lo, lo + k
+
+    finite = np.isfinite(h_all).all(axis=(1, 2)) & np.isfinite(c_all).all(axis=(1, 2))
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        s = bisect.bisect_right(starts, bad) - 1
+        raise NumericError(f"{_name(order[bad - starts[s]], doc_ids)}: "
+                           f"non-finite LSTM state at timestep {s}")
+
+    # each row's final states, and a zero row so that the head's product
+    # has two rows or more
+    final = h_all[[starts[n - 1] + j for j, n in enumerate(lens.tolist())] + [0]]
+    merged_pre = final[:, 0] + final[:, 1]
+    merged = (np.maximum(merged_pre, 0) if model.activation == "relu_after_merge"
+              else merged_pre)
+    logits = merged @ model.head.W.T + model.head.b
     probs = softmax(logits)
-    trace = ForwardTrace(ids=ids, x=x, fwd=fwd, bwd=bwd,
-                         merged_pre=merged_pre, merged=merged,
-                         logits=logits, probs=probs,
-                         length=seq.length, model=model)
-    return probs, trace
+    trace = ForwardTrace(
+        order=order, steps=steps, starts=starts, lead=lead, tokens=tokens,
+        gates=gates, c=c_all, h=h_all, merged_pre=merged_pre[:batch],
+        merged=merged[:batch], probs=probs[:batch], model=model,
+    )
+    return trace.probs[np.argsort(order)], trace
 
 
 def loss(probs: np.ndarray, target: int) -> float:
@@ -385,82 +371,93 @@ def loss(probs: np.ndarray, target: int) -> float:
     return -math.log(max(float(probs[target]), 1e-12))
 
 
-def _phi_derivative(activation: str, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    if activation == "relu":
-        return (pre > 0).astype(pre.dtype)
-    return 1.0 - post * post  # tanh'
-
-
 def backward(
     trace: ForwardTrace,
-    target: int,
+    targets: Sequence[int],
     model: BiLstmClassifier,
     out: Gradients | None = None,
 ) -> Gradients:
-    """Exact BPTT for the cross-entropy loss at ``target``.
+    """Exact BPTT of the summed cross-entropy loss of a forward batch.
 
-    Contributions are added into ``out`` (a fresh zero buffer when not
-    supplied), so a caller can accumulate a mini-batch into one
-    caller-owned buffer. Only embedding rows that actually appear in
-    the sequence receive gradient.
+    ``targets`` are in the batch's input order. Contributions are
+    added into ``out`` (a fresh zero buffer when not supplied), so a
+    caller can accumulate a mini-batch into one caller-owned buffer.
+    Only embedding rows that actually appear in the batch receive
+    gradient. The rows run backward in the forward's lockstep.
     """
     if trace.model is not model:
         raise ValueError("trace was produced by a different model")
-    if not 0 <= target < model.dims.classes:
-        raise ValueError(f"target {target} out of range")
+    batch = len(trace.order)
+    targets = np.asarray(targets)
+    if targets.shape != (batch,):
+        raise ValueError(f"{targets.size} targets for a batch of {batch}")
+    if targets.min() < 0 or targets.max() >= model.dims.classes:
+        raise ValueError(f"target out of range for {model.dims.classes} classes")
     grads = Gradients.zeros_like(model) if out is None else out
 
-    cell_act = model.activation if model.activation != "relu_after_merge" else "tanh"
+    cell_act = _cell_activation(model)
+    phi = _cell_phi(cell_act)
     hidden = model.dims.hidden
-    length = trace.length
-    dtype = model.dtype
+    steps = trace.steps
 
     dlogits = trace.probs.copy()
-    dlogits[target] -= 1.0
-    grads.head_W += np.outer(dlogits, trace.merged)
-    grads.head_b += dlogits
-    dmerged = model.head.W.T @ dlogits
+    dlogits[np.arange(batch), targets[trace.order]] -= 1.0
+    grads.head_W += dlogits.T @ trace.merged
+    grads.head_b += dlogits.sum(axis=0)
+    dmerged = dlogits @ model.head.W
     if model.activation == "relu_after_merge":
         dmerged = dmerged * (trace.merged_pre > 0)
 
+    # per row, dh and dc of both directions; a row's dh starts at dmerged
+    # in both directions once BPTT reaches its last step
+    state = np.zeros((batch, 2, 2, hidden), model.dtype)
+    state[:, 0] = dmerged[:, None]
+    dZ = np.empty_like(trace.gates)
+    U = [np.ascontiguousarray(p.U) for p in (model.forward_dir, model.backward_dir)]
+    starts = trace.starts
+    stop = 0
+    for s in range(len(steps) - 1, -1, -1):
+        k, lo = steps[s], starts[s]
+        prev = starts[s - 1] if s else 0
+        gates = trace.gates[lo:lo + k]
+        i, f = gates[..., :hidden], gates[..., hidden:2 * hidden]
+        g, o = gates[..., 2 * hidden:3 * hidden], gates[..., 3 * hidden:]
+        c, c_prev = trace.c[lo:lo + k], trace.c[prev:prev + k]
+        live = state[:k]
+        dh, dc = live[:, 0], live[:, 1]
+        pc = phi(c)
+        do = dh * pc
+        dc += dh * o * _phi_derivative(cell_act, c, pc)
+        dz = dZ[lo:lo + k]
+        dz[..., :hidden] = dc * g * i * (1.0 - i)
+        dz[..., hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
+        dz[..., 2 * hidden:3 * hidden] = dc * i * _phi_derivative(cell_act, g, g)
+        dz[..., 3 * hidden:] = do * o * (1.0 - o)
+        if s:
+            for d in (0, 1):
+                np.matmul(dz[:, d], U[d], out=dh[:, d])
+            dc *= f
+            live[np.abs(live) < GRAD_FLUSH] = 0
+            if k == batch and not live.any():
+                stop = s  # exact: every earlier row is linear in dh, dc
+                break
+
+    # the post-loop products cover only the rows BPTT reached; a row's
+    # previous step is as many rows back as were running in that step
+    lo = starts[stop]
+    back = np.repeat(([trace.lead] + steps[:-1])[stop:], steps[stop:])
+    prev = np.arange(lo, lo + back.size) - back
     per_direction = (
-        (trace.fwd, model.forward_dir, grads.forward_W, grads.forward_U,
-         grads.forward_b, trace.x, trace.ids),
-        (trace.bwd, model.backward_dir, grads.backward_W, grads.backward_U,
-         grads.backward_b, trace.x[::-1], trace.ids[::-1]),
+        (model.forward_dir, grads.forward_W, grads.forward_U, grads.forward_b),
+        (model.backward_dir, grads.backward_W, grads.backward_U, grads.backward_b),
     )
-    for dt, params, g_W, g_U, g_b, x_proc, ids_proc in per_direction:
-        dZ = np.empty((length, 4 * hidden), dtype)
-        dh = dmerged
-        dc = np.zeros(hidden, dtype)
-        for s in range(length - 1, -1, -1):
-            i, f, g, o = dt.i[s], dt.f[s], dt.g[s], dt.o[s]
-            c, pc = dt.c[s], dt.pc[s]
-            c_prev = dt.c[s - 1] if s > 0 else np.zeros(hidden, dtype)
-            do = dh * pc
-            dc = dc + dh * o * _phi_derivative(cell_act, c, pc)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dZ[s, :hidden] = di * i * (1.0 - i)
-            dZ[s, hidden:2 * hidden] = df * f * (1.0 - f)
-            dZ[s, 2 * hidden:3 * hidden] = dg * _phi_derivative(
-                cell_act, dt.z[s, 2 * hidden:3 * hidden], g)
-            dZ[s, 3 * hidden:] = do * o * (1.0 - o)
-            if s > 0:
-                dh = params.U.T @ dZ[s]
-                dc = dc * f
-                dh[np.abs(dh) < GRAD_FLUSH] = 0
-                dc[np.abs(dc) < GRAD_FLUSH] = 0
-                if not (dh.any() or dc.any()):
-                    dZ[:s] = 0  # exact: every earlier row is linear in dh, dc
-                    break
-        g_W += dZ.T @ x_proc
-        h_prev_all = np.vstack([np.zeros((1, hidden), dtype), dt.h[:-1]])
-        g_U += dZ.T @ h_prev_all
-        g_b += dZ.sum(axis=0)
-        d_x = dZ @ params.W
-        np.add.at(grads.embedding, ids_proc, d_x)
+    for d, (params, g_W, g_U, g_b) in enumerate(per_direction):
+        dz = dZ[lo:, d]
+        tokens = trace.tokens[lo:, d]
+        g_W += dz.T @ model.embedding[tokens]
+        g_U += dz.T @ trace.h[prev, d]
+        g_b += dz.sum(axis=0)
+        np.add.at(grads.embedding, tokens, dz @ params.W)
 
     return grads
 

@@ -30,14 +30,11 @@ _VOCAB_MAGIC = "#vocab v1"
 @dataclass(frozen=True)
 class TokenizerConfig:
     max_sequence_length: int = 1000
-    vocabulary_cap: int = 100_000
     lowercase: bool = True
 
     def __post_init__(self):
         if self.max_sequence_length < 1:
             raise ValueError("max_sequence_length must be >= 1")
-        if self.vocabulary_cap < 1:
-            raise ValueError("vocabulary_cap must be >= 1")
 
 
 def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:

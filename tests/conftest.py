@@ -65,12 +65,17 @@ def random_tiny_model(seed: int, dtype=np.float64) -> tuple[nn.BiLstmClassifier,
 
 def finite_difference_gradients(
     model: nn.BiLstmClassifier,
-    seq: EncodedSequence,
-    target: int,
+    seqs: list[EncodedSequence],
+    targets: list[int],
     eps: float = 1e-5,
 ) -> list[np.ndarray]:
     """Independent gradient oracle: central differences through
-    forward + loss only, one scalar parameter at a time."""
+    forward + the batch's summed loss only, one scalar parameter at a
+    time."""
+    def total_loss() -> float:
+        probs, _ = nn.forward(seqs, model)
+        return sum(nn.loss(row, target) for row, target in zip(probs, targets))
+
     grads = []
     for _, param in nn.iter_parameters(model):
         fd = np.zeros_like(param)
@@ -79,26 +84,31 @@ def finite_difference_gradients(
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + eps
-            loss_plus = nn.loss(nn.forward(seq, model)[0], target)
+            loss_plus = total_loss()
             param[idx] = orig - eps
-            loss_minus = nn.loss(nn.forward(seq, model)[0], target)
+            loss_minus = total_loss()
             param[idx] = orig
             fd[idx] = (loss_plus - loss_minus) / (2 * eps)
         grads.append(fd)
     return grads
 
 
-def gradient_check_error(model, seq, target, eps: float = 1e-5) -> float:
+def batch_gradient_check_error(model, seqs, targets, eps: float = 1e-5) -> float:
     """Max absolute BPTT-vs-FD deviation over the whole gradient
     vector, relative to the gradient's own max magnitude. (Central
     differences at step eps cannot resolve elements much smaller than
     the roundoff floor, so the scale is the full gradient's.)"""
-    _, trace = nn.forward(seq, model)
-    analytic = nn.backward(trace, target, model)
-    fd = finite_difference_gradients(model, seq, target, eps)
+    _, trace = nn.forward(seqs, model)
+    analytic = nn.backward(trace, targets, model)
+    fd = finite_difference_gradients(model, seqs, targets, eps)
     diff = max(np.abs(a - f).max() for a, f in zip(analytic.arrays(), fd))
     scale = max(
         max(np.abs(a).max() for a in analytic.arrays()),
         max(np.abs(f).max() for f in fd),
     )
     return float(diff / scale)
+
+
+def gradient_check_error(model, seq, target, eps: float = 1e-5) -> float:
+    """batch_gradient_check_error for a batch of one document."""
+    return batch_gradient_check_error(model, [seq], [target], eps)

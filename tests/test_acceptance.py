@@ -103,10 +103,10 @@ def test_criterion_4_padding_and_reversal_suites():
         ids = np.zeros(20, dtype=np.int64)
         for i in range(length):
             ids[i] = 1 + rng.next_below(29)
-        probs_a, _ = nn.forward(EncodedSequence(ids=ids, length=length), model)
+        probs_a, _ = nn.forward([EncodedSequence(ids=ids, length=length)], model)
         padded = np.zeros(31, dtype=np.int64)
         padded[:length] = ids[:length]
-        probs_b, _ = nn.forward(EncodedSequence(ids=padded, length=length), model)
+        probs_b, _ = nn.forward([EncodedSequence(ids=padded, length=length)], model)
         worst = max(worst, float(np.abs(probs_a - probs_b).max()))
 
         swapped = nn.BiLstmClassifier(
@@ -116,8 +116,8 @@ def test_criterion_4_padding_and_reversal_suites():
         )
         rev = np.zeros(20, dtype=np.int64)
         rev[:length] = ids[:length][::-1]
-        _, trace_a = nn.forward(EncodedSequence(ids=ids, length=length), model)
-        _, trace_b = nn.forward(EncodedSequence(ids=rev, length=length), swapped)
+        _, trace_a = nn.forward([EncodedSequence(ids=ids, length=length)], model)
+        _, trace_b = nn.forward([EncodedSequence(ids=rev, length=length)], swapped)
         worst = max(worst, float(np.abs(trace_a.merged - trace_b.merged).max()))
     elapsed = time.perf_counter() - started
     check(4, "padding invariance and reversal/parameter-swap symmetry",
@@ -203,9 +203,9 @@ def test_criterion_8_inference_throughput():
     rng = SplitMix64(2)
     ids = np.array([1 + rng.next_below(100_001) for _ in range(1000)])
     seq = EncodedSequence(ids=ids, length=1000)
-    nn.forward(seq, model)  # warm-up outside the timed window
+    nn.forward([seq], model)  # warm-up outside the timed window
     started = time.perf_counter()
-    nn.forward(seq, model)
+    nn.forward([seq], model)
     elapsed = time.perf_counter() - started
     check(8, "full-dimension single-document inference within 2 s",
           elapsed <= 2.0, f"{elapsed * 1000:.0f} ms")

@@ -110,6 +110,20 @@ class TestPredict:
         assert code == 2
         assert "'blank-2'" in capsys.readouterr().err
 
+    def test_token_outside_the_table_names_the_document(self, workspace, tmp_path, capsys):
+        # a checkpoint whose table is smaller than its own vocabulary
+        dims = nn.ModelDims(vocab_rows=4, embed_dim=4, hidden=3, classes=6, max_len=40)
+        small = nn.init_parameters(dims, seed=0, labels=SYNTH_LABELS,
+                                   vocab_digest=workspace["vocab"].digest())
+        ckpt = tmp_path / "small.ckpt"
+        save_checkpoint(small, ckpt)
+        code = cli.run([
+            "predict", str(ckpt), str(workspace["data"]),
+            "--vocab", str(workspace["vocab_path"]),
+        ])
+        assert code == 2
+        assert "document 'doc-" in capsys.readouterr().err
+
     def test_digest_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         other_vocab = build_vocabulary(iter(["alpha", "beta"]), cap=10)
         other_path = tmp_path / "other_vocab.txt"

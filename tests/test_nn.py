@@ -4,12 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import gradient_check_error, random_tiny_model
+from conftest import batch_gradient_check_error, gradient_check_error, random_tiny_model
 
 from lexseq import nn
-from lexseq.errors import DataError
+from lexseq.errors import DataError, NumericError
 from lexseq.rng import SplitMix64
 from lexseq.tokenizer import EncodedSequence
+from lexseq.trainer import GROUP_DOCS
 
 
 def tiny_dims(**kw):
@@ -26,29 +27,39 @@ def zeroed_model(dims, activation="relu"):
 
 
 class TestLstmStep:
+    """One recurrence step: forward on a length-1 sequence."""
+
     def test_zero_parameters_force_zero_state(self):
-        p = nn.LstmDirectionParams(
-            W=np.zeros((12, 4), np.float32),
-            U=np.zeros((12, 3), np.float32),
-            b=np.zeros(12, np.float32),
-        )
-        x = np.ones(4, np.float32)
-        h, c, _ = nn.lstm_step(x, np.zeros(3, np.float32), np.zeros(3, np.float32), p)
-        npt.assert_array_equal(h, 0)
-        npt.assert_array_equal(c, 0)
+        model = zeroed_model(tiny_dims())
+        seq = EncodedSequence(ids=np.array([5, 0, 0, 0, 0, 0, 0, 0]), length=1)
+        _, trace = nn.forward([seq], model)
+        npt.assert_array_equal(trace.h, 0)
+        npt.assert_array_equal(trace.c, 0)
 
     def test_scalar_hand_case(self):
-        # hidden=1, embed=1, all weights zero, c_prev=1:
-        # f = 0.5 -> c = 0.5; o = 0.5, h = 0.5 * relu(0.5) = 0.25
-        p = nn.LstmDirectionParams(W=np.zeros((4, 1)), U=np.zeros((4, 1)), b=np.zeros(4))
-        h, c, _ = nn.lstm_step(np.zeros(1), np.zeros(1), np.ones(1), p)
-        npt.assert_allclose(c, [0.5])
-        npt.assert_allclose(h, [0.25])
+        # hidden=1, embed=1, all weights zero, candidate bias 1:
+        # i = f = o = 0.5, g = relu(1) = 1 -> c = 0.5 * 1 = 0.5;
+        # h = 0.5 * relu(0.5) = 0.25 in both directions
+        dims = nn.ModelDims(vocab_rows=3, embed_dim=1, hidden=1, classes=2, max_len=1)
+        model = zeroed_model(dims)
+        model.forward_dir.b[2] = model.backward_dir.b[2] = 1.0
+        seq = EncodedSequence(ids=np.array([2]), length=1)
+        _, trace = nn.forward([seq], model)
+        npt.assert_allclose(trace.c[trace.lead], [[0.5], [0.5]])
+        npt.assert_allclose(trace.h[trace.lead], [[0.25], [0.25]])
+        npt.assert_allclose(trace.merged, [[0.5]])
 
     def test_shape_mismatch_rejected(self):
-        p = nn.LstmDirectionParams(W=np.zeros((12, 4)), U=np.zeros((12, 3)), b=np.zeros(12))
+        # no step can run on mismatched weights: the classifier refuses them
+        model = nn.init_parameters(tiny_dims(), seed=0)
         with pytest.raises(ValueError, match="shape"):
-            nn.lstm_step(np.zeros(5), np.zeros(3), np.zeros(3), p)
+            nn.BiLstmClassifier(
+                dims=model.dims, embedding=model.embedding,
+                forward_dir=nn.LstmDirectionParams(
+                    W=np.zeros((12, 5)), U=np.zeros((12, 3)), b=np.zeros(12)),
+                backward_dir=model.backward_dir, head=model.head,
+                labels=model.labels,
+            )
 
     def test_gradient_matches_finite_differences(self):
         # covered in depth by full-model checks; spot-check the step via them
@@ -87,16 +98,16 @@ class TestForward:
     def test_zero_model_uniform_probs(self):
         model = zeroed_model(tiny_dims(classes=6))
         seq = EncodedSequence(ids=np.array([2, 3, 4, 0, 0, 0, 0, 0]), length=3)
-        probs, trace = nn.forward(seq, model)
-        npt.assert_allclose(probs, np.full(6, 1 / 6), rtol=1e-6)
+        probs, trace = nn.forward([seq], model)
+        npt.assert_allclose(probs[0], np.full(6, 1 / 6), rtol=1e-6)
         npt.assert_array_equal(trace.merged, 0)
 
     def test_padding_invariance_bit_identical(self):
         model = nn.init_parameters(tiny_dims(), seed=5)
         ids_short = np.array([3, 5, 7, 0, 0, 0, 0, 0])
         ids_long = np.concatenate([ids_short, np.zeros(6, dtype=ids_short.dtype)])
-        p1, _ = nn.forward(EncodedSequence(ids=ids_short, length=3), model)
-        p2, _ = nn.forward(EncodedSequence(ids=ids_long, length=3), model)
+        p1, _ = nn.forward([EncodedSequence(ids=ids_short, length=3)], model)
+        p2, _ = nn.forward([EncodedSequence(ids=ids_long, length=3)], model)
         npt.assert_array_equal(p1, p2)
 
     def test_reversal_with_parameter_swap(self):
@@ -118,27 +129,27 @@ class TestForward:
                 ids[i] = 1 + rng.next_below(11)
             rev = np.zeros(8, dtype=np.int64)
             rev[:length] = ids[:length][::-1]
-            _, t1 = nn.forward(EncodedSequence(ids=ids, length=length), model)
-            _, t2 = nn.forward(EncodedSequence(ids=rev, length=length), swapped)
+            _, t1 = nn.forward([EncodedSequence(ids=ids, length=length)], model)
+            _, t2 = nn.forward([EncodedSequence(ids=rev, length=length)], swapped)
             assert np.abs(t1.merged - t2.merged).max() < 1e-6
 
     def test_empty_sequence_rejected(self):
         model = zeroed_model(tiny_dims())
         seq = EncodedSequence(ids=np.zeros(8, dtype=np.int64), length=0)
         with pytest.raises(DataError, match="empty"):
-            nn.forward(seq, model)
+            nn.forward([seq], model)
 
     def test_out_of_range_id_rejected(self):
         model = zeroed_model(tiny_dims(vocab_rows=12))
         seq = EncodedSequence(ids=np.array([99, 0, 0, 0, 0, 0, 0, 0]), length=1)
         with pytest.raises(DataError):
-            nn.forward(seq, model)
+            nn.forward([seq], model)
 
     def test_forward_is_pure(self):
         model = nn.init_parameters(tiny_dims(), seed=2)
         seq = EncodedSequence(ids=np.array([4, 5, 6, 7, 0, 0, 0, 0]), length=4)
-        p1, _ = nn.forward(seq, model)
-        p2, _ = nn.forward(seq, model)
+        p1, _ = nn.forward([seq], model)
+        p2, _ = nn.forward([seq], model)
         npt.assert_array_equal(p1, p2)
 
     def test_softmax_simplex(self):
@@ -182,9 +193,9 @@ class TestBackward:
     def test_logit_gradient_identity(self):
         model = zeroed_model(tiny_dims(classes=2))
         seq = EncodedSequence(ids=np.array([2, 0, 0, 0, 0, 0, 0, 0]), length=1)
-        probs, trace = nn.forward(seq, model)
-        npt.assert_allclose(probs, [0.5, 0.5])
-        grads = nn.backward(trace, 0, model)
+        probs, trace = nn.forward([seq], model)
+        npt.assert_allclose(probs[0], [0.5, 0.5])
+        grads = nn.backward(trace, [0], model)
         # dlogits = probs - onehot lands directly in the head bias gradient
         npt.assert_allclose(grads.head_b, [-0.5, 0.5])
 
@@ -206,10 +217,10 @@ class TestBackward:
         for seed in (17, 23, 31):
             model64, seq, target = random_tiny_model(seed, dtype=np.float64)
             model32, _, _ = random_tiny_model(seed, dtype=np.float32)
-            _, t64 = nn.forward(seq, model64)
-            _, t32 = nn.forward(seq, model32)
-            g64 = nn.backward(t64, target, model64)
-            g32 = nn.backward(t32, target, model32)
+            _, t64 = nn.forward([seq], model64)
+            _, t32 = nn.forward([seq], model32)
+            g64 = nn.backward(t64, [target], model64)
+            g32 = nn.backward(t32, [target], model32)
             scale = max(np.abs(a).max() for a in g64.arrays())
             worst = max(
                 np.abs(a.astype(np.float64) - b).max()
@@ -220,43 +231,48 @@ class TestBackward:
     def test_long_sequence_gradients_hold_no_subnormal(self):
         # over 1000 steps the backward signal vanishes; the flush keeps
         # float32 BPTT off subnormals and leaves the gradients matching
-        # a float64 backward of the same parameters
+        # a float64 backward of the same parameters, alone and in a
+        # ragged batch whose BPTT exits early
         dims = nn.ModelDims(vocab_rows=1002, embed_dim=8, hidden=16,
                             classes=3, max_len=1000)
         model32 = nn.init_parameters(dims, seed=0)
         model64 = nn.init_parameters(dims, seed=0, dtype=np.float64)
         ids = np.random.default_rng(0).permutation(1000) + 2
+        short = ids.copy()
+        short[950:] = 0
         seq = EncodedSequence(ids=ids, length=1000)
-        _, t32 = nn.forward(seq, model32)
-        _, t64 = nn.forward(seq, model64)
-        g32 = nn.backward(t32, 1, model32)
-        g64 = nn.backward(t64, 1, model64)
-        tiny = np.finfo(np.float32).tiny
-        for a in g32.arrays():
-            assert not np.any((a != 0) & (np.abs(a) < tiny))
-        scale = max(np.abs(a).max() for a in g64.arrays())
-        worst = max(
-            np.abs(a.astype(np.float64) - b).max()
-            for a, b in zip(g32.arrays(), g64.arrays())
-        )
-        assert worst / scale < 1e-5  # float32 eps is 1.2e-7
+        for seqs in ([seq], [EncodedSequence(ids=short, length=950), seq]):
+            targets = [1, 2][:len(seqs)]
+            _, t32 = nn.forward(seqs, model32)
+            _, t64 = nn.forward(seqs, model64)
+            g32 = nn.backward(t32, targets, model32)
+            g64 = nn.backward(t64, targets, model64)
+            tiny = np.finfo(np.float32).tiny
+            for a in g32.arrays():
+                assert not np.any((a != 0) & (np.abs(a) < tiny))
+            scale = max(np.abs(a).max() for a in g64.arrays())
+            worst = max(
+                np.abs(a.astype(np.float64) - b).max()
+                for a, b in zip(g32.arrays(), g64.arrays())
+            )
+            assert worst / scale < 1e-5  # float32 eps is 1.2e-7
 
     def test_pad_tail_contributes_nothing(self):
         model = nn.init_parameters(tiny_dims(), seed=8)
         ids = np.array([3, 4, 5, 0, 0, 0, 0, 0])
-        _, t_short = nn.forward(EncodedSequence(ids=ids, length=3), model)
-        g_short = nn.backward(t_short, 1, model)
+        _, t_short = nn.forward([EncodedSequence(ids=ids, length=3)], model)
+        g_short = nn.backward(t_short, [1], model)
         longer = np.concatenate([ids, np.zeros(4, dtype=ids.dtype)])
-        _, t_long = nn.forward(EncodedSequence(ids=longer, length=3), model)
-        g_long = nn.backward(t_long, 1, model)
+        _, t_long = nn.forward([EncodedSequence(ids=longer, length=3)], model)
+        g_long = nn.backward(t_long, [1], model)
         for a, b in zip(g_short.arrays(), g_long.arrays()):
             npt.assert_array_equal(a, b)
 
     def test_unused_embedding_rows_get_zero_gradient(self):
         model = nn.init_parameters(tiny_dims(), seed=9)
         seq = EncodedSequence(ids=np.array([3, 4, 0, 0, 0, 0, 0, 0]), length=2)
-        _, trace = nn.forward(seq, model)
-        grads = nn.backward(trace, 0, model)
+        _, trace = nn.forward([seq], model)
+        grads = nn.backward(trace, [0], model)
         used = {3, 4}
         for row in range(model.dims.vocab_rows):
             if row not in used:
@@ -266,19 +282,19 @@ class TestBackward:
         model = nn.init_parameters(tiny_dims(), seed=1)
         other = nn.init_parameters(tiny_dims(), seed=2)
         seq = EncodedSequence(ids=np.array([2, 0, 0, 0, 0, 0, 0, 0]), length=1)
-        _, trace = nn.forward(seq, model)
+        _, trace = nn.forward([seq], model)
         with pytest.raises(ValueError, match="different model"):
-            nn.backward(trace, 0, other)
+            nn.backward(trace, [0], other)
 
     def test_accumulation_into_caller_buffer(self):
         model = nn.init_parameters(tiny_dims(), seed=3)
         seq = EncodedSequence(ids=np.array([2, 3, 0, 0, 0, 0, 0, 0]), length=2)
-        _, trace = nn.forward(seq, model)
-        single = nn.backward(trace, 1, model)
+        _, trace = nn.forward([seq], model)
+        single = nn.backward(trace, [1], model)
         buf = nn.Gradients.zeros_like(model)
-        _, trace2 = nn.forward(seq, model)
-        nn.backward(trace2, 1, model, out=buf)
-        nn.backward(trace2, 1, model, out=buf)
+        _, trace2 = nn.forward([seq], model)
+        nn.backward(trace2, [1], model, out=buf)
+        nn.backward(trace2, [1], model, out=buf)
         for one, two in zip(single.arrays(), buf.arrays()):
             npt.assert_allclose(two, one * 2, rtol=1e-5)
 
@@ -337,3 +353,107 @@ class TestInitParameters:
         a = nn.init_parameters(tiny_dims(), seed=1)
         b = nn.init_parameters(tiny_dims(), seed=2)
         assert not np.array_equal(a.embedding, b.embedding)
+
+
+def _ragged_batch(dims, lengths, seed):
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for length in lengths:
+        ids = np.zeros(dims.max_len, dtype=np.int64)
+        ids[:length] = rng.integers(1, dims.vocab_rows, length)
+        seqs.append(EncodedSequence(ids=ids, length=length))
+    return seqs
+
+
+def _bits(arr):
+    return arr.view(f"u{arr.itemsize}")
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_probabilities_do_not_depend_on_the_batch(self, dtype, activation):
+        dims = tiny_dims(hidden=5)
+        model = nn.init_parameters(dims, seed=6, activation=activation, dtype=dtype)
+        lengths = [3, 8, 1, 5, 8, 2, 7, 1, 4, 6, 8, 3]
+        seqs = _ragged_batch(dims, lengths, seed=1)
+        alone = [nn.forward([seq], model)[0][0] for seq in seqs]
+        rng = np.random.default_rng(2)
+        orders = [list(range(len(seqs))), list(range(len(seqs)))[::-1],
+                  list(rng.permutation(len(seqs))), [2, 7], [4, 10, 1], [9]]
+        for order in orders:
+            probs, _ = nn.forward([seqs[k] for k in order], model)
+            for row, k in zip(probs, order):
+                npt.assert_array_equal(_bits(row), _bits(alone[k]))
+
+    def test_batch_gradient_is_sum_of_document_gradients(self):
+        dims = tiny_dims(hidden=5)
+        model = nn.init_parameters(dims, seed=7, activation="tanh", dtype=np.float64)
+        seqs = _ragged_batch(dims, [8, 1, 4, 8, 2, 6], seed=3)
+        targets = [0, 2, 1, 1, 0, 2]
+        _, trace = nn.forward(seqs, model)
+        batch = nn.backward(trace, targets, model)
+        summed = nn.Gradients.zeros_like(model)
+        for seq, target in zip(seqs, targets):
+            _, one = nn.forward([seq], model)
+            nn.backward(one, [target], model, out=summed)
+        for a, b in zip(batch.arrays(), summed.arrays()):
+            npt.assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.abs(b).max())
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_ragged_batch_matches_finite_differences(self, activation):
+        dims = tiny_dims(max_len=6)
+        model = nn.init_parameters(dims, seed=11, activation=activation,
+                                   dtype=np.float64)
+        seqs = _ragged_batch(dims, [4, 1, 6, 3], seed=5)
+        assert batch_gradient_check_error(model, seqs, [2, 0, 1, 1]) < 1e-6
+
+    def test_rejected_sequence_is_named(self):
+        model = nn.init_parameters(tiny_dims(vocab_rows=12), seed=0)
+        good = EncodedSequence(ids=np.array([3, 4, 0, 0, 0, 0, 0, 0]), length=2)
+        bad = EncodedSequence(ids=np.array([3, 40, 0, 0, 0, 0, 0, 0]), length=2)
+        with pytest.raises(DataError, match="document 'b': token id 40 outside"):
+            nn.forward([good, bad], model, doc_ids=["a", "b"])
+        with pytest.raises(DataError, match="sequence 1: token id 40 outside"):
+            nn.forward([good, bad], model)
+
+    def test_non_finite_state_names_the_document(self):
+        model = nn.init_parameters(tiny_dims(), seed=0)
+        model.embedding[7] = np.inf
+        seqs = _ragged_batch(tiny_dims(), [3, 5], seed=0)
+        seqs.append(EncodedSequence(ids=np.array([2, 7, 0, 0, 0, 0, 0, 0]), length=2))
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericError, match="document 'c': non-finite LSTM state"):
+            nn.forward(seqs, model, doc_ids=["a", "b", "c"])
+
+    def test_direction_weights_stay_fortran_ordered(self):
+        model = nn.init_parameters(tiny_dims(), seed=0)
+        for m in (model, model.clone()):
+            for direction in (m.forward_dir, m.backward_dir):
+                assert direction.W.T.flags.c_contiguous
+                assert direction.U.T.flags.c_contiguous
+
+
+class TestBlasRowInvariance:
+    """Lockstep batching relies on the BLAS computing each row of
+    ``H @ U.T`` with the same bits for every row count of 2 or more."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_match_two_row_products(self, dtype):
+        rng = np.random.default_rng(0)
+        hidden = 200
+        U = np.asfortranarray(rng.standard_normal((4 * hidden, hidden)).astype(dtype))
+        H = rng.standard_normal((GROUP_DOCS + 1, hidden)).astype(dtype)
+        two_row = np.stack([(H[r:r + 2] @ U.T)[0] for r in range(GROUP_DOCS)])
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            blas = f"{blas.get('name')} {blas.get('version')}"
+        except (TypeError, KeyError):
+            blas = "unknown"
+        for rows in range(2, GROUP_DOCS + 1):
+            got = H[:rows] @ U.T
+            assert np.array_equal(_bits(got), _bits(two_row[:rows])), (
+                f"BLAS {blas}: rows of a {rows}-row product differ from the "
+                f"same rows in 2-row products; lockstep batches would change "
+                f"a document's bits"
+            )

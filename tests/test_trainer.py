@@ -187,6 +187,25 @@ class TestTrain:
         with pytest.raises(DataError, match="'blank-7'.*empty"):
             train(model, with_blank, vocab, TrainConfig(epochs=1), tok_config=tok_cfg)
 
+    def test_token_outside_the_table_names_the_document(self):
+        split, vocab, tok_cfg = build_setup(n_docs=60)
+        dims = nn.ModelDims(vocab_rows=4, embed_dim=4, hidden=3, classes=6, max_len=40)
+        model = nn.init_parameters(dims, seed=0, labels=SYNTH_LABELS)
+        with pytest.raises(DataError, match=r"document 'doc-.*': token id \d+ outside"):
+            train(model, split, vocab, TrainConfig(epochs=1), tok_config=tok_cfg)
+
+    def test_lockstep_groups_keep_the_training_deterministic(self):
+        # a mini-batch larger than a lockstep group gives the same bytes twice
+        split, vocab, tok_cfg = build_setup(n_docs=120)
+        assert len(split.train) > trainer.GROUP_DOCS
+        blobs = []
+        for _ in range(2):
+            model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
+            train(model, split, vocab, TrainConfig(epochs=2, batch_size=64, seed=1),
+                  tok_config=tok_cfg)
+            blobs.append(b"".join(arr.tobytes() for _, arr in nn.iter_parameters(model)))
+        assert blobs[0] == blobs[1]
+
     def test_empty_train_partition_rejected(self):
         split, vocab, tok_cfg = build_setup(n_docs=60)
         empty = SplitDataset(train=(), validation=split.validation,
@@ -230,8 +249,8 @@ class TestCheckpoint:
         from lexseq.tokenizer import encode_text
         for doc in list(split.train)[:100]:
             seq = encode_text(doc.text, vocab, tok_cfg)
-            p1, _ = nn.forward(seq, model)
-            p2, _ = nn.forward(seq, loaded)
+            p1, _ = nn.forward([seq], model)
+            p2, _ = nn.forward([seq], loaded)
             npt.assert_array_equal(p1, p2)
 
     def test_adam_state_roundtrip(self, tmp_path):
@@ -272,6 +291,19 @@ class TestCheckpoint:
         second = tmp_path / "again.ckpt"
         save_checkpoint(model, second)
         assert path.read_bytes() == second.read_bytes()
+
+    def test_bytes_do_not_depend_on_the_weight_layout(self, tmp_path):
+        model, path, vocab, _, _ = self.roundtrip_model(tmp_path)
+        assert model.forward_dir.U.flags.f_contiguous
+        c_ordered = model.clone()
+        for direction in (c_ordered.forward_dir, c_ordered.backward_dir):
+            direction.W = np.ascontiguousarray(direction.W)
+            direction.U = np.ascontiguousarray(direction.U)
+        save_checkpoint(c_ordered, tmp_path / "c.ckpt")
+        assert (tmp_path / "c.ckpt").read_bytes() == path.read_bytes()
+        loaded, _ = load_checkpoint(path, vocab=vocab)
+        for direction in (loaded.forward_dir, loaded.backward_dir):
+            assert direction.W.flags.f_contiguous and direction.U.flags.f_contiguous
 
     def test_failed_save_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
         model, path, _, _, _ = self.roundtrip_model(tmp_path)
@@ -333,10 +365,26 @@ class TestEvaluate:
         with pytest.raises(DataError, match="unlabeled"):
             evaluate(model, [Document("u", "texto", None)], vocab, tok_cfg)
 
-    def test_workers_do_not_change_results(self):
+    def test_batch_composition_does_not_change_results(self):
         split, vocab, tok_cfg = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=5, labels=SYNTH_LABELS)
         docs = list(split.train)
-        serial = evaluate(model, docs, vocab, tok_cfg, workers=1)
-        threaded = evaluate(model, docs, vocab, tok_cfg, workers=4)
-        npt.assert_array_equal(serial.matrix.counts, threaded.matrix.counts)
+        bulk = evaluate(model, docs, vocab, tok_cfg)
+        reversed_docs = evaluate(model, docs[::-1], vocab, tok_cfg)
+        summed = sum(evaluate(model, [doc], vocab, tok_cfg).matrix.counts
+                     for doc in docs)
+        npt.assert_array_equal(bulk.matrix.counts, reversed_docs.matrix.counts)
+        npt.assert_array_equal(bulk.matrix.counts, summed)
+        seqs = [trainer.encode_document(doc, vocab, tok_cfg) for doc in docs]
+        together = trainer.map_forward(model, seqs)
+        for seq, probs in zip(seqs, together):
+            alone = trainer.map_forward(model, [seq])[0]
+            npt.assert_array_equal(probs.view(np.uint32), alone.view(np.uint32))
+
+    def test_token_outside_the_table_names_the_document(self):
+        split, vocab, tok_cfg = build_setup(n_docs=60)
+        dims = nn.ModelDims(vocab_rows=4, embed_dim=4, hidden=3, classes=6, max_len=40)
+        model = nn.init_parameters(dims, seed=0, labels=SYNTH_LABELS)
+        with pytest.raises(DataError, match=r"document 'doc-.*': token id \d+ outside"):
+            evaluate(model, list(split.test), vocab, tok_cfg)
+
