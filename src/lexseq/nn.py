@@ -24,10 +24,17 @@ elementwise or a matrix product whose output row depends only on its
 own input row, and OpenBLAS gives such a row the same bits for any
 row count of 2 or more, though not through its one-row and
 matrix-vector kernels. So no product runs on fewer than two rows (the
-row floor); a lone row takes a spare zero row along. W and U are kept
-in Fortran order so that ``W.T`` and ``U.T`` are contiguous: OpenBLAS
-is several times slower on a few rows times a transposed C-ordered
-matrix. The layout changes no bit, and checkpoints are in C order.
+row floor); a lone row takes a spare zero row along.
+
+One layout holds every parameter: :func:`param_shapes` lists the nine
+tensors in order, and a :class:`ParamBuffer` holds them in one
+contiguous 1-D buffer with a named view each. The model's tensors, the
+gradients and Adam's two moments all use it, so zeroing, scaling,
+copying and the Adam step are passes over one array. The views of W
+and U are Fortran-ordered so that ``W.T`` and ``U.T`` are contiguous:
+OpenBLAS is several times slower on a few rows times a transposed
+C-ordered matrix. No bit depends on the layout; checkpoints store each
+tensor in C order.
 
 BPTT flushes every component of the backward state (dh, dc) whose
 magnitude is below ``GRAD_FLUSH`` (2**-100) to zero after each step,
@@ -43,8 +50,10 @@ checks are not affected.
 from __future__ import annotations
 
 import bisect
+import copy
+import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -81,6 +90,62 @@ class ModelDims:
             raise ValueError("classes must be >= 2")
 
 
+def param_shapes(dims: ModelDims) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Name and shape of every parameter tensor, in the canonical order
+    that initialization, the flat buffers and the checkpoint follow."""
+    h4 = 4 * dims.hidden
+    shapes = [("embedding", (dims.vocab_rows, dims.embed_dim))]
+    for direction in ("forward_dir", "backward_dir"):
+        shapes += [(f"{direction}.W", (h4, dims.embed_dim)),
+                   (f"{direction}.U", (h4, dims.hidden)), (f"{direction}.b", (h4,))]
+    return tuple(shapes + [("head.W", (dims.classes, dims.hidden)),
+                           ("head.b", (dims.classes,))])
+
+
+def param_size(dims: ModelDims) -> int:
+    return sum(math.prod(shape) for _, shape in param_shapes(dims))
+
+
+class ParamBuffer:
+    """Every parameter tensor in one contiguous 1-D buffer ``flat``, with a
+    named view each, in :func:`param_shapes` order (see the module
+    docstring). Tensors start on 64-byte boundaries, because OpenBLAS's
+    small products ran about 5% slower on W and U aligned to 16 bytes; the
+    gaps stay zero. ``values``, a flat buffer of this layout, is copied in."""
+
+    def __init__(self, dims: ModelDims, dtype=np.float32,
+                 values: np.ndarray | None = None):
+        self.dims, self.views = dims, {}
+        sizes = [-(-math.prod(shape) // 16) * 16 for _, shape in param_shapes(dims)]
+        self.starts = [sum(sizes[:k]) for k in range(len(sizes))]
+        nbytes = sum(sizes) * np.dtype(dtype).itemsize
+        raw = np.zeros(nbytes + 64, np.uint8)
+        self.flat = raw[-raw.ctypes.data % 64:][:nbytes].view(dtype)
+        if values is not None:
+            self.flat[...] = values
+        for (name, shape), start in zip(param_shapes(dims), self.starts):
+            chunk = self.flat[start:start + math.prod(shape)]
+            order = "F" if name.endswith(("_dir.W", "_dir.U")) else "C"
+            self.views[name] = chunk.reshape(shape, order=order)
+
+    @classmethod
+    def zeros_like(cls, model: "BiLstmClassifier") -> "ParamBuffer":
+        return cls(model.dims, model.dtype)
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.views.values())
+
+    def name_at(self, index: int) -> str:
+        """Name of the tensor that holds element ``index`` of ``flat``."""
+        return list(self.views)[bisect.bisect_right(self.starts, index) - 1]
+
+    def __reduce__(self):  # a copy or a pickle gets its own aligned buffer
+        return type(self), (self.dims, self.flat.dtype, self.flat)
+
+    def __deepcopy__(self, memo) -> "ParamBuffer":  # one copy; __reduce__ makes two
+        return type(self)(self.dims, self.flat.dtype, self.flat)
+
+
 @dataclass
 class LstmDirectionParams:
     """One direction's weights: W (4H, E), U (4H, H), b (4H,)."""
@@ -96,8 +161,19 @@ class DenseParams:
     b: np.ndarray
 
 
+def _unpack(params: ParamBuffer):
+    v = params.views
+    dirs = (LstmDirectionParams(v[f"{d}.W"], v[f"{d}.U"], v[f"{d}.b"])
+            for d in ("forward_dir", "backward_dir"))
+    return v["embedding"], *dirs, DenseParams(v["head.W"], v["head.b"])
+
+
 @dataclass
 class BiLstmClassifier:
+    """Its tensors are views of one :class:`ParamBuffer`, ``params``; write
+    into them rather than rebinding them. Tensors that are not views of
+    ``params`` are copied into a new buffer at construction."""
+
     dims: ModelDims
     embedding: np.ndarray
     forward_dir: LstmDirectionParams
@@ -106,6 +182,7 @@ class BiLstmClassifier:
     labels: tuple[str, ...]
     vocab_digest: str = ""
     activation: str = "relu"
+    params: ParamBuffer | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.dims
@@ -113,93 +190,54 @@ class BiLstmClassifier:
             raise ValueError(f"unknown activation {self.activation!r}")
         if len(self.labels) != d.classes:
             raise ValueError("label order length must equal the class count")
-        expect = {
-            "embedding": (d.vocab_rows, d.embed_dim),
-            "forward_dir.W": (4 * d.hidden, d.embed_dim),
-            "forward_dir.U": (4 * d.hidden, d.hidden),
-            "forward_dir.b": (4 * d.hidden,),
-            "backward_dir.W": (4 * d.hidden, d.embed_dim),
-            "backward_dir.U": (4 * d.hidden, d.hidden),
-            "backward_dir.b": (4 * d.hidden,),
-            "head.W": (d.classes, d.hidden),
-            "head.b": (d.classes,),
-        }
-        for name, arr in iter_parameters(self):
-            if arr.shape != expect[name]:
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected {expect[name]}"
-                )
-        for direction in (self.forward_dir, self.backward_dir):
-            direction.W = np.asfortranarray(direction.W)  # see module docstring
-            direction.U = np.asfortranarray(direction.U)
+        tensors = list(iter_parameters(self))
+        for (name, arr), (_, shape) in zip(tensors, param_shapes(d)):
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+        if self.params is None or any(a is not self.params.views[n] for n, a in tensors):
+            self.params = ParamBuffer(d, self.embedding.dtype)
+            for name, arr in tensors:
+                self.params.views[name][...] = arr
+            self.embedding, self.forward_dir, self.backward_dir, self.head = \
+                _unpack(self.params)
+
+    @classmethod
+    def from_params(cls, params: ParamBuffer, labels: tuple[str, ...],
+                    vocab_digest: str = "", activation: str = "relu"):
+        """A model whose tensors are the views of ``params`` (no copy)."""
+        return cls(params.dims, *_unpack(params), labels, vocab_digest, activation,
+                   params)
 
     @property
     def dtype(self) -> np.dtype:
-        return self.embedding.dtype
+        return self.params.flat.dtype
 
     def clone(self) -> "BiLstmClassifier":
-        def direction(p: LstmDirectionParams) -> LstmDirectionParams:
-            # order="K" keeps W and U in Fortran order
-            return LstmDirectionParams(*(a.copy(order="K") for a in (p.W, p.U, p.b)))
+        return copy.deepcopy(self)
 
-        return BiLstmClassifier(
-            dims=self.dims,
-            embedding=self.embedding.copy(),
-            forward_dir=direction(self.forward_dir),
-            backward_dir=direction(self.backward_dir),
-            head=DenseParams(self.head.W.copy(), self.head.b.copy()),
-            labels=self.labels,
-            vocab_digest=self.vocab_digest,
-            activation=self.activation,
-        )
+    def __reduce__(self):  # a copy or a pickle gets views of its own buffer
+        return BiLstmClassifier.from_params, (self.params, self.labels,
+                                              self.vocab_digest, self.activation)
 
 
-# Canonical tensor order; initialization, Adam state, and the checkpoint
-# payload all follow it.
 def iter_parameters(model: BiLstmClassifier) -> Iterator[tuple[str, np.ndarray]]:
-    yield "embedding", model.embedding
-    yield "forward_dir.W", model.forward_dir.W
-    yield "forward_dir.U", model.forward_dir.U
-    yield "forward_dir.b", model.forward_dir.b
-    yield "backward_dir.W", model.backward_dir.W
-    yield "backward_dir.U", model.backward_dir.U
-    yield "backward_dir.b", model.backward_dir.b
-    yield "head.W", model.head.W
-    yield "head.b", model.head.b
+    """(name, tensor) of the model's attributes in param_shapes order."""
+    for name, _ in param_shapes(model.dims):
+        yield name, functools.reduce(getattr, name.split("."), model)
 
 
 def parameter_count(model: BiLstmClassifier) -> int:
-    return sum(arr.size for _, arr in iter_parameters(model))
+    return param_size(model.dims)
 
 
-@dataclass
-class Gradients:
-    """Gradient buffers shaped like every parameter tensor."""
-
-    embedding: np.ndarray
-    forward_W: np.ndarray
-    forward_U: np.ndarray
-    forward_b: np.ndarray
-    backward_W: np.ndarray
-    backward_U: np.ndarray
-    backward_b: np.ndarray
-    head_W: np.ndarray
-    head_b: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, model: BiLstmClassifier) -> "Gradients":
-        return cls(*(np.zeros_like(arr) for _, arr in iter_parameters(model)))
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+class Gradients(ParamBuffer):
+    """Gradient buffers in the parameter layout."""
 
     def zero_(self) -> None:
-        for arr in self.arrays():
-            arr.fill(0)
+        self.flat.fill(0)
 
     def scale_(self, k: float) -> None:
-        for arr in self.arrays():
-            arr *= arr.dtype.type(k)
+        self.flat *= self.flat.dtype.type(k)
 
     def global_norm(self) -> float:
         return math.sqrt(sum(float(np.sum(arr.astype(np.float64) ** 2))
@@ -402,8 +440,9 @@ def backward(
 
     dlogits = trace.probs.copy()
     dlogits[np.arange(batch), targets[trace.order]] -= 1.0
-    grads.head_W += dlogits.T @ trace.merged
-    grads.head_b += dlogits.sum(axis=0)
+    gv = grads.views
+    gv["head.W"] += dlogits.T @ trace.merged
+    gv["head.b"] += dlogits.sum(axis=0)
     dmerged = dlogits @ model.head.W
     if model.activation == "relu_after_merge":
         dmerged = dmerged * (trace.merged_pre > 0)
@@ -447,17 +486,13 @@ def backward(
     lo = starts[stop]
     back = np.repeat(([trace.lead] + steps[:-1])[stop:], steps[stop:])
     prev = np.arange(lo, lo + back.size) - back
-    per_direction = (
-        (model.forward_dir, grads.forward_W, grads.forward_U, grads.forward_b),
-        (model.backward_dir, grads.backward_W, grads.backward_U, grads.backward_b),
-    )
-    for d, (params, g_W, g_U, g_b) in enumerate(per_direction):
+    for d, name in enumerate(("forward_dir", "backward_dir")):
         dz = dZ[lo:, d]
         tokens = trace.tokens[lo:, d]
-        g_W += dz.T @ model.embedding[tokens]
-        g_U += dz.T @ trace.h[prev, d]
-        g_b += dz.sum(axis=0)
-        np.add.at(grads.embedding, tokens, dz @ params.W)
+        gv[f"{name}.W"] += dz.T @ model.embedding[tokens]
+        gv[f"{name}.U"] += dz.T @ trace.h[prev, d]
+        gv[f"{name}.b"] += dz.sum(axis=0)
+        np.add.at(gv["embedding"], tokens, dz @ getattr(model, name).W)
 
     return grads
 
@@ -477,35 +512,16 @@ def init_parameters(
     zero except the forget-gate block, which starts at 1.0.
     """
     rng = SplitMix64(seed)
-
-    def glorot(rows: int, cols: int) -> np.ndarray:
-        bound = math.sqrt(6.0 / (rows + cols))
-        u = rng.uniform_floats(rows * cols)
-        return ((u * 2.0 - 1.0) * bound).reshape(rows, cols).astype(dtype)
-
-    def direction() -> LstmDirectionParams:
-        W = glorot(4 * dims.hidden, dims.embed_dim)
-        U = glorot(4 * dims.hidden, dims.hidden)
-        b = np.zeros(4 * dims.hidden, dtype)
-        b[dims.hidden:2 * dims.hidden] = 1.0
-        return LstmDirectionParams(W=W, U=U, b=b)
-
-    embedding = glorot(dims.vocab_rows, dims.embed_dim)
-    fwd = direction()
-    bwd = direction()
-    head = DenseParams(
-        W=glorot(dims.classes, dims.hidden),
-        b=np.zeros(dims.classes, dtype),
-    )
+    params = ParamBuffer(dims, dtype)
+    for view in params.arrays():
+        if view.ndim == 2:  # in place, the same bits as (u * 2 - 1) * bound
+            u = rng.uniform_floats(view.size)
+            u *= 2.0
+            u -= 1.0
+            u *= math.sqrt(6.0 / sum(view.shape))
+            view[...] = u.reshape(view.shape)
+    for direction in ("forward_dir", "backward_dir"):
+        params.views[f"{direction}.b"][dims.hidden:2 * dims.hidden] = 1.0
     if labels is None:
         labels = tuple(str(i) for i in range(dims.classes))
-    return BiLstmClassifier(
-        dims=dims,
-        embedding=embedding,
-        forward_dir=fwd,
-        backward_dir=bwd,
-        head=head,
-        labels=tuple(labels),
-        vocab_digest=vocab_digest,
-        activation=activation,
-    )
+    return BiLstmClassifier.from_params(params, tuple(labels), vocab_digest, activation)

@@ -161,6 +161,21 @@ class TestEvaluateCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_malformed_checkpoint_header_is_data_error(self, workspace, tmp_path,
+                                                       capsys, command):
+        # a header of the wrong kind over a valid payload
+        blob = workspace["ckpt"].read_bytes()
+        start = blob.index(b"\x00") + 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:start] + b"[1]" + blob[blob.index(b"\n"):])
+        output = ["-o", str(tmp_path / "report.json")] if command == "evaluate" else []
+        code = cli.run([command, str(bad), str(workspace["data"]),
+                        "--vocab", str(workspace["vocab_path"]), *output])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+
 class TestBuildVocab:
     def test_whole_file_mode(self, workspace, tmp_path, capsys):
         out = tmp_path / "v.txt"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import numpy.testing as npt
@@ -197,7 +199,7 @@ class TestBackward:
         npt.assert_allclose(probs[0], [0.5, 0.5])
         grads = nn.backward(trace, [0], model)
         # dlogits = probs - onehot lands directly in the head bias gradient
-        npt.assert_allclose(grads.head_b, [-0.5, 0.5])
+        npt.assert_allclose(grads.views["head.b"], [-0.5, 0.5])
 
     @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
     def test_gradients_match_finite_differences(self, activation):
@@ -276,7 +278,7 @@ class TestBackward:
         used = {3, 4}
         for row in range(model.dims.vocab_rows):
             if row not in used:
-                npt.assert_array_equal(grads.embedding[row], 0)
+                npt.assert_array_equal(grads.views["embedding"][row], 0)
 
     def test_trace_model_mismatch(self):
         model = nn.init_parameters(tiny_dims(), seed=1)
@@ -432,6 +434,74 @@ class TestLockstep:
             for direction in (m.forward_dir, m.backward_dir):
                 assert direction.W.T.flags.c_contiguous
                 assert direction.U.T.flags.c_contiguous
+
+
+class TestParamBuffer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_views_tile_the_flat_buffer_in_table_order(self, dtype):
+        dims = tiny_dims(hidden=5)
+        buf = nn.ParamBuffer(dims, dtype)
+        assert buf.flat.dtype == dtype and buf.flat.ctypes.data % 64 == 0
+        buf.flat[...] = np.arange(buf.flat.size)
+        start = 0
+        for (name, shape), (view_name, view) in zip(nn.param_shapes(dims),
+                                                    buf.views.items()):
+            assert name == view_name and view.shape == shape
+            assert np.shares_memory(view, buf.flat) and view.ctypes.data % 64 == 0
+            # a Fortran-ordered view holds its transpose in C order
+            fortran = name.endswith(("_dir.W", "_dir.U"))
+            assert view.flags.f_contiguous if fortran else view.flags.c_contiguous
+            flat = (view.T if fortran else view).ravel()
+            npt.assert_array_equal(flat, np.arange(start, start + view.size))
+            assert buf.name_at(start) == name == buf.name_at(start + view.size - 1)
+            start = -(-(start + view.size) // 16) * 16  # the next 64-byte boundary
+        assert start == buf.flat.size
+        assert sum(view.size for view in buf.arrays()) == nn.param_size(dims)
+
+    @pytest.mark.parametrize("copier", [
+        nn.BiLstmClassifier.clone, copy.deepcopy,
+        lambda model: pickle.loads(pickle.dumps(model)),
+    ], ids=["clone", "deepcopy", "pickle"])
+    def test_copies_alias_their_own_buffer(self, copier):
+        model = nn.init_parameters(tiny_dims(), seed=2)
+        before = model.params.flat.copy()
+        twin = copier(model)
+        assert twin.params.flat is not model.params.flat
+        for name, arr in nn.iter_parameters(twin):
+            assert arr is twin.params.views[name]
+            assert np.shares_memory(arr, twin.params.flat)
+            assert not np.shares_memory(arr, model.params.flat)
+        for direction in (twin.forward_dir, twin.backward_dir):
+            assert direction.W.flags.f_contiguous and direction.U.flags.f_contiguous
+        npt.assert_array_equal(twin.params.flat, before)
+        twin.params.flat += 1
+        twin.forward_dir.U[1, 2] = 7
+        npt.assert_array_equal(model.params.flat, before)
+        assert twin.embedding[0, 0] == before[0] + 1
+        assert (twin.labels, twin.activation) == (model.labels, model.activation)
+
+    def test_constructed_model_packs_copies_into_a_buffer(self):
+        model = nn.init_parameters(tiny_dims(), seed=2)
+        swapped = nn.BiLstmClassifier(
+            dims=model.dims, embedding=model.embedding,
+            forward_dir=model.backward_dir, backward_dir=model.forward_dir,
+            head=model.head, labels=model.labels)
+        for name, arr in nn.iter_parameters(swapped):
+            assert arr is swapped.params.views[name]
+        npt.assert_array_equal(swapped.forward_dir.U, model.backward_dir.U)
+        swapped.params.flat[...] = 0
+        assert model.backward_dir.U.any() and model.forward_dir is not swapped.backward_dir
+
+    def test_gradient_passes_cover_every_tensor(self):
+        model = nn.init_parameters(tiny_dims(), seed=2)
+        grads = nn.Gradients.zeros_like(model)
+        grads.flat[...] = 2.0
+        grads.scale_(0.25)
+        for arr in grads.arrays():
+            npt.assert_array_equal(arr, 0.5)
+        assert grads.global_norm() == pytest.approx(0.5 * math.sqrt(nn.param_size(model.dims)))
+        grads.zero_()
+        assert not any(arr.any() for arr in grads.arrays())
 
 
 class TestBlasRowInvariance:

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SYNTH_LABELS, make_synthetic_corpus
 
@@ -55,6 +58,27 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
 
 
+def _adam_reference(params, grads, ms, vs, t, config):
+    """The per-tensor Adam step that the blocked adam_update replaced."""
+    bc1 = 1.0 - config.beta1 ** t
+    bc2 = 1.0 - config.beta2 ** t
+    for param, grad, m, v in zip(params, grads, ms, vs):
+        step = np.empty_like(grad)
+        denom = np.empty_like(grad)
+        m *= config.beta1
+        m += np.multiply(1.0 - config.beta1, grad, out=step)
+        v *= config.beta2
+        np.multiply(grad, grad, out=denom)
+        v += np.multiply(1.0 - config.beta2, denom, out=denom)
+        np.divide(m, bc1, out=step)
+        np.multiply(config.learning_rate, step, out=step)
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += config.epsilon
+        step /= denom
+        param -= step
+
+
 class TestAdamUpdate:
     def tiny_model(self):
         dims = nn.ModelDims(vocab_rows=3, embed_dim=1, hidden=1, classes=2, max_len=2)
@@ -75,7 +99,7 @@ class TestAdamUpdate:
         model = self.tiny_model()
         model.head.b[0] = 1.0
         grads = nn.Gradients.zeros_like(model)
-        grads.head_b[0] = 0.5
+        grads.views["head.b"][0] = 0.5
         config = TrainConfig(learning_rate=0.001)
         adam_update(model, grads, AdamState.zeros_like(model), config)
         expected = 1.0 - 0.001 * 0.5 / (0.5 + config.epsilon)
@@ -90,7 +114,7 @@ class TestAdamUpdate:
         model = self.tiny_model()
         before = model.head.b.copy()
         grads = nn.Gradients.zeros_like(model)
-        grads.head_b[:] = 3.0
+        grads.views["head.b"][:] = 3.0
         adam_update(model, grads, AdamState.zeros_like(model),
                     TrainConfig(learning_rate=1e-12))
         npt.assert_allclose(model.head.b, before, atol=1e-11)
@@ -98,8 +122,44 @@ class TestAdamUpdate:
     def test_non_finite_gradient_names_tensor(self):
         model = self.tiny_model()
         grads = nn.Gradients.zeros_like(model)
-        grads.forward_U[0, 0] = np.nan
+        grads.views["forward_dir.U"][0, 0] = np.nan
         with pytest.raises(NumericError, match="forward_dir.U"):
+            adam_update(model, grads, AdamState.zeros_like(model), TrainConfig())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [trainer.ADAM_BLOCK, 97])
+    def test_bit_identical_to_per_tensor_reference(self, dtype, block, monkeypatch):
+        # more than two blocks, the last one short; 97 also cuts small tensors
+        dims = nn.ModelDims(vocab_rows=trainer.ADAM_BLOCK // 4 + 1001, embed_dim=8,
+                            hidden=5, classes=3, max_len=8)
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        model = nn.init_parameters(dims, seed=3, dtype=dtype)
+        size = model.params.flat.size
+        assert size > 2 * block and size % block
+        ref = [arr.copy() for _, arr in nn.iter_parameters(model)]
+        ref_m = [np.zeros_like(arr) for arr in ref]
+        ref_v = [np.zeros_like(arr) for arr in ref]
+        state = AdamState.zeros_like(model)
+        grads = nn.Gradients.zeros_like(model)
+        config = TrainConfig(learning_rate=0.01)
+        rng = np.random.default_rng(5)
+        for t in range(1, 5):
+            for view in grads.arrays():
+                g = rng.standard_normal(view.shape) * 10.0 ** rng.integers(-9, 4, view.shape)
+                g[rng.random(view.shape) < 0.3] = 0  # like rows a batch never saw
+                view[...] = g
+            adam_update(model, grads, state, config)
+            _adam_reference(ref, [a.copy() for a in grads.arrays()], ref_m, ref_v, t, config)
+        got = model.params.arrays() + state.m.arrays() + state.v.arrays()
+        for (name, _), a, b in zip(nn.param_shapes(dims) * 3, got, ref + ref_m + ref_v):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_non_finite_gradient_in_a_later_block_names_its_tensor(self, monkeypatch):
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 5)
+        model = self.tiny_model()
+        grads = nn.Gradients.zeros_like(model)
+        grads.views["head.W"][1, 0] = np.inf
+        with pytest.raises(NumericError, match="tensor head.W"):
             adam_update(model, grads, AdamState.zeros_like(model), TrainConfig())
 
     def test_step_counter_increments(self):
@@ -257,14 +317,15 @@ class TestCheckpoint:
         split, vocab, tok_cfg = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=9, labels=SYNTH_LABELS)
         state = AdamState.zeros_like(model)
-        for arr in state.m + state.v:
+        for arr in state.m.arrays() + state.v.arrays():
             arr += 0.25
         state.t = 17
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, state=state)
         _, loaded_state = load_checkpoint(path)
         assert loaded_state is not None and loaded_state.t == 17
-        for a, b in zip(state.m + state.v, loaded_state.m + loaded_state.v):
+        for a, b in zip(state.m.arrays() + state.v.arrays(),
+                        loaded_state.m.arrays() + loaded_state.v.arrays()):
             npt.assert_array_equal(a, b)
 
     def test_truncated_payload(self, tmp_path):
@@ -305,6 +366,49 @@ class TestCheckpoint:
         for direction in (loaded.forward_dir, loaded.backward_dir):
             assert direction.W.flags.f_contiguous and direction.U.flags.f_contiguous
 
+    def test_on_disk_format_is_pinned(self, tmp_path):
+        # sha256 of what the per-tensor layout wrote before the flat buffer
+        dims = nn.ModelDims(vocab_rows=12, embed_dim=4, hidden=3, classes=3, max_len=8)
+        model = nn.init_parameters(dims, seed=3)
+        path = tmp_path / "pinned.ckpt"
+        save_checkpoint(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c3633d92a6c29b18feef7ed27ae4293aca4380410851bbf4355882f9a1c32998")
+        grads = nn.Gradients.zeros_like(model)
+        for g, (_, arr) in zip(grads.arrays(),
+                               nn.iter_parameters(nn.init_parameters(dims, seed=4))):
+            g[...] = arr
+        state = AdamState.zeros_like(model)
+        for _ in range(3):
+            adam_update(model, grads, state, TrainConfig())
+        save_checkpoint(model, path, state=state)
+        blob = path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "5099552c639f823d8bf92fe5a7113c0fa76c4647b1b86198a8b1bf038d1d0737")
+        loaded, loaded_state = load_checkpoint(path)
+        save_checkpoint(loaded, tmp_path / "again.ckpt", state=loaded_state)
+        assert (tmp_path / "again.ckpt").read_bytes() == blob
+
+    @staticmethod
+    def rewrite_header(path, edit):
+        blob = path.read_bytes()
+        start = len(trainer.CHECKPOINT_MAGIC)
+        newline = blob.index(b"\n", start)
+        header = edit(json.loads(blob[start:newline]))
+        path.write_bytes(blob[:start] + json.dumps(header).encode() + blob[newline:])
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: {**h, "dims": {**h["dims"], "vocab_rows": 2}},
+        lambda h: {**h, "labels": h["labels"][:-1]},
+        lambda h: {**h, "activation": "sigmoid"},
+        lambda h: [h],
+    ], ids=["vocab-rows-2", "label-count", "unknown-activation", "json-list"])
+    def test_malformed_header_is_data_error_naming_the_file(self, tmp_path, edit):
+        _, path, _, _, _ = self.roundtrip_model(tmp_path)
+        self.rewrite_header(path, edit)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
     def test_failed_save_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
         model, path, _, _, _ = self.roundtrip_model(tmp_path)
         before = path.read_bytes()
@@ -318,6 +422,71 @@ class TestCheckpoint:
             save_checkpoint(model, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """A small checkpoint with Adam state, and a scratch path for variants."""
+    dims = nn.ModelDims(vocab_rows=5, embed_dim=2, hidden=2, classes=2, max_len=4)
+    model = nn.init_parameters(dims, seed=1)
+    state = AdamState.zeros_like(model)
+    grads = nn.Gradients.zeros_like(model)
+    for view in grads.arrays():
+        view[...] = np.linspace(-1.0, 1.0, view.size).reshape(view.shape)
+    adam_update(model, grads, state, TrainConfig())
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(model, path, state=state)
+    blob = path.read_bytes()
+    return blob, blob.index(b"\n"), path
+
+
+def _load_variant(path, blob):
+    """Load ``blob`` from ``path``: a checkpoint pair or a DataError, nothing else."""
+    path.write_bytes(blob)
+    try:
+        return load_checkpoint(path)
+    except DataError:
+        return None
+
+
+def _flip(blob, bit):
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+class TestCheckpointFuzz:
+    """A damaged checkpoint either loads or raises DataError."""
+
+    def test_every_truncation_is_a_data_error(self, fuzz_checkpoint):
+        blob, _, path = fuzz_checkpoint
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(DataError):
+                load_checkpoint(path)
+
+    def test_every_header_bit_flip_loads_or_is_a_data_error(self, fuzz_checkpoint):
+        blob, newline, path = fuzz_checkpoint
+        for bit in range(8 * (newline + 1)):
+            _load_variant(path, _flip(blob, bit))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_payload_bit_flip_loads_and_round_trips(self, fuzz_checkpoint, data):
+        blob, newline, path = fuzz_checkpoint
+        flipped = _flip(blob, data.draw(st.integers(8 * (newline + 1), 8 * len(blob) - 1)))
+        loaded = _load_variant(path, flipped)
+        assert loaded is not None
+        model, state = loaded
+        save_checkpoint(model, path, state=state)
+        assert path.read_bytes() == flipped
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flip_and_truncation_anywhere(self, fuzz_checkpoint, data):
+        blob, _, path = fuzz_checkpoint
+        flipped = _flip(blob, data.draw(st.integers(0, 8 * len(blob) - 1)))
+        _load_variant(path, flipped[:data.draw(st.integers(0, len(blob)))])
 
 
 class TestEvaluate:
