@@ -39,15 +39,12 @@ from .metrics import (
 from .nn import (
     ACTIVATIONS,
     BiLstmClassifier,
-    DenseParams,
     ForwardTrace,
     Gradients,
-    LstmDirectionParams,
     ModelDims,
     backward,
     forward,
     init_parameters,
-    iter_parameters,
     loss,
     parameter_count,
     softmax,

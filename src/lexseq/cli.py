@@ -38,7 +38,22 @@ def _ratios(text: str) -> tuple[float, float, float]:
         r = tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric ratio in {text!r}") from None
-    return r  # validated against sum=1 by stratified_split
+    if any(not x >= 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:  # stratified_split's rule
+        raise argparse.ArgumentTypeError(
+            f"expected three non-negative fractions summing to 1, got {text!r}")
+    return r
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -52,7 +67,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True, help="output dataset JSONL")
     p.add_argument("--id", dest="doc_id", default=None,
                    help="document id (default: manifest file stem)")
-    p.add_argument("--token-target", type=int, default=1000)
+    p.add_argument("--token-target", type=_int_at_least(1), default=1000)
     p.add_argument("--min-wordlike-ratio", type=float, default=0.70)
     p.add_argument("--min-chars", type=int, default=50)
     p.add_argument("--no-lowercase", action="store_true")
@@ -64,7 +79,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--labels", default=None,
                    help="labels file; with --seed, restricts counting to the "
                         "deterministic train partition of DATA")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--ratios", type=_ratios, default=corpus.DEFAULT_RATIOS)
     p.add_argument("--no-lowercase", action="store_true")
 
@@ -75,7 +90,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("-o", "--output", required=True, help="checkpoint path")
     p.add_argument("--ratios", type=_ratios, default=corpus.DEFAULT_RATIOS)
     p.add_argument("--embed", type=int, default=100)
@@ -108,15 +123,20 @@ def _require_files(*paths: str) -> None:
             raise DataError(f"input path does not exist: {path}")
 
 
-def _tok_config(args, max_len: int | None = None) -> TokenizerConfig:
-    return TokenizerConfig(
-        max_sequence_length=max_len if max_len is not None else 1000,
-        lowercase=not args.no_lowercase,
-    )
+def _require_output_dirs(*paths: str) -> None:
+    """Checked before any work, so that a long run cannot end unwritten."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise DataError(f"output directory does not exist: {path}")
+
+
+def _tok_config(args, max_len: int = 1000) -> TokenizerConfig:
+    return TokenizerConfig(max_sequence_length=max_len, lowercase=not args.no_lowercase)
 
 
 def _cmd_extract(args) -> int:
     _require_files(args.manifest)
+    _require_output_dirs(args.output)
     pages = extraction.load_page_manifest(args.manifest)
     try:
         backend = extraction.ocr_command_backend(args.ocr_cmd)
@@ -145,6 +165,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_build_vocab(args) -> int:
     _require_files(args.data, args.labels)
+    _require_output_dirs(args.output)
     tok_config = _tok_config(args)
     if args.labels is not None and args.seed is not None:
         labels = corpus.LabelSet.from_file(args.labels)
@@ -170,14 +191,13 @@ def _cmd_build_vocab(args) -> int:
 
 def _cmd_train(args) -> int:
     _require_files(args.data, args.labels, args.vocab)
+    _require_output_dirs(args.output, args.history)
     labels = corpus.LabelSet.from_file(args.labels)
     docs = corpus.load_dataset(args.data, labels)
     split = corpus.stratified_split(docs, args.ratios, args.seed)
     vocab = tokenizer.load_vocabulary(args.vocab)
     try:
-        tok_config = TokenizerConfig(
-            max_sequence_length=args.max_len, lowercase=not args.no_lowercase
-        )
+        tok_config = _tok_config(args, args.max_len)
         dims = ModelDims(
             vocab_rows=vocab.id_count,
             embed_dim=args.embed,
@@ -232,13 +252,12 @@ def _load_model_and_vocab(args):
 
 
 def _cmd_evaluate(args) -> int:
+    _require_output_dirs(args.output, args.matrix_csv)
     model, vocab = _load_model_and_vocab(args)
     labels = corpus.LabelSet(model.labels)
     docs = corpus.load_dataset(args.data, labels)
-    tok_config = TokenizerConfig(
-        max_sequence_length=model.dims.max_len, lowercase=not args.no_lowercase
-    )
-    report = trainer.evaluate(model, docs, vocab, tok_config=tok_config)
+    report = trainer.evaluate(model, docs, vocab,
+                              tok_config=_tok_config(args, model.dims.max_len))
     report.save_json(args.output)
     if args.matrix_csv:
         report.save_matrix_csv(args.matrix_csv)
@@ -253,9 +272,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     model, vocab = _load_model_and_vocab(args)
     docs = corpus.load_dataset(args.data, None)
-    tok_config = TokenizerConfig(
-        max_sequence_length=model.dims.max_len, lowercase=not args.no_lowercase
-    )
+    tok_config = _tok_config(args, model.dims.max_len)
     sequences = [trainer.encode_document(doc, vocab, tok_config) for doc in docs]
     probs_list = trainer.map_forward(model, sequences, [doc.id for doc in docs])
     for doc, probs in zip(docs, probs_list):

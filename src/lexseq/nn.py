@@ -28,13 +28,15 @@ row floor); a lone row takes a spare zero row along.
 
 One layout holds every parameter: :func:`param_shapes` lists the nine
 tensors in order, and a :class:`ParamBuffer` holds them in one
-contiguous 1-D buffer with a named view each. The model's tensors, the
-gradients and Adam's two moments all use it, so zeroing, scaling,
-copying and the Adam step are passes over one array. The views of W
-and U are Fortran-ordered so that ``W.T`` and ``U.T`` are contiguous:
-OpenBLAS is several times slower on a few rows times a transposed
-C-ordered matrix. No bit depends on the layout; checkpoints store each
-tensor in C order.
+contiguous 1-D buffer with a named view each. The model is its buffer,
+``model.params``, and code reads a tensor as
+``model.params.views["forward_dir.U"]``; there is no second copy of
+the layout. The gradients and Adam's two moments use it too, so
+zeroing, scaling, copying, the gradient norm and the Adam step are
+passes over one array. The views of W and U are Fortran-ordered so
+that ``W.T`` and ``U.T`` are contiguous: OpenBLAS is several times
+slower on a few rows times a transposed C-ordered matrix. No bit
+depends on the layout; checkpoints store each tensor in C order.
 
 BPTT flushes every component of the backward state (dh, dc) whose
 magnitude is below ``GRAD_FLUSH`` (2**-100) to zero after each step,
@@ -51,10 +53,9 @@ from __future__ import annotations
 
 import bisect
 import copy
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +72,15 @@ ACTIVATIONS = ("relu", "tanh", "relu_after_merge")
 # BPTT flushes backward-state components below this magnitude to zero;
 # see the module docstring.
 GRAD_FLUSH = 2.0 ** -100
+
+# Elements per block of the passes over flat buffers that need scratch
+# space: Gradients.global_norm and trainer.adam_update. A block of Adam's
+# six arrays (1.5 MB in float32) stays in a 2 MB L2 cache; 65,536 measured
+# fastest at reference dims, ahead of 32,768 and 131,072 (see CHANGES.md).
+ADAM_BLOCK = 65_536
+
+# The two LSTM directions, in parameter order.
+DIRECTIONS = ("forward_dir", "backward_dir")
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,7 @@ def param_shapes(dims: ModelDims) -> tuple[tuple[str, tuple[int, ...]], ...]:
     that initialization, the flat buffers and the checkpoint follow."""
     h4 = 4 * dims.hidden
     shapes = [("embedding", (dims.vocab_rows, dims.embed_dim))]
-    for direction in ("forward_dir", "backward_dir"):
+    for direction in DIRECTIONS:
         shapes += [(f"{direction}.W", (h4, dims.embed_dim)),
                    (f"{direction}.U", (h4, dims.hidden)), (f"{direction}.b", (h4,))]
     return tuple(shapes + [("head.W", (dims.classes, dims.hidden)),
@@ -147,66 +157,27 @@ class ParamBuffer:
 
 
 @dataclass
-class LstmDirectionParams:
-    """One direction's weights: W (4H, E), U (4H, H), b (4H,)."""
-
-    W: np.ndarray
-    U: np.ndarray
-    b: np.ndarray
-
-
-@dataclass
-class DenseParams:
-    W: np.ndarray
-    b: np.ndarray
-
-
-def _unpack(params: ParamBuffer):
-    v = params.views
-    dirs = (LstmDirectionParams(v[f"{d}.W"], v[f"{d}.U"], v[f"{d}.b"])
-            for d in ("forward_dir", "backward_dir"))
-    return v["embedding"], *dirs, DenseParams(v["head.W"], v["head.b"])
-
-
-@dataclass
 class BiLstmClassifier:
-    """Its tensors are views of one :class:`ParamBuffer`, ``params``; write
-    into them rather than rebinding them. Tensors that are not views of
-    ``params`` are copied into a new buffer at construction."""
+    """The model is its parameter buffer ``params`` (taken as given, not
+    copied) with the label order, the vocabulary digest and the
+    activation. Read and write a tensor as ``params.views[name]``.
+    ``copy.deepcopy`` and pickling give a model with its own aligned
+    buffer (see :class:`ParamBuffer`)."""
 
-    dims: ModelDims
-    embedding: np.ndarray
-    forward_dir: LstmDirectionParams
-    backward_dir: LstmDirectionParams
-    head: DenseParams
+    params: ParamBuffer
     labels: tuple[str, ...]
     vocab_digest: str = ""
     activation: str = "relu"
-    params: ParamBuffer | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.dims
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if len(self.labels) != d.classes:
+        if len(self.labels) != self.dims.classes:
             raise ValueError("label order length must equal the class count")
-        tensors = list(iter_parameters(self))
-        for (name, arr), (_, shape) in zip(tensors, param_shapes(d)):
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-        if self.params is None or any(a is not self.params.views[n] for n, a in tensors):
-            self.params = ParamBuffer(d, self.embedding.dtype)
-            for name, arr in tensors:
-                self.params.views[name][...] = arr
-            self.embedding, self.forward_dir, self.backward_dir, self.head = \
-                _unpack(self.params)
 
-    @classmethod
-    def from_params(cls, params: ParamBuffer, labels: tuple[str, ...],
-                    vocab_digest: str = "", activation: str = "relu"):
-        """A model whose tensors are the views of ``params`` (no copy)."""
-        return cls(params.dims, *_unpack(params), labels, vocab_digest, activation,
-                   params)
+    @property
+    def dims(self) -> ModelDims:
+        return self.params.dims
 
     @property
     def dtype(self) -> np.dtype:
@@ -214,16 +185,6 @@ class BiLstmClassifier:
 
     def clone(self) -> "BiLstmClassifier":
         return copy.deepcopy(self)
-
-    def __reduce__(self):  # a copy or a pickle gets views of its own buffer
-        return BiLstmClassifier.from_params, (self.params, self.labels,
-                                              self.vocab_digest, self.activation)
-
-
-def iter_parameters(model: BiLstmClassifier) -> Iterator[tuple[str, np.ndarray]]:
-    """(name, tensor) of the model's attributes in param_shapes order."""
-    for name, _ in param_shapes(model.dims):
-        yield name, functools.reduce(getattr, name.split("."), model)
 
 
 def parameter_count(model: BiLstmClassifier) -> int:
@@ -240,8 +201,15 @@ class Gradients(ParamBuffer):
         self.flat *= self.flat.dtype.type(k)
 
     def global_norm(self) -> float:
-        return math.sqrt(sum(float(np.sum(arr.astype(np.float64) ** 2))
-                             for arr in self.arrays()))
+        """L2 norm of every gradient, squared and summed in float64 over
+        blocks of ``flat`` (the gaps between tensors are zero)."""
+        square = np.empty(ADAM_BLOCK, np.float64)
+        total = 0.0
+        for lo in range(0, self.flat.size, ADAM_BLOCK):
+            block = self.flat[lo:lo + ADAM_BLOCK]
+            total += float(np.multiply(block, block, out=square[:block.size],
+                                       dtype=np.float64).sum())
+        return math.sqrt(total)
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -349,12 +317,13 @@ def forward(
     tokens = np.zeros((lead + lens.sum(), 2), np.intp)
     tokens[lead:] = by_step[running]
 
-    dirs = (model.forward_dir, model.backward_dir)
-    x = model.embedding[tokens]
+    v = model.params.views
+    x = v["embedding"][tokens]
     gates = np.empty(tokens.shape + (4 * hidden,), dtype)
-    for d, p in enumerate(dirs):
-        np.matmul(x[:, d], p.W.T, out=gates[:, d])
-        gates[:, d] += p.b
+    for d, name in enumerate(DIRECTIONS):
+        np.matmul(x[:, d], v[f"{name}.W"].T, out=gates[:, d])
+        gates[:, d] += v[f"{name}.b"]
+    Us = [v[f"{name}.U"] for name in DIRECTIONS]
     c_all = np.zeros(tokens.shape + (hidden,), dtype)
     h_all = np.zeros(tokens.shape + (hidden,), dtype)
     hu = np.empty((lead, 2, 4 * hidden), dtype)
@@ -363,8 +332,8 @@ def forward(
     for k in steps:
         starts.append(lo)
         m = max(k, 2)  # row floor: one-row products take other kernels
-        for d, p in enumerate(dirs):
-            np.matmul(h_all[prev:prev + m, d], p.U.T, out=hu[:m, d])
+        for d, U in enumerate(Us):
+            np.matmul(h_all[prev:prev + m, d], U.T, out=hu[:m, d])
         z = gates[lo:lo + k]
         z += hu[:k]
         g = phi(z[..., 2 * hidden:3 * hidden])
@@ -389,7 +358,7 @@ def forward(
     merged_pre = final[:, 0] + final[:, 1]
     merged = (np.maximum(merged_pre, 0) if model.activation == "relu_after_merge"
               else merged_pre)
-    logits = merged @ model.head.W.T + model.head.b
+    logits = merged @ v["head.W"].T + v["head.b"]
     probs = softmax(logits)
     trace = ForwardTrace(
         order=order, steps=steps, starts=starts, lead=lead, tokens=tokens,
@@ -440,10 +409,10 @@ def backward(
 
     dlogits = trace.probs.copy()
     dlogits[np.arange(batch), targets[trace.order]] -= 1.0
-    gv = grads.views
+    v, gv = model.params.views, grads.views
     gv["head.W"] += dlogits.T @ trace.merged
     gv["head.b"] += dlogits.sum(axis=0)
-    dmerged = dlogits @ model.head.W
+    dmerged = dlogits @ v["head.W"]
     if model.activation == "relu_after_merge":
         dmerged = dmerged * (trace.merged_pre > 0)
 
@@ -452,7 +421,7 @@ def backward(
     state = np.zeros((batch, 2, 2, hidden), model.dtype)
     state[:, 0] = dmerged[:, None]
     dZ = np.empty_like(trace.gates)
-    U = [np.ascontiguousarray(p.U) for p in (model.forward_dir, model.backward_dir)]
+    U = [np.ascontiguousarray(v[f"{name}.U"]) for name in DIRECTIONS]
     starts = trace.starts
     stop = 0
     for s in range(len(steps) - 1, -1, -1):
@@ -486,13 +455,13 @@ def backward(
     lo = starts[stop]
     back = np.repeat(([trace.lead] + steps[:-1])[stop:], steps[stop:])
     prev = np.arange(lo, lo + back.size) - back
-    for d, name in enumerate(("forward_dir", "backward_dir")):
+    for d, name in enumerate(DIRECTIONS):
         dz = dZ[lo:, d]
         tokens = trace.tokens[lo:, d]
-        gv[f"{name}.W"] += dz.T @ model.embedding[tokens]
+        gv[f"{name}.W"] += dz.T @ v["embedding"][tokens]
         gv[f"{name}.U"] += dz.T @ trace.h[prev, d]
         gv[f"{name}.b"] += dz.sum(axis=0)
-        np.add.at(gv["embedding"], tokens, dz @ getattr(model, name).W)
+        np.add.at(gv["embedding"], tokens, dz @ v[f"{name}.W"])
 
     return grads
 
@@ -520,8 +489,8 @@ def init_parameters(
             u -= 1.0
             u *= math.sqrt(6.0 / sum(view.shape))
             view[...] = u.reshape(view.shape)
-    for direction in ("forward_dir", "backward_dir"):
+    for direction in DIRECTIONS:
         params.views[f"{direction}.b"][dims.hidden:2 * dims.hidden] = 1.0
     if labels is None:
         labels = tuple(str(i) for i in range(dims.classes))
-    return BiLstmClassifier.from_params(params, tuple(labels), vocab_digest, activation)
+    return BiLstmClassifier(params, tuple(labels), vocab_digest, activation)

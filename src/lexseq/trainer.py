@@ -25,13 +25,13 @@ from .errors import DataError, NumericError
 from .metrics import EvaluationReport, evaluation_report
 from .nn import (
     ACTIVATIONS,
+    ADAM_BLOCK,
     BiLstmClassifier,
     Gradients,
     ModelDims,
     ParamBuffer,
     backward,
     forward,
-    iter_parameters,
     loss,
     param_size,
 )
@@ -45,12 +45,6 @@ CHECKPOINT_FORMAT = 1
 # per step and cost memory: a group's trace and BPTT take 2 * 10 * hidden
 # floats per token, 256 MB for 16 documents of 1000 tokens at hidden 200.
 GROUP_DOCS = 16
-
-# Elements per block of adam_update. A block of its six arrays (1.5 MB in
-# float32) stays in a 2 MB L2 cache; 65,536 measured fastest at reference
-# dims, ahead of 32,768 and 131,072 (see CHANGES.md).
-ADAM_BLOCK = 65_536
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -356,7 +350,7 @@ def save_checkpoint(
             fh.write(header.encode("utf-8"))
             fh.write(b"\n")
             # through the buffer protocol, in C order (W and U are held in F)
-            tensors = [arr for _, arr in iter_parameters(model)]
+            tensors = model.params.arrays()
             if state is not None:
                 tensors += state.m.arrays() + state.v.arrays()
             for arr in tensors:
@@ -424,6 +418,6 @@ def load_checkpoint(
             offset += view.nbytes
         return buf
 
-    model = BiLstmClassifier.from_params(take(0), labels, digest, activation)
+    model = BiLstmClassifier(take(0), labels, digest, activation)
     state = None if adam_t is None else AdamState(m=take(1), v=take(2), t=adam_t)
     return model, state

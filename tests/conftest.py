@@ -63,6 +63,17 @@ def random_tiny_model(seed: int, dtype=np.float64) -> tuple[nn.BiLstmClassifier,
     return model, seq, target
 
 
+def swapped_directions(model: nn.BiLstmClassifier) -> nn.BiLstmClassifier:
+    """A clone of ``model`` with the forward and backward direction
+    tensors exchanged."""
+    swapped = model.clone()
+    src, dst = model.params.views, swapped.params.views
+    for part in ("W", "U", "b"):
+        dst[f"forward_dir.{part}"][...] = src[f"backward_dir.{part}"]
+        dst[f"backward_dir.{part}"][...] = src[f"forward_dir.{part}"]
+    return swapped
+
+
 def finite_difference_gradients(
     model: nn.BiLstmClassifier,
     seqs: list[EncodedSequence],
@@ -77,7 +88,7 @@ def finite_difference_gradients(
         return sum(nn.loss(row, target) for row, target in zip(probs, targets))
 
     grads = []
-    for _, param in nn.iter_parameters(model):
+    for param in model.params.arrays():
         fd = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
         for _ in it:

@@ -21,6 +21,7 @@ from conftest import (
     gradient_check_error,
     make_synthetic_corpus,
     random_tiny_model,
+    swapped_directions,
 )
 
 from lexseq import cli, nn
@@ -109,11 +110,7 @@ def test_criterion_4_padding_and_reversal_suites():
         probs_b, _ = nn.forward([EncodedSequence(ids=padded, length=length)], model)
         worst = max(worst, float(np.abs(probs_a - probs_b).max()))
 
-        swapped = nn.BiLstmClassifier(
-            dims=dims, embedding=model.embedding,
-            forward_dir=model.backward_dir, backward_dir=model.forward_dir,
-            head=model.head, labels=model.labels, activation=model.activation,
-        )
+        swapped = swapped_directions(model)
         rev = np.zeros(20, dtype=np.int64)
         rev[:length] = ids[:length][::-1]
         _, trace_a = nn.forward([EncodedSequence(ids=ids, length=length)], model)

@@ -54,7 +54,7 @@ def workspace(tmp_path):
                         classes=6, max_len=40)
     model = nn.init_parameters(dims, seed=0, labels=SYNTH_LABELS,
                                vocab_digest=vocab.digest())
-    for _, arr in nn.iter_parameters(model):
+    for arr in model.params.arrays():
         arr[...] = 0
     ckpt = tmp_path / "zero.ckpt"
     save_checkpoint(model, ckpt)
@@ -80,6 +80,105 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
+
+
+def assert_one_diagnostic(err):
+    """A usage or data error is one ``lexseq`` line on stderr (argparse
+    adds its usage lines), never a traceback."""
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("lexseq")]) == 1
+
+
+def train_args(workspace, *extra):
+    return ["train", str(workspace["data"]), "--labels", str(workspace["labels"]),
+            "--vocab", str(workspace["vocab_path"]), "--epochs", "1",
+            "--embed", "8", "--hidden", "6", "--max-len", "40", *extra]
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("ratios", ["0.5,0.5,0.5", "-0.1,0.6,0.5", "nan,0.5,0.5"])
+    @pytest.mark.parametrize("command", ["build-vocab", "train"])
+    def test_ratios_must_be_non_negative_and_sum_to_one(self, workspace, tmp_path,
+                                                        capsys, command, ratios):
+        args = (["build-vocab", str(workspace["data"]), "--labels",
+                 str(workspace["labels"]), "--seed", "1"]
+                if command == "build-vocab" else train_args(workspace))
+        out = tmp_path / "out"
+        assert cli.run([*args, f"--ratios={ratios}", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--ratios" in err and "sum" in err
+        assert_one_diagnostic(err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build-vocab", "train"])
+    def test_negative_seed_is_usage_error(self, workspace, tmp_path, capsys, command):
+        args = (["build-vocab", str(workspace["data"]), "--labels", str(workspace["labels"])]
+                if command == "build-vocab" else train_args(workspace))
+        out = tmp_path / "out"
+        assert cli.run([*args, "--seed", "-1", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and ">= 0" in err
+        assert_one_diagnostic(err)
+        assert not out.exists()
+
+    def test_zero_token_target_is_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "doc.jsonl"
+        manifest.write_text(json.dumps({"page": 1, "text": "texto"}) + "\n",
+                            encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = cli.run(["extract", str(manifest), "--ocr-cmd", "true {input}",
+                        "--token-target", "0", "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--token-target" in err and ">= 1" in err
+        assert_one_diagnostic(err)
+        assert not out.exists()
+
+
+class TestMissingOutputDirectory:
+    """A missing output directory is a data error before any work."""
+
+    def test_train_fails_before_the_first_epoch(self, workspace, tmp_path, capsys):
+        before = sorted(tmp_path.iterdir())
+        for flags in (["-o", str(tmp_path / "missing" / "m.ckpt")],
+                      ["-o", str(tmp_path / "m.ckpt"),
+                       "--history", str(tmp_path / "missing" / "h.json")]):
+            assert cli.run(train_args(workspace, *flags)) == 2
+            err = capsys.readouterr().err
+            assert str(tmp_path / "missing") in err and "epoch" not in err
+            assert_one_diagnostic(err)
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flag", ["-o", "--matrix-csv"])
+    def test_evaluate(self, workspace, tmp_path, capsys, flag):
+        outputs = {"-o": str(tmp_path / "r.json"), "--matrix-csv": str(tmp_path / "m.csv")}
+        outputs[flag] = str(tmp_path / "missing" / "out")
+        code = cli.run(["evaluate", str(workspace["ckpt"]), str(workspace["data"]),
+                        "--vocab", str(workspace["vocab_path"]),
+                        *(x for pair in outputs.items() for x in pair)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert outputs[flag] in err
+        assert_one_diagnostic(err)
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.csv").exists()
+
+    def test_build_vocab(self, workspace, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "v.txt")
+        assert cli.run(["build-vocab", str(workspace["data"]), "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert out in err
+        assert_one_diagnostic(err)
+
+    def test_extract(self, tmp_path, capsys):
+        manifest = tmp_path / "doc.jsonl"
+        manifest.write_text(json.dumps({"page": 1, "text": " ".join(["palavra"] * 50)})
+                            + "\n", encoding="utf-8")
+        out = str(tmp_path / "missing" / "o.jsonl")
+        assert cli.run(["extract", str(manifest), "--ocr-cmd", "true {input}",
+                        "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert out in err
+        assert_one_diagnostic(err)
 
 
 class TestPredict:
@@ -266,6 +365,13 @@ class TestTrainCommand:
         assert len(records) == 2
         assert {"epoch", "train_loss", "train_accuracy", "val_loss",
                 "val_accuracy", "seconds"} <= set(records[0])
+
+    def test_clip_norm_run_writes_a_checkpoint(self, workspace, tmp_path):
+        ckpt = tmp_path / "clipped.ckpt"
+        assert cli.run(train_args(workspace, "--clip-norm", "0.01",
+                                  "-o", str(ckpt))) == 0
+        model, _ = load_checkpoint(ckpt)
+        assert model.dims.hidden == 6
 
     def test_zero_epochs_is_usage_error(self, workspace, tmp_path, capsys):
         code = cli.run([

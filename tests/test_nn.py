@@ -6,7 +6,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import batch_gradient_check_error, gradient_check_error, random_tiny_model
+from conftest import (
+    batch_gradient_check_error,
+    gradient_check_error,
+    random_tiny_model,
+    swapped_directions,
+)
 
 from lexseq import nn
 from lexseq.errors import DataError, NumericError
@@ -23,7 +28,7 @@ def tiny_dims(**kw):
 
 def zeroed_model(dims, activation="relu"):
     model = nn.init_parameters(dims, seed=0, activation=activation)
-    for _, arr in nn.iter_parameters(model):
+    for arr in model.params.arrays():
         arr[...] = 0
     return model
 
@@ -44,24 +49,12 @@ class TestLstmStep:
         # h = 0.5 * relu(0.5) = 0.25 in both directions
         dims = nn.ModelDims(vocab_rows=3, embed_dim=1, hidden=1, classes=2, max_len=1)
         model = zeroed_model(dims)
-        model.forward_dir.b[2] = model.backward_dir.b[2] = 1.0
+        model.params.views["forward_dir.b"][2] = model.params.views["backward_dir.b"][2] = 1.0
         seq = EncodedSequence(ids=np.array([2]), length=1)
         _, trace = nn.forward([seq], model)
         npt.assert_allclose(trace.c[trace.lead], [[0.5], [0.5]])
         npt.assert_allclose(trace.h[trace.lead], [[0.25], [0.25]])
         npt.assert_allclose(trace.merged, [[0.5]])
-
-    def test_shape_mismatch_rejected(self):
-        # no step can run on mismatched weights: the classifier refuses them
-        model = nn.init_parameters(tiny_dims(), seed=0)
-        with pytest.raises(ValueError, match="shape"):
-            nn.BiLstmClassifier(
-                dims=model.dims, embedding=model.embedding,
-                forward_dir=nn.LstmDirectionParams(
-                    W=np.zeros((12, 5)), U=np.zeros((12, 3)), b=np.zeros(12)),
-                backward_dir=model.backward_dir, head=model.head,
-                labels=model.labels,
-            )
 
     def test_gradient_matches_finite_differences(self):
         # covered in depth by full-model checks; spot-check the step via them
@@ -115,15 +108,7 @@ class TestForward:
     def test_reversal_with_parameter_swap(self):
         for seed in range(10):
             model = nn.init_parameters(tiny_dims(), seed=seed)
-            swapped = nn.BiLstmClassifier(
-                dims=model.dims,
-                embedding=model.embedding,
-                forward_dir=model.backward_dir,
-                backward_dir=model.forward_dir,
-                head=model.head,
-                labels=model.labels,
-                activation=model.activation,
-            )
+            swapped = swapped_directions(model)
             rng = SplitMix64(seed)
             ids = np.zeros(8, dtype=np.int64)
             length = 1 + rng.next_below(8)
@@ -331,20 +316,20 @@ class TestInitParameters:
     def test_seed_determinism(self):
         a = nn.init_parameters(tiny_dims(), seed=77)
         b = nn.init_parameters(tiny_dims(), seed=77)
-        for (_, x), (_, y) in zip(nn.iter_parameters(a), nn.iter_parameters(b)):
+        for x, y in zip(a.params.arrays(), b.params.arrays()):
             npt.assert_array_equal(x, y)
 
     def test_forget_gate_bias_block(self):
         model = nn.init_parameters(tiny_dims(hidden=5), seed=1)
-        for direction in (model.forward_dir, model.backward_dir):
-            b = direction.b
+        for direction in nn.DIRECTIONS:
+            b = model.params.views[f"{direction}.b"]
             npt.assert_array_equal(b[5:10], 1.0)
             npt.assert_array_equal(b[:5], 0.0)
             npt.assert_array_equal(b[10:], 0.0)
 
     def test_values_within_glorot_bounds(self):
         model = nn.init_parameters(tiny_dims(), seed=13)
-        for name, arr in nn.iter_parameters(model):
+        for name, arr in model.params.views.items():
             if name.endswith(".b"):
                 continue
             rows, cols = arr.shape
@@ -354,7 +339,7 @@ class TestInitParameters:
     def test_different_seeds_differ(self):
         a = nn.init_parameters(tiny_dims(), seed=1)
         b = nn.init_parameters(tiny_dims(), seed=2)
-        assert not np.array_equal(a.embedding, b.embedding)
+        assert not np.array_equal(a.params.views["embedding"], b.params.views["embedding"])
 
 
 def _ragged_batch(dims, lengths, seed):
@@ -421,7 +406,7 @@ class TestLockstep:
 
     def test_non_finite_state_names_the_document(self):
         model = nn.init_parameters(tiny_dims(), seed=0)
-        model.embedding[7] = np.inf
+        model.params.views["embedding"][7] = np.inf
         seqs = _ragged_batch(tiny_dims(), [3, 5], seed=0)
         seqs.append(EncodedSequence(ids=np.array([2, 7, 0, 0, 0, 0, 0, 0]), length=2))
         with np.errstate(all="ignore"), \
@@ -431,9 +416,9 @@ class TestLockstep:
     def test_direction_weights_stay_fortran_ordered(self):
         model = nn.init_parameters(tiny_dims(), seed=0)
         for m in (model, model.clone()):
-            for direction in (m.forward_dir, m.backward_dir):
-                assert direction.W.T.flags.c_contiguous
-                assert direction.U.T.flags.c_contiguous
+            for direction in nn.DIRECTIONS:
+                assert m.params.views[f"{direction}.W"].T.flags.c_contiguous
+                assert m.params.views[f"{direction}.U"].T.flags.c_contiguous
 
 
 class TestParamBuffer:
@@ -467,41 +452,48 @@ class TestParamBuffer:
         before = model.params.flat.copy()
         twin = copier(model)
         assert twin.params.flat is not model.params.flat
-        for name, arr in nn.iter_parameters(twin):
-            assert arr is twin.params.views[name]
+        views = twin.params.views
+        for arr in views.values():
             assert np.shares_memory(arr, twin.params.flat)
             assert not np.shares_memory(arr, model.params.flat)
-        for direction in (twin.forward_dir, twin.backward_dir):
-            assert direction.W.flags.f_contiguous and direction.U.flags.f_contiguous
+        for direction in nn.DIRECTIONS:
+            assert views[f"{direction}.W"].flags.f_contiguous
+            assert views[f"{direction}.U"].flags.f_contiguous
         npt.assert_array_equal(twin.params.flat, before)
         twin.params.flat += 1
-        twin.forward_dir.U[1, 2] = 7
+        views["forward_dir.U"][1, 2] = 7
         npt.assert_array_equal(model.params.flat, before)
-        assert twin.embedding[0, 0] == before[0] + 1
+        assert views["embedding"][0, 0] == before[0] + 1
         assert (twin.labels, twin.activation) == (model.labels, model.activation)
-
-    def test_constructed_model_packs_copies_into_a_buffer(self):
-        model = nn.init_parameters(tiny_dims(), seed=2)
-        swapped = nn.BiLstmClassifier(
-            dims=model.dims, embedding=model.embedding,
-            forward_dir=model.backward_dir, backward_dir=model.forward_dir,
-            head=model.head, labels=model.labels)
-        for name, arr in nn.iter_parameters(swapped):
-            assert arr is swapped.params.views[name]
-        npt.assert_array_equal(swapped.forward_dir.U, model.backward_dir.U)
-        swapped.params.flat[...] = 0
-        assert model.backward_dir.U.any() and model.forward_dir is not swapped.backward_dir
 
     def test_gradient_passes_cover_every_tensor(self):
         model = nn.init_parameters(tiny_dims(), seed=2)
         grads = nn.Gradients.zeros_like(model)
-        grads.flat[...] = 2.0
+        for arr in grads.arrays():  # the gaps between tensors stay zero
+            arr[...] = 2.0
         grads.scale_(0.25)
         for arr in grads.arrays():
             npt.assert_array_equal(arr, 0.5)
         assert grads.global_norm() == pytest.approx(0.5 * math.sqrt(nn.param_size(model.dims)))
         grads.zero_()
         assert not any(arr.any() for arr in grads.arrays())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 97])
+    def test_global_norm_matches_the_per_tensor_sum(self, dtype, block, monkeypatch):
+        # more than two blocks, the last one short; 97 also cuts small tensors
+        dims = tiny_dims(vocab_rows=nn.ADAM_BLOCK // 4 + 1001, embed_dim=8, hidden=5)
+        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+        model = nn.init_parameters(dims, seed=3, dtype=dtype)
+        assert model.params.flat.size > 2 * block and model.params.flat.size % block
+        grads = nn.Gradients.zeros_like(model)
+        rng = np.random.default_rng(6)
+        for view in grads.arrays():
+            view[...] = rng.standard_normal(view.shape) * 10.0 ** rng.integers(-9, 4, view.shape)
+        # the per-tensor float64 expression that the blocked norm replaced
+        expected = math.sqrt(sum(float(np.sum(arr.astype(np.float64) ** 2))
+                                 for arr in grads.arrays()))
+        assert grads.global_norm() == pytest.approx(expected, rel=1e-12)
 
 
 class TestBlasRowInvariance:

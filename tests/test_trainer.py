@@ -87,24 +87,25 @@ class TestAdamUpdate:
 
     def test_zero_gradient_leaves_parameters(self):
         model = self.tiny_model()
-        before = [arr.copy() for _, arr in nn.iter_parameters(model)]
+        before = [arr.copy() for arr in model.params.arrays()]
         grads = nn.Gradients.zeros_like(model)
         adam_update(model, grads, AdamState.zeros_like(model), TrainConfig())
-        for (name, arr), orig in zip(nn.iter_parameters(model), before):
+        for arr, orig in zip(model.params.arrays(), before):
             npt.assert_array_equal(arr, orig)
 
     def test_first_step_bias_correction(self):
         # scalar parameter 1.0, gradient 0.5, fresh state:
         # m_hat = 0.5, v_hat = 0.25 -> step = lr * 0.5 / (0.5 + eps) ~ lr
         model = self.tiny_model()
-        model.head.b[0] = 1.0
+        head_b = model.params.views["head.b"]
+        head_b[0] = 1.0
         grads = nn.Gradients.zeros_like(model)
         grads.views["head.b"][0] = 0.5
         config = TrainConfig(learning_rate=0.001)
         adam_update(model, grads, AdamState.zeros_like(model), config)
         expected = 1.0 - 0.001 * 0.5 / (0.5 + config.epsilon)
-        assert model.head.b[0] == pytest.approx(expected, rel=1e-9)
-        assert model.head.b[0] == pytest.approx(0.999, abs=1e-6)
+        assert head_b[0] == pytest.approx(expected, rel=1e-9)
+        assert head_b[0] == pytest.approx(0.999, abs=1e-6)
 
     def test_lr_zero_is_rejected_by_config(self):
         with pytest.raises(ValueError):
@@ -112,12 +113,12 @@ class TestAdamUpdate:
 
     def test_tiny_lr_barely_moves(self):
         model = self.tiny_model()
-        before = model.head.b.copy()
+        before = model.params.views["head.b"].copy()
         grads = nn.Gradients.zeros_like(model)
         grads.views["head.b"][:] = 3.0
         adam_update(model, grads, AdamState.zeros_like(model),
                     TrainConfig(learning_rate=1e-12))
-        npt.assert_allclose(model.head.b, before, atol=1e-11)
+        npt.assert_allclose(model.params.views["head.b"], before, atol=1e-11)
 
     def test_non_finite_gradient_names_tensor(self):
         model = self.tiny_model()
@@ -136,7 +137,7 @@ class TestAdamUpdate:
         model = nn.init_parameters(dims, seed=3, dtype=dtype)
         size = model.params.flat.size
         assert size > 2 * block and size % block
-        ref = [arr.copy() for _, arr in nn.iter_parameters(model)]
+        ref = [arr.copy() for arr in model.params.arrays()]
         ref_m = [np.zeros_like(arr) for arr in ref]
         ref_v = [np.zeros_like(arr) for arr in ref]
         state = AdamState.zeros_like(model)
@@ -197,8 +198,7 @@ class TestTrain:
             ]
 
         assert stable(runs[0][1]) == stable(runs[1][1])
-        for (_, x), (_, y) in zip(nn.iter_parameters(runs[0][0]),
-                                  nn.iter_parameters(runs[1][0])):
+        for x, y in zip(runs[0][0].params.arrays(), runs[1][0].params.arrays()):
             npt.assert_array_equal(x, y)
 
     def test_step_counter_matches_batches(self):
@@ -263,8 +263,39 @@ class TestTrain:
             model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
             train(model, split, vocab, TrainConfig(epochs=2, batch_size=64, seed=1),
                   tok_config=tok_cfg)
-            blobs.append(b"".join(arr.tobytes() for _, arr in nn.iter_parameters(model)))
+            blobs.append(b"".join(arr.tobytes() for arr in model.params.arrays()))
         assert blobs[0] == blobs[1]
+
+    @staticmethod
+    def adam_gradients(monkeypatch, clip_norm):
+        """The gradient buffer each Adam step of a one-epoch run receives."""
+        seen = []
+
+        def spy(model, grads, state, cfg):
+            seen.append(grads.flat.copy())
+            return adam_update(model, grads, state, cfg)
+
+        monkeypatch.setattr(trainer, "adam_update", spy)
+        split, vocab, tok_cfg = build_setup(n_docs=60)
+        model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
+        train(model, split, vocab,
+              TrainConfig(epochs=1, batch_size=8, seed=1, clip_norm=clip_norm),
+              tok_config=tok_cfg)
+        return seen
+
+    def test_clip_norm_scales_a_larger_norm_to_the_bound(self, monkeypatch):
+        free = self.adam_gradients(monkeypatch, None)
+        assert min(np.linalg.norm(g.astype(np.float64)) for g in free) > 1e-3
+        clipped = self.adam_gradients(monkeypatch, 1e-3)
+        assert len(clipped) == len(free)
+        for g in clipped:
+            assert np.linalg.norm(g.astype(np.float64)) == pytest.approx(1e-3, rel=1e-6)
+
+    def test_clip_norm_leaves_a_smaller_norm_bit_identical(self, monkeypatch):
+        free = self.adam_gradients(monkeypatch, None)
+        assert max(np.linalg.norm(g.astype(np.float64)) for g in free) < 1e3
+        for a, b in zip(self.adam_gradients(monkeypatch, 1e3), free, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_empty_train_partition_rejected(self):
         split, vocab, tok_cfg = build_setup(n_docs=60)
@@ -304,7 +335,7 @@ class TestCheckpoint:
         model, path, vocab, tok_cfg, split = self.roundtrip_model(tmp_path)
         loaded, state = load_checkpoint(path, vocab=vocab)
         assert state is None
-        for (_, a), (_, b) in zip(nn.iter_parameters(model), nn.iter_parameters(loaded)):
+        for a, b in zip(model.params.arrays(), loaded.params.arrays()):
             npt.assert_array_equal(a, b)
         from lexseq.tokenizer import encode_text
         for doc in list(split.train)[:100]:
@@ -354,17 +385,12 @@ class TestCheckpoint:
         assert path.read_bytes() == second.read_bytes()
 
     def test_bytes_do_not_depend_on_the_weight_layout(self, tmp_path):
-        model, path, vocab, _, _ = self.roundtrip_model(tmp_path)
-        assert model.forward_dir.U.flags.f_contiguous
-        c_ordered = model.clone()
-        for direction in (c_ordered.forward_dir, c_ordered.backward_dir):
-            direction.W = np.ascontiguousarray(direction.W)
-            direction.U = np.ascontiguousarray(direction.U)
-        save_checkpoint(c_ordered, tmp_path / "c.ckpt")
-        assert (tmp_path / "c.ckpt").read_bytes() == path.read_bytes()
+        # W and U are held Fortran-ordered and stored C-ordered
+        _, path, vocab, _, _ = self.roundtrip_model(tmp_path)
         loaded, _ = load_checkpoint(path, vocab=vocab)
-        for direction in (loaded.forward_dir, loaded.backward_dir):
-            assert direction.W.flags.f_contiguous and direction.U.flags.f_contiguous
+        for direction in nn.DIRECTIONS:
+            assert loaded.params.views[f"{direction}.W"].flags.f_contiguous
+            assert loaded.params.views[f"{direction}.U"].flags.f_contiguous
 
     def test_on_disk_format_is_pinned(self, tmp_path):
         # sha256 of what the per-tensor layout wrote before the flat buffer
@@ -375,8 +401,7 @@ class TestCheckpoint:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "c3633d92a6c29b18feef7ed27ae4293aca4380410851bbf4355882f9a1c32998")
         grads = nn.Gradients.zeros_like(model)
-        for g, (_, arr) in zip(grads.arrays(),
-                               nn.iter_parameters(nn.init_parameters(dims, seed=4))):
+        for g, arr in zip(grads.arrays(), nn.init_parameters(dims, seed=4).params.arrays()):
             g[...] = arr
         state = AdamState.zeros_like(model)
         for _ in range(3):
@@ -413,11 +438,10 @@ class TestCheckpoint:
         model, path, _, _, _ = self.roundtrip_model(tmp_path)
         before = path.read_bytes()
 
-        def failing_parameters(m):
-            yield "embedding", m.embedding
+        def failing_fsync(fd):
             raise OSError("disk full")
 
-        monkeypatch.setattr(trainer, "iter_parameters", failing_parameters)
+        monkeypatch.setattr(trainer.os, "fsync", failing_fsync)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(model, path)
         assert path.read_bytes() == before
@@ -493,7 +517,7 @@ class TestEvaluate:
     def test_uniform_model_predicts_class_zero(self):
         split, vocab, tok_cfg = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=0, labels=SYNTH_LABELS)
-        for _, arr in nn.iter_parameters(model):
+        for arr in model.params.arrays():
             arr[...] = 0
         docs = list(split.test)
         report = evaluate(model, docs, vocab, tok_cfg)
