@@ -12,9 +12,7 @@ from .corpus import (
     Document,
     LabelSet,
     SplitDataset,
-    label_distribution,
     load_dataset,
-    save_dataset,
     stratified_split,
 )
 from .errors import DataError, LexseqError, NumericError, OcrError
@@ -46,14 +44,12 @@ from .nn import (
     forward,
     init_parameters,
     loss,
-    parameter_count,
     softmax,
 )
 from .tokenizer import (
     OOV_ID,
     PAD_ID,
     EncodedSequence,
-    TokenizerConfig,
     Vocabulary,
     build_vocabulary,
     encode,

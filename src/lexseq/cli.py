@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +19,6 @@ import numpy as np
 from . import corpus, extraction, tokenizer, trainer
 from .errors import DataError, NumericError, OcrError
 from .nn import ACTIVATIONS, ModelDims, init_parameters
-from .tokenizer import TokenizerConfig
 
 
 class _UsageError(Exception):
@@ -56,6 +56,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lexseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--lr", type=_finite_positive, default=0.001)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("-o", "--output", required=True, help="checkpoint path")
     p.add_argument("--ratios", type=_ratios, default=corpus.DEFAULT_RATIOS)
@@ -97,7 +107,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--hidden", type=int, default=200)
     p.add_argument("--max-len", type=int, default=1000)
     p.add_argument("--activation", choices=ACTIVATIONS, default="relu")
-    p.add_argument("--clip-norm", type=float, default=None)
+    p.add_argument("--clip-norm", type=_finite_positive, default=None)
     p.add_argument("--history", default=None, help="write per-epoch JSON records")
     p.add_argument("--no-lowercase", action="store_true")
 
@@ -130,10 +140,6 @@ def _require_output_dirs(*paths: str) -> None:
             raise DataError(f"output directory does not exist: {path}")
 
 
-def _tok_config(args, max_len: int = 1000) -> TokenizerConfig:
-    return TokenizerConfig(max_sequence_length=max_len, lowercase=not args.no_lowercase)
-
-
 def _cmd_extract(args) -> int:
     _require_files(args.manifest)
     _require_output_dirs(args.output)
@@ -148,7 +154,7 @@ def _cmd_extract(args) -> int:
     result = extraction.extract_text(
         pages, backend, gate,
         token_target=args.token_target,
-        tok_config=_tok_config(args),
+        lowercase=not args.no_lowercase,
     )
     doc_id = args.doc_id or Path(args.manifest).stem
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -166,7 +172,6 @@ def _cmd_extract(args) -> int:
 def _cmd_build_vocab(args) -> int:
     _require_files(args.data, args.labels)
     _require_output_dirs(args.output)
-    tok_config = _tok_config(args)
     if args.labels is not None and args.seed is not None:
         labels = corpus.LabelSet.from_file(args.labels)
         docs = corpus.load_dataset(args.data, labels)
@@ -179,7 +184,7 @@ def _cmd_build_vocab(args) -> int:
         scope = f"all {len(docs)} docs"
     try:
         vocab = tokenizer.build_vocabulary(
-            tokenizer.iter_tokens(texts, tok_config), cap=args.cap
+            tokenizer.iter_tokens(texts, not args.no_lowercase), cap=args.cap
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -197,7 +202,6 @@ def _cmd_train(args) -> int:
     split = corpus.stratified_split(docs, args.ratios, args.seed)
     vocab = tokenizer.load_vocabulary(args.vocab)
     try:
-        tok_config = _tok_config(args, args.max_len)
         dims = ModelDims(
             vocab_rows=vocab.id_count,
             embed_dim=args.embed,
@@ -238,7 +242,7 @@ def _cmd_train(args) -> int:
         )
 
     _, history = trainer.train(model, split, vocab, config,
-                               tok_config=tok_config, on_epoch=log_epoch)
+                               lowercase=not args.no_lowercase, on_epoch=log_epoch)
     if args.history:
         history.save_json(args.history)
     return 0
@@ -256,8 +260,7 @@ def _cmd_evaluate(args) -> int:
     model, vocab = _load_model_and_vocab(args)
     labels = corpus.LabelSet(model.labels)
     docs = corpus.load_dataset(args.data, labels)
-    report = trainer.evaluate(model, docs, vocab,
-                              tok_config=_tok_config(args, model.dims.max_len))
+    report = trainer.evaluate(model, docs, vocab, lowercase=not args.no_lowercase)
     report.save_json(args.output)
     if args.matrix_csv:
         report.save_matrix_csv(args.matrix_csv)
@@ -272,8 +275,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     model, vocab = _load_model_and_vocab(args)
     docs = corpus.load_dataset(args.data, None)
-    tok_config = _tok_config(args, model.dims.max_len)
-    sequences = [trainer.encode_document(doc, vocab, tok_config) for doc in docs]
+    sequences = [trainer.encode_document(doc, vocab, model.dims.max_len,
+                                         not args.no_lowercase) for doc in docs]
     probs_list = trainer.map_forward(model, sequences, [doc.id for doc in docs])
     for doc, probs in zip(docs, probs_list):
         record = {

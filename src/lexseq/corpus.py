@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, utf8_lines
 from .rng import SplitMix64
 
 # Default 6-class label order used by the reference configuration.
@@ -51,7 +51,7 @@ class LabelSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LabelSet":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = "".join(utf8_lines(path)).splitlines()
         labels = tuple(line.strip() for line in lines if line.strip())
         if not labels:
             raise DataError(f"labels file {path} is empty")
@@ -89,33 +89,32 @@ def load_dataset(path: str | Path, labels: LabelSet | None) -> list[Document]:
     """
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise DataError(f"{path}:{lineno}: blank line in dataset")
-            try:
-                raw = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
-            if not isinstance(raw, dict):
-                raise DataError(f"{path}:{lineno}: line is not a JSON object")
-            doc_id = raw.get("id")
-            text = raw.get("text")
-            if not isinstance(doc_id, str) or not doc_id:
-                raise DataError(f"{path}:{lineno}: missing or empty 'id'")
-            if not isinstance(text, str):
-                raise DataError(f"{path}:{lineno}: missing 'text'")
-            if doc_id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-            seen.add(doc_id)
-            label: int | None = None
-            if labels is not None and raw.get("label") is not None:
-                raw_label = raw["label"]
-                if not isinstance(raw_label, str):
-                    raise DataError(f"{path}:{lineno}: 'label' must be a string")
-                label = labels.index_of(raw_label)
-            docs.append(Document(id=doc_id, text=text, label=label))
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped:
+            raise DataError(f"{path}:{lineno}: blank line in dataset")
+        try:
+            raw = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}:{lineno}: line is not a JSON object")
+        doc_id = raw.get("id")
+        text = raw.get("text")
+        if not isinstance(doc_id, str) or not doc_id:
+            raise DataError(f"{path}:{lineno}: missing or empty 'id'")
+        if not isinstance(text, str):
+            raise DataError(f"{path}:{lineno}: missing 'text'")
+        if doc_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {doc_id!r}")
+        seen.add(doc_id)
+        label: int | None = None
+        if labels is not None and raw.get("label") is not None:
+            raw_label = raw["label"]
+            if not isinstance(raw_label, str):
+                raise DataError(f"{path}:{lineno}: 'label' must be a string")
+            label = labels.index_of(raw_label)
+        docs.append(Document(id=doc_id, text=text, label=label))
     return docs
 
 
@@ -169,27 +168,3 @@ def stratified_split(
         ratios=tuple(ratios),
     )
 
-
-def label_distribution(docs: list[Document], labels: LabelSet) -> list[int]:
-    """Count documents per class, in label-set order."""
-    counts = [0] * labels.size
-    for doc in docs:
-        if doc.label is None:
-            raise DataError(f"document {doc.id!r} is unlabeled")
-        if not 0 <= doc.label < labels.size:
-            raise DataError(
-                f"document {doc.id!r} has class index {doc.label} "
-                f"outside the {labels.size}-class label set"
-            )
-        counts[doc.label] += 1
-    return counts
-
-
-def save_dataset(docs: list[Document], labels: LabelSet | None, path: str | Path) -> None:
-    """Write documents back out in the dataset JSONL format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            record: dict = {"id": doc.id, "text": doc.text}
-            if doc.label is not None and labels is not None:
-                record["label"] = labels.labels[doc.label]
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

@@ -4,6 +4,11 @@ The split matters for the CLI exit-code mapping: bad input data (files,
 records, checkpoints) is distinct from numeric/runtime failures.
 """
 
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Iterator
+
 
 class LexseqError(Exception):
     """Base class for all toolkit errors."""
@@ -21,3 +26,20 @@ class NumericError(LexseqError):
 
 class OcrError(LexseqError):
     """External OCR command failed; carries the child process diagnostic."""
+
+
+def utf8_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, as ``open`` yields them. Bytes
+    that are not UTF-8 raise a DataError naming the file and their line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()  # the reader's offset is chunk-relative
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{path}:{line}: not UTF-8 text (byte {exc.start}: "
+                            f"{exc.reason})") from None
+        raise

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import DataError, OcrError
-from .tokenizer import TokenizerConfig, tokenize
+from .errors import DataError, OcrError, utf8_lines
+from .tokenizer import tokenize
 
 # A token counts as wordlike when it contains two consecutive letters.
 _WORDLIKE = re.compile(r"[^\W\d_]{2}")
@@ -85,7 +85,7 @@ def extract_text(
     ocr: OcrBackend,
     gate: QualityGateConfig = QualityGateConfig(),
     token_target: int = 1000,
-    tok_config: TokenizerConfig = TokenizerConfig(),
+    lowercase: bool = True,
 ) -> ExtractionResult:
     """Process pages in order until the token target is covered.
 
@@ -116,7 +116,7 @@ def extract_text(
             )
         chunks.append(page_text)
         pages_used.append((page.page_number, source))
-        token_count += len(tokenize(page_text, tok_config))
+        token_count += len(tokenize(page_text, lowercase))
         if token_count >= token_target:
             complete = True
             break
@@ -132,8 +132,10 @@ def ocr_command_backend(command_template: str) -> OcrBackend:
     """Adapter for an external OCR command.
 
     The template must contain an ``{input}`` placeholder for the page
-    image path; the child's standard output (UTF-8) is the page text.
-    A missing command or non-zero exit surfaces as :class:`OcrError`.
+    image path; the child's standard output (UTF-8) is the page text,
+    with newlines translated as in text mode. A missing command, a
+    non-zero exit or output that is not UTF-8 surfaces as
+    :class:`OcrError`.
     Each call spawns an independent child process, so the backend
     tolerates concurrent invocations.
     """
@@ -144,17 +146,20 @@ def ocr_command_backend(command_template: str) -> OcrBackend:
     def run(image_path: str) -> str:
         argv = [arg.replace("{input}", image_path) for arg in argv_template]
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, encoding="utf-8"
-            )
+            proc = subprocess.run(argv, capture_output=True)
         except FileNotFoundError:
             raise OcrError(f"OCR command not found: {argv[0]!r}") from None
         if proc.returncode != 0:
             raise OcrError(
                 f"OCR command exited with status {proc.returncode}: "
-                f"{proc.stderr.strip()}"
+                f"{proc.stderr.decode('utf-8', 'replace').strip()}"
             )
-        return proc.stdout
+        try:
+            text = proc.stdout.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise OcrError(f"OCR output for {image_path!r} is not UTF-8 text "
+                           f"(byte {exc.start}: {exc.reason})") from None
+        return text.replace("\r\n", "\n").replace("\r", "\n")
 
     return run
 
@@ -162,27 +167,26 @@ def ocr_command_backend(command_template: str) -> OcrBackend:
 def load_page_manifest(path: str | Path) -> list[PageRecord]:
     """Read one document's page manifest (JSON Lines: page, text, image)."""
     pages: list[PageRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise DataError(f"{path}:{lineno}: blank line in manifest")
-            try:
-                raw = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
-            if not isinstance(raw, dict) or not isinstance(raw.get("page"), int):
-                raise DataError(f"{path}:{lineno}: expected an object with integer 'page'")
-            try:
-                pages.append(
-                    PageRecord(
-                        page_number=raw["page"],
-                        embedded_text=raw.get("text"),
-                        image_path=raw.get("image"),
-                    )
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped:
+            raise DataError(f"{path}:{lineno}: blank line in manifest")
+        try:
+            raw = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+        if not isinstance(raw, dict) or not isinstance(raw.get("page"), int):
+            raise DataError(f"{path}:{lineno}: expected an object with integer 'page'")
+        try:
+            pages.append(
+                PageRecord(
+                    page_number=raw["page"],
+                    embedded_text=raw.get("text"),
+                    image_path=raw.get("image"),
                 )
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     if not pages:
         raise DataError(f"{path}: manifest has no pages")
     return pages

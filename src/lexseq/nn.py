@@ -32,11 +32,12 @@ contiguous 1-D buffer with a named view each. The model is its buffer,
 ``model.params``, and code reads a tensor as
 ``model.params.views["forward_dir.U"]``; there is no second copy of
 the layout. The gradients and Adam's two moments use it too, so
-zeroing, scaling, copying, the gradient norm and the Adam step are
-passes over one array. The views of W and U are Fortran-ordered so
-that ``W.T`` and ``U.T`` are contiguous: OpenBLAS is several times
-slower on a few rows times a transposed C-ordered matrix. No bit
-depends on the layout; checkpoints store each tensor in C order.
+zeroing, scaling, copying and the Adam step are passes over one
+array, and the gradient norm one pass over each tensor's memory. The
+views of W and U are Fortran-ordered so that ``W.T`` and ``U.T`` are
+contiguous: OpenBLAS is several times slower on a few rows times a
+transposed C-ordered matrix. No bit depends on the layout; checkpoints
+store each tensor in C order.
 
 BPTT flushes every component of the backward state (dh, dc) whose
 magnitude is below ``GRAD_FLUSH`` (2**-100) to zero after each step,
@@ -187,10 +188,6 @@ class BiLstmClassifier:
         return copy.deepcopy(self)
 
 
-def parameter_count(model: BiLstmClassifier) -> int:
-    return param_size(model.dims)
-
-
 class Gradients(ParamBuffer):
     """Gradient buffers in the parameter layout."""
 
@@ -201,14 +198,16 @@ class Gradients(ParamBuffer):
         self.flat *= self.flat.dtype.type(k)
 
     def global_norm(self) -> float:
-        """L2 norm of every gradient, squared and summed in float64 over
-        blocks of ``flat`` (the gaps between tensors are zero)."""
+        """L2 norm of every gradient tensor, squared and summed in float64
+        over blocks of each tensor's memory; the gaps are not read."""
         square = np.empty(ADAM_BLOCK, np.float64)
         total = 0.0
-        for lo in range(0, self.flat.size, ADAM_BLOCK):
-            block = self.flat[lo:lo + ADAM_BLOCK]
-            total += float(np.multiply(block, block, out=square[:block.size],
-                                       dtype=np.float64).sum())
+        for view in self.arrays():
+            memory = view.ravel(order="A")  # a view: W and U are F-contiguous
+            for lo in range(0, memory.size, ADAM_BLOCK):
+                block = memory[lo:lo + ADAM_BLOCK]
+                total += float(np.multiply(block, block, out=square[:block.size],
+                                           dtype=np.float64).sum())
         return math.sqrt(total)
 
 
@@ -381,10 +380,10 @@ def loss(probs: np.ndarray, target: int) -> float:
 def backward(
     trace: ForwardTrace,
     targets: Sequence[int],
-    model: BiLstmClassifier,
     out: Gradients | None = None,
 ) -> Gradients:
-    """Exact BPTT of the summed cross-entropy loss of a forward batch.
+    """Exact BPTT of the summed cross-entropy loss of a forward batch,
+    through the model that produced ``trace`` (``trace.model``).
 
     ``targets`` are in the batch's input order. Contributions are
     added into ``out`` (a fresh zero buffer when not supplied), so a
@@ -392,8 +391,7 @@ def backward(
     Only embedding rows that actually appear in the batch receive
     gradient. The rows run backward in the forward's lockstep.
     """
-    if trace.model is not model:
-        raise ValueError("trace was produced by a different model")
+    model = trace.model
     batch = len(trace.order)
     targets = np.asarray(targets)
     if targets.shape != (batch,):

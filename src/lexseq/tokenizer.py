@@ -3,19 +3,24 @@
 Token ids 0 and 1 are reserved (PAD and OOV); real tokens get
 contiguous ids starting at 2, ordered by descending training-stream
 frequency with ties broken by first occurrence.
+
+The module holds no settings of its own: ``lowercase`` is an argument
+of every text function, and ``encode`` takes the window ``max_len``
+from its caller, which reads it from the model (``ModelDims.max_len``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, utf8_lines
 
 PAD_ID = 0
 OOV_ID = 1
@@ -27,25 +32,16 @@ _DIGIT_BRIDGE = {".", "/", "-"}
 _VOCAB_MAGIC = "#vocab v1"
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    max_sequence_length: int = 1000
-    lowercase: bool = True
-
-    def __post_init__(self):
-        if self.max_sequence_length < 1:
-            raise ValueError("max_sequence_length must be >= 1")
-
-
-def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
+def tokenize(text: str, lowercase: bool = True) -> list[str]:
     """Split text into tokens: maximal runs of letters and digits.
 
-    The text is NFC-normalized first and lowercased when configured.
+    The text is NFC-normalized first, then lowercased unless
+    ``lowercase`` is false.
     ``.``, ``/`` and ``-`` stay inside a token only when the adjacent
     characters are both digits; every other character separates tokens.
     """
     text = unicodedata.normalize("NFC", text)
-    if config.lowercase:
+    if lowercase:
         text = text.lower()
     tokens: list[str] = []
     current: list[str] = []
@@ -103,11 +99,6 @@ class Vocabulary:
         """Token id, or OOV_ID for tokens outside the vocabulary."""
         return self._index.get(token, OOV_ID)
 
-    def token_for_id(self, token_id: int) -> str:
-        if not 2 <= token_id < 2 + len(self.entries):
-            raise ValueError(f"id {token_id} is reserved or out of range")
-        return self.entries[token_id - 2][0]
-
     @property
     def id_count(self) -> int:
         """Total id space including PAD and OOV."""
@@ -123,21 +114,14 @@ def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000) -> Vocabul
 
     Ties are broken by first occurrence in the stream; kept order
     defines the id assignment. The stream is consumed once.
+    ``Counter.most_common`` orders equal counts by first occurrence.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    for pos, token in enumerate(token_stream):
-        if token in counts:
-            counts[token] += 1
-        else:
-            counts[token] = 1
-            first_seen[token] = pos
+    counts = Counter(token_stream)
     if not counts:
         raise DataError("cannot build a vocabulary from an empty token stream")
-    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))[:cap]
-    return Vocabulary(entries=tuple((t, counts[t]) for t in ranked), cap=cap)
+    return Vocabulary(entries=tuple(counts.most_common(cap)), cap=cap)
 
 
 @dataclass(frozen=True)
@@ -156,26 +140,17 @@ class EncodedSequence:
             raise ValueError("non-PAD id in the padded tail")
 
 
-def encode(
-    tokens: list[str],
-    vocab: Vocabulary,
-    config: TokenizerConfig = TokenizerConfig(),
-) -> EncodedSequence:
-    """Map tokens to ids, truncate to the configured window, post-pad."""
-    max_len = config.max_sequence_length
+def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> EncodedSequence:
+    """Map tokens to ids, truncate to the ``max_len`` window, post-pad."""
+    kept = tokens[:max_len]
     ids = np.zeros(max_len, dtype=np.int64)
-    length = min(len(tokens), max_len)
-    for i in range(length):
-        ids[i] = vocab.id_of(tokens[i])
-    return EncodedSequence(ids=ids, length=length)
+    ids[:len(kept)] = [vocab.id_of(t) for t in kept]
+    return EncodedSequence(ids=ids, length=len(kept))
 
 
-def encode_text(
-    text: str,
-    vocab: Vocabulary,
-    config: TokenizerConfig = TokenizerConfig(),
-) -> EncodedSequence:
-    return encode(tokenize(text, config), vocab, config)
+def encode_text(text: str, vocab: Vocabulary, max_len: int,
+                lowercase: bool = True) -> EncodedSequence:
+    return encode(tokenize(text, lowercase), vocab, max_len)
 
 
 def _render(vocab: Vocabulary) -> str:
@@ -191,7 +166,7 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Parse a vocabulary file; load(save(v)) == v including ids."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = "".join(utf8_lines(path)).splitlines()
     if not lines or not lines[0].startswith("#vocab "):
         raise DataError(f"{path}: not a vocabulary file")
     header = lines[0]
@@ -237,9 +212,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         raise DataError(f"{path}: {exc}") from None
 
 
-def iter_tokens(
-    texts: Iterable[str], config: TokenizerConfig = TokenizerConfig()
-) -> Iterator[str]:
+def iter_tokens(texts: Iterable[str], lowercase: bool = True) -> Iterator[str]:
     """Flat token stream over many texts, for vocabulary building."""
     for text in texts:
-        yield from tokenize(text, config)
+        yield from tokenize(text, lowercase)

@@ -36,7 +36,7 @@ from .nn import (
     param_size,
 )
 from .rng import SplitMix64
-from .tokenizer import EncodedSequence, TokenizerConfig, Vocabulary, encode_text
+from .tokenizer import EncodedSequence, Vocabulary, encode_text
 
 CHECKPOINT_MAGIC = b"BLSTM1\x00"
 CHECKPOINT_FORMAT = 1
@@ -63,10 +63,14 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive when set")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be finite and positive when set")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
 
 
 @dataclass
@@ -152,10 +156,11 @@ def adam_update(
 def encode_document(
     doc: Document,
     vocab: Vocabulary,
-    tok_config: TokenizerConfig,
+    max_len: int,
+    lowercase: bool = True,
 ) -> EncodedSequence:
     """Encode one document; one with no tokens is a DataError naming it."""
-    seq = encode_text(doc.text, vocab, tok_config)
+    seq = encode_text(doc.text, vocab, max_len, lowercase)
     if seq.length == 0:
         raise DataError(f"document {doc.id!r}: empty sequence (no tokens)")
     return seq
@@ -164,13 +169,14 @@ def encode_document(
 def _encode_labeled(
     docs: Sequence[Document],
     vocab: Vocabulary,
-    tok_config: TokenizerConfig,
+    max_len: int,
+    lowercase: bool,
 ) -> tuple[list[EncodedSequence], list[int], list[str]]:
     sequences, targets = [], []
     for doc in docs:
         if doc.label is None:
             raise DataError(f"document {doc.id!r} is unlabeled")
-        sequences.append(encode_document(doc, vocab, tok_config))
+        sequences.append(encode_document(doc, vocab, max_len, lowercase))
         targets.append(doc.label)
     return sequences, targets, [doc.id for doc in docs]
 
@@ -222,10 +228,11 @@ def train(
     split: SplitDataset,
     vocab: Vocabulary,
     config: TrainConfig,
-    tok_config: TokenizerConfig | None = None,
+    lowercase: bool = True,
     on_epoch: Callable[[EpochRecord], None] | None = None,
 ) -> tuple[BiLstmClassifier, TrainHistory]:
-    """Run the full training loop.
+    """Run the full training loop on documents encoded to the model's
+    window, ``model.dims.max_len``.
 
     Per epoch: one seeded shuffle of the train indices, gradients
     averaged over each mini-batch (the final short batch is kept), one
@@ -235,10 +242,9 @@ def train(
     """
     if not split.train:
         raise DataError("train partition is empty")
-    if tok_config is None:
-        tok_config = TokenizerConfig(max_sequence_length=model.dims.max_len)
-    train_seqs, train_targets, train_ids = _encode_labeled(split.train, vocab, tok_config)
-    val_seqs, val_targets, val_ids = _encode_labeled(split.validation, vocab, tok_config)
+    encoding = (vocab, model.dims.max_len, lowercase)
+    train_seqs, train_targets, train_ids = _encode_labeled(split.train, *encoding)
+    val_seqs, val_targets, val_ids = _encode_labeled(split.validation, *encoding)
 
     rng = SplitMix64(config.seed)
     state = AdamState.zeros_like(model)
@@ -266,7 +272,7 @@ def train(
                     batch_loss += loss(row, target)
                     if int(np.argmax(row)) == target:
                         correct += 1
-                backward(trace, targets, model, out=grads)
+                backward(trace, targets, out=grads)
             if not math.isfinite(batch_loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
@@ -308,15 +314,15 @@ def evaluate(
     model: BiLstmClassifier,
     docs: Sequence[Document],
     vocab: Vocabulary,
-    tok_config: TokenizerConfig | None = None,
+    lowercase: bool = True,
 ) -> EvaluationReport:
-    """tokenize -> encode -> forward -> argmax per document, then the
-    full metrics report. Argmax ties resolve to the lowest class index."""
+    """tokenize -> encode to the model's window -> forward -> argmax per
+    document, then the full metrics report. Argmax ties resolve to the
+    lowest class index."""
     if not docs:
         raise DataError("cannot evaluate an empty document list")
-    if tok_config is None:
-        tok_config = TokenizerConfig(max_sequence_length=model.dims.max_len)
-    sequences, targets, doc_ids = _encode_labeled(docs, vocab, tok_config)
+    sequences, targets, doc_ids = _encode_labeled(docs, vocab, model.dims.max_len,
+                                                  lowercase)
     probs_list = map_forward(model, sequences, doc_ids)
     pairs = [
         (target, int(np.argmax(probs)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -47,6 +48,17 @@ def synthetic_corpus() -> list[corpus.Document]:
 @pytest.fixture(scope="session")
 def synthetic_labels() -> corpus.LabelSet:
     return corpus.LabelSet(SYNTH_LABELS)
+
+
+def save_dataset(docs: list[corpus.Document], labels: corpus.LabelSet | None,
+                 path) -> None:
+    """Write documents in the dataset JSONL format that load_dataset reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            record: dict = {"id": doc.id, "text": doc.text}
+            if doc.label is not None and labels is not None:
+                record["label"] = labels.labels[doc.label]
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def random_tiny_model(seed: int, dtype=np.float64) -> tuple[nn.BiLstmClassifier, EncodedSequence, int]:
@@ -110,7 +122,7 @@ def batch_gradient_check_error(model, seqs, targets, eps: float = 1e-5) -> float
     differences at step eps cannot resolve elements much smaller than
     the roundoff floor, so the scale is the full gradient's.)"""
     _, trace = nn.forward(seqs, model)
-    analytic = nn.backward(trace, targets, model)
+    analytic = nn.backward(trace, targets)
     fd = finite_difference_gradients(model, seqs, targets, eps)
     diff = max(np.abs(a - f).max() for a, f in zip(analytic.arrays(), fd))
     scale = max(

@@ -21,17 +21,17 @@ from conftest import (
     gradient_check_error,
     make_synthetic_corpus,
     random_tiny_model,
+    save_dataset,
     swapped_directions,
 )
 
 from lexseq import cli, nn
-from lexseq.corpus import LabelSet, save_dataset, stratified_split
+from lexseq.corpus import LabelSet, stratified_split
 from lexseq.extraction import PageRecord, extract_text, ocr_command_backend
 from lexseq.metrics import aggregate, f1_score
 from lexseq.rng import SplitMix64
 from lexseq.tokenizer import (
     EncodedSequence,
-    TokenizerConfig,
     build_vocabulary,
     iter_tokens,
 )
@@ -126,7 +126,7 @@ def test_criterion_5_parameter_count():
     dims = nn.ModelDims(vocab_rows=100_002, embed_dim=100, hidden=200,
                         classes=6, max_len=1000)
     model = nn.init_parameters(dims, seed=0)
-    count = nn.parameter_count(model)
+    count = nn.param_size(model.dims)
     check(5, "reference-configuration parameter count", count == 10_483_006,
           f"{count:,}")
 
@@ -176,9 +176,7 @@ def test_criterion_6_end_to_end_learning(tmp_path):
 def test_criterion_7_deterministic_checkpoints(tmp_path):
     docs = make_synthetic_corpus(n_docs=90, seed=31)
     split = stratified_split(docs, (0.7, 0.2, 0.1), seed=8)
-    tok_cfg = TokenizerConfig(max_sequence_length=40)
-    vocab = build_vocabulary(
-        iter_tokens((d.text for d in split.train), tok_cfg), cap=1000)
+    vocab = build_vocabulary(iter_tokens(d.text for d in split.train), cap=1000)
     blobs = []
     for name in ("one.ckpt", "two.ckpt"):
         dims = nn.ModelDims(vocab_rows=vocab.id_count, embed_dim=16, hidden=12,
@@ -187,7 +185,7 @@ def test_criterion_7_deterministic_checkpoints(tmp_path):
                                    vocab_digest=vocab.digest())
         config = TrainConfig(epochs=3, batch_size=16, seed=8,
                              checkpoint_path=str(tmp_path / name))
-        train(model, split, vocab, config, tok_config=tok_cfg)
+        train(model, split, vocab, config)
         blobs.append((tmp_path / name).read_bytes())
     check(7, "identical config and seed give byte-identical checkpoints",
           blobs[0] == blobs[1], f"{len(blobs[0])} bytes")

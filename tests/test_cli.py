@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from conftest import SYNTH_LABELS, make_synthetic_corpus
+from conftest import SYNTH_LABELS, make_synthetic_corpus, save_dataset
 
 from lexseq import cli, nn
-from lexseq.corpus import LabelSet, load_dataset, save_dataset, stratified_split
-from lexseq.tokenizer import TokenizerConfig, build_vocabulary, iter_tokens, save_vocabulary
+from lexseq.corpus import LabelSet, load_dataset, stratified_split
+from lexseq.tokenizer import build_vocabulary, iter_tokens, save_vocabulary
 from lexseq.trainer import load_checkpoint, save_checkpoint
 
 REPORT_SCHEMA = {
@@ -46,8 +46,7 @@ def workspace(tmp_path):
     save_dataset(docs, labels, data)
     labels_path = tmp_path / "labels.txt"
     labels_path.write_text("\n".join(SYNTH_LABELS) + "\n", encoding="utf-8")
-    tok_cfg = TokenizerConfig(max_sequence_length=40)
-    vocab = build_vocabulary(iter_tokens((d.text for d in docs), tok_cfg), cap=1000)
+    vocab = build_vocabulary(iter_tokens(d.text for d in docs), cap=1000)
     vocab_path = tmp_path / "vocab.txt"
     save_vocabulary(vocab, vocab_path)
     dims = nn.ModelDims(vocab_rows=vocab.id_count, embed_dim=8, hidden=6,
@@ -131,6 +130,82 @@ class TestBadValues:
         assert code == 1
         err = capsys.readouterr().err
         assert "--token-target" in err and ">= 1" in err
+        assert_one_diagnostic(err)
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
+        ("--clip-norm", "nan"), ("--clip-norm", "inf"), ("--clip-norm", "-1"),
+    ])
+    def test_lr_and_clip_norm_must_be_finite_and_positive(self, workspace, tmp_path,
+                                                          capsys, flag, value):
+        out = tmp_path / "out.ckpt"
+        assert cli.run(train_args(workspace, flag, value, "-o", str(out))) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "finite" in err
+        assert_one_diagnostic(err)
+        assert not out.exists()
+
+
+class TestNotUtf8:
+    """Each reader names the file and line of bytes that are not UTF-8
+    (a data error); OCR output that is not UTF-8 names the page image
+    (a runtime error)."""
+
+    LATIN1 = "olá".encode("latin-1")
+
+    def test_dataset(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(workspace["data"].read_bytes()
+                         + b'{"id": "z", "text": "' + self.LATIN1 + b'"}\n')
+        code = cli.run(["build-vocab", str(data), "-o", str(tmp_path / "v.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{data}:61: not UTF-8" in err
+        assert_one_diagnostic(err)
+
+    def test_labels(self, workspace, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(b"um\n" + self.LATIN1 + b"\n")
+        args = train_args(workspace, "--labels", str(labels), "-o", str(tmp_path / "m"))
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        assert f"{labels}:2: not UTF-8" in err
+        assert_one_diagnostic(err)
+
+    def test_vocabulary(self, workspace, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(b"#vocab v1 size=1 cap=5\n" + self.LATIN1 + b"\t2\t1\n")
+        code = cli.run(["predict", str(workspace["ckpt"]), str(workspace["data"]),
+                        "--vocab", str(vocab)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{vocab}:2: not UTF-8" in err
+        assert_one_diagnostic(err)
+
+    def test_page_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "doc.jsonl"
+        manifest.write_bytes(b'{"page": 1, "text": "' + self.LATIN1 + b'"}\n')
+        code = cli.run(["extract", str(manifest), "--ocr-cmd", "true {input}",
+                        "-o", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:1: not UTF-8" in err
+        assert_one_diagnostic(err)
+
+    def test_ocr_output(self, tmp_path, capsys):
+        page = tmp_path / "page1.txt"
+        page.write_bytes(self.LATIN1 + b"\n")
+        manifest = tmp_path / "doc.jsonl"
+        manifest.write_text(json.dumps({"page": 1, "text": "@@", "image": str(page)})
+                            + "\n", encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = cli.run(["extract", str(manifest), "--ocr-cmd", "cat {input}",
+                        "-o", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(page) in err and "not UTF-8" in err
         assert_one_diagnostic(err)
         assert not out.exists()
 
@@ -294,7 +369,7 @@ class TestBuildVocab:
         docs = load_dataset(workspace["data"], LabelSet(SYNTH_LABELS))
         split = stratified_split(docs, (0.7, 0.2, 0.1), seed=5)
         expected = build_vocabulary(
-            iter_tokens((d.text for d in split.train), TokenizerConfig()), cap=1000
+            iter_tokens(d.text for d in split.train), cap=1000
         )
         from lexseq.tokenizer import load_vocabulary
         assert load_vocabulary(out) == expected

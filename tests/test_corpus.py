@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import save_dataset
+
 from lexseq.corpus import (
     DEFAULT_LABELS,
     Document,
     LabelSet,
-    label_distribution,
     load_dataset,
-    save_dataset,
     stratified_split,
 )
 from lexseq.errors import DataError
@@ -167,30 +167,3 @@ class TestStratifiedSplit:
         assert len(a.test) == len(b.test)
         assert {d.id for d in a.train} != {d.id for d in b.train}
 
-
-class TestLabelDistribution:
-    def test_basic_counts(self):
-        docs = [Document("a", "t", 0), Document("b", "t", 0), Document("c", "t", 1)]
-        assert label_distribution(docs, LabelSet(("x", "y"))) == [2, 1]
-
-    def test_empty_list_is_all_zeros(self):
-        assert label_distribution([], LabelSet.default()) == [0, 0, 0, 0, 0, 0]
-
-    def test_unlabeled_rejected(self):
-        with pytest.raises(DataError):
-            label_distribution([Document("a", "t", None)], LabelSet.default())
-
-    def test_sums_to_input_size(self, synthetic_corpus, synthetic_labels):
-        counts = label_distribution(synthetic_corpus, synthetic_labels)
-        assert sum(counts) == len(synthetic_corpus)
-
-    def test_reference_test_partition_counts(self):
-        # a 682-document partition shaped like the reference class counts
-        reference = [92, 82, 55, 280, 63, 110]
-        docs = [
-            Document(f"d{cls}-{i}", "t", cls)
-            for cls, n in enumerate(reference)
-            for i in range(n)
-        ]
-        assert label_distribution(docs, LabelSet.default()) == reference
-        assert sum(reference) == 682

@@ -150,6 +150,11 @@ class TestOcrCommandBackend:
         )
         assert backend(str(fixture)) == "texto reconhecido pelo ocr\n"
 
+    def test_output_newlines_read_as_in_text_mode(self, tmp_path):
+        backend = ocr_command_backend(self.make_script(
+            tmp_path, "import sys\nsys.stdout.buffer.write('a\\r\\nb\\rção\\n'.encode())\n"))
+        assert backend("page.png") == "a\nb\nção\n"
+
     def test_nonzero_exit_carries_diagnostics(self, tmp_path):
         backend = ocr_command_backend(
             self.make_script(tmp_path, "import sys\nsys.stderr.write('lens cap on')\nsys.exit(3)\n")

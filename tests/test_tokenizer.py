@@ -1,6 +1,7 @@
 import unicodedata
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,6 @@ from lexseq.errors import DataError
 from lexseq.tokenizer import (
     OOV_ID,
     PAD_ID,
-    TokenizerConfig,
     build_vocabulary,
     encode,
     load_vocabulary,
@@ -32,8 +32,7 @@ class TestTokenize:
         assert tokenize("a.b 1.x 2-3 x-1") == ["a", "b", "1", "x", "2-3", "x", "1"]
 
     def test_lowercase_configurable(self):
-        config = TokenizerConfig(lowercase=False)
-        assert tokenize("Recurso", config) == ["Recurso"]
+        assert tokenize("Recurso", lowercase=False) == ["Recurso"]
 
     def test_nfc_idempotence(self):
         decomposed = "Achárdo"  # combining acute
@@ -79,37 +78,67 @@ class TestBuildVocabulary:
         assert freqs == sorted(freqs, reverse=True)
 
 
+    @given(st.lists(st.sampled_from([f"t{i}" for i in range(40)]), min_size=1,
+                    max_size=300),
+           st.integers(min_value=1, max_value=45))
+    @settings(max_examples=200, deadline=None)
+    def test_same_entries_as_the_first_seen_ranking(self, stream, cap):
+        # the dict-and-first_seen counting that Counter.most_common replaced
+        counts: dict[str, int] = {}
+        first_seen: dict[str, int] = {}
+        for pos, token in enumerate(stream):
+            if token in counts:
+                counts[token] += 1
+            else:
+                counts[token] = 1
+                first_seen[token] = pos
+        ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))[:cap]
+        vocab = build_vocabulary(iter(stream), cap=cap)
+        assert vocab.entries == tuple((t, counts[t]) for t in ranked)
+
+
 class TestEncode:
     def test_oov_and_padding(self):
         vocab = build_vocabulary(iter(["a", "a", "b"]), cap=10)
-        config = TokenizerConfig(max_sequence_length=5)
-        seq = encode(["a", "b", "zzz"], vocab, config)
+        seq = encode(["a", "b", "zzz"], vocab, 5)
         assert seq.ids.tolist() == [2, 3, 1, 0, 0]
         assert seq.length == 3
 
     def test_truncation(self):
         vocab = build_vocabulary(iter(["a"]), cap=10)
-        config = TokenizerConfig(max_sequence_length=1000)
-        seq = encode(["a"] * 1200, vocab, config)
+        seq = encode(["a"] * 1200, vocab, 1000)
         assert seq.length == 1000
         assert np.all(seq.ids == 2)
 
     def test_empty_tokens(self):
         vocab = build_vocabulary(iter(["a"]), cap=10)
-        seq = encode([], vocab, TokenizerConfig(max_sequence_length=4))
+        seq = encode([], vocab, 4)
         assert seq.length == 0
         assert np.all(seq.ids == PAD_ID)
 
     def test_in_vocab_roundtrip(self):
         vocab = build_vocabulary(iter(["um", "dois", "um"]), cap=10)
         for token in ("um", "dois"):
-            seq = encode([token], vocab, TokenizerConfig(max_sequence_length=2))
+            seq = encode([token], vocab, 2)
             assert seq.ids[0] >= 2
-            assert vocab.token_for_id(int(seq.ids[0])) == token
+            assert vocab.entries[int(seq.ids[0]) - 2][0] == token
+
+    @given(st.lists(st.sampled_from("abcdefxyz"), max_size=30),
+           st.integers(min_value=1, max_value=25))
+    @settings(max_examples=100, deadline=None)
+    def test_same_ids_as_the_per_token_loop(self, tokens, max_len):
+        vocab = build_vocabulary(iter("aabbbcdef"), cap=4)
+        expected = np.zeros(max_len, dtype=np.int64)
+        for i in range(min(len(tokens), max_len)):
+            expected[i] = vocab.id_of(tokens[i])
+        seq = encode(tokens, vocab, max_len)
+        assert seq.ids.dtype == expected.dtype
+        npt.assert_array_equal(seq.ids, expected)
+        assert seq.length == min(len(tokens), max_len)
 
     def test_no_pad_before_nonpad(self):
         vocab = build_vocabulary(iter("abc"), cap=10)
-        seq = encode(list("cab"), vocab, TokenizerConfig(max_sequence_length=8))
+        seq = encode(list("cab"), vocab, 8)
         ids = seq.ids.tolist()
         seen_pad = False
         for v in ids:

@@ -14,7 +14,7 @@ from conftest import SYNTH_LABELS, make_synthetic_corpus
 from lexseq import nn, trainer
 from lexseq.corpus import Document, LabelSet, SplitDataset, stratified_split
 from lexseq.errors import DataError, NumericError
-from lexseq.tokenizer import TokenizerConfig, build_vocabulary, iter_tokens
+from lexseq.tokenizer import build_vocabulary, iter_tokens
 from lexseq.trainer import (
     AdamState,
     TrainConfig,
@@ -39,17 +39,29 @@ def build_setup(n_docs=120, corpus_seed=3, split_seed=2, shuffle_labels=False):
         rng.shuffle(labels)
         docs = [Document(d.id, d.text, lab) for d, lab in zip(docs, labels)]
     split = stratified_split(docs, (0.7, 0.2, 0.1), seed=split_seed)
-    tok_cfg = TokenizerConfig(max_sequence_length=40)
-    vocab = build_vocabulary(
-        iter_tokens((d.text for d in split.train), tok_cfg), cap=100_000
-    )
-    return split, vocab, tok_cfg
+    vocab = build_vocabulary(iter_tokens(d.text for d in split.train), cap=100_000)
+    return split, vocab
 
 
 class TestTrainConfig:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("learning_rate", -1e-3), ("clip_norm", math.nan), ("clip_norm", math.inf),
+        ("clip_norm", 0.0), ("beta1", math.nan), ("beta1", 1.0), ("beta1", -0.1),
+        ("beta2", 1.0), ("beta2", math.nan), ("epsilon", -1.0), ("epsilon", 0.0),
+        ("epsilon", math.nan),
+    ])
+    def test_values_that_break_adam_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            TrainConfig(**{field: value})
+
+    def test_adam_bounds_are_inclusive_at_zero(self):
+        config = TrainConfig(beta1=0.0, beta2=0.0, clip_norm=1e30)
+        assert (config.beta1, config.beta2) == (0.0, 0.0)
 
     def test_bad_batch_and_lr_rejected(self):
         with pytest.raises(ValueError):
@@ -174,21 +186,21 @@ class TestAdamUpdate:
 
 class TestTrain:
     def test_learns_keyword_corpus(self):
-        split, vocab, tok_cfg = build_setup(n_docs=180)
+        split, vocab = build_setup(n_docs=180)
         model = nn.init_parameters(small_dims(vocab, embed=16, hidden=16), seed=4,
                                    labels=SYNTH_LABELS, vocab_digest=vocab.digest())
         config = TrainConfig(epochs=20, batch_size=8, learning_rate=0.005, seed=4)
-        model, history = train(model, split, vocab, config, tok_config=tok_cfg)
+        model, history = train(model, split, vocab, config)
         assert max(e.train_accuracy for e in history.epochs) >= 0.95
         assert len(history.epochs) == 20
 
     def test_deterministic_given_seed(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         config = TrainConfig(epochs=2, batch_size=8, seed=7)
         runs = []
         for _ in range(2):
             model = nn.init_parameters(small_dims(vocab), seed=7, labels=SYNTH_LABELS)
-            model, history = train(model, split, vocab, config, tok_config=tok_cfg)
+            model, history = train(model, split, vocab, config)
             runs.append((model, history))
 
         def stable(history):  # wall-clock seconds legitimately vary
@@ -202,7 +214,7 @@ class TestTrain:
             npt.assert_array_equal(x, y)
 
     def test_step_counter_matches_batches(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
         n = len(split.train)
         config = TrainConfig(epochs=3, batch_size=16, seed=1)
@@ -210,7 +222,7 @@ class TestTrain:
         calls = []
         orig = adam_update
 
-        model, history = train(model, split, vocab, config, tok_config=tok_cfg)
+        model, history = train(model, split, vocab, config)
         assert len(history.epochs) == 3
         # ceil(n / batch) * epochs updates -> verify via a fresh run with callback
         expected_steps = math.ceil(n / 16) * 3
@@ -226,43 +238,42 @@ class TestTrain:
         trainer_mod_adam = trainer_mod.adam_update
         trainer_mod.adam_update = spy
         try:
-            train(model2, split, vocab, config, tok_config=tok_cfg)
+            train(model2, split, vocab, config)
         finally:
             trainer_mod.adam_update = trainer_mod_adam
         assert seen["t"] == expected_steps
 
     def test_random_labels_keep_first_epoch_loss_near_log6(self):
-        split, vocab, tok_cfg = build_setup(n_docs=240, shuffle_labels=True)
+        split, vocab = build_setup(n_docs=240, shuffle_labels=True)
         model = nn.init_parameters(small_dims(vocab), seed=2, labels=SYNTH_LABELS)
         config = TrainConfig(epochs=1, batch_size=64, seed=2)
-        _, history = train(model, split, vocab, config, tok_config=tok_cfg)
+        _, history = train(model, split, vocab, config)
         assert history.epochs[0].train_loss == pytest.approx(math.log(6), rel=0.10)
 
     def test_document_without_tokens_is_named(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         blank = Document("blank-7", " ... ", split.train[0].label)
         with_blank = SplitDataset(train=split.train, validation=(blank,) + split.validation,
                                   test=split.test, seed=0, ratios=(0.7, 0.2, 0.1))
         model = nn.init_parameters(small_dims(vocab), seed=0, labels=SYNTH_LABELS)
         with pytest.raises(DataError, match="'blank-7'.*empty"):
-            train(model, with_blank, vocab, TrainConfig(epochs=1), tok_config=tok_cfg)
+            train(model, with_blank, vocab, TrainConfig(epochs=1))
 
     def test_token_outside_the_table_names_the_document(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         dims = nn.ModelDims(vocab_rows=4, embed_dim=4, hidden=3, classes=6, max_len=40)
         model = nn.init_parameters(dims, seed=0, labels=SYNTH_LABELS)
         with pytest.raises(DataError, match=r"document 'doc-.*': token id \d+ outside"):
-            train(model, split, vocab, TrainConfig(epochs=1), tok_config=tok_cfg)
+            train(model, split, vocab, TrainConfig(epochs=1))
 
     def test_lockstep_groups_keep_the_training_deterministic(self):
         # a mini-batch larger than a lockstep group gives the same bytes twice
-        split, vocab, tok_cfg = build_setup(n_docs=120)
+        split, vocab = build_setup(n_docs=120)
         assert len(split.train) > trainer.GROUP_DOCS
         blobs = []
         for _ in range(2):
             model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
-            train(model, split, vocab, TrainConfig(epochs=2, batch_size=64, seed=1),
-                  tok_config=tok_cfg)
+            train(model, split, vocab, TrainConfig(epochs=2, batch_size=64, seed=1))
             blobs.append(b"".join(arr.tobytes() for arr in model.params.arrays()))
         assert blobs[0] == blobs[1]
 
@@ -276,11 +287,10 @@ class TestTrain:
             return adam_update(model, grads, state, cfg)
 
         monkeypatch.setattr(trainer, "adam_update", spy)
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
         train(model, split, vocab,
-              TrainConfig(epochs=1, batch_size=8, seed=1, clip_norm=clip_norm),
-              tok_config=tok_cfg)
+              TrainConfig(epochs=1, batch_size=8, seed=1, clip_norm=clip_norm))
         return seen
 
     def test_clip_norm_scales_a_larger_norm_to_the_bound(self, monkeypatch):
@@ -298,54 +308,54 @@ class TestTrain:
             assert a.tobytes() == b.tobytes()
 
     def test_empty_train_partition_rejected(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         empty = SplitDataset(train=(), validation=split.validation,
                              test=split.test, seed=0, ratios=(0.7, 0.2, 0.1))
         model = nn.init_parameters(small_dims(vocab), seed=0, labels=SYNTH_LABELS)
         with pytest.raises(DataError, match="empty"):
-            train(model, empty, vocab, TrainConfig(epochs=1), tok_config=tok_cfg)
+            train(model, empty, vocab, TrainConfig(epochs=1))
 
     def test_best_validation_checkpoint_written(self, tmp_path):
-        split, vocab, tok_cfg = build_setup(n_docs=120)
+        split, vocab = build_setup(n_docs=120)
         ckpt = tmp_path / "model.ckpt"
         model = nn.init_parameters(small_dims(vocab), seed=3, labels=SYNTH_LABELS,
                                    vocab_digest=vocab.digest())
         config = TrainConfig(epochs=4, batch_size=16, seed=3,
                              checkpoint_path=str(ckpt))
-        final_model, history = train(model, split, vocab, config, tok_config=tok_cfg)
+        final_model, history = train(model, split, vocab, config)
         assert ckpt.exists()
         best, _ = load_checkpoint(ckpt, vocab=vocab)
         best_epoch = max(history.epochs, key=lambda e: e.val_accuracy)
         # the stored model reproduces the best validation accuracy
         val_docs = list(split.validation)
-        report = evaluate(best, val_docs, vocab, tok_cfg)
+        report = evaluate(best, val_docs, vocab)
         assert report.accuracy == pytest.approx(best_epoch.val_accuracy)
 
 
 class TestCheckpoint:
     def roundtrip_model(self, tmp_path, state=None):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=9, labels=SYNTH_LABELS,
                                    vocab_digest=vocab.digest())
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, state=state)
-        return model, path, vocab, tok_cfg, split
+        return model, path, vocab, split
 
     def test_roundtrip_forward_identical(self, tmp_path):
-        model, path, vocab, tok_cfg, split = self.roundtrip_model(tmp_path)
+        model, path, vocab, split = self.roundtrip_model(tmp_path)
         loaded, state = load_checkpoint(path, vocab=vocab)
         assert state is None
         for a, b in zip(model.params.arrays(), loaded.params.arrays()):
             npt.assert_array_equal(a, b)
         from lexseq.tokenizer import encode_text
         for doc in list(split.train)[:100]:
-            seq = encode_text(doc.text, vocab, tok_cfg)
+            seq = encode_text(doc.text, vocab, model.dims.max_len)
             p1, _ = nn.forward([seq], model)
             p2, _ = nn.forward([seq], loaded)
             npt.assert_array_equal(p1, p2)
 
     def test_adam_state_roundtrip(self, tmp_path):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=9, labels=SYNTH_LABELS)
         state = AdamState.zeros_like(model)
         for arr in state.m.arrays() + state.v.arrays():
@@ -360,14 +370,14 @@ class TestCheckpoint:
             npt.assert_array_equal(a, b)
 
     def test_truncated_payload(self, tmp_path):
-        _, path, vocab, _, _ = self.roundtrip_model(tmp_path)
+        _, path, vocab, _ = self.roundtrip_model(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-1])
         with pytest.raises(DataError, match="truncated payload"):
             load_checkpoint(path)
 
     def test_vocabulary_digest_mismatch(self, tmp_path):
-        _, path, vocab, _, _ = self.roundtrip_model(tmp_path)
+        _, path, vocab, _ = self.roundtrip_model(tmp_path)
         other = build_vocabulary(iter(["um", "dois", "um"]), cap=10)
         with pytest.raises(DataError, match="digest mismatch"):
             load_checkpoint(path, vocab=other)
@@ -379,14 +389,14 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        model, path, vocab, _, _ = self.roundtrip_model(tmp_path)
+        model, path, vocab, _ = self.roundtrip_model(tmp_path)
         second = tmp_path / "again.ckpt"
         save_checkpoint(model, second)
         assert path.read_bytes() == second.read_bytes()
 
     def test_bytes_do_not_depend_on_the_weight_layout(self, tmp_path):
         # W and U are held Fortran-ordered and stored C-ordered
-        _, path, vocab, _, _ = self.roundtrip_model(tmp_path)
+        _, path, vocab, _ = self.roundtrip_model(tmp_path)
         loaded, _ = load_checkpoint(path, vocab=vocab)
         for direction in nn.DIRECTIONS:
             assert loaded.params.views[f"{direction}.W"].flags.f_contiguous
@@ -429,13 +439,13 @@ class TestCheckpoint:
         lambda h: [h],
     ], ids=["vocab-rows-2", "label-count", "unknown-activation", "json-list"])
     def test_malformed_header_is_data_error_naming_the_file(self, tmp_path, edit):
-        _, path, _, _, _ = self.roundtrip_model(tmp_path)
+        _, path, _, _ = self.roundtrip_model(tmp_path)
         self.rewrite_header(path, edit)
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def test_failed_save_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
-        model, path, _, _, _ = self.roundtrip_model(tmp_path)
+        model, path, _, _ = self.roundtrip_model(tmp_path)
         before = path.read_bytes()
 
         def failing_fsync(fd):
@@ -515,12 +525,12 @@ class TestCheckpointFuzz:
 
 class TestEvaluate:
     def test_uniform_model_predicts_class_zero(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=0, labels=SYNTH_LABELS)
         for arr in model.params.arrays():
             arr[...] = 0
         docs = list(split.test)
-        report = evaluate(model, docs, vocab, tok_cfg)
+        report = evaluate(model, docs, vocab)
         predicted_col = report.matrix.counts.sum(axis=0)
         assert predicted_col[0] == len(docs)
         assert predicted_col[1:].sum() == 0
@@ -528,56 +538,56 @@ class TestEvaluate:
     def test_perfect_model_diagonal(self):
         # train to convergence on a small corpus; a perfect model must
         # produce accuracy 1.0 and an exactly diagonal matrix
-        split, vocab, tok_cfg = build_setup(n_docs=120)
+        split, vocab = build_setup(n_docs=120)
         model = nn.init_parameters(small_dims(vocab, embed=24, hidden=24), seed=4,
                                    labels=SYNTH_LABELS)
         config = TrainConfig(epochs=20, batch_size=8, learning_rate=0.005, seed=4)
-        model, history = train(model, split, vocab, config, tok_config=tok_cfg)
+        model, history = train(model, split, vocab, config)
         train_docs = list(split.train)
-        report = evaluate(model, train_docs, vocab, tok_cfg)
+        report = evaluate(model, train_docs, vocab)
         assert report.accuracy == 1.0
         off_diagonal = report.matrix.total - np.trace(report.matrix.counts)
         assert off_diagonal == 0
 
     def test_empty_input_rejected(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=0, labels=SYNTH_LABELS)
         with pytest.raises(DataError):
-            evaluate(model, [], vocab, tok_cfg)
+            evaluate(model, [], vocab)
 
     def test_document_without_tokens_is_named(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=0, labels=SYNTH_LABELS)
         docs = list(split.test) + [Document("blank-3", "", split.test[0].label)]
         with pytest.raises(DataError, match="'blank-3'.*empty"):
-            evaluate(model, docs, vocab, tok_cfg)
+            evaluate(model, docs, vocab)
 
     def test_unlabeled_doc_rejected(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=0, labels=SYNTH_LABELS)
         with pytest.raises(DataError, match="unlabeled"):
-            evaluate(model, [Document("u", "texto", None)], vocab, tok_cfg)
+            evaluate(model, [Document("u", "texto", None)], vocab)
 
     def test_batch_composition_does_not_change_results(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         model = nn.init_parameters(small_dims(vocab), seed=5, labels=SYNTH_LABELS)
         docs = list(split.train)
-        bulk = evaluate(model, docs, vocab, tok_cfg)
-        reversed_docs = evaluate(model, docs[::-1], vocab, tok_cfg)
-        summed = sum(evaluate(model, [doc], vocab, tok_cfg).matrix.counts
+        bulk = evaluate(model, docs, vocab)
+        reversed_docs = evaluate(model, docs[::-1], vocab)
+        summed = sum(evaluate(model, [doc], vocab).matrix.counts
                      for doc in docs)
         npt.assert_array_equal(bulk.matrix.counts, reversed_docs.matrix.counts)
         npt.assert_array_equal(bulk.matrix.counts, summed)
-        seqs = [trainer.encode_document(doc, vocab, tok_cfg) for doc in docs]
+        seqs = [trainer.encode_document(doc, vocab, model.dims.max_len) for doc in docs]
         together = trainer.map_forward(model, seqs)
         for seq, probs in zip(seqs, together):
             alone = trainer.map_forward(model, [seq])[0]
             npt.assert_array_equal(probs.view(np.uint32), alone.view(np.uint32))
 
     def test_token_outside_the_table_names_the_document(self):
-        split, vocab, tok_cfg = build_setup(n_docs=60)
+        split, vocab = build_setup(n_docs=60)
         dims = nn.ModelDims(vocab_rows=4, embed_dim=4, hidden=3, classes=6, max_len=40)
         model = nn.init_parameters(dims, seed=0, labels=SYNTH_LABELS)
         with pytest.raises(DataError, match=r"document 'doc-.*': token id \d+ outside"):
-            evaluate(model, list(split.test), vocab, tok_cfg)
+            evaluate(model, list(split.test), vocab)
 
