@@ -95,8 +95,9 @@ def load_dataset(path: str | Path, labels: LabelSet | None) -> list[Document]:
             raise DataError(f"{path}:{lineno}: blank line in dataset")
         try:
             raw = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # too long an int, too deep
+            raise DataError(f"{path}:{lineno}: malformed JSON: "
+                            f"{getattr(exc, 'msg', exc)}") from None
         if not isinstance(raw, dict):
             raise DataError(f"{path}:{lineno}: line is not a JSON object")
         doc_id = raw.get("id")

@@ -173,18 +173,17 @@ def load_page_manifest(path: str | Path) -> list[PageRecord]:
             raise DataError(f"{path}:{lineno}: blank line in manifest")
         try:
             raw = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # too long an int, too deep
+            raise DataError(f"{path}:{lineno}: malformed JSON: "
+                            f"{getattr(exc, 'msg', exc)}") from None
         if not isinstance(raw, dict) or not isinstance(raw.get("page"), int):
             raise DataError(f"{path}:{lineno}: expected an object with integer 'page'")
+        text, image = raw.get("text"), raw.get("image")
+        if not all(value is None or isinstance(value, str) for value in (text, image)):
+            raise DataError(f"{path}:{lineno}: 'text' and 'image' must be strings")
         try:
-            pages.append(
-                PageRecord(
-                    page_number=raw["page"],
-                    embedded_text=raw.get("text"),
-                    image_path=raw.get("image"),
-                )
-            )
+            pages.append(PageRecord(page_number=raw["page"], embedded_text=text,
+                                    image_path=image))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     if not pages:

@@ -53,7 +53,6 @@ checks are not affected.
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -183,9 +182,6 @@ class BiLstmClassifier:
     @property
     def dtype(self) -> np.dtype:
         return self.params.flat.dtype
-
-    def clone(self) -> "BiLstmClassifier":
-        return copy.deepcopy(self)
 
 
 class Gradients(ParamBuffer):
@@ -475,18 +471,25 @@ def init_parameters(
     """Seed-deterministic Glorot-uniform initialization.
 
     Weight tensors are drawn uniformly on +-sqrt(6/(rows+cols)) from a
-    single splitmix64 stream in checkpoint tensor order; biases are
-    zero except the forget-gate block, which starts at 1.0.
+    single splitmix64 stream in checkpoint tensor order, each in C order;
+    biases are zero except the forget-gate block, which starts at 1.0.
+    The draws go into the views in blocks of about ADAM_BLOCK values, so
+    the float64 and uint64 temporaries stay block-sized.
     """
     rng = SplitMix64(seed)
     params = ParamBuffer(dims, dtype)
     for view in params.arrays():
-        if view.ndim == 2:  # in place, the same bits as (u * 2 - 1) * bound
-            u = rng.uniform_floats(view.size)
-            u *= 2.0
-            u -= 1.0
-            u *= math.sqrt(6.0 / sum(view.shape))
-            view[...] = u.reshape(view.shape)
+        if view.ndim == 2:
+            rows, cols = view.shape
+            bound = math.sqrt(6.0 / (rows + cols))
+            step = max(1, ADAM_BLOCK // cols)
+            for lo in range(0, rows, step):  # whole rows keep the C order
+                block = view[lo:lo + step]
+                u = rng.uniform_floats(block.size)
+                u *= 2.0  # in place, the same bits as (u * 2 - 1) * bound
+                u -= 1.0
+                u *= bound
+                block[...] = u.reshape(block.shape)
     for direction in DIRECTIONS:
         params.views[f"{direction}.b"][dims.hidden:2 * dims.hidden] = 1.0
     if labels is None:

@@ -64,11 +64,17 @@ class SplitMix64:
             raise ValueError("n must be non-negative")
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        ks = np.arange(1, n + 1, dtype=np.uint64)
-        state = np.uint64(self._state) + np.uint64(_GAMMA) * ks
-        z = state
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        self._state = int(state[-1])
-        return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        # in place, through one scratch array: three n-element temporaries
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = int(z[-1])
+        shifted = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+            z *= np.uint64(mix)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        z >>= np.uint64(11)
+        out = z.astype(np.float64)
+        out *= 2.0 ** -53
+        return out

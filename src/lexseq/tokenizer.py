@@ -73,6 +73,7 @@ class Vocabulary:
     entries: tuple[tuple[str, int], ...]
     cap: int
     _index: dict = field(init=False, repr=False, compare=False)
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entries) > self.cap:
@@ -105,8 +106,12 @@ class Vocabulary:
         return len(self.entries) + 2
 
     def digest(self) -> str:
-        """SHA-256 over the canonical file rendering; checkpoints pin this."""
-        return hashlib.sha256(_render(self).encode("utf-8")).hexdigest()
+        """SHA-256 over the canonical file rendering; checkpoints pin this.
+        Computed on the first call and kept: the table is immutable."""
+        if self._digest is None:
+            object.__setattr__(self, "_digest",
+                               hashlib.sha256(_render(self).encode("utf-8")).hexdigest())
+        return self._digest
 
 
 def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000) -> Vocabulary:

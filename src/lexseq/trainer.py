@@ -6,6 +6,12 @@ Checkpoint layout: magic ``BLSTM1\\0``, one UTF-8 JSON header line
 version), then raw little-endian float32 tensors, row-major, in
 canonical parameter order, followed by the optional Adam first- and
 second-moment accumulators in that same order.
+
+Loading streams: the header line is read and checked first, the
+payload's size is checked against the file's, and then each tensor is
+read straight into its view of a freshly allocated buffer (the
+Fortran-ordered W and U through one small C-ordered scratch array).
+Peak memory is the buffers themselves, with no copy of the file.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -237,8 +244,10 @@ def train(
     Per epoch: one seeded shuffle of the train indices, gradients
     averaged over each mini-batch (the final short batch is kept), one
     Adam step per batch, then validation metrics. When a checkpoint
-    path is configured the best-validation-accuracy model is written at
-    the end (ties keep the earlier epoch).
+    path is configured, the model is written there each time the
+    validation accuracy improves (ties keep the earlier epoch), before
+    ``on_epoch`` sees the epoch, so a run stopped early leaves its best
+    model so far; without validation it is written once, at the end.
     """
     if not split.train:
         raise DataError("train partition is empty")
@@ -251,7 +260,6 @@ def train(
     grads = Gradients.zeros_like(model)
     history = TrainHistory()
     best_val_acc = -1.0
-    best_model: BiLstmClassifier | None = None
     n = len(train_seqs)
 
     for epoch in range(1, config.epochs + 1):
@@ -297,16 +305,15 @@ def train(
             seconds=time.perf_counter() - started,
         )
         history.epochs.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
         if config.checkpoint_path is not None and val_acc is not None:
             if val_acc > best_val_acc:
                 best_val_acc = val_acc
-                best_model = model.clone()
+                save_checkpoint(model, config.checkpoint_path)
+        if on_epoch is not None:
+            on_epoch(record)
 
-    if config.checkpoint_path is not None:
-        save_checkpoint(best_model if best_model is not None else model,
-                        config.checkpoint_path)
+    if config.checkpoint_path is not None and not val_seqs:
+        save_checkpoint(model, config.checkpoint_path)
     return model, history
 
 
@@ -377,53 +384,61 @@ def load_checkpoint(
     When a vocabulary is supplied its digest must match the one stored
     in the header.
     """
-    blob = Path(path).read_bytes()
-    if not blob.startswith(CHECKPOINT_MAGIC):
-        raise DataError(f"{path}: bad magic; not a checkpoint file")
-    newline = blob.find(b"\n", len(CHECKPOINT_MAGIC))
-    if newline < 0:
-        raise DataError(f"{path}: truncated payload (no header terminator)")
-    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-        header = json.loads(blob[len(CHECKPOINT_MAGIC):newline].decode("utf-8"))
-        if not isinstance(header, dict):
-            raise TypeError("the header is not a JSON object")
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise DataError(
-                f"{path}: unsupported checkpoint format {header.get('format')!r}")
-        dims = ModelDims(**header["dims"])
-        labels = tuple(header["labels"])
-        digest = header["vocab_digest"]
-        activation = header["activation"]
-        adam_t = header["adam_t"]
-        if not all(type(n) is int for n in vars(dims).values()):
-            raise TypeError(f"dims {header['dims']!r} are not all integers")
-        if adam_t is not None and (type(adam_t) is not int or adam_t < 0):
-            raise ValueError(f"adam_t {adam_t!r} is not a step count")
-        if activation not in ACTIVATIONS or len(labels) != dims.classes:
-            raise ValueError(f"activation {activation!r}, {len(labels)} labels")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from None
-    if vocab is not None and vocab.digest() != digest:
-        raise DataError(f"{path}: vocabulary digest mismatch")
+    with open(path, "rb") as fh:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise DataError(f"{path}: bad magic; not a checkpoint file")
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise DataError(f"{path}: truncated payload (no header terminator)")
+        try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            header = json.loads(line[:-1].decode("utf-8"))
+            if not isinstance(header, dict):
+                raise TypeError("the header is not a JSON object")
+            if header.get("format") != CHECKPOINT_FORMAT:
+                raise DataError(
+                    f"{path}: unsupported checkpoint format {header.get('format')!r}")
+            dims = ModelDims(**header["dims"])
+            labels = tuple(header["labels"])
+            digest = header["vocab_digest"]
+            activation = header["activation"]
+            adam_t = header["adam_t"]
+            if not all(type(n) is int for n in vars(dims).values()):
+                raise TypeError(f"dims {header['dims']!r} are not all integers")
+            if adam_t is not None and (type(adam_t) is not int or adam_t < 0):
+                raise ValueError(f"adam_t {adam_t!r} is not a step count")
+            if activation not in ACTIVATIONS or len(labels) != dims.classes:
+                raise ValueError(f"activation {activation!r}, {len(labels)} labels")
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from None
+        if vocab is not None and vocab.digest() != digest:
+            raise DataError(f"{path}: vocabulary digest mismatch")
 
-    # the payload is one buffer of parameters, then m and v with Adam state;
-    # its size is checked before anything is allocated
-    payload = memoryview(blob)[newline + 1:]
-    nbytes = 4 * param_size(dims)
-    expected = (1 if adam_t is None else 3) * nbytes
-    if len(payload) < expected:
-        raise DataError(f"{path}: truncated payload")
-    if len(payload) > expected:
-        raise DataError(f"{path}: unexpected trailing bytes")
+        # the payload is one buffer of parameters, then m and v with Adam
+        # state; its size is checked before anything is allocated
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = (1 if adam_t is None else 3) * 4 * param_size(dims)
+        if payload < expected:
+            raise DataError(f"{path}: truncated payload")
+        if payload > expected:
+            raise DataError(f"{path}: unexpected trailing bytes")
+        params = ParamBuffer(dims)
+        # W and U are held Fortran-ordered and go through one C-ordered scratch
+        scratch = np.empty(max((view.size for view in params.arrays()
+                                if not view.flags.c_contiguous), default=0), np.float32)
 
-    def take(k: int) -> ParamBuffer:
-        buf, offset = ParamBuffer(dims), k * nbytes
-        for view in buf.arrays():  # each tensor is C-ordered on disk
-            chunk = np.frombuffer(payload, "<f4", view.size, offset)
-            view[...] = chunk.reshape(view.shape)
-            offset += view.nbytes
-        return buf
+        def read_into(buf: ParamBuffer) -> ParamBuffer:
+            for view in buf.arrays():  # each tensor is C-ordered on disk
+                into = view if view.flags.c_contiguous else (
+                    scratch[:view.size].reshape(view.shape))
+                if fh.readinto(into) != into.nbytes:  # the file shrank
+                    raise DataError(f"{path}: truncated payload")
+                if into is not view:
+                    view[...] = into
+            if sys.byteorder == "big":  # the bytes on disk are little-endian
+                buf.flat.byteswap(inplace=True)
+            return buf
 
-    model = BiLstmClassifier(take(0), labels, digest, activation)
-    state = None if adam_t is None else AdamState(m=take(1), v=take(2), t=adam_t)
+        model = BiLstmClassifier(read_into(params), labels, digest, activation)
+        state = None if adam_t is None else AdamState(
+            m=read_into(ParamBuffer(dims)), v=read_into(ParamBuffer(dims)), t=adam_t)
     return model, state

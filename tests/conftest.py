@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lexseq import corpus, nn
+from lexseq.errors import DataError
 from lexseq.tokenizer import EncodedSequence
 
 SYNTH_CLASSES = 6
@@ -76,9 +79,9 @@ def random_tiny_model(seed: int, dtype=np.float64) -> tuple[nn.BiLstmClassifier,
 
 
 def swapped_directions(model: nn.BiLstmClassifier) -> nn.BiLstmClassifier:
-    """A clone of ``model`` with the forward and backward direction
+    """A copy of ``model`` with the forward and backward direction
     tensors exchanged."""
-    swapped = model.clone()
+    swapped = copy.deepcopy(model)
     src, dst = model.params.views, swapped.params.views
     for part in ("W", "U", "b"):
         dst[f"forward_dir.{part}"][...] = src[f"backward_dir.{part}"]
@@ -135,3 +138,36 @@ def batch_gradient_check_error(model, seqs, targets, eps: float = 1e-5) -> float
 def gradient_check_error(model, seq, target, eps: float = 1e-5) -> float:
     """batch_gradient_check_error for a batch of one document."""
     return batch_gradient_check_error(model, [seq], [target], eps)
+
+
+def flip_bit(blob: bytes, bit: int) -> bytes:
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def load_variant(loader, path, blob: bytes):
+    """Write ``blob`` to ``path`` and load it: the loader's result, or None
+    for a DataError. Any other exception fails the calling test."""
+    path.write_bytes(blob)
+    try:
+        return loader(path)
+    except DataError:
+        return None
+
+
+def damaged(blob: bytes, data) -> bytes:
+    """``blob`` with one to three bits flipped, then cut, as drawn from
+    Hypothesis's ``data``."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        blob = flip_bit(blob, data.draw(st.integers(0, 8 * len(blob) - 1)))
+    return blob[:data.draw(st.integers(0, len(blob)))]
+
+
+def check_every_truncation_and_bit_flip(loader, path, blob: bytes) -> None:
+    """Every prefix of ``blob`` and every single-bit flip of it loads or
+    is a DataError."""
+    for end in range(len(blob)):
+        load_variant(loader, path, blob[:end])
+    for bit in range(8 * len(blob)):
+        load_variant(loader, path, flip_bit(blob, bit))

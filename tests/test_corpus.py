@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import save_dataset
+from conftest import (check_every_truncation_and_bit_flip, damaged, load_variant,
+                      save_dataset)
 
 from lexseq.corpus import (
     DEFAULT_LABELS,
@@ -75,6 +76,16 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=":2"):
             load_dataset(path, LabelSet.default())
 
+    @pytest.mark.parametrize("line", [
+        '{"id": "a", "text": "t", "n": ' + "1" * 5000 + "}",
+        "[" * 100_000,
+    ], ids=["int-of-5000-digits", "nested-100000-deep"])
+    def test_json_the_parser_refuses_is_malformed(self, tmp_path, line):
+        path = tmp_path / "data.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":1: malformed JSON"):
+            load_dataset(path, None)
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_jsonl(path, [{"id": "a", "text": "x"}, {"id": "a", "text": "y"}])
@@ -93,6 +104,35 @@ class TestLoadDataset:
         path = tmp_path / "out.jsonl"
         save_dataset(docs, labels, path)
         assert load_dataset(path, labels) == docs
+
+
+@pytest.fixture(scope="module")
+def dataset_file(tmp_path_factory):
+    """A valid labeled dataset, and a scratch path for damaged variants."""
+    path = tmp_path_factory.mktemp("dataset") / "data.jsonl"
+    write_jsonl(path, [
+        {"id": "a1", "text": "Recurso extraordinário 8.112/90", "label": "RE"},
+        {"id": "b2", "text": "Acórdão da turma", "label": "Acórdão"},
+        {"id": "c3", "text": "sem rótulo"},
+    ])
+    return path.read_bytes(), path.with_name("variant.jsonl")
+
+
+class TestDatasetFuzz:
+    """A damaged dataset either loads or raises DataError, with and without
+    a label set."""
+
+    @pytest.mark.parametrize("labels", [LabelSet.default(), None], ids=["labels", "none"])
+    def test_every_truncation_and_bit_flip(self, dataset_file, labels):
+        blob, path = dataset_file
+        check_every_truncation_and_bit_flip(lambda p: load_dataset(p, labels), path, blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flip_and_truncation_anywhere(self, dataset_file, data):
+        blob, path = dataset_file
+        load_variant(lambda p: load_dataset(p, LabelSet.default()), path,
+                     damaged(blob, data))
 
 
 def docs_one_class(n, cls=0):

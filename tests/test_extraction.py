@@ -4,6 +4,10 @@ import stat
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import check_every_truncation_and_bit_flip, damaged, load_variant
 
 from lexseq.errors import DataError, OcrError
 from lexseq.extraction import (
@@ -202,3 +206,50 @@ class TestPageManifest:
         path.write_text("", encoding="utf-8")
         with pytest.raises(DataError):
             load_page_manifest(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"page": 1, "text": 5}',
+        '{"page": 1, "image": ["p1.png"]}',
+    ], ids=["number-text", "list-image"])
+    def test_text_and_image_must_be_strings(self, tmp_path, line):
+        path = tmp_path / "doc.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":1: 'text' and 'image' must be strings"):
+            load_page_manifest(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"page": ' + "1" * 5000 + ', "text": "t"}',
+        "[" * 100_000,
+    ], ids=["int-of-5000-digits", "nested-100000-deep"])
+    def test_json_the_parser_refuses_is_malformed(self, tmp_path, line):
+        path = tmp_path / "doc.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":1: malformed JSON"):
+            load_page_manifest(path)
+
+
+@pytest.fixture(scope="module")
+def manifest_file(tmp_path_factory):
+    """A valid manifest of text, image and text-and-image pages, and a
+    scratch path for damaged variants."""
+    path = tmp_path_factory.mktemp("manifest") / "doc.manifest.jsonl"
+    rows = [{"page": 1, "text": "Primeira página do acórdão"},
+            {"page": 2, "image": "scans/p2.png"},
+            {"page": 3, "text": "zq xv", "image": "scans/p3.png"}]
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                    encoding="utf-8")
+    return path.read_bytes(), path.with_name("variant.jsonl")
+
+
+class TestPageManifestFuzz:
+    """A damaged manifest either loads or raises DataError."""
+
+    def test_every_truncation_and_bit_flip(self, manifest_file):
+        blob, path = manifest_file
+        check_every_truncation_and_bit_flip(load_page_manifest, path, blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flip_and_truncation_anywhere(self, manifest_file, data):
+        blob, path = manifest_file
+        load_variant(load_page_manifest, path, damaged(blob, data))

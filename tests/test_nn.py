@@ -407,7 +407,7 @@ class TestLockstep:
 
     def test_direction_weights_stay_fortran_ordered(self):
         model = nn.init_parameters(tiny_dims(), seed=0)
-        for m in (model, model.clone()):
+        for m in (model, copy.deepcopy(model)):
             for direction in nn.DIRECTIONS:
                 assert m.params.views[f"{direction}.W"].T.flags.c_contiguous
                 assert m.params.views[f"{direction}.U"].T.flags.c_contiguous
@@ -436,9 +436,8 @@ class TestParamBuffer:
         assert sum(view.size for view in buf.arrays()) == nn.param_size(dims)
 
     @pytest.mark.parametrize("copier", [
-        nn.BiLstmClassifier.clone, copy.deepcopy,
-        lambda model: pickle.loads(pickle.dumps(model)),
-    ], ids=["clone", "deepcopy", "pickle"])
+        copy.deepcopy, lambda model: pickle.loads(pickle.dumps(model)),
+    ], ids=["deepcopy", "pickle"])
     def test_copies_alias_their_own_buffer(self, copier):
         model = nn.init_parameters(tiny_dims(), seed=2)
         before = model.params.flat.copy()

@@ -1,3 +1,4 @@
+import hashlib
 import unicodedata
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_every_truncation_and_bit_flip, damaged, load_variant
+
+from lexseq import tokenizer
 from lexseq.errors import DataError
 from lexseq.tokenizer import (
     OOV_ID,
@@ -185,3 +189,42 @@ class TestVocabularyFile:
         v1 = build_vocabulary(iter(["a", "b", "a"]), cap=5)
         v2 = build_vocabulary(iter(["a", "b", "b"]), cap=5)
         assert v1.digest() != v2.digest()
+
+    def test_digest_is_rendered_once_per_vocabulary(self, monkeypatch):
+        vocab = build_vocabulary(iter(["a", "b", "a"]), cap=5)
+        expected = hashlib.sha256(tokenizer._render(vocab).encode("utf-8")).hexdigest()
+        rendered = []
+        real_render = tokenizer._render
+        monkeypatch.setattr(tokenizer, "_render",
+                            lambda v: rendered.append(v) or real_render(v))
+        assert vocab.digest() == expected
+        assert vocab.digest() == expected
+        assert rendered == [vocab]
+        # the kept digest is not part of equality or the hash
+        twin = build_vocabulary(iter(["a", "b", "a"]), cap=5)
+        assert twin == vocab and hash(twin) == hash(vocab)
+
+
+@pytest.fixture(scope="module")
+def vocabulary_file(tmp_path_factory):
+    """A valid vocabulary file with accents and a bridged citation token,
+    and a scratch path for damaged variants."""
+    vocab = build_vocabulary(iter(["acórdão", "8.112/90", "re", "re", "lei", "lei",
+                                   "lei", "x"]), cap=10)
+    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+    save_vocabulary(vocab, path)
+    return path.read_bytes(), path.with_name("variant.txt")
+
+
+class TestVocabularyFileFuzz:
+    """A damaged vocabulary file either loads or raises DataError."""
+
+    def test_every_truncation_and_bit_flip(self, vocabulary_file):
+        blob, path = vocabulary_file
+        check_every_truncation_and_bit_flip(load_vocabulary, path, blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flip_and_truncation_anywhere(self, vocabulary_file, data):
+        blob, path = vocabulary_file
+        load_variant(load_vocabulary, path, damaged(blob, data))

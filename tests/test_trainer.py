@@ -3,13 +3,15 @@ import json
 import math
 import random
 import re
+import tracemalloc
+import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SYNTH_LABELS, make_synthetic_corpus
+from conftest import SYNTH_LABELS, flip_bit, load_variant, make_synthetic_corpus
 
 from lexseq import nn, trainer
 from lexseq.corpus import Document, LabelSet, SplitDataset, stratified_split
@@ -331,6 +333,63 @@ class TestTrain:
         report = evaluate(best, val_docs, vocab)
         assert report.accuracy == pytest.approx(best_epoch.val_accuracy)
 
+    def test_a_stopped_run_leaves_its_best_epoch_so_far(self, tmp_path):
+        split, vocab = build_setup(n_docs=60)
+        epochs = 5
+
+        def run(model, path, on_epoch):
+            config = TrainConfig(epochs=epochs, batch_size=8, seed=1, learning_rate=0.01,
+                                 checkpoint_path=str(path))
+            return train(model, split, vocab, config, on_epoch=on_epoch)[1]
+
+        def fresh_model():
+            return nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS,
+                                      vocab_digest=vocab.digest())
+
+        model, epoch_bytes = fresh_model(), {}
+
+        def keep(record):  # the model after each epoch, as a checkpoint
+            save_checkpoint(model, tmp_path / "epoch.ckpt")
+            epoch_bytes[record.epoch] = (tmp_path / "epoch.ckpt").read_bytes()
+
+        history = run(model, tmp_path / "full.ckpt", keep)
+        accuracy = [e.val_accuracy for e in history.epochs]
+        # the run has a drop and a tie, so the last epoch is not always the best
+        assert len(set(accuracy)) < epochs and accuracy != sorted(accuracy)
+
+        class Stop(Exception):
+            pass
+
+        for k in range(1, epochs + 1):
+            def stop(record):
+                if record.epoch == k:
+                    raise Stop
+
+            with pytest.raises(Stop):
+                run(fresh_model(), tmp_path / f"stopped{k}.ckpt", stop)
+            # max() keeps the first of equal accuracies: ties keep the earlier epoch
+            best = max(range(1, k + 1), key=lambda e: accuracy[e - 1])
+            assert (tmp_path / f"stopped{k}.ckpt").read_bytes() == epoch_bytes[best]
+        assert (tmp_path / "full.ckpt").read_bytes() == epoch_bytes[best]
+
+    def test_without_validation_the_model_is_written_once_at_the_end(
+            self, tmp_path, monkeypatch):
+        split, vocab = build_setup(n_docs=60)
+        no_validation = SplitDataset(train=split.train, validation=(), test=split.test,
+                                     seed=split.seed, ratios=split.ratios)
+        saved = []
+        real_save = trainer.save_checkpoint
+        monkeypatch.setattr(trainer, "save_checkpoint",
+                            lambda *args, **kw: saved.append(args[1]) or real_save(*args, **kw))
+        path = tmp_path / "model.ckpt"
+        model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
+        config = TrainConfig(epochs=3, batch_size=8, seed=1, checkpoint_path=str(path))
+        final, history = train(model, no_validation, vocab, config)
+        assert saved == [str(path)]
+        assert all(e.val_accuracy is None for e in history.epochs)
+        real_save(final, tmp_path / "final.ckpt")
+        assert path.read_bytes() == (tmp_path / "final.ckpt").read_bytes()
+
 
 class TestCheckpoint:
     def roundtrip_model(self, tmp_path, state=None):
@@ -444,6 +503,12 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    def test_header_too_deep_for_the_parser_is_malformed(self, tmp_path):
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(trainer.CHECKPOINT_MAGIC + b"[" * 100_000 + b"\n")
+        with pytest.raises(DataError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
     def test_failed_save_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
         model, path, _, _ = self.roundtrip_model(tmp_path)
         before = path.read_bytes()
@@ -474,21 +539,6 @@ def fuzz_checkpoint(tmp_path_factory):
     return blob, blob.index(b"\n"), path
 
 
-def _load_variant(path, blob):
-    """Load ``blob`` from ``path``: a checkpoint pair or a DataError, nothing else."""
-    path.write_bytes(blob)
-    try:
-        return load_checkpoint(path)
-    except DataError:
-        return None
-
-
-def _flip(blob, bit):
-    out = bytearray(blob)
-    out[bit // 8] ^= 1 << (bit % 8)
-    return bytes(out)
-
-
 class TestCheckpointFuzz:
     """A damaged checkpoint either loads or raises DataError."""
 
@@ -502,14 +552,14 @@ class TestCheckpointFuzz:
     def test_every_header_bit_flip_loads_or_is_a_data_error(self, fuzz_checkpoint):
         blob, newline, path = fuzz_checkpoint
         for bit in range(8 * (newline + 1)):
-            _load_variant(path, _flip(blob, bit))
+            load_variant(load_checkpoint, path, flip_bit(blob, bit))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_payload_bit_flip_loads_and_round_trips(self, fuzz_checkpoint, data):
         blob, newline, path = fuzz_checkpoint
-        flipped = _flip(blob, data.draw(st.integers(8 * (newline + 1), 8 * len(blob) - 1)))
-        loaded = _load_variant(path, flipped)
+        flipped = flip_bit(blob, data.draw(st.integers(8 * (newline + 1), 8 * len(blob) - 1)))
+        loaded = load_variant(load_checkpoint, path, flipped)
         assert loaded is not None
         model, state = loaded
         save_checkpoint(model, path, state=state)
@@ -519,8 +569,82 @@ class TestCheckpointFuzz:
     @given(st.data())
     def test_flip_and_truncation_anywhere(self, fuzz_checkpoint, data):
         blob, _, path = fuzz_checkpoint
-        flipped = _flip(blob, data.draw(st.integers(0, 8 * len(blob) - 1)))
-        _load_variant(path, flipped[:data.draw(st.integers(0, len(blob)))])
+        flipped = flip_bit(blob, data.draw(st.integers(0, 8 * len(blob) - 1)))
+        load_variant(load_checkpoint, path, flipped[:data.draw(st.integers(0, len(blob)))])
+
+
+    def test_cut_at_every_tensor_boundary_is_a_truncated_payload(
+            self, fuzz_checkpoint, monkeypatch):
+        blob, newline, path = fuzz_checkpoint
+        path.write_bytes(blob)
+        model, state = load_checkpoint(path)
+        sizes = [a.nbytes for a in model.params.arrays() + state.m.arrays()
+                 + state.v.arrays()]
+        starts = newline + 1 + np.cumsum([0] + sizes[:-1])
+        cuts = sorted({int(s) + d for s in starts for d in (-1, 0, 1)})
+        for cut in cuts:
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError, match="truncated payload"):
+                load_checkpoint(path)
+        # the same cuts in a file that shrinks after its size was checked
+        monkeypatch.setattr(trainer.os, "fstat",
+                            lambda fd: types.SimpleNamespace(st_size=len(blob)))
+        for cut in cuts:
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError, match="truncated payload"):
+                load_checkpoint(path)
+
+    def test_big_endian_host_swaps_every_tensor(self, fuzz_checkpoint, monkeypatch):
+        blob, _, path = fuzz_checkpoint
+        path.write_bytes(blob)
+        model, state = load_checkpoint(path)
+        monkeypatch.setattr(trainer.sys, "byteorder", "big")
+        swapped, swapped_state = load_checkpoint(path)
+        for ours, theirs in [(model.params, swapped.params), (state.m, swapped_state.m),
+                             (state.v, swapped_state.v)]:
+            assert theirs.flat.tobytes() == ours.flat.byteswap().tobytes()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn`` runs; tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """Peak memory is the parameter buffers plus O(ADAM_BLOCK): no code path
+    makes a transient copy of the model."""
+
+    dims = nn.ModelDims(vocab_rows=100_002, embed_dim=32, hidden=8, classes=6, max_len=40)
+    param_bytes = 4 * nn.param_size(dims)
+
+    def test_init_parameters(self):
+        peak = traced_peak(lambda: nn.init_parameters(self.dims, seed=1))
+        assert peak <= 1.25 * self.param_bytes
+
+    @pytest.mark.parametrize("adam", [False, True], ids=["params", "with-adam-state"])
+    def test_load_checkpoint(self, tmp_path, adam):
+        model = nn.init_parameters(self.dims, seed=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path, state=AdamState.zeros_like(model) if adam else None)
+        del model
+        assert traced_peak(lambda: load_checkpoint(path)) <= 1.1 * path.stat().st_size
+
+    def test_one_epoch_of_train(self, tmp_path):
+        split, vocab = build_setup(n_docs=120)
+        model = nn.init_parameters(self.dims, seed=1, labels=SYNTH_LABELS)
+        config = TrainConfig(epochs=1, batch_size=16, seed=3,
+                             checkpoint_path=str(tmp_path / "model.ckpt"))
+        # m, v and the gradients are three copies of the parameters; the
+        # trace of a group of these 10-16-token documents at hidden 8 and
+        # Adam's block scratch are a few percent of one copy, so a fourth
+        # copy cannot fit under the bound
+        peak = traced_peak(lambda: train(model, split, vocab, config))
+        assert peak < 3.5 * self.param_bytes
 
 
 class TestEvaluate:
