@@ -51,6 +51,59 @@ class TestTokenize:
         assert all(tok for tok in first)
 
 
+def reference_tokens(text: str, lowercase: bool = True) -> list[str]:
+    """The tokenizer's definition, one character at a time: the
+    reference for the regex path."""
+    text = unicodedata.normalize("NFC", text)
+    if lowercase:
+        text = text.lower()
+    tokens: list[str] = []
+    current: list[str] = []
+    n = len(text)
+    for i, ch in enumerate(text):
+        if ch.isalpha() or ch.isdigit():
+            current.append(ch)
+        elif (ch in {".", "/", "-"} and 0 < i < n - 1
+              and text[i - 1].isdigit() and text[i + 1].isdigit()):
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
+# Each code point alone, flanked by digits and letters, and on either
+# side of a digit bridge.
+CONTEXTS = ("{}", "1{}2", "a{}1", "1.{}", "{}.1", "1{}.2", "1.{}2")
+
+
+def context_batches(code_points):
+    """Strings of about 4,096 space-separated contexts of the code points."""
+    per_batch = 4096 // len(CONTEXTS)
+    for start in range(0, len(code_points), per_batch):
+        yield " ".join(ctx.format(chr(c)) for c in code_points[start:start + per_batch]
+                       for ctx in CONTEXTS)
+
+
+class TestTokenizeEqualsTheCharacterLoop:
+    """Every code point in every context tokenizes as the reference loop
+    does, with and without lowercasing."""
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_every_bmp_code_point(self, lowercase):
+        for batch in context_batches(range(0x10000)):
+            assert tokenize(batch, lowercase) == reference_tokens(batch, lowercase)
+
+    @given(st.text(alphabet=st.one_of(
+        st.sampled_from("0123456789./-²³½Ⅲ\u0301\u0303\u0327İΣσςaceo ٣３"),
+        st.characters()), max_size=60), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_mixed_text(self, text, lowercase):
+        assert tokenize(text, lowercase) == reference_tokens(text, lowercase)
+
+
 class TestBuildVocabulary:
     def test_cap_keeps_most_frequent(self):
         vocab = build_vocabulary(iter("aaabbc"), cap=2)
