@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("build-vocab", help="build a capped vocabulary")
     p.add_argument("data", help="training dataset JSONL")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=_int_at_least(1), default=100_000)
     p.add_argument("-o", "--output", required=True, help="vocabulary file")
     p.add_argument("--labels", default=None,
                    help="labels file; with --seed, restricts counting to the "
@@ -97,15 +97,15 @@ def _build_parser() -> _Parser:
     p.add_argument("data", help="full labeled dataset JSONL (split internally)")
     p.add_argument("--labels", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--epochs", type=_int_at_least(1), default=20)
+    p.add_argument("--batch", type=_int_at_least(1), default=64)
     p.add_argument("--lr", type=_finite_positive, default=0.001)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("-o", "--output", required=True, help="checkpoint path")
     p.add_argument("--ratios", type=_ratios, default=corpus.DEFAULT_RATIOS)
-    p.add_argument("--embed", type=int, default=100)
-    p.add_argument("--hidden", type=int, default=200)
-    p.add_argument("--max-len", type=int, default=1000)
+    p.add_argument("--embed", type=_int_at_least(1), default=100)
+    p.add_argument("--hidden", type=_int_at_least(1), default=200)
+    p.add_argument("--max-len", type=_int_at_least(1), default=1000)
     p.add_argument("--activation", choices=ACTIVATIONS, default="relu")
     p.add_argument("--clip-norm", type=_finite_positive, default=None)
     p.add_argument("--history", default=None, help="write per-epoch JSON records")
@@ -182,12 +182,9 @@ def _cmd_build_vocab(args) -> int:
         docs = corpus.load_dataset(args.data, None)
         texts = (doc.text for doc in docs)
         scope = f"all {len(docs)} docs"
-    try:
-        vocab = tokenizer.build_vocabulary(
-            tokenizer.iter_tokens(texts, not args.no_lowercase), cap=args.cap
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    vocab = tokenizer.build_vocabulary(
+        tokenizer.iter_tokens(texts, not args.no_lowercase), cap=args.cap
+    )
     tokenizer.save_vocabulary(vocab, args.output)
     print(f"vocabulary: {len(vocab)} entries (cap {args.cap}) from {scope}",
           file=sys.stderr)

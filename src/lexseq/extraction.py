@@ -176,7 +176,7 @@ def load_page_manifest(path: str | Path) -> list[PageRecord]:
         except (ValueError, RecursionError) as exc:  # too long an int, too deep
             raise DataError(f"{path}:{lineno}: malformed JSON: "
                             f"{getattr(exc, 'msg', exc)}") from None
-        if not isinstance(raw, dict) or not isinstance(raw.get("page"), int):
+        if not isinstance(raw, dict) or type(raw.get("page")) is not int:  # bool is an int
             raise DataError(f"{path}:{lineno}: expected an object with integer 'page'")
         text, image = raw.get("text"), raw.get("image")
         if not all(value is None or isinstance(value, str) for value in (text, image)):

@@ -1,8 +1,21 @@
-"""Text -> token -> id pipeline with a frequency-capped vocabulary.
+r"""Text -> token -> id pipeline with a frequency-capped vocabulary.
 
 Token ids 0 and 1 are reserved (PAD and OOV); real tokens get
 contiguous ids starting at 2, ordered by descending training-stream
 frequency with ties broken by first occurrence.
+
+Tokens are maximal runs of letters and digits (``isalpha() or
+isdigit()``); ``.``, ``/`` and ``-`` stay inside a token when the
+characters on both sides are digits (``isdigit()``). ``_char_tokens``
+is that definition, one character at a time. Most text takes one
+``findall`` of ``_TOKEN`` instead, ``[^\W_]+(?:(?<=\d)[./-](?=\d)[^\W_]+)*``:
+``[^\W_]`` is ``isalnum()`` and ``\d`` is ``isdecimal()``, and these
+differ from the loop's predicates only on code points of category No
+or Nl (``½``, ``²``, ``Ⅲ``; 1,131 code points in Unicode 14). A text
+holding such a code point, or any code point beyond the BMP, goes to
+the loop, so both paths give the same tokens. ASCII text holds neither;
+other text is checked with one search of a class of the BMP's No/Nl
+code points, built on the first non-ASCII text, not at import.
 
 The module holds no settings of its own: ``lowercase`` is an argument
 of every text function, and ``encode`` takes the window ``max_len``
@@ -11,10 +24,14 @@ from its caller, which reads it from the model (``ModelDims.max_len``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+from operator import ge, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -28,6 +45,10 @@ OOV_ID = 1
 # Punctuation kept inside a token when flanked by digits on both sides,
 # so citation numbers like 8.112/90 survive as single tokens.
 _DIGIT_BRIDGE = {".", "/", "-"}
+# The same tokens, for text that _loop_only() does not match.
+_TOKEN = re.compile(r"[^\W_]+(?:(?<=\d)[./-](?=\d)[^\W_]+)*")
+# Equal to str.isspace on every code point.
+_SPACE = re.compile(r"\s")
 
 _VOCAB_MAGIC = "#vocab v1"
 
@@ -43,6 +64,24 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     text = unicodedata.normalize("NFC", text)
     if lowercase:
         text = text.lower()
+    if not text.isascii() and _loop_only().search(text):
+        return _char_tokens(text)
+    return _TOKEN.findall(text)
+
+
+@functools.cache
+def _loop_only() -> re.Pattern:
+    """Matches a code point on which ``_TOKEN`` and ``_char_tokens`` may
+    disagree: a BMP code point of category No or Nl, or any astral one.
+    The BMP-only part compiles to a bitmap; the astral part is one range."""
+    numeric = "".join(chr(c) for c in range(0x10000)
+                      if unicodedata.category(chr(c)) in ("No", "Nl"))
+    return re.compile(f"[{re.escape(numeric)}\U00010000-\U0010ffff]")
+
+
+def _char_tokens(text: str) -> list[str]:
+    """The token definition, one character at a time: the only path for
+    text with No/Nl or astral code points."""
     tokens: list[str] = []
     current: list[str] = []
     n = len(text)
@@ -78,19 +117,16 @@ class Vocabulary:
     def __post_init__(self):
         if len(self.entries) > self.cap:
             raise ValueError("vocabulary exceeds its cap")
-        index = {}
-        prev_freq = None
-        for pos, (token, freq) in enumerate(self.entries):
-            if not token:
-                raise ValueError("empty token in vocabulary")
-            if any(ch.isspace() for ch in token):
-                raise ValueError(f"token {token!r} contains whitespace")
-            if token in index:
-                raise ValueError(f"duplicate token {token!r} in vocabulary")
-            if prev_freq is not None and freq > prev_freq:
-                raise ValueError("vocabulary frequencies must be non-increasing")
-            prev_freq = freq
-            index[token] = pos + 2
+        # Whole-table checks that make no object per entry (zip(*entries)
+        # would make an iterator each, and wake the garbage collector); the
+        # faulty entry is looked for only when a check fails.
+        tokens = list(map(itemgetter(0), self.entries))
+        freqs = list(map(itemgetter(1), self.entries))
+        index = dict(zip(tokens, range(2, len(tokens) + 2)))
+        if not (len(index) == len(tokens) and all(tokens)
+                and not _SPACE.search("".join(tokens))
+                and all(map(ge, freqs, islice(freqs, 1, None)))):
+            _raise_first_fault(self.entries)
         object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
@@ -114,19 +150,39 @@ class Vocabulary:
         return self._digest
 
 
+def _raise_first_fault(entries: tuple[tuple[str, int], ...]) -> None:
+    """Name the first entry that breaks a table rule, in entry order."""
+    seen = set()
+    prev_freq = None
+    for token, freq in entries:
+        if not token:
+            raise ValueError("empty token in vocabulary")
+        if any(ch.isspace() for ch in token):
+            raise ValueError(f"token {token!r} contains whitespace")
+        if token in seen:
+            raise ValueError(f"duplicate token {token!r} in vocabulary")
+        if prev_freq is not None and freq > prev_freq:
+            raise ValueError("vocabulary frequencies must be non-increasing")
+        prev_freq = freq
+        seen.add(token)
+
+
 def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000) -> Vocabulary:
     """Count the stream and keep the ``cap`` most frequent tokens.
 
     Ties are broken by first occurrence in the stream; kept order
     defines the id assignment. The stream is consumed once.
-    ``Counter.most_common`` orders equal counts by first occurrence.
+    A ``Counter`` iterates in first-occurrence order and the sort is
+    stable, so equal counts keep that order (``most_common`` ranks the
+    same way, through a slower keyed heap).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     counts = Counter(token_stream)
     if not counts:
         raise DataError("cannot build a vocabulary from an empty token stream")
-    return Vocabulary(entries=tuple(counts.most_common(cap)), cap=cap)
+    ranked = sorted(counts.items(), key=itemgetter(1), reverse=True)
+    return Vocabulary(entries=tuple(ranked[:cap]), cap=cap)
 
 
 @dataclass(frozen=True)
@@ -219,5 +275,4 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
 def iter_tokens(texts: Iterable[str], lowercase: bool = True) -> Iterator[str]:
     """Flat token stream over many texts, for vocabulary building."""
-    for text in texts:
-        yield from tokenize(text, lowercase)
+    return chain.from_iterable(map(tokenize, texts, repeat(lowercase)))

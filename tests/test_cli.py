@@ -134,6 +134,28 @@ class TestBadValues:
         assert not out.exists()
 
 
+    def test_zero_cap_is_usage_error_before_the_data_is_read(self, tmp_path, capsys):
+        out = tmp_path / "vocab.txt"
+        code = cli.run(["build-vocab", str(tmp_path / "missing.jsonl"), "--cap", "0",
+                        "-o", str(out)])
+        assert code == 1  # the data path is never looked at: that would be exit 2
+        err = capsys.readouterr().err
+        assert "--cap" in err and ">= 1" in err
+        assert_one_diagnostic(err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--epochs", "--batch", "--embed", "--hidden",
+                                      "--max-len"])
+    def test_train_sizes_must_be_positive(self, workspace, tmp_path, capsys, flag):
+        out = tmp_path / "out.ckpt"
+        args = train_args(workspace, flag, "0", "-o", str(out))
+        args[1] = str(tmp_path / "missing.jsonl")  # never read
+        assert cli.run(args) == 1
+        err = capsys.readouterr().err
+        assert flag in err and ">= 1" in err
+        assert_one_diagnostic(err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
         ("--clip-norm", "nan"), ("--clip-norm", "inf"), ("--clip-norm", "-1"),

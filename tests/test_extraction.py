@@ -208,6 +208,20 @@ class TestPageManifest:
             load_page_manifest(path)
 
     @pytest.mark.parametrize("line", [
+        '{"page": true, "text": "abc"}',
+        '{"page": false, "text": "abc"}',
+        '{"page": 1.0, "text": "abc"}',
+        '{"page": "1", "text": "abc"}',
+        '[1, "abc"]',
+    ], ids=["true", "false", "float", "string", "list"])
+    def test_page_must_be_an_integer(self, tmp_path, line):
+        path = tmp_path / "doc.jsonl"
+        path.write_text('{"page": 1, "text": "abc"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            load_page_manifest(path)
+        assert str(excinfo.value) == f"{path}:2: expected an object with integer 'page'"
+
+    @pytest.mark.parametrize("line", [
         '{"page": 1, "text": 5}',
         '{"page": 1, "image": ["p1.png"]}',
     ], ids=["number-text", "list-image"])

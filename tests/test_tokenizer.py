@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -87,14 +91,65 @@ def context_batches(code_points):
                        for ctx in CONTEXTS)
 
 
+def is_numeric_symbol(c: int) -> bool:
+    """Category No or Nl: the code points on which ``isalnum``/``isdecimal``
+    and the loop's ``isalpha() or isdigit()``/``isdigit`` disagree."""
+    return unicodedata.category(chr(c)) in ("No", "Nl")
+
+
+def takes_the_loop(text: str) -> bool:
+    return any(ord(ch) > 0xFFFF or is_numeric_symbol(ord(ch)) for ch in text)
+
+
 class TestTokenizeEqualsTheCharacterLoop:
     """Every code point in every context tokenizes as the reference loop
-    does, with and without lowercasing."""
+    does, with and without lowercasing. The BMP code points that stay
+    outside No/Nl and the BMP through NFC and lowercasing are batched
+    apart, so each of their batches takes the regex path; the rest (No/Nl,
+    and CJK compatibility ideographs whose NFC form is astral) are compared
+    in batches of their own. Astral code points are shown to send a text
+    to the loop, which is the reference itself."""
 
     @pytest.mark.parametrize("lowercase", [True, False])
     def test_every_bmp_code_point(self, lowercase):
-        for batch in context_batches(range(0x10000)):
+        plain, rest = [], []
+        for c in range(0x10000):
+            text = unicodedata.normalize("NFC", chr(c))
+            (rest if takes_the_loop(text + text.lower()) else plain).append(c)
+        for batch in context_batches(plain):
+            text = unicodedata.normalize("NFC", batch)
+            assert not tokenizer._loop_only().search(text.lower() if lowercase else text)
             assert tokenize(batch, lowercase) == reference_tokens(batch, lowercase)
+        for batch in context_batches(rest):
+            assert tokenize(batch, lowercase) == reference_tokens(batch, lowercase)
+
+    def test_numeric_and_astral_code_points_take_the_loop(self, monkeypatch):
+        routed = "".join(chr(c) for c in range(0x110000)
+                         if c >= 0x10000 or is_numeric_symbol(c))
+        assert len(tokenizer._loop_only().findall(routed)) == len(routed)
+        calls = []
+        loop = tokenizer._char_tokens
+        monkeypatch.setattr(tokenizer, "_char_tokens",
+                            lambda text: calls.append(text) or loop(text))
+        # the regex alone would keep ½ and ⅲ and split 1.²
+        assert tokenizer._TOKEN.findall("lei ½ x² ⅲ 1.²") == ["lei", "½", "x²", "ⅲ", "1", "²"]
+        assert tokenize("Lei ½ x² Ⅲ 1.²") == ["lei", "x²", "1.²"]
+        assert tokenize("𝟏.𝟐 Kapitel") == ["𝟏.𝟐", "kapitel"]  # NFC keeps them astral
+        assert tokenize("recurso extraordinário 8.112/90") == [
+            "recurso", "extraordinário", "8.112/90"]
+        assert len(calls) == 2
+
+    def test_import_and_ascii_text_build_no_code_point_table(self):
+        probe = ("import lexseq\n"
+                 "from lexseq import tokenizer\n"
+                 "assert tokenizer._loop_only.cache_info().currsize == 0\n"
+                 "assert lexseq.tokenize('Lei 8.112/90') == ['lei', '8.112/90']\n"
+                 "assert tokenizer._loop_only.cache_info().currsize == 0\n"
+                 "lexseq.tokenize('ação')\n"
+                 "assert tokenizer._loop_only.cache_info().currsize == 1\n")
+        src = str(Path(tokenizer.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", probe], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     @given(st.text(alphabet=st.one_of(
         st.sampled_from("0123456789./-²³½Ⅲ\u0301\u0303\u0327İΣσςaceo ٣３"),
@@ -256,6 +311,74 @@ class TestVocabularyFile:
         # the kept digest is not part of equality or the hash
         twin = build_vocabulary(iter(["a", "b", "a"]), cap=5)
         assert twin == vocab and hash(twin) == hash(vocab)
+
+
+# str.isspace accepts each of these, the separators too.
+WHITESPACE = [" ", "\t", "\n", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+              "\xa0", "\u1680", "\u2000", "\u2028", "\u2029", "\u3000"]
+# Of those, the ones that split neither lines nor fields of a vocabulary file.
+WHITESPACE_IN_A_FIELD = [" ", "\x1f", "\xa0", "\u1680", "\u2000", "\u3000"]
+
+
+class TestVocabularyRules:
+    """Each table rule rejects with its own message: built directly, as a
+    ValueError; loaded, as a DataError that names the file."""
+
+    @pytest.mark.parametrize("entries, cap, message", [
+        ((("a", 2), ("b", 1)), 1, "vocabulary exceeds its cap"),
+        ((("a", 2), ("", 1)), 5, "empty token in vocabulary"),
+        ((("a", 2), ("b", 1), ("a", 1)), 5, "duplicate token 'a' in vocabulary"),
+        ((("a", 1), ("b", 2)), 5, "vocabulary frequencies must be non-increasing"),
+        # the first entry that breaks a rule is named, whatever follows
+        ((("a", 1), ("b", 2), ("", 1)), 5,
+         "vocabulary frequencies must be non-increasing"),
+        ((("a", 3), ("a b", 2), ("a b", 1)), 5, "token 'a b' contains whitespace"),
+        ((("a", 3), ("a", 2), ("", 1)), 5, "duplicate token 'a' in vocabulary"),
+    ], ids=["cap", "empty", "duplicate", "rising", "rising-first", "space-first",
+            "duplicate-first"])
+    def test_rejection(self, entries, cap, message):
+        with pytest.raises(ValueError) as excinfo:
+            tokenizer.Vocabulary(entries=entries, cap=cap)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+    def test_whitespace_anywhere_in_a_token(self, space):
+        for token in (f"a{space}b", space, f"{space}a", f"a{space}"):
+            with pytest.raises(ValueError) as excinfo:
+                tokenizer.Vocabulary(entries=(("x", 2), (token, 1)), cap=5)
+            assert str(excinfo.value) == f"token {token!r} contains whitespace"
+
+    def test_a_valid_table_indexes_every_token(self):
+        vocab = tokenizer.Vocabulary(entries=(("b", 3), ("a", 3), ("c", 1)), cap=3)
+        assert [vocab.id_of(t) for t in "abcd"] == [3, 2, 4, OOV_ID]
+        assert tokenizer.Vocabulary(entries=(), cap=1).id_count == 2
+
+    @pytest.mark.parametrize("body, message", [
+        ("#vocab v1 size=2 cap=1\na\t2\t2\nb\t3\t1\n", ": vocabulary exceeds its cap"),
+        ("#vocab v1 size=2 cap=5\na\t2\t2\n\t3\t1\n", ": empty token in vocabulary"),
+        ("#vocab v1 size=2 cap=5\na\t2\t2\na\t3\t1\n", ":3: duplicate token 'a'"),
+        ("#vocab v1 size=2 cap=5\na\t2\t1\nb\t3\t2\n",
+         ": vocabulary frequencies must be non-increasing"),
+    ], ids=["cap", "empty", "duplicate", "rising"])
+    def test_loaded_rejection_names_the_file(self, tmp_path, body, message):
+        path = tmp_path / "vocab.txt"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            load_vocabulary(path)
+        assert str(excinfo.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+    def test_loaded_whitespace_names_the_file(self, tmp_path, space):
+        path = tmp_path / "vocab.txt"
+        path.write_text(f"#vocab v1 size=2 cap=5\na\t2\t2\nb{space}c\t3\t1\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            load_vocabulary(path)
+        if space in WHITESPACE_IN_A_FIELD:
+            expected = f"{path}: token {'b' + space + 'c'!r} contains whitespace"
+        else:  # a line or field separator breaks the row first
+            expected = f"{path}:3: expected token<TAB>id<TAB>frequency"
+        assert str(excinfo.value) == expected
 
 
 @pytest.fixture(scope="module")
