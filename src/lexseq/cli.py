@@ -56,14 +56,20 @@ def _int_at_least(low: int):
     return parse
 
 
-def _finite_positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+def _float_where(accept, expected: str):
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_finite_positive = _float_where(lambda v: 0 < v < math.inf, "a finite number > 0")
+_fraction = _float_where(lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
 def _build_parser() -> _Parser:
@@ -78,8 +84,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--id", dest="doc_id", default=None,
                    help="document id (default: manifest file stem)")
     p.add_argument("--token-target", type=_int_at_least(1), default=1000)
-    p.add_argument("--min-wordlike-ratio", type=float, default=0.70)
-    p.add_argument("--min-chars", type=int, default=50)
+    p.add_argument("--min-wordlike-ratio", type=_fraction, default=0.70)
+    p.add_argument("--min-chars", type=_int_at_least(0), default=50)
     p.add_argument("--no-lowercase", action="store_true")
 
     p = sub.add_parser("build-vocab", help="build a capped vocabulary")
@@ -91,7 +97,8 @@ def _build_parser() -> _Parser:
                         "deterministic train partition of DATA")
     p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--ratios", type=_ratios, default=corpus.DEFAULT_RATIOS)
-    p.add_argument("--no-lowercase", action="store_true")
+    p.add_argument("--no-lowercase", action="store_true",
+                   help="keep case; recorded in the vocabulary file")
 
     p = sub.add_parser("train", help="train a classifier")
     p.add_argument("data", help="full labeled dataset JSONL (split internally)")
@@ -109,7 +116,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--activation", choices=ACTIVATIONS, default="relu")
     p.add_argument("--clip-norm", type=_finite_positive, default=None)
     p.add_argument("--history", default=None, help="write per-epoch JSON records")
-    p.add_argument("--no-lowercase", action="store_true")
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on labeled data")
     p.add_argument("checkpoint")
@@ -117,13 +123,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("-o", "--output", required=True, help="report JSON path")
     p.add_argument("--matrix-csv", default=None, help="also export the confusion matrix")
-    p.add_argument("--no-lowercase", action="store_true")
 
     p = sub.add_parser("predict", help="emit per-document predictions to stdout")
     p.add_argument("checkpoint")
     p.add_argument("data")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--no-lowercase", action="store_true")
     return parser
 
 
@@ -141,16 +145,14 @@ def _require_output_dirs(*paths: str) -> None:
 
 
 def _cmd_extract(args) -> int:
+    try:
+        backend = extraction.ocr_command_backend(args.ocr_cmd)
+    except ValueError as exc:
+        raise _UsageError(f"--ocr-cmd: {exc}") from None
+    gate = extraction.QualityGateConfig(args.min_wordlike_ratio, args.min_chars)
     _require_files(args.manifest)
     _require_output_dirs(args.output)
     pages = extraction.load_page_manifest(args.manifest)
-    try:
-        backend = extraction.ocr_command_backend(args.ocr_cmd)
-        gate = extraction.QualityGateConfig(
-            min_wordlike_ratio=args.min_wordlike_ratio, min_chars=args.min_chars
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
     result = extraction.extract_text(
         pages, backend, gate,
         token_target=args.token_target,
@@ -182,9 +184,9 @@ def _cmd_build_vocab(args) -> int:
         docs = corpus.load_dataset(args.data, None)
         texts = (doc.text for doc in docs)
         scope = f"all {len(docs)} docs"
-    vocab = tokenizer.build_vocabulary(
-        tokenizer.iter_tokens(texts, not args.no_lowercase), cap=args.cap
-    )
+    lowercase = not args.no_lowercase
+    vocab = tokenizer.build_vocabulary(tokenizer.iter_tokens(texts, lowercase),
+                                       cap=args.cap, lowercase=lowercase)
     tokenizer.save_vocabulary(vocab, args.output)
     print(f"vocabulary: {len(vocab)} entries (cap {args.cap}) from {scope}",
           file=sys.stderr)
@@ -198,24 +200,22 @@ def _cmd_train(args) -> int:
     docs = corpus.load_dataset(args.data, labels)
     split = corpus.stratified_split(docs, args.ratios, args.seed)
     vocab = tokenizer.load_vocabulary(args.vocab)
-    try:
-        dims = ModelDims(
-            vocab_rows=vocab.id_count,
-            embed_dim=args.embed,
-            hidden=args.hidden,
-            classes=labels.size,
-            max_len=args.max_len,
-        )
-        config = trainer.TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch,
-            learning_rate=args.lr,
-            seed=args.seed,
-            checkpoint_path=args.output,
-            clip_norm=args.clip_norm,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    # The parser has checked every value, and the loaders every file.
+    dims = ModelDims(
+        vocab_rows=vocab.id_count,
+        embed_dim=args.embed,
+        hidden=args.hidden,
+        classes=labels.size,
+        max_len=args.max_len,
+    )
+    config = trainer.TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        learning_rate=args.lr,
+        seed=args.seed,
+        checkpoint_path=args.output,
+        clip_norm=args.clip_norm,
+    )
     model = init_parameters(
         dims, args.seed,
         labels=labels.labels,
@@ -238,8 +238,7 @@ def _cmd_train(args) -> int:
             file=sys.stderr,
         )
 
-    _, history = trainer.train(model, split, vocab, config,
-                               lowercase=not args.no_lowercase, on_epoch=log_epoch)
+    _, history = trainer.train(model, split, vocab, config, on_epoch=log_epoch)
     if args.history:
         history.save_json(args.history)
     return 0
@@ -257,7 +256,7 @@ def _cmd_evaluate(args) -> int:
     model, vocab = _load_model_and_vocab(args)
     labels = corpus.LabelSet(model.labels)
     docs = corpus.load_dataset(args.data, labels)
-    report = trainer.evaluate(model, docs, vocab, lowercase=not args.no_lowercase)
+    report = trainer.evaluate(model, docs, vocab)
     report.save_json(args.output)
     if args.matrix_csv:
         report.save_matrix_csv(args.matrix_csv)
@@ -272,8 +271,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     model, vocab = _load_model_and_vocab(args)
     docs = corpus.load_dataset(args.data, None)
-    sequences = [trainer.encode_document(doc, vocab, model.dims.max_len,
-                                         not args.no_lowercase) for doc in docs]
+    sequences = [trainer.encode_document(doc, vocab, model.dims.max_len)
+                 for doc in docs]
     probs_list = trainer.map_forward(model, sequences, [doc.id for doc in docs])
     for doc, probs in zip(docs, probs_list):
         record = {

@@ -7,12 +7,11 @@ Labels files are plain UTF-8, one label per line, order significant.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, utf8_lines
+from .errors import DataError, json_lines, utf8_lines
 from .rng import SplitMix64
 
 # Default 6-class label order used by the reference configuration.
@@ -89,15 +88,7 @@ def load_dataset(path: str | Path, labels: LabelSet | None) -> list[Document]:
     """
     docs: list[Document] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(utf8_lines(path), start=1):
-        stripped = line.strip()
-        if not stripped:
-            raise DataError(f"{path}:{lineno}: blank line in dataset")
-        try:
-            raw = json.loads(stripped)
-        except (ValueError, RecursionError) as exc:  # too long an int, too deep
-            raise DataError(f"{path}:{lineno}: malformed JSON: "
-                            f"{getattr(exc, 'msg', exc)}") from None
+    for lineno, raw in json_lines(path, "dataset"):
         if not isinstance(raw, dict):
             raise DataError(f"{path}:{lineno}: line is not a JSON object")
         doc_id = raw.get("id")

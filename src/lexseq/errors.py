@@ -6,6 +6,7 @@ records, checkpoints) is distinct from numeric/runtime failures.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterator
 
@@ -43,3 +44,19 @@ def utf8_lines(path: str | Path) -> Iterator[str]:
             raise DataError(f"{path}:{line}: not UTF-8 text (byte {exc.start}: "
                             f"{exc.reason})") from None
         raise
+
+
+def json_lines(path: str | Path, kind: str) -> Iterator[tuple[int, object]]:
+    """``(lineno, value)`` for each line of a UTF-8 JSON Lines ``kind`` file.
+    A blank line, or one the parser refuses (too long an int or too deep
+    included), raises a DataError naming the file and line."""
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped:
+            raise DataError(f"{path}:{lineno}: blank line in {kind}")
+        try:
+            value = json.loads(stripped)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed JSON: "
+                            f"{getattr(exc, 'msg', exc)}") from None
+        yield lineno, value

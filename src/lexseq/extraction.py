@@ -9,7 +9,6 @@ accumulated token count covers the target window.
 
 from __future__ import annotations
 
-import json
 import re
 import shlex
 import subprocess
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import DataError, OcrError, utf8_lines
+from .errors import DataError, OcrError, json_lines
 from .tokenizer import tokenize
 
 # A token counts as wordlike when it contains two consecutive letters.
@@ -167,15 +166,7 @@ def ocr_command_backend(command_template: str) -> OcrBackend:
 def load_page_manifest(path: str | Path) -> list[PageRecord]:
     """Read one document's page manifest (JSON Lines: page, text, image)."""
     pages: list[PageRecord] = []
-    for lineno, line in enumerate(utf8_lines(path), start=1):
-        stripped = line.strip()
-        if not stripped:
-            raise DataError(f"{path}:{lineno}: blank line in manifest")
-        try:
-            raw = json.loads(stripped)
-        except (ValueError, RecursionError) as exc:  # too long an int, too deep
-            raise DataError(f"{path}:{lineno}: malformed JSON: "
-                            f"{getattr(exc, 'msg', exc)}") from None
+    for lineno, raw in json_lines(path, "manifest"):
         if not isinstance(raw, dict) or type(raw.get("page")) is not int:  # bool is an int
             raise DataError(f"{path}:{lineno}: expected an object with integer 'page'")
         text, image = raw.get("text"), raw.get("image")

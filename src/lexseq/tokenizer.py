@@ -17,9 +17,9 @@ the loop, so both paths give the same tokens. ASCII text holds neither;
 other text is checked with one search of a class of the BMP's No/Nl
 code points, built on the first non-ASCII text, not at import.
 
-The module holds no settings of its own: ``lowercase`` is an argument
-of every text function, and ``encode`` takes the window ``max_len``
-from its caller, which reads it from the model (``ModelDims.max_len``).
+Lowercasing is the vocabulary's (``Vocabulary.lowercase``, kept in its
+file), and ``encode`` takes the window ``max_len`` from its caller,
+which reads it from the model (``ModelDims.max_len``).
 """
 
 from __future__ import annotations
@@ -107,10 +107,12 @@ def _char_tokens(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Frequency-ranked token table. Entry k has id k + 2."""
+    """Frequency-ranked token table. Entry k has id k + 2. ``lowercase``
+    is how its texts were tokenized, and how text is tokenized for it."""
 
     entries: tuple[tuple[str, int], ...]
     cap: int
+    lowercase: bool = True
     _index: dict = field(init=False, repr=False, compare=False)
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -167,8 +169,10 @@ def _raise_first_fault(entries: tuple[tuple[str, int], ...]) -> None:
         seen.add(token)
 
 
-def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000) -> Vocabulary:
+def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000,
+                     lowercase: bool = True) -> Vocabulary:
     """Count the stream and keep the ``cap`` most frequent tokens.
+    ``lowercase`` records how the stream was tokenized.
 
     Ties are broken by first occurrence in the stream; kept order
     defines the id assignment. The stream is consumed once.
@@ -182,7 +186,7 @@ def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000) -> Vocabul
     if not counts:
         raise DataError("cannot build a vocabulary from an empty token stream")
     ranked = sorted(counts.items(), key=itemgetter(1), reverse=True)
-    return Vocabulary(entries=tuple(ranked[:cap]), cap=cap)
+    return Vocabulary(entries=tuple(ranked[:cap]), cap=cap, lowercase=lowercase)
 
 
 @dataclass(frozen=True)
@@ -209,13 +213,14 @@ def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> EncodedSequenc
     return EncodedSequence(ids=ids, length=len(kept))
 
 
-def encode_text(text: str, vocab: Vocabulary, max_len: int,
-                lowercase: bool = True) -> EncodedSequence:
-    return encode(tokenize(text, lowercase), vocab, max_len)
+def encode_text(text: str, vocab: Vocabulary, max_len: int) -> EncodedSequence:
+    return encode(tokenize(text, vocab.lowercase), vocab, max_len)
 
 
 def _render(vocab: Vocabulary) -> str:
-    lines = [f"{_VOCAB_MAGIC} size={len(vocab.entries)} cap={vocab.cap}"]
+    # A lowercase vocabulary has no key, so its bytes and digest predate it.
+    casing = "" if vocab.lowercase else " lowercase=false"
+    lines = [f"{_VOCAB_MAGIC} size={len(vocab.entries)} cap={vocab.cap}{casing}"]
     for pos, (token, freq) in enumerate(vocab.entries):
         lines.append(f"{token}\t{pos + 2}\t{freq}")
     return "\n".join(lines) + "\n"
@@ -233,14 +238,14 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     header = lines[0]
     if not header.startswith(_VOCAB_MAGIC + " "):
         raise DataError(f"{path}: unsupported vocabulary version: {header!r}")
-    fields = dict(
-        part.split("=", 1) for part in header[len(_VOCAB_MAGIC):].split() if "=" in part
-    )
+    fields = dict(part.partition("=")[::2] for part in header[len(_VOCAB_MAGIC):].split())
     try:
-        size = int(fields["size"])
-        cap = int(fields["cap"])
+        size = int(fields.pop("size"))
+        cap = int(fields.pop("cap"))
     except (KeyError, ValueError):
         raise DataError(f"{path}: malformed vocabulary header: {header!r}") from None
+    if fields not in ({}, {"lowercase": "false"}):  # the key of a case-preserving one
+        raise DataError(f"{path}: malformed vocabulary header: {header!r}")
 
     entries: list[tuple[str, int]] = []
     seen: set[str] = set()
@@ -267,8 +272,11 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         raise DataError(
             f"{path}: header declares size={size} but file has {len(entries)} rows"
         )
+    if not entries:
+        raise DataError(f"{path}: vocabulary has no tokens")
     try:
-        return Vocabulary(entries=tuple(entries), cap=cap)
+        return Vocabulary(entries=tuple(entries), cap=cap,
+                          lowercase="lowercase" not in fields)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 

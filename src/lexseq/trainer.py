@@ -160,14 +160,9 @@ def adam_update(
     return model, state
 
 
-def encode_document(
-    doc: Document,
-    vocab: Vocabulary,
-    max_len: int,
-    lowercase: bool = True,
-) -> EncodedSequence:
+def encode_document(doc: Document, vocab: Vocabulary, max_len: int) -> EncodedSequence:
     """Encode one document; one with no tokens is a DataError naming it."""
-    seq = encode_text(doc.text, vocab, max_len, lowercase)
+    seq = encode_text(doc.text, vocab, max_len)
     if seq.length == 0:
         raise DataError(f"document {doc.id!r}: empty sequence (no tokens)")
     return seq
@@ -177,13 +172,12 @@ def _encode_labeled(
     docs: Sequence[Document],
     vocab: Vocabulary,
     max_len: int,
-    lowercase: bool,
 ) -> tuple[list[EncodedSequence], list[int], list[str]]:
     sequences, targets = [], []
     for doc in docs:
         if doc.label is None:
             raise DataError(f"document {doc.id!r} is unlabeled")
-        sequences.append(encode_document(doc, vocab, max_len, lowercase))
+        sequences.append(encode_document(doc, vocab, max_len))
         targets.append(doc.label)
     return sequences, targets, [doc.id for doc in docs]
 
@@ -235,7 +229,6 @@ def train(
     split: SplitDataset,
     vocab: Vocabulary,
     config: TrainConfig,
-    lowercase: bool = True,
     on_epoch: Callable[[EpochRecord], None] | None = None,
 ) -> tuple[BiLstmClassifier, TrainHistory]:
     """Run the full training loop on documents encoded to the model's
@@ -251,7 +244,7 @@ def train(
     """
     if not split.train:
         raise DataError("train partition is empty")
-    encoding = (vocab, model.dims.max_len, lowercase)
+    encoding = (vocab, model.dims.max_len)
     train_seqs, train_targets, train_ids = _encode_labeled(split.train, *encoding)
     val_seqs, val_targets, val_ids = _encode_labeled(split.validation, *encoding)
 
@@ -321,15 +314,13 @@ def evaluate(
     model: BiLstmClassifier,
     docs: Sequence[Document],
     vocab: Vocabulary,
-    lowercase: bool = True,
 ) -> EvaluationReport:
     """tokenize -> encode to the model's window -> forward -> argmax per
     document, then the full metrics report. Argmax ties resolve to the
     lowest class index."""
     if not docs:
         raise DataError("cannot evaluate an empty document list")
-    sequences, targets, doc_ids = _encode_labeled(docs, vocab, model.dims.max_len,
-                                                  lowercase)
+    sequences, targets, doc_ids = _encode_labeled(docs, vocab, model.dims.max_len)
     probs_list = map_forward(model, sequences, doc_ids)
     pairs = [
         (target, int(np.argmax(probs)))

@@ -8,9 +8,10 @@ from jsonschema import validate
 from conftest import SYNTH_LABELS, make_synthetic_corpus, save_dataset
 
 from lexseq import cli, nn
-from lexseq.corpus import LabelSet, load_dataset, stratified_split
-from lexseq.tokenizer import build_vocabulary, iter_tokens, save_vocabulary
-from lexseq.trainer import load_checkpoint, save_checkpoint
+from lexseq.corpus import Document, LabelSet, load_dataset, stratified_split
+from lexseq.tokenizer import (OOV_ID, build_vocabulary, iter_tokens, load_vocabulary,
+                              save_vocabulary)
+from lexseq.trainer import encode_document, load_checkpoint, save_checkpoint
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -393,7 +394,6 @@ class TestBuildVocab:
         expected = build_vocabulary(
             iter_tokens(d.text for d in split.train), cap=1000
         )
-        from lexseq.tokenizer import load_vocabulary
         assert load_vocabulary(out) == expected
 
     def test_output_is_reproducible(self, workspace, tmp_path):
@@ -402,6 +402,77 @@ class TestBuildVocab:
             assert cli.run(["build-vocab", str(workspace["data"]), "--cap", "50",
                             "-o", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCasing:
+    """build-vocab decides lowercasing and the vocabulary file records it;
+    train, evaluate and predict read it from there."""
+
+    @staticmethod
+    def build_vocab(workspace, out, transform, *flags):
+        """The workspace corpus with ``transform`` applied to every text,
+        and the vocabulary build-vocab makes of it."""
+        out.mkdir()
+        docs = [Document(d.id, transform(d.text), d.label) for d in workspace["docs"]]
+        data, vocab = out / "data.jsonl", out / "vocab.txt"
+        save_dataset(docs, LabelSet(SYNTH_LABELS), data)
+        assert cli.run(["build-vocab", str(data), *flags, "-o", str(vocab)]) == 0
+        return docs, data, vocab
+
+    def test_case_preserving_vocabulary_is_read_without_a_flag(self, workspace,
+                                                               tmp_path):
+        docs, _, path = self.build_vocab(workspace, tmp_path / "upper", str.upper,
+                                         "--no-lowercase")
+        vocab = load_vocabulary(path)
+        assert vocab.lowercase is False
+        assert vocab.entries[0][0].isupper()
+        for doc in docs:
+            seq = encode_document(doc, vocab, 40)
+            assert OOV_ID not in seq.ids[:seq.length].tolist()
+
+    def test_upper_case_pipeline_equals_the_lowercase_one(self, workspace, tmp_path,
+                                                          capsys):
+        # The corpus is lowercase ASCII, so its upper-case twin built with
+        # --no-lowercase has the same table up to case, and the same model.
+        outputs = []
+        for name, transform, flags in (("upper", str.upper, ["--no-lowercase"]),
+                                       ("lower", str, [])):
+            out = tmp_path / name
+            _, data, vocab = self.build_vocab(workspace, out, transform, *flags)
+            ckpt = out / "model.ckpt"
+            assert cli.run(["train", str(data), "--labels", str(workspace["labels"]),
+                            "--vocab", str(vocab), "--epochs", "2", "--batch", "8",
+                            "--lr", "0.01", "--embed", "8", "--hidden", "6",
+                            "--max-len", "40", "-o", str(ckpt)]) == 0
+            assert cli.run(["evaluate", str(ckpt), str(data), "--vocab", str(vocab),
+                            "-o", str(out / "report.json")]) == 0
+            assert cli.run(["predict", str(ckpt), str(data), "--vocab", str(vocab)]) == 0
+            outputs.append(((out / "report.json").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["accuracy"] > 1 / 6
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_only_build_vocab_and_extract_take_the_flag(self, workspace, tmp_path,
+                                                        capsys, command):
+        inputs = [str(workspace["ckpt"]), str(workspace["data"]),
+                  "--vocab", str(workspace["vocab_path"])]
+        args = {"train": train_args(workspace, "-o", str(tmp_path / "x.ckpt")),
+                "evaluate": ["evaluate", *inputs, "-o", str(tmp_path / "r.json")],
+                "predict": ["predict", *inputs]}[command]
+        assert cli.run([*args, "--no-lowercase"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --no-lowercase" in err
+        assert_one_diagnostic(err)
+
+    def test_vocabulary_without_tokens_is_data_error(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("#vocab v1 size=0 cap=5\n", encoding="utf-8")
+        args = train_args(workspace, "-o", str(tmp_path / "x.ckpt"))
+        args[args.index("--vocab") + 1] = str(empty)
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        assert f"{empty}: vocabulary has no tokens" in err
+        assert_one_diagnostic(err)
 
 
 class TestExtractCommand:
@@ -441,6 +512,19 @@ class TestExtractCommand:
         code = cli.run(["extract", str(manifest), "--ocr-cmd", "tesseract",
                         "-o", str(tmp_path / "o.jsonl")])
         assert code == 1
+
+    @pytest.mark.parametrize("option, value", [
+        ("--min-chars", "-1"), ("--min-wordlike-ratio", "2"),
+        ("--min-wordlike-ratio", "nan"), ("--ocr-cmd", "tesseract"),
+    ])
+    def test_bad_option_is_reported_before_the_manifest_is_read(
+            self, tmp_path, capsys, option, value):
+        args = ["extract", str(tmp_path / "missing.jsonl"), "--ocr-cmd", "true {input}",
+                "-o", str(tmp_path / "o.jsonl")]
+        assert cli.run([*args, option, value]) == 1
+        err = capsys.readouterr().err
+        assert option in err and "does not exist" not in err
+        assert_one_diagnostic(err)
 
 
 class TestTrainCommand:

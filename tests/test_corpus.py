@@ -70,6 +70,20 @@ class TestLoadDataset:
         path.write_text("", encoding="utf-8")
         assert load_dataset(path, LabelSet.default()) == []
 
+    @pytest.mark.parametrize("body, message", [
+        ('{"id": "a", "text": "t"}\n\n', ":2: blank line in dataset"),
+        ('{"id": "a", "text": "t"}\n  \t\n', ":2: blank line in dataset"),
+        ('{"id": "a", "text": "t"}\n{oops\n',
+         ":2: malformed JSON: Expecting property name enclosed in double quotes"),
+        ('{"id": "a", "text": "t"}\n[1] x\n', ":2: malformed JSON: Extra data"),
+    ], ids=["empty", "spaces", "bad-key", "extra-data"])
+    def test_line_faults_are_named_word_for_word(self, tmp_path, body, message):
+        path = tmp_path / "lines.jsonl"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path, None)
+        assert str(excinfo.value) == f"{path}{message}"
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a", "text": "t"}\n{oops\n', encoding="utf-8")

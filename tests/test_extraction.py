@@ -231,6 +231,20 @@ class TestPageManifest:
         with pytest.raises(DataError, match=":1: 'text' and 'image' must be strings"):
             load_page_manifest(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ('{"page": 1, "text": "t"}\n\n', ":2: blank line in manifest"),
+        ('{"page": 1, "text": "t"}\n  \t\n', ":2: blank line in manifest"),
+        ('{"page": 1, "text": "t"}\n{oops\n',
+         ":2: malformed JSON: Expecting property name enclosed in double quotes"),
+        ('{"page": 1, "text": "t"}\n[1] x\n', ":2: malformed JSON: Extra data"),
+    ], ids=["empty", "spaces", "bad-key", "extra-data"])
+    def test_line_faults_are_named_word_for_word(self, tmp_path, body, message):
+        path = tmp_path / "lines.jsonl"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            load_page_manifest(path)
+        assert str(excinfo.value) == f"{path}{message}"
+
     @pytest.mark.parametrize("line", [
         '{"page": ' + "1" * 5000 + ', "text": "t"}',
         "[" * 100_000,

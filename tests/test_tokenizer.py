@@ -20,6 +20,8 @@ from lexseq.tokenizer import (
     PAD_ID,
     build_vocabulary,
     encode,
+    encode_text,
+    iter_tokens,
     load_vocabulary,
     save_vocabulary,
     tokenize,
@@ -248,6 +250,14 @@ class TestEncode:
         npt.assert_array_equal(seq.ids, expected)
         assert seq.length == min(len(tokens), max_len)
 
+    def test_encode_text_tokenizes_with_the_vocabulary_casing(self):
+        lower = build_vocabulary(iter_tokens(["Recurso lei"]), cap=5)
+        kept = build_vocabulary(iter_tokens(["Recurso lei"], lowercase=False), cap=5,
+                                lowercase=False)
+        assert [t for t, _ in kept.entries] == ["Recurso", "lei"]
+        assert encode_text("Recurso LEI", lower, 4).ids.tolist() == [2, 3, 0, 0]
+        assert encode_text("Recurso LEI", kept, 4).ids.tolist() == [2, OOV_ID, 0, 0]
+
     def test_no_pad_before_nonpad(self):
         vocab = build_vocabulary(iter("abc"), cap=10)
         seq = encode(list("cab"), vocab, 8)
@@ -268,6 +278,56 @@ class TestVocabularyFile:
         loaded = load_vocabulary(path)
         assert loaded == vocab
         assert loaded.digest() == vocab.digest()
+
+    def test_lowercase_rendering_is_pinned(self):
+        # the bytes and digest of every lowercase vocabulary predate the casing key
+        vocab = tokenizer.Vocabulary((("recurso", 3), ("lei", 1)), cap=5)
+        assert tokenizer._render(vocab) == (
+            "#vocab v1 size=2 cap=5\nrecurso\t2\t3\nlei\t3\t1\n")
+        assert vocab.digest() == (
+            "6f96c5d7684dcabc14ace10adf7dd0def4441e613421edcac1c38ceb4a4cac4a")
+
+    def test_file_without_casing_key_is_lowercase(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#vocab v1 size=1 cap=5\nrecurso\t2\t3\n", encoding="utf-8")
+        assert load_vocabulary(path).lowercase is True
+
+    def test_case_preserving_roundtrip(self, tmp_path):
+        vocab = build_vocabulary(iter(["Recurso", "Recurso", "lei"]), cap=5,
+                                 lowercase=False)
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == (
+            "#vocab v1 size=2 cap=5 lowercase=false\nRecurso\t2\t2\nlei\t3\t1\n")
+        loaded = load_vocabulary(path)
+        assert loaded == vocab and loaded.lowercase is False
+        assert loaded.digest() == vocab.digest()
+        twin = tokenizer.Vocabulary(entries=vocab.entries, cap=vocab.cap)
+        assert twin != vocab
+        assert twin.digest() != vocab.digest()
+
+    @pytest.mark.parametrize("key", [
+        "lowercase=true", "lowercase=False", "lowercase=0", "lowercase=",
+        "lowercase=false,", "Lowercase=false", "lowercase", "lowercase = false",
+        "lowercase=false lowercase=1", "case=false"])
+    def test_bad_casing_key_rejected(self, tmp_path, key):
+        path = tmp_path / "vocab.txt"
+        header = f"#vocab v1 size=1 cap=5 {key}"
+        path.write_text(f"{header}\na\t2\t1\n", encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            load_vocabulary(path)
+        assert str(excinfo.value) == f"{path}: malformed vocabulary header: {header!r}"
+
+    @pytest.mark.parametrize("header", ["#vocab v1 size=0 cap=5",
+                                        "#vocab v1 size=0 cap=5 lowercase=false"],
+                             ids=["lowercase", "case-preserving"])
+    def test_file_without_tokens_rejected(self, tmp_path, header):
+        path = tmp_path / "vocab.txt"
+        path.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            load_vocabulary(path)
+        assert str(excinfo.value) == f"{path}: vocabulary has no tokens"
 
     def test_noncontiguous_ids_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -398,6 +458,14 @@ class TestVocabularyFileFuzz:
     def test_every_truncation_and_bit_flip(self, vocabulary_file):
         blob, path = vocabulary_file
         check_every_truncation_and_bit_flip(load_vocabulary, path, blob)
+
+    def test_every_truncation_and_bit_flip_of_a_case_preserving_file(self, tmp_path):
+        vocab = build_vocabulary(iter(["Acórdão", "8.112/90", "RE", "RE", "lei"]),
+                                 cap=10, lowercase=False)
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        check_every_truncation_and_bit_flip(
+            load_vocabulary, path.with_name("variant.txt"), path.read_bytes())
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
