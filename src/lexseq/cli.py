@@ -8,6 +8,7 @@ or stdout.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -72,31 +73,41 @@ _finite_positive = _float_where(lambda v: 0 < v < math.inf, "a finite number > 0
 _fraction = _float_where(lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
+def _default(function, name: str):
+    """The default of ``function``'s parameter ``name``. Options read their
+    defaults from the library setting they set, here or as a dataclass's
+    class attribute, and do not restate them."""
+    return inspect.signature(function).parameters[name].default
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lexseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", parents=[], help="extract one document's text")
+    p = sub.add_parser("extract", help="extract one document's text")
     p.add_argument("manifest", help="page manifest (JSON Lines: page, text, image)")
     p.add_argument("--ocr-cmd", required=True,
                    help="OCR command template with an {input} placeholder")
     p.add_argument("-o", "--output", required=True, help="output dataset JSONL")
     p.add_argument("--id", dest="doc_id", default=None,
                    help="document id (default: manifest file stem)")
-    p.add_argument("--token-target", type=_int_at_least(1), default=1000)
-    p.add_argument("--min-wordlike-ratio", type=_fraction, default=0.70)
-    p.add_argument("--min-chars", type=_int_at_least(0), default=50)
-    p.add_argument("--no-lowercase", action="store_true")
+    p.add_argument("--token-target", type=_int_at_least(1),
+                   default=_default(extraction.extract_text, "token_target"))
+    gate = extraction.QualityGateConfig
+    p.add_argument("--min-wordlike-ratio", type=_fraction, default=gate.min_wordlike_ratio)
+    p.add_argument("--min-chars", type=_int_at_least(0), default=gate.min_chars)
 
     p = sub.add_parser("build-vocab", help="build a capped vocabulary")
     p.add_argument("data", help="training dataset JSONL")
-    p.add_argument("--cap", type=_int_at_least(1), default=100_000)
+    p.add_argument("--cap", type=_int_at_least(1),
+                   default=_default(tokenizer.build_vocabulary, "cap"))
     p.add_argument("-o", "--output", required=True, help="vocabulary file")
     p.add_argument("--labels", default=None,
-                   help="labels file; with --seed, restricts counting to the "
-                        "deterministic train partition of DATA")
+                   help="labels file; restricts counting to the train partition "
+                        "of DATA that train selects with the same --seed and --ratios")
+    # None: given without --labels is a usage error; with it, train's defaults
     p.add_argument("--seed", type=_int_at_least(0), default=None)
-    p.add_argument("--ratios", type=_ratios, default=corpus.DEFAULT_RATIOS)
+    p.add_argument("--ratios", type=_ratios, default=None)
     p.add_argument("--no-lowercase", action="store_true",
                    help="keep case; recorded in the vocabulary file")
 
@@ -104,16 +115,18 @@ def _build_parser() -> _Parser:
     p.add_argument("data", help="full labeled dataset JSONL (split internally)")
     p.add_argument("--labels", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--epochs", type=_int_at_least(1), default=20)
-    p.add_argument("--batch", type=_int_at_least(1), default=64)
-    p.add_argument("--lr", type=_finite_positive, default=0.001)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    config, dims = trainer.TrainConfig, ModelDims
+    p.add_argument("--epochs", type=_int_at_least(1), default=config.epochs)
+    p.add_argument("--batch", type=_int_at_least(1), default=config.batch_size)
+    p.add_argument("--lr", type=_finite_positive, default=config.learning_rate)
+    p.add_argument("--seed", type=_int_at_least(0), default=config.seed)
     p.add_argument("-o", "--output", required=True, help="checkpoint path")
     p.add_argument("--ratios", type=_ratios, default=corpus.DEFAULT_RATIOS)
-    p.add_argument("--embed", type=_int_at_least(1), default=100)
-    p.add_argument("--hidden", type=_int_at_least(1), default=200)
-    p.add_argument("--max-len", type=_int_at_least(1), default=1000)
-    p.add_argument("--activation", choices=ACTIVATIONS, default="relu")
+    p.add_argument("--embed", type=_int_at_least(1), default=dims.embed_dim)
+    p.add_argument("--hidden", type=_int_at_least(1), default=dims.hidden)
+    p.add_argument("--max-len", type=_int_at_least(1), default=dims.max_len)
+    p.add_argument("--activation", choices=ACTIVATIONS,
+                   default=_default(init_parameters, "activation"))
     p.add_argument("--clip-norm", type=_finite_positive, default=None)
     p.add_argument("--history", default=None, help="write per-epoch JSON records")
 
@@ -131,16 +144,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_files(*paths: str) -> None:
-    for path in paths:
-        if path is not None and not Path(path).exists():
-            raise DataError(f"input path does not exist: {path}")
-
-
 def _require_output_dirs(*paths: str) -> None:
-    """Checked before any work, so that a long run cannot end unwritten."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+    """Checked before any work, so that a long run cannot end unwritten.
+    Inputs are checked by their loaders, when each is opened."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise DataError(f"output path is a directory: {path}")
+        if not Path(path).parent.is_dir():
             raise DataError(f"output directory does not exist: {path}")
 
 
@@ -150,14 +160,9 @@ def _cmd_extract(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"--ocr-cmd: {exc}") from None
     gate = extraction.QualityGateConfig(args.min_wordlike_ratio, args.min_chars)
-    _require_files(args.manifest)
     _require_output_dirs(args.output)
     pages = extraction.load_page_manifest(args.manifest)
-    result = extraction.extract_text(
-        pages, backend, gate,
-        token_target=args.token_target,
-        lowercase=not args.no_lowercase,
-    )
+    result = extraction.extract_text(pages, backend, gate, token_target=args.token_target)
     doc_id = args.doc_id or Path(args.manifest).stem
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"id": doc_id, "text": result.text},
@@ -172,12 +177,15 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_build_vocab(args) -> int:
-    _require_files(args.data, args.labels)
+    for option, value in (("--seed", args.seed), ("--ratios", args.ratios)):
+        if value is not None and args.labels is None:
+            raise _UsageError(f"{option} needs --labels: it selects the train partition")
     _require_output_dirs(args.output)
-    if args.labels is not None and args.seed is not None:
+    if args.labels is not None:
         labels = corpus.LabelSet.from_file(args.labels)
         docs = corpus.load_dataset(args.data, labels)
-        split = corpus.stratified_split(docs, args.ratios, args.seed)
+        seed = trainer.TrainConfig.seed if args.seed is None else args.seed
+        split = corpus.stratified_split(docs, args.ratios or corpus.DEFAULT_RATIOS, seed)
         texts = (doc.text for doc in split.train)
         scope = f"train partition ({len(split.train)} of {len(docs)} docs)"
     else:
@@ -194,34 +202,19 @@ def _cmd_build_vocab(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _require_files(args.data, args.labels, args.vocab)
     _require_output_dirs(args.output, args.history)
     labels = corpus.LabelSet.from_file(args.labels)
     docs = corpus.load_dataset(args.data, labels)
     split = corpus.stratified_split(docs, args.ratios, args.seed)
     vocab = tokenizer.load_vocabulary(args.vocab)
     # The parser has checked every value, and the loaders every file.
-    dims = ModelDims(
-        vocab_rows=vocab.id_count,
-        embed_dim=args.embed,
-        hidden=args.hidden,
-        classes=labels.size,
-        max_len=args.max_len,
-    )
-    config = trainer.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        seed=args.seed,
-        checkpoint_path=args.output,
-        clip_norm=args.clip_norm,
-    )
-    model = init_parameters(
-        dims, args.seed,
-        labels=labels.labels,
-        vocab_digest=vocab.digest(),
-        activation=args.activation,
-    )
+    dims = ModelDims(vocab_rows=vocab.id_count, embed_dim=args.embed,
+                     hidden=args.hidden, classes=labels.size, max_len=args.max_len)
+    config = trainer.TrainConfig(epochs=args.epochs, batch_size=args.batch,
+                                 learning_rate=args.lr, seed=args.seed,
+                                 checkpoint_path=args.output, clip_norm=args.clip_norm)
+    model = init_parameters(dims, args.seed, labels=labels.labels,
+                            vocab_digest=vocab.digest(), activation=args.activation)
     print(
         f"training on {len(split.train)} docs "
         f"(val {len(split.validation)}, test {len(split.test)}), "
@@ -245,7 +238,6 @@ def _cmd_train(args) -> int:
 
 
 def _load_model_and_vocab(args):
-    _require_files(args.checkpoint, args.data, args.vocab)
     vocab = tokenizer.load_vocabulary(args.vocab)
     model, _ = trainer.load_checkpoint(args.checkpoint, vocab=vocab)
     return model, vocab

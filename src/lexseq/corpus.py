@@ -29,7 +29,7 @@ class LabelSet:
     def __post_init__(self):
         if len(self.labels) < 2:
             raise ValueError("a label set needs at least 2 labels")
-        if any(not lab for lab in self.labels):
+        if not all(isinstance(lab, str) and lab for lab in self.labels):
             raise ValueError("labels must be non-empty strings")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels in label set")
@@ -51,10 +51,10 @@ class LabelSet:
     @classmethod
     def from_file(cls, path: str | Path) -> "LabelSet":
         lines = "".join(utf8_lines(path)).splitlines()
-        labels = tuple(line.strip() for line in lines if line.strip())
-        if not labels:
-            raise DataError(f"labels file {path} is empty")
-        return cls(labels)
+        try:
+            return cls(tuple(line.strip() for line in lines if line.strip()))
+        except ValueError as exc:
+            raise DataError(f"labels file {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,6 @@ class SplitDataset:
     train: tuple[Document, ...]
     validation: tuple[Document, ...]
     test: tuple[Document, ...]
-    seed: int
-    ratios: tuple[float, float, float]
 
 
 def load_dataset(path: str | Path, labels: LabelSet | None) -> list[Document]:
@@ -152,11 +150,5 @@ def stratified_split(
         validation.extend(members[n_train:n_train + n_val])
         test.extend(members[n_train + n_val:])
 
-    return SplitDataset(
-        train=tuple(train),
-        validation=tuple(validation),
-        test=tuple(test),
-        seed=seed,
-        ratios=tuple(ratios),
-    )
+    return SplitDataset(tuple(train), tuple(validation), tuple(test))
 

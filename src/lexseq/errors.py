@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator
+from typing import IO, Iterator
 
 
 class LexseqError(Exception):
@@ -29,11 +29,22 @@ class OcrError(LexseqError):
     """External OCR command failed; carries the child process diagnostic."""
 
 
+def open_input(path: str | Path, mode: str = "r", **kwargs) -> IO:
+    """``open`` an input file for reading. A path that cannot be opened
+    (missing, a directory, unreadable) raises a DataError naming it."""
+    try:
+        return open(path, mode, **kwargs)
+    except FileNotFoundError:
+        raise DataError(f"input path does not exist: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read input path {path}: {exc.strerror}") from None
+
+
 def utf8_lines(path: str | Path) -> Iterator[str]:
     """The lines of a UTF-8 text file, as ``open`` yields them. Bytes
     that are not UTF-8 raise a DataError naming the file and their line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, encoding="utf-8") as fh:
             yield from fh
     except UnicodeDecodeError:
         data = Path(path).read_bytes()  # the reader's offset is chunk-relative

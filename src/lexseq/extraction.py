@@ -84,9 +84,9 @@ def extract_text(
     ocr: OcrBackend,
     gate: QualityGateConfig = QualityGateConfig(),
     token_target: int = 1000,
-    lowercase: bool = True,
 ) -> ExtractionResult:
-    """Process pages in order until the token target is covered.
+    """Process pages in order until the token target is covered, counting
+    tokens as :func:`~lexseq.tokenizer.tokenize` does.
 
     Per page: embedded text that passes the gate is accepted directly;
     otherwise the OCR backend runs on the page image. OCR output is
@@ -115,7 +115,7 @@ def extract_text(
             )
         chunks.append(page_text)
         pages_used.append((page.page_number, source))
-        token_count += len(tokenize(page_text, lowercase))
+        token_count += len(tokenize(page_text))
         if token_count >= token_target:
             complete = True
             break

@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Document, SplitDataset
-from .errors import DataError, NumericError
+from .corpus import Document, LabelSet, SplitDataset
+from .errors import DataError, NumericError, open_input
 from .metrics import EvaluationReport, evaluation_report
 from .nn import (
     ACTIVATIONS,
@@ -53,14 +53,17 @@ CHECKPOINT_FORMAT = 1
 # floats per token, 256 MB for 16 documents of 1000 tokens at hidden 200.
 GROUP_DOCS = 16
 
+# Adam's decay rates and denominator guard (Keras' values).
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-7
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 64
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
     seed: int = 0
     checkpoint_path: str | None = None
     clip_norm: float | None = None
@@ -74,10 +77,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and positive")
         if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
             raise ValueError("clip_norm must be finite and positive when set")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
 
 
 @dataclass
@@ -133,8 +132,8 @@ def adam_update(
     naming its tensor; the blocks before it have been updated.
     """
     state.t += 1
-    bc1 = 1.0 - config.beta1 ** state.t
-    bc2 = 1.0 - config.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     flats = (model.params.flat, grads.flat, state.m.flat, state.v.flat)
     step = np.empty(ADAM_BLOCK, grads.flat.dtype)
     denom = np.empty_like(step)
@@ -145,16 +144,16 @@ def adam_update(
         if not finite.all():
             name = grads.name_at(lo + int(np.argmin(finite)))
             raise NumericError(f"non-finite gradient for tensor {name}")
-        m *= config.beta1
-        m += np.multiply(1.0 - config.beta1, grad, out=s)
-        v *= config.beta2
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, grad, out=s)
+        v *= BETA2
         np.multiply(grad, grad, out=d)
-        v += np.multiply(1.0 - config.beta2, d, out=d)
+        v += np.multiply(1.0 - BETA2, d, out=d)
         np.divide(m, bc1, out=s)
         np.multiply(config.learning_rate, s, out=s)
         np.divide(v, bc2, out=d)
         np.sqrt(d, out=d)
-        d += config.epsilon
+        d += EPSILON
         s /= d
         param -= s
     return model, state
@@ -373,9 +372,9 @@ def load_checkpoint(
     """Read a checkpoint; round-trips are bit-identical per tensor.
 
     When a vocabulary is supplied its digest must match the one stored
-    in the header.
+    in the header. The header's labels must form a :class:`LabelSet`.
     """
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: bad magic; not a checkpoint file")
         line = fh.readline()
@@ -389,7 +388,9 @@ def load_checkpoint(
                 raise DataError(
                     f"{path}: unsupported checkpoint format {header.get('format')!r}")
             dims = ModelDims(**header["dims"])
-            labels = tuple(header["labels"])
+            if type(header["labels"]) is not list:
+                raise TypeError(f"labels {header['labels']!r} are not a list")
+            labels = LabelSet(tuple(header["labels"])).labels
             digest = header["vocab_digest"]
             activation = header["activation"]
             adam_t = header["adam_t"]

@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+import inspect
 import json
 import sys
 
@@ -7,7 +10,7 @@ from jsonschema import validate
 
 from conftest import SYNTH_LABELS, make_synthetic_corpus, save_dataset
 
-from lexseq import cli, nn
+from lexseq import cli, extraction, nn, trainer
 from lexseq.corpus import Document, LabelSet, load_dataset, stratified_split
 from lexseq.tokenizer import (OOV_ID, build_vocabulary, iter_tokens, load_vocabulary,
                               save_vocabulary)
@@ -93,6 +96,178 @@ def train_args(workspace, *extra):
     return ["train", str(workspace["data"]), "--labels", str(workspace["labels"]),
             "--vocab", str(workspace["vocab_path"]), "--epochs", "1",
             "--embed", "8", "--hidden", "6", "--max-len", "40", *extra]
+
+
+def command_args(workspace, tmp_path, command, **paths):
+    """Arguments that run ``command`` on the workspace. ``paths`` replaces
+    an input (data, labels, vocab, ckpt, manifest) or an output (out,
+    history, matrix_csv); the last two are passed only when given."""
+    manifest = tmp_path / "doc.jsonl"
+    manifest.write_text(json.dumps({"page": 1, "text": " ".join(["palavra"] * 50)})
+                        + "\n", encoding="utf-8")
+    p = {"data": workspace["data"], "labels": workspace["labels"],
+         "vocab": workspace["vocab_path"], "ckpt": workspace["ckpt"],
+         "manifest": manifest, "out": tmp_path / "out", **paths}
+    p = {key: str(value) for key, value in p.items()}
+    model_inputs = [p["ckpt"], p["data"], "--vocab", p["vocab"]]
+    args = {
+        "extract": ["extract", p["manifest"], "--ocr-cmd", "true {input}"],
+        "build-vocab": ["build-vocab", p["data"], "--labels", p["labels"]],
+        "train": ["train", p["data"], "--labels", p["labels"], "--vocab", p["vocab"],
+                  "--epochs", "1", "--embed", "8", "--hidden", "6", "--max-len", "40"],
+        "evaluate": ["evaluate", *model_inputs],
+        "predict": ["predict", *model_inputs],
+    }[command]
+    if command != "predict":
+        args += ["-o", p["out"]]
+    for key in ("history", "matrix_csv"):
+        if key in p:
+            args += [f"--{key.replace('_', '-')}", p[key]]
+    return args
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy the checkpoint ``src`` to ``dst`` with ``edit`` applied to its
+    JSON header."""
+    blob = src.read_bytes()
+    start = len(trainer.CHECKPOINT_MAGIC)
+    newline = blob.index(b"\n", start)
+    header = edit(json.loads(blob[start:newline]))
+    dst.write_bytes(blob[:start] + json.dumps(header).encode() + blob[newline:])
+
+
+class TestSettings:
+    """Every settable value, pinned, so that a new one is a reviewed change
+    here: 30 options and 13 config fields."""
+
+    OPTIONS = {
+        "extract": ["--ocr-cmd", "--output", "--id", "--token-target",
+                    "--min-wordlike-ratio", "--min-chars"],
+        "build-vocab": ["--cap", "--output", "--labels", "--seed", "--ratios",
+                        "--no-lowercase"],
+        "train": ["--labels", "--vocab", "--epochs", "--batch", "--lr", "--seed",
+                  "--output", "--ratios", "--embed", "--hidden", "--max-len",
+                  "--activation", "--clip-norm", "--history"],
+        "evaluate": ["--vocab", "--output", "--matrix-csv"],
+        "predict": ["--vocab"],
+    }
+    FIELDS = {
+        trainer.TrainConfig: ["epochs", "batch_size", "learning_rate", "seed",
+                              "checkpoint_path", "clip_norm"],
+        nn.ModelDims: ["vocab_rows", "embed_dim", "hidden", "classes", "max_len"],
+        extraction.QualityGateConfig: ["min_wordlike_ratio", "min_chars"],
+    }
+
+    @staticmethod
+    def parse(*argv):
+        return cli._build_parser().parse_args(argv)
+
+    def test_option_lists_are_pinned(self):
+        commands = next(action.choices for action in cli._build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        options = {name: [action.option_strings[-1] for action in sub._actions
+                          if action.option_strings and action.dest != "help"]
+                   for name, sub in commands.items()}
+        assert options == self.OPTIONS
+
+    def test_config_fields_are_pinned(self):
+        assert {owner: [f.name for f in dataclasses.fields(owner)]
+                for owner in self.FIELDS} == self.FIELDS
+
+    def test_defaults_are_the_library_defaults(self):
+        args = self.parse("train", "d", "--labels", "l", "--vocab", "v", "-o", "o")
+        config, dims = trainer.TrainConfig(), nn.ModelDims(vocab_rows=3)
+        assert ((args.epochs, args.batch, args.lr, args.seed)
+                == (config.epochs, config.batch_size, config.learning_rate, config.seed))
+        assert ((args.embed, args.hidden, args.max_len)
+                == (dims.embed_dim, dims.hidden, dims.max_len))
+        assert args.activation == nn.init_parameters(dims, 0).activation
+        args = self.parse("build-vocab", "d", "-o", "o")
+        assert args.cap == build_vocabulary(iter(["lei"])).cap
+        args = self.parse("extract", "m", "--ocr-cmd", "c", "-o", "o")
+        gate = extraction.QualityGateConfig()
+        assert ((args.min_wordlike_ratio, args.min_chars)
+                == (gate.min_wordlike_ratio, gate.min_chars))
+        signature = inspect.signature(extraction.extract_text)
+        assert args.token_target == signature.parameters["token_target"].default
+
+
+class TestInputChecks:
+    """Each input is checked by its loader when it is opened: one that
+    cannot be opened is a data error naming it, never a traceback."""
+
+    @pytest.mark.parametrize("command, role", [
+        ("extract", "manifest"), ("build-vocab", "data"), ("build-vocab", "labels"),
+        ("train", "data"), ("train", "labels"), ("train", "vocab"),
+        ("evaluate", "ckpt"), ("evaluate", "data"), ("evaluate", "vocab"),
+        ("predict", "ckpt"), ("predict", "data"), ("predict", "vocab"),
+    ])
+    def test_directory_is_a_data_error_naming_it(self, workspace, tmp_path, capsys,
+                                                 command, role):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        args = command_args(workspace, tmp_path, command, **{role: folder})
+        assert cli.run(args) == 2
+        captured = capsys.readouterr()
+        assert f"cannot read input path {folder}: Is a directory" in captured.err
+        assert "epoch" not in captured.err and not captured.out
+        assert_one_diagnostic(captured.err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("train", "solo\n"), ("train", "a\nb\na\n"),
+        ("build-vocab", "solo\n"), ("build-vocab", "a\nb\na\n"),
+    ], ids=["train-one-label", "train-duplicate", "build-vocab-one-label",
+            "build-vocab-duplicate"])
+    def test_labels_file_breaking_a_label_rule_is_a_data_error(
+            self, workspace, tmp_path, capsys, command, text):
+        labels = tmp_path / "bad-labels.txt"
+        labels.write_text(text, encoding="utf-8")
+        args = command_args(workspace, tmp_path, command, labels=labels)
+        assert cli.run([*args, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"labels file {labels}: " in err
+        assert_one_diagnostic(err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("labels", [
+        lambda labels: labels[:1] + labels[:-1],
+        lambda labels: list(range(len(labels))),
+        lambda labels: "abcdef",
+        lambda labels: [""] + labels[1:],
+    ], ids=["duplicate", "integers", "string", "empty"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_checkpoint_labels_must_be_a_label_set(self, workspace, tmp_path, capsys,
+                                                   command, labels):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint_header(workspace["ckpt"], bad,
+                                  lambda h: {**h, "labels": labels(h["labels"])})
+        args = command_args(workspace, tmp_path, command, ckpt=bad)
+        assert cli.run(args) == 2
+        captured = capsys.readouterr()
+        assert f"{bad}: malformed checkpoint header" in captured.err
+        assert not captured.out
+        assert_one_diagnostic(captured.err)
+
+
+class TestOutputIsADirectory:
+    """An output path that is a directory is a data error before any work."""
+
+    @pytest.mark.parametrize("command, output", [
+        ("extract", "out"), ("build-vocab", "out"), ("train", "out"),
+        ("train", "history"), ("evaluate", "out"), ("evaluate", "matrix_csv"),
+    ])
+    def test_before_any_work(self, workspace, tmp_path, capsys, command, output):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        args = command_args(workspace, tmp_path, command, **{output: folder})
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        assert f"output path is a directory: {folder}" in err
+        assert "epoch" not in err
+        assert_one_diagnostic(err)
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestBadValues:
@@ -396,6 +571,34 @@ class TestBuildVocab:
         )
         assert load_vocabulary(out) == expected
 
+    def test_labels_alone_selects_the_train_partition_of_train_defaults(
+            self, workspace, tmp_path, capsys):
+        alone, explicit = tmp_path / "alone.txt", tmp_path / "explicit.txt"
+        args = ["build-vocab", str(workspace["data"]), "--cap", "1000",
+                "--labels", str(workspace["labels"])]
+        assert cli.run([*args, "-o", str(alone)]) == 0
+        assert "train partition (" in capsys.readouterr().err
+        assert cli.run([*args, "--seed", "0", "--ratios", "0.7,0.2,0.1",
+                        "-o", str(explicit)]) == 0
+        assert alone.read_bytes() == explicit.read_bytes()
+        docs = load_dataset(workspace["data"], LabelSet(SYNTH_LABELS))
+        split = stratified_split(docs, (0.7, 0.2, 0.1), seed=0)
+        assert load_vocabulary(alone) == build_vocabulary(
+            iter_tokens(d.text for d in split.train), cap=1000)
+
+    @pytest.mark.parametrize("option, value", [("--seed", "1"),
+                                               ("--ratios", "0.7,0.2,0.1")])
+    def test_split_option_without_labels_is_usage_error(self, tmp_path, capsys,
+                                                        option, value):
+        out = tmp_path / "v.txt"
+        code = cli.run(["build-vocab", str(tmp_path / "missing.jsonl"), option, value,
+                        "-o", str(out)])
+        assert code == 1  # before the data path is looked at: that would be exit 2
+        err = capsys.readouterr().err
+        assert f"{option} needs --labels: it selects the train partition" in err
+        assert_one_diagnostic(err)
+        assert not out.exists()
+
     def test_output_is_reproducible(self, workspace, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for out in (a, b):
@@ -459,6 +662,14 @@ class TestCasing:
         args = {"train": train_args(workspace, "-o", str(tmp_path / "x.ckpt")),
                 "evaluate": ["evaluate", *inputs, "-o", str(tmp_path / "r.json")],
                 "predict": ["predict", *inputs]}[command]
+        assert cli.run([*args, "--no-lowercase"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --no-lowercase" in err
+        assert_one_diagnostic(err)
+
+    def test_extract_takes_no_casing_flag(self, workspace, tmp_path, capsys):
+        # extract counts tokens as tokenize(text) does
+        args = command_args(workspace, tmp_path, "extract")
         assert cli.run([*args, "--no-lowercase"]) == 1
         err = capsys.readouterr().err
         assert "unrecognized arguments: --no-lowercase" in err

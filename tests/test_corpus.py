@@ -46,6 +46,30 @@ class TestLabelSet:
         path.write_text("x\ny\nz\n", encoding="utf-8")
         assert LabelSet.from_file(path).labels == ("x", "y", "z")
 
+    def test_labels_must_be_strings(self):
+        with pytest.raises(ValueError, match="non-empty strings"):
+            LabelSet((1, 2))
+
+    @pytest.mark.parametrize("text, rule", [
+        ("", "at least 2"), ("\n \n", "at least 2"), ("solo\n", "at least 2"),
+        ("a\nb\na\n", "duplicate"),
+    ], ids=["empty", "blank", "one-label", "duplicate"])
+    def test_file_breaking_a_label_rule_is_a_data_error_naming_it(self, tmp_path,
+                                                                 text, rule):
+        path = tmp_path / "labels.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=rf"labels file {path}: .*{rule}"):
+            LabelSet.from_file(path)
+
+    @pytest.mark.parametrize("loader", [LabelSet.from_file,
+                                        lambda path: load_dataset(path, None)],
+                             ids=["labels", "dataset"])
+    def test_unreadable_input_is_a_data_error_naming_it(self, tmp_path, loader):
+        with pytest.raises(DataError, match=f"does not exist: {tmp_path / 'x'}$"):
+            loader(tmp_path / "x")
+        with pytest.raises(DataError, match=f"cannot read input path {tmp_path}: "):
+            loader(tmp_path)
+
 
 class TestLoadDataset:
     def test_three_wellformed_lines(self, tmp_path):
