@@ -39,9 +39,11 @@ def _ratios(text: str) -> tuple[float, float, float]:
         r = tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric ratio in {text!r}") from None
-    if any(not x >= 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:  # stratified_split's rule
+    try:
+        corpus.check_ratios(r)
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected three non-negative fractions summing to 1, got {text!r}")
+            f"expected three non-negative fractions summing to 1, got {text!r}") from None
     return r
 
 

@@ -45,10 +45,6 @@ class LabelSet:
             raise DataError(f"unknown label {label!r}") from None
 
     @classmethod
-    def default(cls) -> "LabelSet":
-        return cls(DEFAULT_LABELS)
-
-    @classmethod
     def from_file(cls, path: str | Path) -> "LabelSet":
         lines = "".join(utf8_lines(path)).splitlines()
         try:
@@ -108,6 +104,15 @@ def load_dataset(path: str | Path, labels: LabelSet | None) -> list[Document]:
     return docs
 
 
+def check_ratios(ratios: tuple[float, ...]) -> None:
+    """Refuse split ratios that are not three non-negative fractions
+    summing to 1. The test is ``not r >= 0`` so that NaN fails it."""
+    if len(ratios) != 3 or any(not r >= 0 for r in ratios):
+        raise ValueError("ratios must be three non-negative fractions")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+
+
 def stratified_split(
     docs: list[Document],
     ratios: tuple[float, float, float] = DEFAULT_RATIOS,
@@ -124,10 +129,7 @@ def stratified_split(
     """
     if not docs:
         raise DataError("cannot split an empty dataset")
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("ratios must be three non-negative fractions")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    check_ratios(ratios)
     for doc in docs:
         if doc.label is None:
             raise DataError(f"document {doc.id!r} is unlabeled; cannot stratify")

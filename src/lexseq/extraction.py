@@ -24,6 +24,10 @@ _WORDLIKE = re.compile(r"[^\W\d_]{2}")
 
 OcrBackend = Callable[[str], str]
 
+# Seconds one OCR child may run on one page image before it is killed;
+# generous, since a dense scanned page can take minutes.
+OCR_TIMEOUT_S = 600.0
+
 
 @dataclass(frozen=True)
 class PageRecord:
@@ -133,7 +137,8 @@ def ocr_command_backend(command_template: str) -> OcrBackend:
     The template must contain an ``{input}`` placeholder for the page
     image path; the child's standard output (UTF-8) is the page text,
     with newlines translated as in text mode. A missing command, a
-    non-zero exit or output that is not UTF-8 surfaces as
+    non-zero exit, a child still running after ``OCR_TIMEOUT_S`` seconds
+    (it is killed) or output that is not UTF-8 surfaces as
     :class:`OcrError`.
     Each call spawns an independent child process, so the backend
     tolerates concurrent invocations.
@@ -145,9 +150,12 @@ def ocr_command_backend(command_template: str) -> OcrBackend:
     def run(image_path: str) -> str:
         argv = [arg.replace("{input}", image_path) for arg in argv_template]
         try:
-            proc = subprocess.run(argv, capture_output=True)
+            proc = subprocess.run(argv, capture_output=True, timeout=OCR_TIMEOUT_S)
         except FileNotFoundError:
             raise OcrError(f"OCR command not found: {argv[0]!r}") from None
+        except subprocess.TimeoutExpired:
+            raise OcrError(f"OCR command on {image_path!r} did not finish within "
+                           f"{OCR_TIMEOUT_S:g} s") from None
         if proc.returncode != 0:
             raise OcrError(
                 f"OCR command exited with status {proc.returncode}: "

@@ -59,6 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import LabelSet
 from .errors import DataError, NumericError
 from .rng import SplitMix64
 from .tokenizer import EncodedSequence
@@ -162,7 +163,8 @@ class BiLstmClassifier:
     copied) with the label order, the vocabulary digest and the
     activation. Read and write a tensor as ``params.views[name]``.
     ``copy.deepcopy`` and pickling give a model with its own aligned
-    buffer (see :class:`ParamBuffer`)."""
+    buffer (see :class:`ParamBuffer`). The labels must form a
+    :class:`LabelSet`, as ``load_checkpoint`` requires of a header."""
 
     params: ParamBuffer
     labels: tuple[str, ...]
@@ -172,6 +174,7 @@ class BiLstmClassifier:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        LabelSet(self.labels)
         if len(self.labels) != self.dims.classes:
             raise ValueError("label order length must equal the class count")
 

@@ -1,21 +1,12 @@
-r"""Text -> token -> id pipeline with a frequency-capped vocabulary.
+"""Text -> token -> id pipeline with a frequency-capped vocabulary.
 
 Token ids 0 and 1 are reserved (PAD and OOV); real tokens get
 contiguous ids starting at 2, ordered by descending training-stream
 frequency with ties broken by first occurrence.
 
-Tokens are maximal runs of letters and digits (``isalpha() or
-isdigit()``); ``.``, ``/`` and ``-`` stay inside a token when the
-characters on both sides are digits (``isdigit()``). ``_char_tokens``
-is that definition, one character at a time. Most text takes one
-``findall`` of ``_TOKEN`` instead, ``[^\W_]+(?:(?<=\d)[./-](?=\d)[^\W_]+)*``:
-``[^\W_]`` is ``isalnum()`` and ``\d`` is ``isdecimal()``, and these
-differ from the loop's predicates only on code points of category No
-or Nl (``½``, ``²``, ``Ⅲ``; 1,131 code points in Unicode 14). A text
-holding such a code point, or any code point beyond the BMP, goes to
-the loop, so both paths give the same tokens. ASCII text holds neither;
-other text is checked with one search of a class of the BMP's No/Nl
-code points, built on the first non-ASCII text, not at import.
+Tokens are maximal runs of letters and digits (``isalnum()``); ``.``,
+``/`` and ``-`` stay inside a token when the characters on both sides
+are decimal digits (``isdecimal()``). ``_TOKEN`` is that definition.
 
 Lowercasing is the vocabulary's (``Vocabulary.lowercase``, kept in its
 file), and ``encode`` takes the window ``max_len`` from its caller,
@@ -24,7 +15,6 @@ which reads it from the model (``ModelDims.max_len``).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import re
 import unicodedata
@@ -42,10 +32,8 @@ from .errors import DataError, utf8_lines
 PAD_ID = 0
 OOV_ID = 1
 
-# Punctuation kept inside a token when flanked by digits on both sides,
-# so citation numbers like 8.112/90 survive as single tokens.
-_DIGIT_BRIDGE = {".", "/", "-"}
-# The same tokens, for text that _loop_only() does not match.
+# [^\W_] is isalnum() and \d is isdecimal(). The punctuation bridge keeps
+# citation numbers like 8.112/90 as single tokens.
 _TOKEN = re.compile(r"[^\W_]+(?:(?<=\d)[./-](?=\d)[^\W_]+)*")
 # Equal to str.isspace on every code point.
 _SPACE = re.compile(r"\s")
@@ -59,50 +47,13 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     The text is NFC-normalized first, then lowercased unless
     ``lowercase`` is false.
     ``.``, ``/`` and ``-`` stay inside a token only when the adjacent
-    characters are both digits; every other character separates tokens.
+    characters are both decimal digits; every other character separates
+    tokens.
     """
     text = unicodedata.normalize("NFC", text)
     if lowercase:
         text = text.lower()
-    if not text.isascii() and _loop_only().search(text):
-        return _char_tokens(text)
     return _TOKEN.findall(text)
-
-
-@functools.cache
-def _loop_only() -> re.Pattern:
-    """Matches a code point on which ``_TOKEN`` and ``_char_tokens`` may
-    disagree: a BMP code point of category No or Nl, or any astral one.
-    The BMP-only part compiles to a bitmap; the astral part is one range."""
-    numeric = "".join(chr(c) for c in range(0x10000)
-                      if unicodedata.category(chr(c)) in ("No", "Nl"))
-    return re.compile(f"[{re.escape(numeric)}\U00010000-\U0010ffff]")
-
-
-def _char_tokens(text: str) -> list[str]:
-    """The token definition, one character at a time: the only path for
-    text with No/Nl or astral code points."""
-    tokens: list[str] = []
-    current: list[str] = []
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch.isalpha() or ch.isdigit():
-            current.append(ch)
-        elif (
-            ch in _DIGIT_BRIDGE
-            and i > 0
-            and i + 1 < n
-            and text[i - 1].isdigit()
-            and text[i + 1].isdigit()
-        ):
-            current.append(ch)
-        else:
-            if current:
-                tokens.append("".join(current))
-                current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ def write_jsonl(path, rows):
 
 class TestLabelSet:
     def test_default_order(self):
-        labels = LabelSet.default()
+        labels = LabelSet(DEFAULT_LABELS)
         assert labels.labels == DEFAULT_LABELS
         assert labels.size == 6
         assert labels.index_of("Despacho") == 2
@@ -39,7 +39,7 @@ class TestLabelSet:
 
     def test_unknown_label_is_named(self):
         with pytest.raises(DataError, match="Embargos"):
-            LabelSet.default().index_of("Embargos")
+            LabelSet(DEFAULT_LABELS).index_of("Embargos")
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -79,7 +79,7 @@ class TestLoadDataset:
             {"id": "b", "text": "dois", "label": "Sentença"},
             {"id": "c", "text": "três"},
         ])
-        docs = load_dataset(path, LabelSet.default())
+        docs = load_dataset(path, LabelSet(DEFAULT_LABELS))
         assert [d.id for d in docs] == ["a", "b", "c"]
         assert [d.label for d in docs] == [0, 5, None]
 
@@ -87,12 +87,12 @@ class TestLoadDataset:
         path = tmp_path / "data.jsonl"
         write_jsonl(path, [{"id": "a", "text": "t", "label": "Embargos"}])
         with pytest.raises(DataError, match="Embargos"):
-            load_dataset(path, LabelSet.default())
+            load_dataset(path, LabelSet(DEFAULT_LABELS))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
-        assert load_dataset(path, LabelSet.default()) == []
+        assert load_dataset(path, LabelSet(DEFAULT_LABELS)) == []
 
     @pytest.mark.parametrize("body, message", [
         ('{"id": "a", "text": "t"}\n\n', ":2: blank line in dataset"),
@@ -112,7 +112,7 @@ class TestLoadDataset:
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a", "text": "t"}\n{oops\n', encoding="utf-8")
         with pytest.raises(DataError, match=":2"):
-            load_dataset(path, LabelSet.default())
+            load_dataset(path, LabelSet(DEFAULT_LABELS))
 
     @pytest.mark.parametrize("line", [
         '{"id": "a", "text": "t", "n": ' + "1" * 5000 + "}",
@@ -137,7 +137,7 @@ class TestLoadDataset:
         assert docs[0].label is None
 
     def test_roundtrip_through_save(self, tmp_path):
-        labels = LabelSet.default()
+        labels = LabelSet(DEFAULT_LABELS)
         docs = [Document("a", "um texto", 3), Document("b", "outro", None)]
         path = tmp_path / "out.jsonl"
         save_dataset(docs, labels, path)
@@ -160,7 +160,7 @@ class TestDatasetFuzz:
     """A damaged dataset either loads or raises DataError, with and without
     a label set."""
 
-    @pytest.mark.parametrize("labels", [LabelSet.default(), None], ids=["labels", "none"])
+    @pytest.mark.parametrize("labels", [LabelSet(DEFAULT_LABELS), None], ids=["labels", "none"])
     def test_every_truncation_and_bit_flip(self, dataset_file, labels):
         blob, path = dataset_file
         check_every_truncation_and_bit_flip(lambda p: load_dataset(p, labels), path, blob)
@@ -169,7 +169,7 @@ class TestDatasetFuzz:
     @given(st.data())
     def test_flip_and_truncation_anywhere(self, dataset_file, data):
         blob, path = dataset_file
-        load_variant(lambda p: load_dataset(p, LabelSet.default()), path,
+        load_variant(lambda p: load_dataset(p, LabelSet(DEFAULT_LABELS)), path,
                      damaged(blob, data))
 
 
@@ -213,6 +213,17 @@ class TestStratifiedSplit:
     def test_bad_ratios_rejected(self):
         with pytest.raises(ValueError):
             stratified_split(docs_one_class(5), (0.5, 0.2, 0.1), seed=0)
+
+    @pytest.mark.parametrize("ratios, message", [
+        ((math.nan, 0.5, 0.5), "ratios must be three non-negative fractions"),
+        ((0.5, 0.5, math.nan), "ratios must be three non-negative fractions"),
+        ((math.inf, -math.inf, 1.0), "ratios must be three non-negative fractions"),
+        ((math.inf, 0.5, 0.5), "ratios must sum to 1, got inf"),
+    ], ids=["nan-first", "nan-last", "minus-inf", "inf"])
+    def test_nan_and_inf_ratios_get_the_ratio_message(self, ratios, message):
+        with pytest.raises(ValueError) as excinfo:
+            stratified_split(docs_one_class(10), ratios, seed=0)
+        assert str(excinfo.value) == message
 
     @given(
         class_sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),

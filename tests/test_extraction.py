@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import check_every_truncation_and_bit_flip, damaged, load_variant
 
+from lexseq import extraction
 from lexseq.errors import DataError, OcrError
 from lexseq.extraction import (
     PageRecord,
@@ -170,6 +172,17 @@ class TestOcrCommandBackend:
         backend = ocr_command_backend("definitely-not-a-real-binary-xyz {input}")
         with pytest.raises(OcrError, match="not found"):
             backend("page.png")
+
+    def test_hung_command_is_killed_at_the_time_limit(self, monkeypatch):
+        monkeypatch.setattr(extraction, "OCR_TIMEOUT_S", 0.5)
+        backend = ocr_command_backend(
+            f'{sys.executable} -c "import time; time.sleep(30)" {{input}}')
+        start = time.monotonic()
+        with pytest.raises(OcrError) as excinfo:
+            backend("scans/p7.png")
+        assert time.monotonic() - start < 15
+        assert str(excinfo.value) == (
+            "OCR command on 'scans/p7.png' did not finish within 0.5 s")
 
     def test_failure_surfaces_through_extract_text(self, tmp_path):
         backend = ocr_command_backend(

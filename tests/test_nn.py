@@ -333,6 +333,21 @@ class TestInitParameters:
         b = nn.init_parameters(tiny_dims(), seed=2)
         assert not np.array_equal(a.params.views["embedding"], b.params.views["embedding"])
 
+    @pytest.mark.parametrize("labels, message", [
+        (("a", "a", "b"), "duplicate labels in label set"),
+        (("a", "", "b"), "labels must be non-empty strings"),
+        (("a", 2, "b"), "labels must be non-empty strings"),
+    ], ids=["duplicate", "empty", "non-string"])
+    def test_labels_load_checkpoint_refuses_are_refused_here(self, labels, message):
+        # so save_checkpoint never writes a checkpoint that cannot be loaded
+        with pytest.raises(ValueError) as excinfo:
+            nn.init_parameters(tiny_dims(), seed=0, labels=labels)
+        assert str(excinfo.value) == message
+        params = nn.init_parameters(tiny_dims(), seed=0).params
+        with pytest.raises(ValueError) as excinfo:
+            nn.BiLstmClassifier(params, labels)
+        assert str(excinfo.value) == message
+
 
 def _ragged_batch(dims, lengths, seed):
     rng = np.random.default_rng(seed)

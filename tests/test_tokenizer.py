@@ -1,9 +1,5 @@
 import hashlib
-import os
-import subprocess
-import sys
 import unicodedata
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -59,7 +55,7 @@ class TestTokenize:
 
 def reference_tokens(text: str, lowercase: bool = True) -> list[str]:
     """The tokenizer's definition, one character at a time: the
-    reference for the regex path."""
+    reference for the regex."""
     text = unicodedata.normalize("NFC", text)
     if lowercase:
         text = text.lower()
@@ -67,10 +63,10 @@ def reference_tokens(text: str, lowercase: bool = True) -> list[str]:
     current: list[str] = []
     n = len(text)
     for i, ch in enumerate(text):
-        if ch.isalpha() or ch.isdigit():
+        if ch.isalnum():
             current.append(ch)
         elif (ch in {".", "/", "-"} and 0 < i < n - 1
-              and text[i - 1].isdigit() and text[i + 1].isdigit()):
+              and text[i - 1].isdecimal() and text[i + 1].isdecimal()):
             current.append(ch)
         elif current:
             tokens.append("".join(current))
@@ -93,65 +89,23 @@ def context_batches(code_points):
                        for ctx in CONTEXTS)
 
 
-def is_numeric_symbol(c: int) -> bool:
-    """Category No or Nl: the code points on which ``isalnum``/``isdecimal``
-    and the loop's ``isalpha() or isdigit()``/``isdigit`` disagree."""
-    return unicodedata.category(chr(c)) in ("No", "Nl")
-
-
-def takes_the_loop(text: str) -> bool:
-    return any(ord(ch) > 0xFFFF or is_numeric_symbol(ord(ch)) for ch in text)
-
-
 class TestTokenizeEqualsTheCharacterLoop:
     """Every code point in every context tokenizes as the reference loop
-    does, with and without lowercasing. The BMP code points that stay
-    outside No/Nl and the BMP through NFC and lowercasing are batched
-    apart, so each of their batches takes the regex path; the rest (No/Nl,
-    and CJK compatibility ideographs whose NFC form is astral) are compared
-    in batches of their own. Astral code points are shown to send a text
-    to the loop, which is the reference itself."""
+    does, with and without lowercasing."""
 
     @pytest.mark.parametrize("lowercase", [True, False])
-    def test_every_bmp_code_point(self, lowercase):
-        plain, rest = [], []
-        for c in range(0x10000):
-            text = unicodedata.normalize("NFC", chr(c))
-            (rest if takes_the_loop(text + text.lower()) else plain).append(c)
-        for batch in context_batches(plain):
-            text = unicodedata.normalize("NFC", batch)
-            assert not tokenizer._loop_only().search(text.lower() if lowercase else text)
-            assert tokenize(batch, lowercase) == reference_tokens(batch, lowercase)
-        for batch in context_batches(rest):
+    def test_every_assigned_code_point(self, lowercase):
+        assigned = [c for c in range(0x110000)
+                    if unicodedata.category(chr(c)) not in ("Cn", "Co", "Cs")]
+        for batch in context_batches(assigned):
             assert tokenize(batch, lowercase) == reference_tokens(batch, lowercase)
 
-    def test_numeric_and_astral_code_points_take_the_loop(self, monkeypatch):
-        routed = "".join(chr(c) for c in range(0x110000)
-                         if c >= 0x10000 or is_numeric_symbol(c))
-        assert len(tokenizer._loop_only().findall(routed)) == len(routed)
-        calls = []
-        loop = tokenizer._char_tokens
-        monkeypatch.setattr(tokenizer, "_char_tokens",
-                            lambda text: calls.append(text) or loop(text))
-        # the regex alone would keep ½ and ⅲ and split 1.²
-        assert tokenizer._TOKEN.findall("lei ½ x² ⅲ 1.²") == ["lei", "½", "x²", "ⅲ", "1", "²"]
-        assert tokenize("Lei ½ x² Ⅲ 1.²") == ["lei", "x²", "1.²"]
-        assert tokenize("𝟏.𝟐 Kapitel") == ["𝟏.𝟐", "kapitel"]  # NFC keeps them astral
-        assert tokenize("recurso extraordinário 8.112/90") == [
-            "recurso", "extraordinário", "8.112/90"]
-        assert len(calls) == 2
-
-    def test_import_and_ascii_text_build_no_code_point_table(self):
-        probe = ("import lexseq\n"
-                 "from lexseq import tokenizer\n"
-                 "assert tokenizer._loop_only.cache_info().currsize == 0\n"
-                 "assert lexseq.tokenize('Lei 8.112/90') == ['lei', '8.112/90']\n"
-                 "assert tokenizer._loop_only.cache_info().currsize == 0\n"
-                 "lexseq.tokenize('ação')\n"
-                 "assert tokenizer._loop_only.cache_info().currsize == 1\n")
-        src = str(Path(tokenizer.__file__).parents[1])
-        subprocess.run([sys.executable, "-c", probe], check=True,
-                       env={**os.environ, "PYTHONPATH": src})
+    def test_numeric_symbols_are_tokens(self):
+        # category No and Nl: alphanumeric, and only Nd bridges
+        assert tokenize("Lei ½ x² Ⅲ 1.²") == ["lei", "½", "x²", "ⅲ", "1", "²"]
+        assert tokenize("10.² 1½ ½ ¾") == ["10", "²", "1½", "½", "¾"]
+        assert tokenize("nº 5º 3ª lei¹ ① 𝟏.𝟐 8.112/90") == [
+            "nº", "5º", "3ª", "lei¹", "①", "𝟏.𝟐", "8.112/90"]
 
     @given(st.text(alphabet=st.one_of(
         st.sampled_from("0123456789./-²³½Ⅲ\u0301\u0303\u0327İΣσςaceo ٣３"),
