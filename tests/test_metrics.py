@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexseq.corpus import DEFAULT_LABELS
 from lexseq.metrics import (
     ConfusionMatrix,
     aggregate,
@@ -186,3 +189,47 @@ class TestEvaluationReport:
         assert lines[0] == ",a,b"
         assert lines[1] == "a,0,1"
         assert lines[2] == "b,0,1"
+
+
+def _report(pairs, labels):
+    return evaluation_report(pairs, len(labels), labels=labels)
+
+
+class TestReportBytes:
+    """The exact report files: a refactor of the report must not move a byte."""
+
+    CASES = {
+        # class 2 is never predicted, class 3 never occurs
+        "absent": (
+            [(0, 0), (0, 0), (0, 1), (1, 1), (1, 0), (2, 0), (2, 1), (1, 3), (0, 3)],
+            ("ARE", "RE", "Outro", "Sentença"),
+            "84f754004143bca5091890083b748d0c56d6c339a40a51b4211db9ea1aaeb6a7",
+            ",ARE,RE,Outro,Sentença\nARE,2,1,0,1\nRE,1,1,0,1\n"
+            "Outro,1,1,0,0\nSentença,0,0,0,0\n",
+        ),
+        "empty": (
+            [],
+            ("a", "b", "c"),
+            "1554e3d8fe7d7fd95bc431d3217390770d034d384bb412859caa60be25feeffc",
+            ",a,b,c\na,0,0,0\nb,0,0,0\nc,0,0,0\n",
+        ),
+        "reference": (
+            [(t, (t * t + k) % 6) for t in range(6) for k in range(t + 2)],
+            DEFAULT_LABELS,
+            "341daa0f2c4997b1d1da5cf808b7aaca4fb9d19ae6c3bad101e23ae1e2ab4c99",
+            ",ARE,Acórdão,Despacho,Outro,RE,Sentença\nARE,1,1,0,0,0,0\n"
+            "Acórdão,0,1,1,1,0,0\nDespacho,1,1,0,0,1,1\nOutro,1,1,0,1,1,1\n"
+            "RE,1,1,1,1,1,1\nSentença,1,2,1,1,1,1\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_json_and_csv_bytes(self, case, tmp_path):
+        pairs, labels, json_sha256, csv = self.CASES[case]
+        report = _report(pairs, labels)
+        report.save_json(tmp_path / "report.json")
+        report.save_matrix_csv(tmp_path / "matrix.csv")
+        data = (tmp_path / "report.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == json_sha256, data.decode()
+        assert report.matrix_csv() == csv
+        assert (tmp_path / "matrix.csv").read_bytes() == csv.encode()
