@@ -25,15 +25,7 @@ from .extraction import (
     load_page_manifest,
     ocr_command_backend,
 )
-from .metrics import (
-    ConfusionMatrix,
-    EvaluationReport,
-    aggregate,
-    confusion,
-    evaluation_report,
-    f1_score,
-    per_class_metrics,
-)
+from .metrics import EvaluationReport, aggregate, evaluation_report, f1_score
 from .nn import (
     ACTIVATIONS,
     BiLstmClassifier,

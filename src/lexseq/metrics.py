@@ -1,9 +1,10 @@
-"""Confusion matrix and precision/recall/F1 with macro and
-support-weighted aggregation.
+"""The evaluation report is a confusion matrix and its labels.
 
 Rows of the matrix are true classes, columns are predicted classes.
-Any 0/0 ratio (empty column, empty row, P+R = 0) is defined as 0 so
-aggregates stay well defined for absent classes.
+Accuracy, per-class precision/recall/F1 and their macro and
+support-weighted averages are computed from the matrix when read, so a
+report cannot disagree with its counts. Any 0/0 ratio (empty column,
+empty row, P+R = 0) is 0, so aggregates stay defined for absent classes.
 """
 
 from __future__ import annotations
@@ -11,66 +12,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray  # (C, C) int64
-
-    def __post_init__(self):
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise ValueError("confusion matrix must be square")
-        if np.any(self.counts < 0):
-            raise ValueError("confusion matrix entries must be non-negative")
-
-    @property
-    def classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def supports(self) -> np.ndarray:
-        """True-instance count per class (row sums)."""
-        return self.counts.sum(axis=1)
-
-    def accuracy(self) -> float:
-        total = self.total
-        return float(np.trace(self.counts)) / total if total else 0.0
+_FIGURES = ("precision", "recall", "f1")
 
 
-def confusion(pairs: list[tuple[int, int]], classes: int) -> ConfusionMatrix:
-    counts = np.zeros((classes, classes), dtype=np.int64)
-    for true_cls, pred_cls in pairs:
-        if not (0 <= true_cls < classes and 0 <= pred_cls < classes):
-            raise ValueError(
-                f"pair ({true_cls}, {pred_cls}) out of range for {classes} classes"
-            )
-        counts[true_cls, pred_cls] += 1
-    return ConfusionMatrix(counts)
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
-def f1_score(precision: float, recall: float) -> float:
-    """Harmonic mean, 0 when both inputs are 0."""
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def per_class_metrics(m: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(precision, recall, f1) arrays over classes."""
-    counts = m.counts.astype(np.float64)
-    diag = np.diag(counts)
-    col_sums = counts.sum(axis=0)
-    row_sums = counts.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(col_sums > 0, diag / col_sums, 0.0)
-        recall = np.where(row_sums > 0, diag / row_sums, 0.0)
-    f1 = np.array([f1_score(p, r) for p, r in zip(precision, recall)])
-    return precision, recall, f1
+def f1_score(precision: float | np.ndarray, recall: float | np.ndarray):
+    """Harmonic mean, 0 where both inputs are 0; elementwise on arrays."""
+    p = np.asarray(precision, dtype=np.float64)
+    r = np.asarray(recall, dtype=np.float64)
+    f1 = _ratio(2.0 * p * r, p + r)
+    return f1 if f1.ndim else float(f1)
 
 
 def aggregate(
@@ -79,77 +38,83 @@ def aggregate(
     mode: str,
 ) -> tuple[float, float, float]:
     """Average (precision, recall, f1) columns, unweighted or by support."""
-    precision, recall, f1 = (np.asarray(v, dtype=np.float64) for v in per_class)
+    columns = [np.asarray(v, dtype=np.float64) for v in per_class]
     supports = np.asarray(supports)
-    if supports.shape != precision.shape:
+    if supports.shape != columns[0].shape:
         raise ValueError("supports length must equal the class count")
     if mode == "macro":
-        return float(precision.mean()), float(recall.mean()), float(f1.mean())
+        return tuple(float(v.mean()) for v in columns)
     if mode == "weighted":
         total = float(supports.sum())
         if total <= 0:
             raise ValueError("weighted aggregation requires positive total support")
         w = supports / total
-        return (
-            float(np.dot(precision, w)),
-            float(np.dot(recall, w)),
-            float(np.dot(f1, w)),
-        )
+        return tuple(float(np.dot(v, w)) for v in columns)
     raise ValueError(f"unknown aggregation mode {mode!r}")
 
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    matrix: ConfusionMatrix
-    precision: np.ndarray
-    recall: np.ndarray
-    f1: np.ndarray
-    supports: np.ndarray
-    macro: tuple[float, float, float]
-    weighted: tuple[float, float, float]
-    accuracy: float
-    labels: tuple[str, ...] | None = None
+    counts: np.ndarray  # (C, C) int64, rows are true classes
+    labels: tuple[str, ...]
 
-    def label_names(self) -> tuple[str, ...]:
-        if self.labels is not None:
-            return self.labels
-        return tuple(str(i) for i in range(self.matrix.classes))
+    def __post_init__(self):
+        classes = len(self.labels)
+        if self.counts.shape != (classes, classes):
+            raise ValueError(f"confusion matrix of shape {self.counts.shape} must be "
+                             f"square with one row per label ({classes} labels)")
+        if np.any(self.counts < 0):
+            raise ValueError("confusion matrix entries must be non-negative")
+
+    @property
+    def accuracy(self) -> float:
+        total = int(self.counts.sum())
+        return float(np.trace(self.counts)) / total if total else 0.0
+
+    @property
+    def weighted(self) -> tuple[float, float, float]:
+        """Support-weighted (precision, recall, f1); zeros with no pairs."""
+        return self._weighted(self.per_class())
+
+    def _weighted(self, per_class) -> tuple[float, float, float]:
+        supports = self.counts.sum(axis=1)
+        if supports.sum() == 0:
+            return (0.0, 0.0, 0.0)
+        return aggregate(per_class, supports, "weighted")
+
+    def per_class(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(precision, recall, f1) arrays over classes."""
+        counts = self.counts.astype(np.float64)
+        precision = _ratio(np.diag(counts), counts.sum(axis=0))
+        recall = _ratio(np.diag(counts), counts.sum(axis=1))
+        return precision, recall, f1_score(precision, recall)
 
     def to_dict(self) -> dict:
-        names = self.label_names()
+        per_class = self.per_class()
+        supports = self.counts.sum(axis=1)
         return {
-            "total": self.matrix.total,
+            "total": int(self.counts.sum()),
             "accuracy": self.accuracy,
-            "labels": list(names),
-            "matrix": self.matrix.counts.tolist(),
+            "labels": list(self.labels),
+            "matrix": self.counts.tolist(),
             "per_class": [
-                {
-                    "label": names[c],
-                    "precision": float(self.precision[c]),
-                    "recall": float(self.recall[c]),
-                    "f1": float(self.f1[c]),
-                    "support": int(self.supports[c]),
-                }
-                for c in range(self.matrix.classes)
+                {"label": label, "precision": float(p), "recall": float(r),
+                 "f1": float(f), "support": int(s)}
+                for label, p, r, f, s in zip(self.labels, *per_class, supports)
             ],
-            "macro": dict(zip(("precision", "recall", "f1"), self.macro)),
-            "weighted": dict(zip(("precision", "recall", "f1"), self.weighted)),
+            "macro": dict(zip(_FIGURES, aggregate(per_class, supports, "macro"))),
+            "weighted": dict(zip(_FIGURES, self._weighted(per_class))),
         }
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(self.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
+        Path(path).write_text(text + "\n", encoding="utf-8")
 
     def matrix_csv(self) -> str:
         """CSV rendering: header row of predicted labels, one row per true label."""
-        names = self.label_names()
-        lines = ["," + ",".join(names)]
-        for c in range(self.matrix.classes):
-            row = ",".join(str(int(v)) for v in self.matrix.counts[c])
-            lines.append(f"{names[c]},{row}")
+        lines = ["," + ",".join(self.labels)]
+        for label, row in zip(self.labels, self.counts.tolist()):
+            lines.append(label + "," + ",".join(map(str, row)))
         return "\n".join(lines) + "\n"
 
     def save_matrix_csv(self, path: str | Path) -> None:
@@ -157,24 +122,14 @@ class EvaluationReport:
 
 
 def evaluation_report(
-    pairs: list[tuple[int, int]],
-    classes: int,
-    labels: tuple[str, ...] | None = None,
+    pairs: Sequence[tuple[int, int]], labels: tuple[str, ...]
 ) -> EvaluationReport:
-    """Build the full report from (true, predicted) pairs."""
-    matrix = confusion(pairs, classes)
-    per_class = per_class_metrics(matrix)
-    supports = matrix.supports()
-    return EvaluationReport(
-        matrix=matrix,
-        precision=per_class[0],
-        recall=per_class[1],
-        f1=per_class[2],
-        supports=supports,
-        macro=aggregate(per_class, supports, "macro"),
-        weighted=aggregate(per_class, supports, "weighted")
-        if supports.sum() > 0
-        else (0.0, 0.0, 0.0),
-        accuracy=matrix.accuracy(),
-        labels=labels,
-    )
+    """Count (true, predicted) class-index pairs into a report over ``labels``."""
+    classes = len(labels)
+    counts = np.zeros((classes, classes), dtype=np.int64)
+    for true_cls, pred_cls in pairs:
+        if not (0 <= true_cls < classes and 0 <= pred_cls < classes):
+            raise ValueError(f"pair ({true_cls}, {pred_cls}) out of range for "
+                             f"{classes} classes")
+        counts[true_cls, pred_cls] += 1
+    return EvaluationReport(counts, labels)

@@ -325,7 +325,7 @@ def evaluate(
         (target, int(np.argmax(probs)))
         for target, probs in zip(targets, probs_list)
     ]
-    return evaluation_report(pairs, model.dims.classes, labels=model.labels)
+    return evaluation_report(pairs, model.labels)
 
 
 def save_checkpoint(

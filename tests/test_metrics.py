@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexseq.corpus import DEFAULT_LABELS
-from lexseq.metrics import (
-    ConfusionMatrix,
-    aggregate,
-    confusion,
-    evaluation_report,
-    f1_score,
-    per_class_metrics,
-)
+from lexseq.metrics import EvaluationReport, aggregate, evaluation_report, f1_score
 
 # Reference per-class results this engine must reproduce arithmetically:
 # rows ARE, Acórdão, Despacho, Outro, RE, Sentença.
@@ -24,22 +17,26 @@ REFERENCE_F1 = [0.83, 0.79, 0.78, 0.87, 0.73, 0.93]
 REFERENCE_SUPPORTS = [92, 82, 55, 280, 63, 110]
 
 
+def names(classes):
+    return tuple(f"c{i}" for i in range(classes))
+
+
 class TestConfusion:
     def test_diagonal(self):
-        m = confusion([(0, 0), (1, 1)], classes=2)
+        m = evaluation_report([(0, 0), (1, 1)], names(2))
         npt.assert_array_equal(m.counts, [[1, 0], [0, 1]])
 
     def test_single_off_diagonal(self):
-        m = confusion([(0, 1)], classes=2)
+        m = evaluation_report([(0, 1)], names(2))
         npt.assert_array_equal(m.counts, [[0, 1], [0, 0]])
 
     def test_empty(self):
-        m = confusion([], classes=3)
+        m = evaluation_report([], names(3))
         npt.assert_array_equal(m.counts, np.zeros((3, 3)))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            confusion([(0, 5)], classes=2)
+            evaluation_report([(0, 5)], names(2))
 
 
 class TestPerClassMetrics:
@@ -48,15 +45,15 @@ class TestPerClassMetrics:
         assert abs(f1_score(0.82, 0.84) - 0.83) < 0.005
 
     def test_hand_matrix(self):
-        m = ConfusionMatrix(np.array([[2, 1], [0, 3]], dtype=np.int64))
-        precision, recall, f1 = per_class_metrics(m)
+        m = np.array([[2, 1], [0, 3]], dtype=np.int64)
+        precision, recall, f1 = EvaluationReport(m, names(2)).per_class()
         npt.assert_allclose(precision, [1.0, 0.75])
         npt.assert_allclose(recall, [2 / 3, 1.0])
         npt.assert_allclose(f1, [0.8, 6 / 7])
 
     def test_absent_class_zero_by_convention(self):
-        m = ConfusionMatrix(np.array([[3, 0, 0], [1, 2, 0], [0, 0, 0]], dtype=np.int64))
-        precision, recall, f1 = per_class_metrics(m)
+        m = np.array([[3, 0, 0], [1, 2, 0], [0, 0, 0]], dtype=np.int64)
+        precision, recall, f1 = EvaluationReport(m, names(3)).per_class()
         assert precision[2] == recall[2] == f1[2] == 0.0
 
 
@@ -111,8 +108,8 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     def test_matrix_metrics_equal_brute_force_from_pairs(self, case):
         classes, pairs = case
-        m = confusion(pairs, classes)
-        precision, recall, f1 = per_class_metrics(m)
+        m = evaluation_report(pairs, names(classes))
+        precision, recall, f1 = m.per_class()
         for c in range(classes):
             tp = sum(1 for t, p in pairs if t == c and p == c)
             fp = sum(1 for t, p in pairs if t != c and p == c)
@@ -128,12 +125,12 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_micro_accuracy_is_trace_over_total(self, case):
         classes, pairs = case
-        m = confusion(pairs, classes)
+        m = evaluation_report(pairs, names(classes))
         if pairs:
             expected = sum(1 for t, p in pairs if t == p) / len(pairs)
-            assert m.accuracy() == pytest.approx(expected)
+            assert m.accuracy == pytest.approx(expected)
         else:
-            assert m.accuracy() == 0.0
+            assert m.accuracy == 0.0
 
     @given(random_pairs(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
@@ -142,13 +139,13 @@ class TestProperties:
         perm = list(range(classes))
         rnd.shuffle(perm)
         permuted = [(perm[t], perm[p]) for t, p in pairs]
-        base = per_class_metrics(confusion(pairs, classes))
-        moved = per_class_metrics(confusion(permuted, classes))
+        base = evaluation_report(pairs, names(classes)).per_class()
+        moved = evaluation_report(permuted, names(classes)).per_class()
         for col_base, col_moved in zip(base, moved):
             for c in range(classes):
                 assert col_moved[perm[c]] == pytest.approx(col_base[c])
-        supports = confusion(pairs, classes).supports()
-        supports_moved = confusion(permuted, classes).supports()
+        supports = evaluation_report(pairs, names(classes)).counts.sum(axis=1)
+        supports_moved = evaluation_report(permuted, names(classes)).counts.sum(axis=1)
         if supports.sum() > 0:
             npt.assert_allclose(
                 aggregate(base, supports, "weighted"),
@@ -166,16 +163,26 @@ class TestProperties:
         assert min(p, r) - 1e-12 <= f1 <= max(p, r) + 1e-12
 
     def test_diagonal_matrix_perfect_metrics(self):
-        m = ConfusionMatrix(np.diag([5, 0, 3]).astype(np.int64))
-        precision, recall, f1 = per_class_metrics(m)
+        m = np.diag([5, 0, 3]).astype(np.int64)
+        precision, recall, f1 = EvaluationReport(m, names(3)).per_class()
         for c, support in enumerate([5, 0, 3]):
             if support > 0:
                 assert precision[c] == recall[c] == f1[c] == 1.0
 
 
 class TestEvaluationReport:
+    @pytest.mark.parametrize("counts, labels", [
+        (np.zeros((3, 3), dtype=np.int64), ("a", "b")),  # a label short
+        (np.zeros((2, 3), dtype=np.int64), ("a", "b")),
+        (np.zeros(2, dtype=np.int64), ("a", "b")),
+        (np.array([[1, -1], [0, 2]], dtype=np.int64), ("a", "b")),
+    ])
+    def test_counts_must_be_square_non_negative_one_row_per_label(self, counts, labels):
+        with pytest.raises(ValueError, match="confusion matrix"):
+            EvaluationReport(counts, labels)
+
     def test_report_structure(self):
-        report = evaluation_report([(0, 0), (1, 0), (1, 1)], classes=2, labels=("x", "y"))
+        report = evaluation_report([(0, 0), (1, 0), (1, 1)], ("x", "y"))
         payload = report.to_dict()
         assert payload["total"] == 3
         assert payload["accuracy"] == pytest.approx(2 / 3)
@@ -184,15 +191,11 @@ class TestEvaluationReport:
         assert set(payload["weighted"]) == {"precision", "recall", "f1"}
 
     def test_matrix_csv_layout(self):
-        report = evaluation_report([(0, 1), (1, 1)], classes=2, labels=("a", "b"))
+        report = evaluation_report([(0, 1), (1, 1)], ("a", "b"))
         lines = report.matrix_csv().strip().split("\n")
         assert lines[0] == ",a,b"
         assert lines[1] == "a,0,1"
         assert lines[2] == "b,0,1"
-
-
-def _report(pairs, labels):
-    return evaluation_report(pairs, len(labels), labels=labels)
 
 
 class TestReportBytes:
@@ -226,7 +229,7 @@ class TestReportBytes:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_json_and_csv_bytes(self, case, tmp_path):
         pairs, labels, json_sha256, csv = self.CASES[case]
-        report = _report(pairs, labels)
+        report = evaluation_report(pairs, labels)
         report.save_json(tmp_path / "report.json")
         report.save_matrix_csv(tmp_path / "matrix.csv")
         data = (tmp_path / "report.json").read_bytes()

@@ -656,7 +656,7 @@ class TestEvaluate:
             arr[...] = 0
         docs = list(split.test)
         report = evaluate(model, docs, vocab)
-        predicted_col = report.matrix.counts.sum(axis=0)
+        predicted_col = report.counts.sum(axis=0)
         assert predicted_col[0] == len(docs)
         assert predicted_col[1:].sum() == 0
 
@@ -671,7 +671,7 @@ class TestEvaluate:
         train_docs = list(split.train)
         report = evaluate(model, train_docs, vocab)
         assert report.accuracy == 1.0
-        off_diagonal = report.matrix.total - np.trace(report.matrix.counts)
+        off_diagonal = report.counts.sum() - np.trace(report.counts)
         assert off_diagonal == 0
 
     def test_empty_input_rejected(self):
@@ -699,10 +699,9 @@ class TestEvaluate:
         docs = list(split.train)
         bulk = evaluate(model, docs, vocab)
         reversed_docs = evaluate(model, docs[::-1], vocab)
-        summed = sum(evaluate(model, [doc], vocab).matrix.counts
-                     for doc in docs)
-        npt.assert_array_equal(bulk.matrix.counts, reversed_docs.matrix.counts)
-        npt.assert_array_equal(bulk.matrix.counts, summed)
+        summed = sum(evaluate(model, [doc], vocab).counts for doc in docs)
+        npt.assert_array_equal(bulk.counts, reversed_docs.counts)
+        npt.assert_array_equal(bulk.counts, summed)
         seqs = [trainer.encode_document(doc, vocab, model.dims.max_len) for doc in docs]
         together = trainer.map_forward(model, seqs)
         for seq, probs in zip(seqs, together):
