@@ -71,6 +71,12 @@ def _float_where(accept, expected: str):
     return parse
 
 
+def _non_empty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty string")
+    return text
+
+
 _finite_positive = _float_where(lambda v: 0 < v < math.inf, "a finite number > 0")
 _fraction = _float_where(lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
@@ -91,7 +97,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ocr-cmd", required=True,
                    help="OCR command template with an {input} placeholder")
     p.add_argument("-o", "--output", required=True, help="output dataset JSONL")
-    p.add_argument("--id", dest="doc_id", default=None,
+    p.add_argument("--id", dest="doc_id", type=_non_empty, default=None,
                    help="document id (default: manifest file stem)")
     p.add_argument("--token-target", type=_int_at_least(1),
                    default=_default(extraction.extract_text, "token_target"))
@@ -146,14 +152,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_output_dirs(*paths: str) -> None:
-    """Checked before any work, so that a long run cannot end unwritten.
-    Inputs are checked by their loaders, when each is opened."""
-    for path in filter(None, paths):
+def _require_output_dirs(outputs: list, inputs: list) -> None:
+    """Checked before any work, so that a long run can neither end
+    unwritten nor write over one of its own files. Inputs are otherwise
+    checked by their loaders, when each is opened."""
+    claimed = {Path(path).resolve(): f"input {path}" for path in filter(None, inputs)}
+    for path in filter(None, outputs):
         if Path(path).is_dir():
             raise DataError(f"output path is a directory: {path}")
         if not Path(path).parent.is_dir():
             raise DataError(f"output directory does not exist: {path}")
+        resolved = Path(path).resolve()
+        if resolved in claimed:
+            raise DataError(f"output path {path} is the same file as {claimed[resolved]}")
+        claimed[resolved] = f"output {path}"
 
 
 def _cmd_extract(args) -> int:
@@ -162,10 +174,10 @@ def _cmd_extract(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"--ocr-cmd: {exc}") from None
     gate = extraction.QualityGateConfig(args.min_wordlike_ratio, args.min_chars)
-    _require_output_dirs(args.output)
+    _require_output_dirs([args.output], [args.manifest])
     pages = extraction.load_page_manifest(args.manifest)
     result = extraction.extract_text(pages, backend, gate, token_target=args.token_target)
-    doc_id = args.doc_id or Path(args.manifest).stem
+    doc_id = Path(args.manifest).stem if args.doc_id is None else args.doc_id
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"id": doc_id, "text": result.text},
                             ensure_ascii=False) + "\n")
@@ -182,7 +194,7 @@ def _cmd_build_vocab(args) -> int:
     for option, value in (("--seed", args.seed), ("--ratios", args.ratios)):
         if value is not None and args.labels is None:
             raise _UsageError(f"{option} needs --labels: it selects the train partition")
-    _require_output_dirs(args.output)
+    _require_output_dirs([args.output], [args.data, args.labels])
     if args.labels is not None:
         labels = corpus.LabelSet.from_file(args.labels)
         docs = corpus.load_dataset(args.data, labels)
@@ -204,7 +216,8 @@ def _cmd_build_vocab(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _require_output_dirs(args.output, args.history)
+    _require_output_dirs([args.output, args.history],
+                         [args.data, args.labels, args.vocab])
     labels = corpus.LabelSet.from_file(args.labels)
     docs = corpus.load_dataset(args.data, labels)
     split = corpus.stratified_split(docs, args.ratios, args.seed)
@@ -246,7 +259,8 @@ def _load_model_and_vocab(args):
 
 
 def _cmd_evaluate(args) -> int:
-    _require_output_dirs(args.output, args.matrix_csv)
+    _require_output_dirs([args.output, args.matrix_csv],
+                         [args.checkpoint, args.data, args.vocab])
     model, vocab = _load_model_and_vocab(args)
     labels = corpus.LabelSet(model.labels)
     docs = corpus.load_dataset(args.data, labels)

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import DataError, OcrError, json_lines
+from .nn import ModelDims
 from .tokenizer import tokenize
 
 # A token counts as wordlike when it contains two consecutive letters.
@@ -87,7 +88,7 @@ def extract_text(
     pages: Sequence[PageRecord],
     ocr: OcrBackend,
     gate: QualityGateConfig = QualityGateConfig(),
-    token_target: int = 1000,
+    token_target: int = ModelDims.max_len,
 ) -> ExtractionResult:
     """Process pages in order until the token target is covered, counting
     tokens as :func:`~lexseq.tokenizer.tokenize` does.

@@ -190,6 +190,7 @@ class TestSettings:
                 == (gate.min_wordlike_ratio, gate.min_chars))
         signature = inspect.signature(extraction.extract_text)
         assert args.token_target == signature.parameters["token_target"].default
+        assert signature.parameters["token_target"].default == nn.ModelDims.max_len
 
 
 class TestInputChecks:
@@ -406,6 +407,37 @@ class TestNotUtf8:
         assert str(page) in err and "not UTF-8" in err
         assert_one_diagnostic(err)
         assert not out.exists()
+
+
+class TestPathCollision:
+    """An output that names the same file as another output or an input is a
+    data error naming both paths, before any file is written or changed."""
+
+    @pytest.mark.parametrize("command, paths, output, other", [
+        ("train", {"out": "same.out", "history": "same.out"},
+         "same.out", "output same.out"),
+        ("train", {"out": "r.out", "history": "./r.out"}, "./r.out", "output r.out"),
+        ("train", {"out": "vocab.txt"}, "vocab.txt", "input vocab.txt"),
+        ("evaluate", {"out": "r.out", "matrix_csv": "r.out"}, "r.out", "output r.out"),
+        ("evaluate", {"out": "zero.ckpt"}, "zero.ckpt", "input zero.ckpt"),
+        ("evaluate", {"out": "link"}, "link", "input data.jsonl"),
+        ("build-vocab", {"out": "data.jsonl"}, "data.jsonl", "input data.jsonl"),
+        ("extract", {"out": "doc.jsonl"}, "doc.jsonl", "input doc.jsonl"),
+    ])
+    def test_before_any_work(self, workspace, tmp_path, capsys, command, paths,
+                             output, other):
+        (tmp_path / "link").symlink_to(tmp_path / "data.jsonl")
+        args = command_args(workspace, tmp_path, command,
+                            **{key: f"{tmp_path}/{name}" for key, name in paths.items()})
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        role, name = other.split()
+        assert (f"output path {tmp_path}/{output} is the same file as "
+                f"{role} {tmp_path}/{name}") in err
+        assert "epoch" not in err
+        assert_one_diagnostic(err)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 class TestMissingOutputDirectory:
@@ -726,7 +758,7 @@ class TestExtractCommand:
 
     @pytest.mark.parametrize("option, value", [
         ("--min-chars", "-1"), ("--min-wordlike-ratio", "2"),
-        ("--min-wordlike-ratio", "nan"), ("--ocr-cmd", "tesseract"),
+        ("--min-wordlike-ratio", "nan"), ("--ocr-cmd", "tesseract"), ("--id", ""),
     ])
     def test_bad_option_is_reported_before_the_manifest_is_read(
             self, tmp_path, capsys, option, value):
