@@ -152,7 +152,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_output_dirs(outputs: list, inputs: list) -> None:
+def _require_output_dirs(outputs: list[str | None],
+                         inputs: list[str | None]) -> None:
     """Checked before any work, so that a long run can neither end
     unwritten nor write over one of its own files. Inputs are otherwise
     checked by their loaders, when each is opened."""

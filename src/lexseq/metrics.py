@@ -24,11 +24,11 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
-def f1_score(precision: float | np.ndarray, recall: float | np.ndarray):
+def f1_score(
+    precision: float | np.ndarray, recall: float | np.ndarray
+) -> float | np.ndarray:
     """Harmonic mean, 0 where both inputs are 0; elementwise on arrays."""
-    p = np.asarray(precision, dtype=np.float64)
-    r = np.asarray(recall, dtype=np.float64)
-    f1 = _ratio(2.0 * p * r, p + r)
+    f1 = _ratio(2.0 * precision * recall, precision + recall)
     return f1 if f1.ndim else float(f1)
 
 

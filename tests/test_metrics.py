@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -139,13 +140,14 @@ class TestProperties:
         perm = list(range(classes))
         rnd.shuffle(perm)
         permuted = [(perm[t], perm[p]) for t, p in pairs]
-        base = evaluation_report(pairs, names(classes)).per_class()
-        moved = evaluation_report(permuted, names(classes)).per_class()
+        report = evaluation_report(pairs, names(classes))
+        report_moved = evaluation_report(permuted, names(classes))
+        base, moved = report.per_class(), report_moved.per_class()
         for col_base, col_moved in zip(base, moved):
             for c in range(classes):
                 assert col_moved[perm[c]] == pytest.approx(col_base[c])
-        supports = evaluation_report(pairs, names(classes)).counts.sum(axis=1)
-        supports_moved = evaluation_report(permuted, names(classes)).counts.sum(axis=1)
+        supports = report.counts.sum(axis=1)
+        supports_moved = report_moved.counts.sum(axis=1)
         if supports.sum() > 0:
             npt.assert_allclose(
                 aggregate(base, supports, "weighted"),
@@ -234,5 +236,9 @@ class TestReportBytes:
         report.save_matrix_csv(tmp_path / "matrix.csv")
         data = (tmp_path / "report.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == json_sha256, data.decode()
+        payload = json.loads(data)
+        assert report.accuracy == payload["accuracy"]
+        assert report.weighted == tuple(payload["weighted"][k]
+                                        for k in ("precision", "recall", "f1"))
         assert report.matrix_csv() == csv
         assert (tmp_path / "matrix.csv").read_bytes() == csv.encode()
