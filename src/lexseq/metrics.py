@@ -66,6 +66,11 @@ class EvaluationReport:
         if np.any(self.counts < 0):
             raise ValueError("confusion matrix entries must be non-negative")
 
+    def __eq__(self, other) -> bool:  # the generated one compares arrays in a tuple
+        if not isinstance(other, EvaluationReport):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.counts, other.counts)
+
     @property
     def accuracy(self) -> float:
         total = int(self.counts.sum())

@@ -13,18 +13,43 @@ checkpoint contract.
 lockstep: every document and both directions advance through each
 timestep together. Rows are sorted longest first, so the rows still
 running at step s are a prefix ``[:k]``, and a step is one
-``h[:k] @ U.T`` per direction plus one set of gate ufuncs on both
-directions stacked. The backward direction reverses each row within
-its own length, so PAD never enters the recurrence and no masks are
-needed. The input projection ``x @ W.T`` runs for all steps before
-the loop.
+``h[:k] @ U.T`` per direction, run in row pieces, plus one set of gate
+ufuncs on both directions stacked. The backward direction reverses
+each row within its own length, so PAD never enters the recurrence and
+no masks are needed. The input projection ``x @ W.T`` runs for all
+steps before the loop.
 
 A document's bits do not depend on its batch: every operation is
 elementwise or a matrix product whose output row depends only on its
 own input row, and OpenBLAS gives such a row the same bits for any
 row count of 2 or more, though not through its one-row and
 matrix-vector kernels. So no product runs on fewer than two rows (the
-row floor); a lone row takes a spare zero row along.
+row floor); a lone row takes a spare zero row along. The head's
+product (hidden by 6 classes at reference dims) breaks the row
+property: OpenBLAS gives the rows that fall in one of its blocks of
+four rows other bits than the rows of a 2- or 3-row product. So the
+head runs every row in a product of two rows, the shape of a lone
+document's head.
+
+The row property also lets a step's ``h[:k] @ U.T`` run in pieces,
+and :func:`forward` cuts it at OpenBLAS's small-matrix bound
+(``BLAS_SMALL_MNK``, :func:`_row_pieces`): balanced pieces of at most
+10**6 / (4H * H) rows, 6 at hidden 200. On a core with a small-matrix
+kernel (``SkylakeX``, the core OpenBLAS 0.3.31 picks on a Sapphire
+Rapids Xeon; one thread) a product within the bound skips packing U,
+and one row more packs all of U again. At hidden 200 one float32
+product took, by row count (minimum of 25 runs; the 5- and 6-row
+products ran at about 21 µs in another run, see CHANGES.md):
+
+    rows   2    4    6    7    8    9    10
+    µs     18   20   34   82   60   78   81   as one product
+    µs                    55   42   56   70   in pieces of at most 6
+
+No bit moves: each output row has the same bits for every row count
+of 2 or more, which ``TestBlasRowInvariance`` checks for 2 to 16 rows.
+On a BLAS with no small-matrix path the pieces only cost extra calls.
+The input projection and ``backward`` are not cut: ``backward``'s
+``dz @ U`` rows change bits across the bound.
 
 One layout holds every parameter: :func:`param_shapes` lists the nine
 tensors in order, and a :class:`ParamBuffer` holds them in one
@@ -79,6 +104,13 @@ GRAD_FLUSH = 2.0 ** -100
 # six arrays (1.5 MB in float32) stays in a 2 MB L2 cache; 65,536 measured
 # fastest at reference dims, ahead of 32,768 and 131,072 (see CHANGES.md).
 ADAM_BLOCK = 65_536
+
+# OpenBLAS's small-matrix limit: it runs a product of M*N*K <= 10**6 on
+# its small-matrix kernel, which does not pack the other operand, on the
+# cores that have one. forward() keeps each step's h @ U.T under it; the
+# cliff was measured at 25, 6 and 2 rows for hidden 100, 200 and 300 (see the
+# module docstring and CHANGES.md).
+BLAS_SMALL_MNK = 1_000_000
 
 # The two LSTM directions, in parameter order.
 DIRECTIONS = ("forward_dir", "backward_dir")
@@ -212,10 +244,31 @@ class Gradients(ParamBuffer):
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # two-branch form, 1/(1+e) for z >= 0 and e/(1+e) for z < 0 with
-    # e = exp(-|z|), without a masked select: exp(min(z, 0)) is 1 or e.
-    # exp() only ever sees non-positive arguments.
-    d = 1.0 + np.exp(-np.abs(z))
-    return np.divide(np.exp(np.minimum(z, 0)), d, out=out)
+    # e = exp(-|z|), without a masked select and with one exp: the
+    # numerator max(e, z >= 0) is e for z < 0 (where -|z| is z exactly)
+    # and 1 for z >= 0 (where e <= 1). exp() only sees non-positive
+    # arguments. min(z, -z) is -|z| but keeps a NaN's sign bit, so a NaN
+    # comes out with the bits that exp(min(z, 0)) / (1 + exp(-|z|)) gives.
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.maximum(e, z >= 0, out=e)
+    return np.divide(e, d, out=out)
+
+
+def _row_pieces(m: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """Row ranges ``[lo, hi)`` that cover ``[0, m)`` in order: balanced
+    pieces of at most ``bound`` rows, none of one row (the row floor).
+    A product of ``m <= bound`` rows, or with ``bound < 2``, stays one
+    piece. Only at ``bound == 2`` with ``m`` odd would a piece have one
+    row; the last piece then starts a row early and computes that row
+    twice, with the same bits."""
+    if m <= bound or bound < 2:
+        return ((0, m),)
+    n = -(-m // bound)
+    cuts = [-(-m * j // n) for j in range(n + 1)]  # ceiling cuts: larger pieces first
+    return tuple((min(lo, hi - 2), hi) for lo, hi in zip(cuts, cuts[1:]))
 
 
 def _cell_phi(activation: str):
@@ -325,13 +378,17 @@ def forward(
     c_all = np.zeros(tokens.shape + (hidden,), dtype)
     h_all = np.zeros(tokens.shape + (hidden,), dtype)
     hu = np.empty((lead, 2, 4 * hidden), dtype)
+    # pieces within the small-matrix bound and never of one row (the row
+    # floor: one-row products take other kernels)
+    bound = BLAS_SMALL_MNK // (4 * hidden * hidden)
+    pieces = {k: _row_pieces(max(k, 2), bound) for k in set(steps)}
     starts = []
     prev, lo = 0, lead
     for k in steps:
         starts.append(lo)
-        m = max(k, 2)  # row floor: one-row products take other kernels
         for d, U in enumerate(Us):
-            np.matmul(h_all[prev:prev + m, d], U.T, out=hu[:m, d])
+            for a, b in pieces[k]:
+                np.matmul(h_all[prev + a:prev + b, d], U.T, out=hu[a:b, d])
         z = gates[lo:lo + k]
         z += hu[:k]
         g = phi(z[..., 2 * hidden:3 * hidden])
@@ -350,13 +407,17 @@ def forward(
         raise NumericError(f"{_name(order[bad - starts[s]], doc_ids)}: "
                            f"non-finite LSTM state at timestep {s}")
 
-    # each row's final states, and a zero row so that the head's product
-    # has two rows or more
+    # each row's final states, and a zero row so that a lone row's head
+    # product has two rows; every row's product has two (see the module
+    # docstring)
     final = h_all[[starts[n - 1] + j for j, n in enumerate(lens.tolist())] + [0]]
     merged_pre = final[:, 0] + final[:, 1]
     merged = (np.maximum(merged_pre, 0) if model.activation == "relu_after_merge"
               else merged_pre)
-    logits = merged @ v["head.W"].T + v["head.b"]
+    logits = np.empty((batch + 1, model.dims.classes), dtype)
+    for a, b in _row_pieces(batch + 1, 2):
+        np.matmul(merged[a:b], v["head.W"].T, out=logits[a:b])
+    logits += v["head.b"]
     probs = softmax(logits)
     trace = ForwardTrace(
         order=order, steps=steps, starts=starts, lead=lead, tokens=tokens,

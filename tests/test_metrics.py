@@ -183,6 +183,17 @@ class TestEvaluationReport:
         with pytest.raises(ValueError, match="confusion matrix"):
             EvaluationReport(counts, labels)
 
+    @pytest.mark.parametrize("pairs, labels, equal", [
+        ([(0, 0)], ("a", "b"), True),
+        ([(0, 1)], ("a", "b"), False),
+        ([(0, 0)], ("a", "c"), False),
+    ], ids=["equal", "counts", "labels"])
+    def test_equality_compares_labels_and_counts(self, pairs, labels, equal):
+        report = evaluation_report([(0, 0)], ("a", "b"))
+        other = evaluation_report(pairs, labels)
+        assert (report == other) is equal
+        assert (report != other) is not equal
+
     def test_report_structure(self):
         report = evaluation_report([(0, 0), (1, 0), (1, 1)], ("x", "y"))
         payload = report.to_dict()

@@ -5,6 +5,8 @@ import pickle
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     batch_gradient_check_error,
@@ -17,7 +19,7 @@ from lexseq import nn
 from lexseq.errors import DataError, NumericError
 from lexseq.rng import SplitMix64
 from lexseq.tokenizer import EncodedSequence
-from lexseq.trainer import GROUP_DOCS
+from lexseq.trainer import GROUP_DOCS, map_forward
 
 
 def tiny_dims(**kw):
@@ -87,6 +89,26 @@ class TestSigmoid:
         assert got.dtype == dtype
         npt.assert_array_equal(got.view(f"u{z.itemsize}"),
                                expected.view(f"u{z.itemsize}"))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_two_exp_form(self, dtype):
+        # the two-exp form that the one-exp nn._sigmoid replaced
+        def two_exp(z):
+            return np.exp(np.minimum(z, 0)) / (1.0 + np.exp(-np.abs(z)))
+
+        rng = np.random.default_rng(5)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 88.7, -88.7,
+                            103.9, -103.9, 745.0, -745.0], dtype)
+        special = np.append(special, -special[4])  # a NaN with its sign bit set
+        z = np.concatenate([rng.normal(0.0, scale, 100_000).astype(dtype)
+                            for scale in (1.0, 30.0, 1000.0)] + [special])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = two_exp(z)
+            got = nn._sigmoid(z)
+        assert got.dtype == dtype
+        npt.assert_array_equal(got.view(f"u{z.itemsize}"),
+                               expected.view(f"u{z.itemsize}"))
+        assert np.isnan(got[-len(special):][np.isnan(special)]).all()
 
 
 class TestForward:
@@ -380,6 +402,27 @@ class TestLockstep:
             for row, k in zip(probs, order):
                 npt.assert_array_equal(_bits(row), _bits(alone[k]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_split_products_do_not_change_a_document(self, dtype, activation):
+        # at hidden 200 a step's h @ U.T runs in pieces of at most 6 rows,
+        # and a one-product head would give rows in blocks of four other bits
+        dims = nn.ModelDims(vocab_rows=50, embed_dim=8, hidden=200, classes=6,
+                            max_len=12)
+        bound = nn.BLAS_SMALL_MNK // (4 * dims.hidden * dims.hidden)
+        assert bound == 6 and len(nn._row_pieces(GROUP_DOCS, bound)) == 3
+        model = nn.init_parameters(dims, seed=8, activation=activation, dtype=dtype)
+        lengths = [12, 1, 7, 3, 12, 9, 5, 2, 11, 8, 4, 6, 10, 1, 12, 7]
+        assert len(lengths) == GROUP_DOCS
+        seqs = _ragged_batch(dims, lengths, seed=9)
+        alone = [nn.forward([seq], model)[0][0] for seq in seqs]
+        for order in (list(range(len(seqs))), list(range(len(seqs)))[::-1]):
+            probs, _ = nn.forward([seqs[k] for k in order], model)
+            for row, k in zip(probs, order):
+                npt.assert_array_equal(_bits(row), _bits(alone[k]))
+        for row, expected in zip(map_forward(model, seqs), alone):
+            npt.assert_array_equal(_bits(row), _bits(expected))
+
     def test_batch_gradient_is_sum_of_document_gradients(self):
         dims = tiny_dims(hidden=5)
         model = nn.init_parameters(dims, seed=7, activation="tanh", dtype=np.float64)
@@ -514,6 +557,23 @@ class TestParamBuffer:
         expected = math.sqrt(sum(float(np.sum(arr.astype(np.float64) ** 2))
                                  for arr in grads.arrays()))
         assert grads.global_norm() == pytest.approx(expected, rel=1e-12)
+
+
+class TestRowPieces:
+    @given(st.integers(1, 64), st.integers(1, 30))
+    def test_pieces_cover_the_rows_within_the_bound(self, m, bound):
+        pieces = nn._row_pieces(m, bound)
+        assert pieces[0][0] == 0 and pieces[-1][1] == m
+        for (lo, hi), (next_lo, next_hi) in zip(pieces, pieces[1:]):
+            assert lo < next_lo <= hi < next_hi  # in order, no gap
+        sizes = [hi - lo for lo, hi in pieces]
+        if m >= 2:
+            assert min(sizes) >= 2
+        assert max(sizes) - min(sizes) <= 1  # balanced
+        if bound >= 2:
+            assert max(sizes) <= bound
+        if m <= bound or bound < 2:
+            assert pieces == ((0, m),)
 
 
 class TestBlasRowInvariance:
