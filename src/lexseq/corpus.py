@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, json_lines, utf8_lines
+from .errors import DataError, json_lines, read_utf8
 from .rng import SplitMix64
 
 # Default 6-class label order used by the reference configuration.
@@ -46,7 +46,7 @@ class LabelSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LabelSet":
-        lines = "".join(utf8_lines(path)).splitlines()
+        lines = read_utf8(path)[1].splitlines()
         try:
             return cls(tuple(line.strip() for line in lines if line.strip()))
         except ValueError as exc:

@@ -2,13 +2,18 @@
 
 The split matters for the CLI exit-code mapping: bad input data (files,
 records, checkpoints) is distinct from numeric/runtime failures.
+
+The file boundary lives here too: the readers that turn an unreadable or
+non-UTF-8 input into a DataError naming it, and the atomic writer that
+every saved vocabulary and checkpoint goes through.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, BinaryIO, Callable, Iterator
 
 
 class LexseqError(Exception):
@@ -40,6 +45,11 @@ def open_input(path: str | Path, mode: str = "r", **kwargs) -> IO:
         raise DataError(f"cannot read input path {path}: {exc.strerror}") from None
 
 
+def _not_utf8(path: str | Path, data: bytes, exc: UnicodeDecodeError) -> DataError:
+    line = data.count(b"\n", 0, exc.start) + 1
+    return DataError(f"{path}:{line}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+
+
 def utf8_lines(path: str | Path) -> Iterator[str]:
     """The lines of a UTF-8 text file, as ``open`` yields them. Bytes
     that are not UTF-8 raise a DataError naming the file and their line."""
@@ -51,10 +61,40 @@ def utf8_lines(path: str | Path) -> Iterator[str]:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise DataError(f"{path}:{line}: not UTF-8 text (byte {exc.start}: "
-                            f"{exc.reason})") from None
+            raise _not_utf8(path, data, exc) from None
         raise
+
+
+def read_utf8(path: str | Path) -> tuple[bytes, str]:
+    """A whole UTF-8 text file: its bytes and their strict decoding. Bytes
+    that are not UTF-8 raise a DataError naming the file and their line.
+    Line ends are left as they are (``str.splitlines`` splits on each)."""
+    with open_input(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data, data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, data, exc) from None
+
+
+def write_atomically(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write the file at ``path`` through ``write(fh)``, all or nothing.
+
+    The bytes go to a temporary file in the target's directory, which is
+    synced and then replaces the target in one step, so a write that
+    fails partway leaves any existing file at ``path`` untouched and no
+    temporary file behind.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)  # only left behind by a failed write
 
 
 def json_lines(path: str | Path, kind: str) -> Iterator[tuple[int, object]]:

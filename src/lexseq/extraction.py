@@ -76,7 +76,7 @@ def assess_quality(
     """
     tokens = text.split()
     if tokens:
-        wordlike = sum(1 for tok in tokens if _WORDLIKE.search(tok))
+        wordlike = sum(map(bool, map(_WORDLIKE.search, tokens)))
         score = wordlike / len(tokens)
     else:
         score = 0.0

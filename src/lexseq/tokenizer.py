@@ -11,6 +11,15 @@ are decimal digits (``isdecimal()``). ``_TOKEN`` is that definition.
 Lowercasing is the vocabulary's (``Vocabulary.lowercase``, kept in its
 file), and ``encode`` takes the window ``max_len`` from its caller,
 which reads it from the model (``ModelDims.max_len``).
+
+A vocabulary holds its table as two columns, ``tokens`` and ``freqs``,
+with no object per entry; ``entries`` pairs them up on demand. Its
+digest is the SHA-256 of its canonical file (what ``save_vocabulary``
+writes). ``load_vocabulary`` parses the rows a column at a time and,
+when the file's bytes are that canonical file, keeps the SHA-256 of
+the bytes it read; any other accepted form (CRLF or ``\r`` line ends,
+``+3`` ids, ``007`` frequencies, no final newline) is rendered on the
+first ``digest()``, as a built vocabulary is.
 """
 
 from __future__ import annotations
@@ -20,14 +29,14 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
-from operator import ge, itemgetter
+from itertools import chain, count, islice, repeat
+from operator import eq, ge, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from .errors import DataError, utf8_lines
+from .errors import DataError, read_utf8, write_atomically
 
 PAD_ID = 0
 OOV_ID = 1
@@ -56,34 +65,57 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     return _TOKEN.findall(text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Vocabulary:
-    """Frequency-ranked token table. Entry k has id k + 2. ``lowercase``
-    is how its texts were tokenized, and how text is tokenized for it."""
+    """Frequency-ranked token table, held as two columns: ``tokens[k]``
+    has id k + 2 and training-stream frequency ``freqs[k]``. ``lowercase``
+    is how its texts were tokenized, and how text is tokenized for it.
 
-    entries: tuple[tuple[str, int], ...]
+    Build it from the columns (``tokens=``, ``freqs=``) or from
+    ``(token, frequency)`` pairs (``entries``); both run the same checks.
+    """
+
+    tokens: tuple[str, ...]
+    freqs: tuple[int, ...]
     cap: int
     lowercase: bool = True
     _index: dict = field(init=False, repr=False, compare=False)
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if len(self.entries) > self.cap:
+    def __init__(self, entries: Iterable[tuple[str, int]] | None = None, *, cap: int,
+                 lowercase: bool = True, tokens: Iterable[str] | None = None,
+                 freqs: Iterable[int] | None = None):
+        if not (tokens is None) == (freqs is None) != (entries is None):
+            raise TypeError("give either entries or both tokens and freqs")
+        if entries is not None:
+            entries = tuple(entries)
+            # a pass per column; zip(*entries) would make an iterator per entry
+            tokens = map(itemgetter(0), entries)
+            freqs = map(itemgetter(1), entries)
+        tokens, freqs = tuple(tokens), tuple(freqs)
+        if len(tokens) != len(freqs):
+            raise ValueError("vocabulary columns differ in length")
+        if len(tokens) > cap:
             raise ValueError("vocabulary exceeds its cap")
-        # Whole-table checks that make no object per entry (zip(*entries)
-        # would make an iterator each, and wake the garbage collector); the
-        # faulty entry is looked for only when a check fails.
-        tokens = list(map(itemgetter(0), self.entries))
-        freqs = list(map(itemgetter(1), self.entries))
+        # Whole-column checks that make no object per entry; the faulty
+        # entry is looked for only when a check fails.
         index = dict(zip(tokens, range(2, len(tokens) + 2)))
         if not (len(index) == len(tokens) and all(tokens)
                 and not _SPACE.search("".join(tokens))
                 and all(map(ge, freqs, islice(freqs, 1, None)))):
-            _raise_first_fault(self.entries)
-        object.__setattr__(self, "_index", index)
+            _raise_first_fault(tokens, freqs)
+        for name, value in (("tokens", tokens), ("freqs", freqs), ("cap", cap),
+                            ("lowercase", lowercase), ("_index", index),
+                            ("_digest", None)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def entries(self) -> tuple[tuple[str, int], ...]:
+        """The table as ``(token, frequency)`` pairs, in id order."""
+        return tuple(zip(self.tokens, self.freqs))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.tokens)
 
     def id_of(self, token: str) -> int:
         """Token id, or OOV_ID for tokens outside the vocabulary."""
@@ -92,22 +124,23 @@ class Vocabulary:
     @property
     def id_count(self) -> int:
         """Total id space including PAD and OOV."""
-        return len(self.entries) + 2
+        return len(self.tokens) + 2
 
     def digest(self) -> str:
         """SHA-256 over the canonical file rendering; checkpoints pin this.
-        Computed on the first call and kept: the table is immutable."""
+        Computed on the first call and kept: the table is immutable.
+        ``load_vocabulary`` keeps the hash of a canonical file's bytes."""
         if self._digest is None:
             object.__setattr__(self, "_digest",
                                hashlib.sha256(_render(self).encode("utf-8")).hexdigest())
         return self._digest
 
 
-def _raise_first_fault(entries: tuple[tuple[str, int], ...]) -> None:
+def _raise_first_fault(tokens: tuple[str, ...], freqs: tuple[int, ...]) -> None:
     """Name the first entry that breaks a table rule, in entry order."""
     seen = set()
     prev_freq = None
-    for token, freq in entries:
+    for token, freq in zip(tokens, freqs):
         if not token:
             raise ValueError("empty token in vocabulary")
         if any(ch.isspace() for ch in token):
@@ -136,8 +169,9 @@ def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000,
     counts = Counter(token_stream)
     if not counts:
         raise DataError("cannot build a vocabulary from an empty token stream")
-    ranked = sorted(counts.items(), key=itemgetter(1), reverse=True)
-    return Vocabulary(entries=tuple(ranked[:cap]), cap=cap, lowercase=lowercase)
+    ranked = sorted(counts.items(), key=itemgetter(1), reverse=True)[:cap]
+    return Vocabulary(tokens=map(itemgetter(0), ranked), freqs=map(itemgetter(1), ranked),
+                      cap=cap, lowercase=lowercase)
 
 
 @dataclass(frozen=True)
@@ -168,22 +202,35 @@ def encode_text(text: str, vocab: Vocabulary, max_len: int) -> EncodedSequence:
     return encode(tokenize(text, vocab.lowercase), vocab, max_len)
 
 
-def _render(vocab: Vocabulary) -> str:
+def _header(size: int, cap: int, lowercase: bool) -> str:
     # A lowercase vocabulary has no key, so its bytes and digest predate it.
-    casing = "" if vocab.lowercase else " lowercase=false"
-    lines = [f"{_VOCAB_MAGIC} size={len(vocab.entries)} cap={vocab.cap}{casing}"]
-    for pos, (token, freq) in enumerate(vocab.entries):
-        lines.append(f"{token}\t{pos + 2}\t{freq}")
-    return "\n".join(lines) + "\n"
+    casing = "" if lowercase else " lowercase=false"
+    return f"{_VOCAB_MAGIC} size={size} cap={cap}{casing}"
+
+
+def _render(vocab: Vocabulary) -> str:
+    rows = [f"{token}\t{id_}\t{freq}\n"
+            for token, id_, freq in zip(vocab.tokens, range(2, len(vocab) + 2), vocab.freqs)]
+    return _header(len(vocab), vocab.cap, vocab.lowercase) + "\n" + "".join(rows)
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    Path(path).write_text(_render(vocab), encoding="utf-8")
+    """Write ``vocab``'s canonical rendering to ``path``, atomically
+    (``errors.write_atomically``)."""
+    data = _render(vocab).encode("utf-8")
+    write_atomically(path, lambda fh: fh.write(data))
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Parse a vocabulary file; load(save(v)) == v including ids."""
-    lines = "".join(utf8_lines(path)).splitlines()
+    """Parse a vocabulary file; load(save(v)) == v including ids.
+
+    The rows are parsed as whole columns. When a column check fails,
+    ``_raise_first_bad_row`` walks the rows to name the first bad one.
+    A file whose bytes are the ones ``save_vocabulary`` writes for its
+    table keeps their SHA-256 as the digest.
+    """
+    data, text = read_utf8(path)
+    lines = text.splitlines()
     if not lines or not lines[0].startswith("#vocab "):
         raise DataError(f"{path}: not a vocabulary file")
     header = lines[0]
@@ -197,39 +244,76 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         raise DataError(f"{path}: malformed vocabulary header: {header!r}") from None
     if fields not in ({}, {"lowercase": "false"}):  # the key of a case-preserving one
         raise DataError(f"{path}: malformed vocabulary header: {header!r}")
+    lowercase = "lowercase" not in fields
 
-    entries: list[tuple[str, int]] = []
+    n = len(lines) - 1
+    plain_ends = text == "\n".join(lines) + "\n"  # "\n" ends every line
+    if list(map(str.count, islice(lines, 1, None), repeat("\t"))).count(2) != n:
+        _raise_first_bad_row(path, text)
+    # Each stage's strings are dropped once the next stage is made, so
+    # that at most the rows or their cells are alive at a time.
+    cells = "\t".join(islice(lines, 1, None))
+    del lines
+    cells = cells.split("\t") if n else []
+    tokens, id_strs, freq_strs = cells[0::3], cells[1::3], cells[2::3]
+    del cells
+    try:
+        # ids as save_vocabulary writes them are compared as strings; int()
+        # also reads a sign, spaces, leading zeros, "_" and non-ASCII digits
+        canonical_ids = all(map(eq, id_strs, map(str, count(2))))
+        if not (canonical_ids or all(map(eq, map(int, id_strs), count(2)))):
+            _raise_first_bad_row(path, text)
+        del id_strs
+        freqs = list(map(int, freq_strs))
+    except ValueError:
+        _raise_first_bad_row(path, text)
+    canonical = (canonical_ids and plain_ends and header == _header(n, cap, lowercase)
+                 and all(map(eq, freq_strs, map(str, freqs))))
+    del freq_strs
+    # The token strings sat between the number strings just freed; made
+    # again after the old ones are freed too, they are packed together.
+    # (Left as they were, the holes slowed later work: build_vocabulary
+    # by about 10%.)
+    tokens = "\n".join(tokens)
+    tokens = tokens.split("\n") if n else []
+    if len(set(tokens)) != n:
+        _raise_first_bad_row(path, text)
+    if n != size:
+        raise DataError(f"{path}: header declares size={size} but file has {n} rows")
+    if not n:
+        raise DataError(f"{path}: vocabulary has no tokens")
+    try:
+        vocab = Vocabulary(tokens=tokens, freqs=freqs, cap=cap, lowercase=lowercase)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if canonical:  # these bytes are _render(vocab)'s, so their hash is the digest
+        object.__setattr__(vocab, "_digest", hashlib.sha256(data).hexdigest())
+    return vocab
+
+
+def _raise_first_bad_row(path: str | Path, text: str) -> NoReturn:
+    """Raise the DataError of the first row of a vocabulary file's text
+    that breaks a row rule, in file order: three tab-separated fields,
+    integer id and frequency, no token twice, ids contiguous from 2."""
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected token<TAB>id<TAB>frequency")
         token, id_str, freq_str = parts
         try:
             token_id = int(id_str)
-            freq = int(freq_str)
+            int(freq_str)
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-integer id or frequency") from None
         if token in seen:
             raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
         seen.add(token)
-        expected = len(entries) + 2
-        if token_id != expected:
+        if token_id != lineno:  # row k is on line k + 2 and has id k + 2
             raise DataError(
-                f"{path}:{lineno}: non-contiguous id {token_id} (expected {expected})"
+                f"{path}:{lineno}: non-contiguous id {token_id} (expected {lineno})"
             )
-        entries.append((token, freq))
-    if len(entries) != size:
-        raise DataError(
-            f"{path}: header declares size={size} but file has {len(entries)} rows"
-        )
-    if not entries:
-        raise DataError(f"{path}: vocabulary has no tokens")
-    try:
-        return Vocabulary(entries=tuple(entries), cap=cap,
-                          lowercase="lowercase" not in fields)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    raise AssertionError("the column checks refused rows that every row rule accepts")
 
 
 def iter_tokens(texts: Iterable[str], lowercase: bool = True) -> Iterator[str]:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import Document, LabelSet, SplitDataset
-from .errors import DataError, NumericError, open_input
+from .errors import DataError, NumericError, open_input, write_atomically
 from .metrics import EvaluationReport, evaluation_report
 from .nn import (
     ACTIVATIONS,
@@ -335,9 +335,8 @@ def save_checkpoint(
 ) -> None:
     """Write ``model`` (and optionally its Adam state) to ``path``.
 
-    The bytes go to a temporary file in the target's directory, which
-    then replaces the target in one step, so a write that fails partway
-    leaves any existing checkpoint at ``path`` untouched.
+    The write is atomic (``errors.write_atomically``): a write that fails
+    partway leaves any existing checkpoint at ``path`` untouched.
     """
     header = json.dumps({
         "format": CHECKPOINT_FORMAT, "dims": asdict(model.dims),
@@ -345,24 +344,19 @@ def save_checkpoint(
         "activation": model.activation, "optimizer": "adam",
         "adam_t": None if state is None else state.t,
     }, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(header.encode("utf-8"))
-            fh.write(b"\n")
-            # through the buffer protocol, in C order (W and U are held in F)
-            tensors = model.params.arrays()
-            if state is not None:
-                tensors += state.m.arrays() + state.v.arrays()
-            for arr in tensors:
-                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)  # only left behind by a failed write
+
+    def write(fh):
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(header.encode("utf-8"))
+        fh.write(b"\n")
+        # through the buffer protocol, in C order (W and U are held in F)
+        tensors = model.params.arrays()
+        if state is not None:
+            tensors += state.m.arrays() + state.v.arrays()
+        for arr in tensors:
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+
+    write_atomically(path, write)
 
 
 def load_checkpoint(

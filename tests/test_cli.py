@@ -2,7 +2,10 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +86,15 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
+
+    def test_module_runs_the_cli(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "lexseq", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: lexseq ")
 
 
 def assert_one_diagnostic(err):

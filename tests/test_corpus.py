@@ -46,6 +46,12 @@ class TestLabelSet:
         path.write_text("x\ny\nz\n", encoding="utf-8")
         assert LabelSet.from_file(path).labels == ("x", "y", "z")
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_from_file_with_any_line_end(self, tmp_path, end):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(end.join(["x", " y ", "", "z"]).encode("utf-8"))
+        assert LabelSet.from_file(path).labels == ("x", "y", "z")
+
     def test_labels_must_be_strings(self):
         with pytest.raises(ValueError, match="non-empty strings"):
             LabelSet((1, 2))

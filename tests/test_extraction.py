@@ -71,6 +71,15 @@ class TestAssessQuality:
         config = QualityGateConfig(min_wordlike_ratio=0.5, min_chars=1)
         assert assess_quality("bom ## ruim ##", config) == (0.5, True)
 
+    @given(st.text(st.one_of(st.sampled_from("ab1_ .,\n\t\xa0çÃ٣"), st.characters()),
+                   max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_score_equals_the_per_token_count(self, text):
+        tokens = text.split()
+        wordlike = sum(1 for tok in tokens if extraction._WORDLIKE.search(tok))
+        expected = wordlike / len(tokens) if tokens else 0.0
+        assert assess_quality(text)[0] == expected
+
 
 class TestExtractText:
     def test_embedded_accept_skips_ocr(self):

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import unicodedata
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_every_truncation_and_bit_flip, damaged, load_variant
+from conftest import check_every_truncation_and_bit_flip, damaged, flip_bit, load_variant
 
 from lexseq import tokenizer
-from lexseq.errors import DataError
+from lexseq.errors import DataError, utf8_lines
 from lexseq.tokenizer import (
     OOV_ID,
     PAD_ID,
@@ -334,26 +335,59 @@ WHITESPACE = [" ", "\t", "\n", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
 WHITESPACE_IN_A_FIELD = [" ", "\x1f", "\xa0", "\u1680", "\u2000", "\u3000"]
 
 
+RULE_CASES = pytest.mark.parametrize("entries, cap, message", [
+    ((("a", 2), ("b", 1)), 1, "vocabulary exceeds its cap"),
+    ((("a", 2), ("", 1)), 5, "empty token in vocabulary"),
+    ((("a", 2), ("b", 1), ("a", 1)), 5, "duplicate token 'a' in vocabulary"),
+    ((("a", 1), ("b", 2)), 5, "vocabulary frequencies must be non-increasing"),
+    # the first entry that breaks a rule is named, whatever follows
+    ((("a", 1), ("b", 2), ("", 1)), 5,
+     "vocabulary frequencies must be non-increasing"),
+    ((("a", 3), ("a b", 2), ("a b", 1)), 5, "token 'a b' contains whitespace"),
+    ((("a", 3), ("a", 2), ("", 1)), 5, "duplicate token 'a' in vocabulary"),
+], ids=["cap", "empty", "duplicate", "rising", "rising-first", "space-first",
+        "duplicate-first"])
+
+
 class TestVocabularyRules:
     """Each table rule rejects with its own message: built directly, as a
     ValueError; loaded, as a DataError that names the file."""
 
-    @pytest.mark.parametrize("entries, cap, message", [
-        ((("a", 2), ("b", 1)), 1, "vocabulary exceeds its cap"),
-        ((("a", 2), ("", 1)), 5, "empty token in vocabulary"),
-        ((("a", 2), ("b", 1), ("a", 1)), 5, "duplicate token 'a' in vocabulary"),
-        ((("a", 1), ("b", 2)), 5, "vocabulary frequencies must be non-increasing"),
-        # the first entry that breaks a rule is named, whatever follows
-        ((("a", 1), ("b", 2), ("", 1)), 5,
-         "vocabulary frequencies must be non-increasing"),
-        ((("a", 3), ("a b", 2), ("a b", 1)), 5, "token 'a b' contains whitespace"),
-        ((("a", 3), ("a", 2), ("", 1)), 5, "duplicate token 'a' in vocabulary"),
-    ], ids=["cap", "empty", "duplicate", "rising", "rising-first", "space-first",
-            "duplicate-first"])
+    @RULE_CASES
     def test_rejection(self, entries, cap, message):
         with pytest.raises(ValueError) as excinfo:
             tokenizer.Vocabulary(entries=entries, cap=cap)
         assert str(excinfo.value) == message
+
+    @RULE_CASES
+    def test_rejection_of_columns(self, entries, cap, message):
+        tokens, freqs = [t for t, _ in entries], [f for _, f in entries]
+        with pytest.raises(ValueError) as excinfo:
+            tokenizer.Vocabulary(tokens=tokens, freqs=freqs, cap=cap)
+        assert str(excinfo.value) == message
+
+    def test_columns_and_entries_build_the_same_table(self):
+        entries = (("b", 3), ("a", 3), ("c", 1))
+        by_entries = tokenizer.Vocabulary(entries, cap=3, lowercase=False)
+        by_columns = tokenizer.Vocabulary(tokens=iter("bac"), freqs=[3, 3, 1], cap=3,
+                                          lowercase=False)
+        assert by_columns == by_entries and hash(by_columns) == hash(by_entries)
+        assert by_columns.tokens == ("b", "a", "c") and by_columns.freqs == (3, 3, 1)
+        assert by_columns.entries == entries
+        assert by_columns.digest() == by_entries.digest()
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"tokens": ["a"]}, {"freqs": [1]},
+        {"entries": (("a", 1),), "tokens": ["a"], "freqs": [1]},
+        {"entries": (("a", 1),), "freqs": [1]}],
+        ids=["neither", "tokens-only", "freqs-only", "both", "entries-and-freqs"])
+    def test_one_way_of_construction(self, kwargs):
+        with pytest.raises(TypeError, match="either entries or both tokens and freqs"):
+            tokenizer.Vocabulary(cap=5, **kwargs)
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            tokenizer.Vocabulary(tokens=["a", "b"], freqs=[2], cap=5)
 
     @pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
     def test_whitespace_anywhere_in_a_token(self, space):
@@ -406,6 +440,16 @@ def vocabulary_file(tmp_path_factory):
     return path.read_bytes(), path.with_name("variant.txt")
 
 
+@pytest.fixture(scope="module")
+def case_preserving_file(tmp_path_factory):
+    """A valid case-preserving vocabulary file, and a scratch path."""
+    vocab = build_vocabulary(iter(["Acórdão", "8.112/90", "RE", "RE", "lei"]),
+                             cap=10, lowercase=False)
+    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+    save_vocabulary(vocab, path)
+    return path.read_bytes(), path.with_name("variant.txt")
+
+
 class TestVocabularyFileFuzz:
     """A damaged vocabulary file either loads or raises DataError."""
 
@@ -413,16 +457,210 @@ class TestVocabularyFileFuzz:
         blob, path = vocabulary_file
         check_every_truncation_and_bit_flip(load_vocabulary, path, blob)
 
-    def test_every_truncation_and_bit_flip_of_a_case_preserving_file(self, tmp_path):
-        vocab = build_vocabulary(iter(["Acórdão", "8.112/90", "RE", "RE", "lei"]),
-                                 cap=10, lowercase=False)
-        path = tmp_path / "vocab.txt"
-        save_vocabulary(vocab, path)
-        check_every_truncation_and_bit_flip(
-            load_vocabulary, path.with_name("variant.txt"), path.read_bytes())
+    def test_every_truncation_and_bit_flip_of_a_case_preserving_file(
+            self, case_preserving_file):
+        blob, path = case_preserving_file
+        check_every_truncation_and_bit_flip(load_vocabulary, path, blob)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_flip_and_truncation_anywhere(self, vocabulary_file, data):
         blob, path = vocabulary_file
         load_variant(load_vocabulary, path, damaged(blob, data))
+
+
+def reference_load_vocabulary(path) -> tokenizer.Vocabulary:
+    """The per-line loader that the column parse replaced: the reference
+    for what ``load_vocabulary`` accepts and for each message it raises."""
+    lines = "".join(utf8_lines(path)).splitlines()
+    if not lines or not lines[0].startswith("#vocab "):
+        raise DataError(f"{path}: not a vocabulary file")
+    header = lines[0]
+    if not header.startswith("#vocab v1 "):
+        raise DataError(f"{path}: unsupported vocabulary version: {header!r}")
+    fields = dict(part.partition("=")[::2] for part in header[len("#vocab v1"):].split())
+    try:
+        size = int(fields.pop("size"))
+        cap = int(fields.pop("cap"))
+    except (KeyError, ValueError):
+        raise DataError(f"{path}: malformed vocabulary header: {header!r}") from None
+    if fields not in ({}, {"lowercase": "false"}):
+        raise DataError(f"{path}: malformed vocabulary header: {header!r}")
+
+    entries: list[tuple[str, int]] = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected token<TAB>id<TAB>frequency")
+        token, id_str, freq_str = parts
+        try:
+            token_id = int(id_str)
+            freq = int(freq_str)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer id or frequency") from None
+        if token in seen:
+            raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
+        seen.add(token)
+        expected = len(entries) + 2
+        if token_id != expected:
+            raise DataError(
+                f"{path}:{lineno}: non-contiguous id {token_id} (expected {expected})"
+            )
+        entries.append((token, freq))
+    if len(entries) != size:
+        raise DataError(
+            f"{path}: header declares size={size} but file has {len(entries)} rows"
+        )
+    if not entries:
+        raise DataError(f"{path}: vocabulary has no tokens")
+    try:
+        return tokenizer.Vocabulary(entries=tuple(entries), cap=cap,
+                                    lowercase="lowercase" not in fields)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def load_outcome(loader, path, blob: bytes):
+    """Write ``blob`` to ``path`` and load it: the table and its digest,
+    or the DataError's message."""
+    path.write_bytes(blob)
+    try:
+        vocab = loader(path)
+    except DataError as exc:
+        return str(exc)
+    return vocab, vocab.digest()
+
+
+def variants(blob: bytes):
+    """Every prefix of ``blob`` and every single-bit flip of it."""
+    yield from (blob[:end] for end in range(len(blob)))
+    yield from (flip_bit(blob, bit) for bit in range(8 * len(blob)))
+
+
+class TestColumnParseEqualsTheLineLoop:
+    """``load_vocabulary`` accepts what the per-line loader accepted, with
+    the same table and digest, and refuses the rest with its message."""
+
+    @pytest.mark.parametrize("fixture", ["vocabulary_file", "case_preserving_file"])
+    def test_every_truncation_and_bit_flip(self, request, fixture):
+        blob, path = request.getfixturevalue(fixture)
+        for variant in variants(blob):
+            assert (load_outcome(load_vocabulary, path, variant)
+                    == load_outcome(reference_load_vocabulary, path, variant)), variant
+
+    @pytest.mark.parametrize("body", [
+        "a\t2\t5\tb\n3\t4\n",  # its six cells read as two good rows
+        "a\t2\t5\nb\t3\t4\na\t4\t1\n",
+        "a\t2\t5\nb\t4\t4\n",
+        "a\t2\t5\nb\t3\tx\n",
+        "a\t2\t5\nb\t3\t4\t\n",
+        "a\t2\t5\n\n",
+    ], ids=["three-tabs-then-one", "repeated-token", "skipped-id",
+            "non-integer-frequency", "trailing-tab", "blank-line"])
+    def test_row_faults(self, tmp_path, body):
+        blob = f"#vocab v1 size=2 cap=5\n{body}".encode("utf-8")
+        path = tmp_path / "vocab.txt"
+        expected = load_outcome(reference_load_vocabulary, path, blob)
+        assert isinstance(expected, str)
+        assert load_outcome(load_vocabulary, path, blob) == expected
+
+
+# Tokens that are valid in a table: no whitespace (which includes every
+# line and field separator) and no lone surrogate, which UTF-8 cannot hold.
+TOKENS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1,
+                 max_size=6).filter(lambda t: not any(c.isspace() for c in t))
+
+
+@st.composite
+def tables(draw) -> tokenizer.Vocabulary:
+    tokens = draw(st.lists(TOKENS, min_size=1, max_size=8, unique=True))
+    freqs = sorted(draw(st.lists(st.integers(-20, 10**12), min_size=len(tokens),
+                                 max_size=len(tokens))), reverse=True)
+    return tokenizer.Vocabulary(tokens=tokens, freqs=freqs,
+                                cap=len(tokens) + draw(st.integers(0, 3)),
+                                lowercase=draw(st.booleans()))
+
+
+def _zero_padded(number: str) -> str:
+    return number[:number.startswith("-")] + "00" + number.lstrip("-")
+
+
+def _in_rows(row_edit):
+    """A variant that edits each row's (token, id, frequency) strings."""
+    def edit(text: str) -> str:
+        header, *rows = text.split("\n")[:-1]
+        rows = ["\t".join(row_edit(*row.split("\t"))) for row in rows]
+        return "\n".join([header, *rows]) + "\n"
+    return edit
+
+
+# The forms the loader accepts besides the canonical one.
+FILE_VARIANTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "plus-id": _in_rows(lambda token, id_, freq: (token, "+" + id_, freq)),
+    "zero-padded-frequency": _in_rows(lambda token, id_, freq:
+                                      (token, id_, _zero_padded(freq))),
+    "no-final-newline": lambda text: text[:-1],
+    "header-spacing": lambda text: text.replace(" size=", "  size=", 1),
+}
+
+
+class TestLoadedDigest:
+    """A loaded table's digest is the SHA-256 of its canonical rendering,
+    whatever form of the file it was read from."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("digest") / "vocab.txt"
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables(), st.sampled_from([None, *FILE_VARIANTS]))
+    def test_digest_of_the_rendering(self, path, vocab, variant):
+        text = tokenizer._render(vocab)
+        if variant is not None:
+            text = FILE_VARIANTS[variant](text)
+            assert text != tokenizer._render(vocab)
+        path.write_bytes(text.encode("utf-8"))
+        loaded = load_vocabulary(path)
+        assert loaded == vocab
+        assert loaded.digest() == hashlib.sha256(
+            tokenizer._render(vocab).encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_a_canonical_file_is_not_rendered(self, tmp_path, monkeypatch, lowercase):
+        tokens = [f"t{k}" for k in range(1000)]
+        vocab = tokenizer.Vocabulary(tokens=tokens, freqs=range(1000, 0, -1),
+                                     cap=2000, lowercase=lowercase)
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        expected = vocab.digest()
+
+        def no_render(vocab):
+            raise AssertionError("rendered a table read from a canonical file")
+
+        monkeypatch.setattr(tokenizer, "_render", no_render)
+        loaded = load_vocabulary(path)
+        assert loaded == vocab
+        assert loaded.digest() == expected == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestSaveVocabulary:
+    @pytest.mark.parametrize("failure", ["unencodable-token", "fsync"])
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(build_vocabulary(iter("aab"), cap=5), path)
+        before = path.read_bytes()
+        if failure == "fsync":
+            def failing_fsync(fd):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(os, "fsync", failing_fsync)
+            vocab, error = build_vocabulary(iter("xyz"), cap=5), OSError
+        else:  # UTF-8 cannot hold a lone surrogate
+            vocab, error = tokenizer.Vocabulary((("a\ud800", 1),), cap=5), UnicodeEncodeError
+        with pytest.raises(error):
+            save_vocabulary(vocab, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
