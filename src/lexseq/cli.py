@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, extraction, tokenizer, trainer
-from .errors import DataError, NumericError, OcrError
+from .errors import DataError, NumericError, OcrError, write_atomically
 from .nn import ACTIVATIONS, ModelDims, init_parameters
 
 
@@ -179,9 +179,8 @@ def _cmd_extract(args) -> int:
     pages = extraction.load_page_manifest(args.manifest)
     result = extraction.extract_text(pages, backend, gate, token_target=args.token_target)
     doc_id = Path(args.manifest).stem if args.doc_id is None else args.doc_id
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"id": doc_id, "text": result.text},
-                            ensure_ascii=False) + "\n")
+    record = json.dumps({"id": doc_id, "text": result.text}, ensure_ascii=False)
+    write_atomically(args.output, (record + "\n").encode())
     used = ", ".join(f"{n}:{src}" for n, src in result.pages_used)
     print(
         f"{doc_id}: {result.token_count} tokens from pages [{used}] "

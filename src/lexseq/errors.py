@@ -3,15 +3,20 @@
 The split matters for the CLI exit-code mapping: bad input data (files,
 records, checkpoints) is distinct from numeric/runtime failures.
 
-The file boundary lives here too: the readers that turn an unreadable or
-non-UTF-8 input into a DataError naming it, and the atomic writer that
-every saved vocabulary and checkpoint goes through.
+The file boundary lives here too: the readers that turn an unreadable
+or non-UTF-8 input, or a JSON string that no UTF-8 output can hold, into
+a DataError naming it; and ``write_atomically``, the one writer of every
+output file (vocabulary, checkpoint, report JSON, matrix CSV, history,
+extracted text). Its OutputError is an OSError for library callers and
+a DataError (exit 2) for the CLI.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+from contextlib import suppress
 from pathlib import Path
 from typing import IO, BinaryIO, Callable, Iterator
 
@@ -23,6 +28,11 @@ class LexseqError(Exception):
 class DataError(LexseqError):
     """Malformed or inconsistent input data: dataset lines, vocabulary
     files, checkpoints, page manifests."""
+
+
+class OutputError(DataError, OSError):
+    """An output file could not be written. The message names the path;
+    ``errno`` is the failed call's."""
 
 
 class NumericError(LexseqError):
@@ -77,36 +87,69 @@ def read_utf8(path: str | Path) -> tuple[bytes, str]:
         raise _not_utf8(path, data, exc) from None
 
 
-def write_atomically(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
-    """Write the file at ``path`` through ``write(fh)``, all or nothing.
-
-    The bytes go to a temporary file in the target's directory, which is
-    synced and then replaces the target in one step, so a write that
-    fails partway leaves any existing file at ``path`` untouched and no
-    temporary file behind.
+def write_atomically(path: str | Path,
+                     content: bytes | Callable[[BinaryIO], object]) -> None:
+    """Write ``content`` (bytes, or a function that writes to a binary
+    file) to the file at ``path``. A new path or a regular file (through
+    any symlinks, which stay) is replaced in one step by a synced
+    temporary file beside it, so a failed write leaves the old file and
+    no temporary file; any other file type (a FIFO, ``/dev/stdout``) is
+    written in place. An OSError is raised as an OutputError naming it.
     """
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    write = content if callable(content) else (lambda fh: fh.write(content))
     try:
-        with open(tmp, "wb") as fh:
-            write(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)  # only left behind by a failed write
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "wb") as fh:
+                write(fh)
+            return
+        target = Path(path).resolve()
+        tmp = target.with_name(f".lexseq-{os.urandom(8).hex()}.tmp")  # within NAME_MAX
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                write(fh)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, target)
+        except BaseException:
+            with suppress(OSError):
+                tmp.unlink()
+            raise
+    except OSError as exc:
+        error = OutputError(f"cannot write output {path}: {exc.strerror or exc}")
+        error.errno = exc.errno
+        raise error from exc
+
+
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def parse_json(text: str, where: str) -> object:
+    """``json.loads(text)``, refusing a string that holds an unpaired
+    surrogate (an escape such as ``\\ud800``), which no UTF-8 output can
+    write back: a DataError naming ``where``. Only a text that holds a
+    surrogate escape has its strings checked."""
+    value = json.loads(text)
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"{where}: unpaired surrogate "
+                            f"U+{ord(exc.object[exc.start]):04X} in a string") from None
+    return value
 
 
 def json_lines(path: str | Path, kind: str) -> Iterator[tuple[int, object]]:
     """``(lineno, value)`` for each line of a UTF-8 JSON Lines ``kind`` file.
-    A blank line, or one the parser refuses (too long an int or too deep
-    included), raises a DataError naming the file and line."""
+    A blank line, one the parser refuses (too long an int or too deep
+    included) or one holding an unpaired surrogate raises a DataError
+    naming the file and line."""
     for lineno, line in enumerate(utf8_lines(path), start=1):
         stripped = line.strip()
         if not stripped:
             raise DataError(f"{path}:{lineno}: blank line in {kind}")
         try:
-            value = json.loads(stripped)
+            value = parse_json(stripped, f"{path}:{lineno}")
         except (ValueError, RecursionError) as exc:
             raise DataError(f"{path}:{lineno}: malformed JSON: "
                             f"{getattr(exc, 'msg', exc)}") from None

@@ -9,12 +9,16 @@ empty row, P+R = 0) is 0, so aggregates stay defined for absent classes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .errors import write_atomically
 
 _FIGURES = ("precision", "recall", "f1")
 
@@ -113,17 +117,20 @@ class EvaluationReport:
 
     def save_json(self, path: str | Path) -> None:
         text = json.dumps(self.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        write_atomically(path, (text + "\n").encode())
 
     def matrix_csv(self) -> str:
-        """CSV rendering: header row of predicted labels, one row per true label."""
-        lines = ["," + ",".join(self.labels)]
+        """CSV rendering: header row of predicted labels, one row per true
+        label; a label holding a comma or a quote is quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["", *self.labels])
         for label, row in zip(self.labels, self.counts.tolist()):
-            lines.append(label + "," + ",".join(map(str, row)))
-        return "\n".join(lines) + "\n"
+            writer.writerow([label, *row])
+        return out.getvalue()
 
     def save_matrix_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.matrix_csv(), encoding="utf-8")
+        write_atomically(path, self.matrix_csv().encode())
 
 
 def evaluation_report(

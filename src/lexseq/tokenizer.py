@@ -215,10 +215,8 @@ def _render(vocab: Vocabulary) -> str:
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Write ``vocab``'s canonical rendering to ``path``, atomically
-    (``errors.write_atomically``)."""
-    data = _render(vocab).encode("utf-8")
-    write_atomically(path, lambda fh: fh.write(data))
+    """Write ``vocab``'s canonical rendering through ``errors.write_atomically``."""
+    write_atomically(path, _render(vocab).encode("utf-8"))
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:

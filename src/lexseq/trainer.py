@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import Document, LabelSet, SplitDataset
-from .errors import DataError, NumericError, open_input, write_atomically
+from .errors import DataError, NumericError, open_input, parse_json, write_atomically
 from .metrics import EvaluationReport, evaluation_report
 from .nn import (
     ACTIVATIONS,
@@ -110,9 +110,7 @@ class TrainHistory:
         return [vars(e).copy() for e in self.epochs]
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_list(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_atomically(path, (json.dumps(self.to_list(), indent=2) + "\n").encode())
 
 
 def adam_update(
@@ -240,6 +238,10 @@ def train(
     validation accuracy improves (ties keep the earlier epoch), before
     ``on_epoch`` sees the epoch, so a run stopped early leaves its best
     model so far; without validation it is written once, at the end.
+
+    Returns ``model``, trained in place to the last epoch, and the
+    history. The best validation epoch's model is the checkpoint's:
+    load it with :func:`load_checkpoint`.
     """
     if not split.train:
         raise DataError("train partition is empty")
@@ -333,11 +335,8 @@ def save_checkpoint(
     path: str | Path,
     state: AdamState | None = None,
 ) -> None:
-    """Write ``model`` (and optionally its Adam state) to ``path``.
-
-    The write is atomic (``errors.write_atomically``): a write that fails
-    partway leaves any existing checkpoint at ``path`` untouched.
-    """
+    """Write ``model`` (and optionally its Adam state) to ``path``, one
+    tensor at a time, through ``errors.write_atomically``."""
     header = json.dumps({
         "format": CHECKPOINT_FORMAT, "dims": asdict(model.dims),
         "labels": list(model.labels), "vocab_digest": model.vocab_digest,
@@ -375,7 +374,7 @@ def load_checkpoint(
         if not line.endswith(b"\n"):
             raise DataError(f"{path}: truncated payload (no header terminator)")
         try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-            header = json.loads(line[:-1].decode("utf-8"))
+            header = parse_json(line[:-1].decode("utf-8"), f"{path}:1")
             if not isinstance(header, dict):
                 raise TypeError("the header is not a JSON object")
             if header.get("format") != CHECKPOINT_FORMAT:

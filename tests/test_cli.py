@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import inspect
 import json
 import os
@@ -452,6 +453,66 @@ class TestPathCollision:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+class TestOutputWriteFails:
+    """An output that cannot be written is a data error naming it; the
+    file it would have replaced is kept and no temporary file is left."""
+
+    @pytest.mark.parametrize("command, output", [
+        ("extract", "out"), ("build-vocab", "out"), ("train", "out"),
+        ("train", "history"), ("evaluate", "out"), ("evaluate", "matrix_csv"),
+    ])
+    def test_exits_2_naming_the_path(self, workspace, tmp_path, capsys, monkeypatch,
+                                     command, output):
+        target = tmp_path / "target"
+        target.write_bytes(b"old\n")
+        replace = os.replace
+
+        def full_disk(src, dst):
+            if Path(dst) == target:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        args = command_args(workspace, tmp_path, command, **{output: target})
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        assert (f"lexseq: data error: cannot write output {target}: "
+                "No space left on device\n") in err
+        assert_one_diagnostic(err)
+        assert target.read_bytes() == b"old\n"
+        assert not list(tmp_path.glob(".lexseq-*"))
+
+
+class TestUnpairedSurrogate:
+    """A JSON input string that no UTF-8 output could hold is a data error
+    naming its file and line, before any output is touched."""
+
+    def test_extract_keeps_its_output(self, tmp_path, capsys):
+        manifest = tmp_path / "doc.jsonl"
+        manifest.write_text(json.dumps({"page": 1, "text": "\ud800 " + "palavra " * 50})
+                            + "\n", encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        out.write_bytes(b"old\n")
+        assert cli.run(["extract", str(manifest), "--ocr-cmd", "true {input}",
+                        "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:1: unpaired surrogate U+D800 in a string" in err
+        assert_one_diagnostic(err)
+        assert out.read_bytes() == b"old\n"
+
+    def test_predict_id(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"id": "ok", "text": "um dois"}) + "\n"
+                        + json.dumps({"id": "doc\udfff", "text": "um dois"}) + "\n",
+                        encoding="utf-8")
+        args = command_args(workspace, tmp_path, "predict", data=data)
+        assert cli.run(args) == 2
+        captured = capsys.readouterr()
+        assert f"{data}:2: unpaired surrogate U+DFFF in a string" in captured.err
+        assert not captured.out
+        assert_one_diagnostic(captured.err)
+
+
 class TestMissingOutputDirectory:
     """A missing output directory is a data error before any work."""
 
@@ -539,6 +600,23 @@ class TestPredict:
         ])
         assert code == 2
         assert "document 'doc-" in capsys.readouterr().err
+
+    def test_pipe_closed_early_exits_141(self, workspace):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader from the start: the first write fails
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "lexseq", "predict", str(workspace["ckpt"]),
+                 str(workspace["data"]), "--vocab", str(workspace["vocab_path"])],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141, done.stderr
+        assert not done.stderr
 
     def test_digest_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         other_vocab = build_vocabulary(iter(["alpha", "beta"]), cap=10)

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -209,6 +211,16 @@ class TestEvaluationReport:
         assert lines[0] == ",a,b"
         assert lines[1] == "a,0,1"
         assert lines[2] == "b,0,1"
+
+    def test_matrix_csv_quotes_labels(self):
+        labels = ("Agravo, interno", 'Voto "vencido"', "RE")
+        report = evaluation_report([(0, 1), (1, 1), (2, 0)], labels)
+        rows = list(csv.reader(io.StringIO(report.matrix_csv())))
+        assert rows == [["", *labels],
+                        [labels[0], "0", "1", "0"],
+                        [labels[1], "0", "1", "0"],
+                        [labels[2], "1", "0", "0"]]
+        assert report.matrix_csv().splitlines()[0] == ',"Agravo, interno","Voto ""vencido""",RE'
 
 
 class TestReportBytes:
