@@ -282,14 +282,23 @@ def _cmd_predict(args) -> int:
     sequences = [trainer.encode_document(doc, vocab, model.dims.max_len)
                  for doc in docs]
     probs_list = trainer.map_forward(model, sequences, [doc.id for doc in docs])
-    for doc, probs in zip(docs, probs_list):
-        record = {
-            "id": doc.id,
-            "label": model.labels[int(np.argmax(probs))],
-            "probabilities": [float(p) for p in probs],
-        }
-        sys.stdout.write(json.dumps(record, ensure_ascii=False) + "\n")
+    try:
+        for doc, probs in zip(docs, probs_list):
+            record = {
+                "id": doc.id,
+                "label": model.labels[int(np.argmax(probs))],
+                "probabilities": [float(p) for p in probs],
+            }
+            sys.stdout.write(json.dumps(record, ensure_ascii=False) + "\n")
+    except BrokenPipeError:
+        raise  # main() exits 141
+    except OSError as exc:
+        raise _stdout_error(exc) from None
     return 0
+
+
+def _stdout_error(exc: OSError) -> DataError:
+    return DataError(f"cannot write standard output: {exc.strerror or exc}")
 
 
 _COMMANDS = {
@@ -326,13 +335,21 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     try:
         code = run(sys.argv[1:])
+    except BrokenPipeError:  # downstream pipe closed early (e.g. | head)
+        code = 141
+    try:
         sys.stdout.flush()
     except BrokenPipeError:
-        # downstream pipe closed early (e.g. | head); suppress the
-        # shutdown-time flush error as well
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        sys.exit(141)
+        code = code or 141
+    except OSError as exc:
+        if code == 0:  # a failed command has reported its own error
+            print(f"lexseq: data error: {_stdout_error(exc)}", file=sys.stderr)
+            code = 2
+    else:
+        sys.exit(code)
+    # what stays buffered would fail again in the shutdown-time flush
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
     sys.exit(code)
 
 

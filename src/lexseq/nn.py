@@ -16,8 +16,28 @@ running at step s are a prefix ``[:k]``, and a step is one
 ``h[:k] @ U.T`` per direction, run in row pieces, plus one set of gate
 ufuncs on both directions stacked. The backward direction reverses
 each row within its own length, so PAD never enters the recurrence and
-no masks are needed. The input projection ``x @ W.T`` runs for all
-steps before the loop.
+no masks are needed.
+
+The one step loop runs in two modes. Training (``keep_trace=True``)
+keeps the trace BPTT reads: the input projection ``x @ W.T`` of every
+packed row, run before the loop, and the gates, c and h of every
+packed row, 2 * (4H + 2H) floats per token (9.6 KB at hidden 200, 154 MB
+for 16 documents of 1000 tokens in float32). Inference
+(``keep_trace=False``, which ``trainer.map_forward`` runs) keeps no
+trace: c and h live in one row per document, overwritten in place at
+each step, and the projection runs in chunks of ``PROJECTION_ROWS``
+packed rows (at least the batch's rows) into one reused buffer as the
+loop reaches them. A document's final h is the row it stopped in,
+since later steps run only the longer documents' rows before it. Per
+token it holds only the token ids (16 bytes packed, and at least as much
+in the step table); the rest is one chunk, the per-document state and
+the step's temporaries, which grow with the rows per step: about 2.4 MiB
+for 16 documents of 1000 tokens at reference dims. Both modes run the
+same products and ufuncs on the same rows, so their probabilities have
+the same bits. The untraced pass checks its state for non-finite values
+once, at the end: a non-finite c or h stays non-finite in its row to the
+document's last step. On finding one it reruns the group traced, which
+names the document and the timestep.
 
 A document's bits do not depend on its batch: every operation is
 elementwise or a matrix product whose output row depends only on its
@@ -48,8 +68,9 @@ products ran at about 21 µs in another run, see CHANGES.md):
 No bit moves: each output row has the same bits for every row count
 of 2 or more, which ``TestBlasRowInvariance`` checks for 2 to 16 rows.
 On a BLAS with no small-matrix path the pieces only cost extra calls.
-The input projection and ``backward`` are not cut: ``backward``'s
-``dz @ U`` rows change bits across the bound.
+The input projection and ``backward`` are not cut at the bound (the
+untraced pass projects in chunks of rows, which keep their bits):
+``backward``'s ``dz @ U`` rows change bits across the bound.
 
 One layout holds every parameter: :func:`param_shapes` lists the nine
 tensors in order, and a :class:`ParamBuffer` holds them in one
@@ -111,6 +132,13 @@ ADAM_BLOCK = 65_536
 # cliff was measured at 25, 6 and 2 rows for hidden 100, 200 and 300 (see the
 # module docstring and CHANGES.md).
 BLAS_SMALL_MNK = 1_000_000
+
+# Packed rows per chunk of the input projection when forward() keeps no
+# trace (at least the batch's row count; see the module docstring). At
+# reference dims 64 to 512 rows ran 64 documents of 1000 tokens at the
+# same docs/s within noise, and 1024 or more about 7% slower; 256 rows of
+# float32 gates are 1.6 MB (see CHANGES.md).
+PROJECTION_ROWS = 256
 
 # The two LSTM directions, in parameter order.
 DIRECTIONS = ("forward_dir", "backward_dir")
@@ -340,15 +368,19 @@ def forward(
     seqs: Sequence[EncodedSequence],
     model: BiLstmClassifier,
     doc_ids: Sequence[str] | None = None,
-) -> tuple[np.ndarray, ForwardTrace]:
+    keep_trace: bool = True,
+) -> tuple[np.ndarray, ForwardTrace | None]:
     """Lockstep pass of a batch over each sequence's non-PAD prefix.
 
     Returns the (B, classes) probabilities in input order and the trace
-    BPTT needs. PAD positions never enter either recurrence. The merge
-    sums the forward direction's final hidden state with the backward
-    direction's final hidden state (text position 0). A document's
-    probabilities do not depend on the other documents in the batch or
-    on their order. ``doc_ids`` only name the document in an error.
+    BPTT needs, or None in its place with ``keep_trace=False``, which
+    keeps only the running state (see the module docstring); the
+    probabilities are the same bits either way. PAD positions never
+    enter either recurrence. The merge sums the forward direction's
+    final hidden state with the backward direction's final hidden state
+    (text position 0). A document's probabilities do not depend on the
+    other documents in the batch or on their order. ``doc_ids`` only
+    name the document in an error.
     """
     if not seqs:
         raise ValueError("forward needs at least one sequence")
@@ -364,53 +396,75 @@ def forward(
         by_step[:lens[j], j, 0] = ids[k]
         by_step[:lens[j], j, 1] = ids[k][::-1]
     running = np.arange(lens[0])[:, None] < lens
-    steps = running.sum(axis=1).tolist()
+    steps = running.sum(axis=1)
+    starts = (lead + np.cumsum(steps) - steps).tolist()  # first packed row of each step
+    steps = steps.tolist()
     tokens = np.zeros((lead + lens.sum(), 2), np.intp)
     tokens[lead:] = by_step[running]
 
     v = model.params.views
-    x = v["embedding"][tokens]
-    gates = np.empty(tokens.shape + (4 * hidden,), dtype)
-    for d, name in enumerate(DIRECTIONS):
-        np.matmul(x[:, d], v[f"{name}.W"].T, out=gates[:, d])
-        gates[:, d] += v[f"{name}.b"]
+    # traced: the projection of every packed row, and the state of every
+    # packed row after lead zero rows; untraced: the projection of one
+    # chunk of packed rows at a time, and one state row per document,
+    # overwritten at each step, plus a zero row for a lone row's head
+    gates = np.empty((len(tokens) if keep_trace else max(PROJECTION_ROWS, batch),
+                      2, 4 * hidden), dtype)
+    state_rows = len(tokens) if keep_trace else batch + 1
+    c_rows = np.zeros((state_rows, 2, hidden), dtype)
+    h_rows = np.zeros((state_rows, 2, hidden), dtype)
+
+    def project(lo: int) -> int:
+        """Project packed rows from ``lo`` into ``gates``; the end row."""
+        hi = min(len(tokens), lo + len(gates))
+        x = v["embedding"][tokens[lo:hi]]
+        for d, name in enumerate(DIRECTIONS):
+            np.matmul(x[:, d], v[f"{name}.W"].T, out=gates[:hi - lo, d])
+            gates[:hi - lo, d] += v[f"{name}.b"]
+        return hi
+
     Us = [v[f"{name}.U"] for name in DIRECTIONS]
-    c_all = np.zeros(tokens.shape + (hidden,), dtype)
-    h_all = np.zeros(tokens.shape + (hidden,), dtype)
     hu = np.empty((lead, 2, 4 * hidden), dtype)
     # pieces within the small-matrix bound and never of one row (the row
     # floor: one-row products take other kernels)
     bound = BLAS_SMALL_MNK // (4 * hidden * hidden)
     pieces = {k: _row_pieces(max(k, 2), bound) for k in set(steps)}
-    starts = []
-    prev, lo = 0, lead
-    for k in steps:
-        starts.append(lo)
+    base, end = 0, project(0) if keep_trace else 0  # gates holds rows [base, end)
+    prev = 0
+    for lo, k in zip(starts, steps):
+        if lo + k > end:  # untraced only; a chunk has at least two rows
+            base = min(lo, len(tokens) - 2)
+            end = project(base)
+        here = lo if keep_trace else 0
         for d, U in enumerate(Us):
             for a, b in pieces[k]:
-                np.matmul(h_all[prev + a:prev + b, d], U.T, out=hu[a:b, d])
-        z = gates[lo:lo + k]
+                np.matmul(h_rows[prev + a:prev + b, d], U.T, out=hu[a:b, d])
+        z = gates[lo - base:lo - base + k]
         z += hu[:k]
         g = phi(z[..., 2 * hidden:3 * hidden])
         _sigmoid(z, out=z)  # the candidate block's share is overwritten next
         z[..., 2 * hidden:3 * hidden] = g
-        c = c_all[lo:lo + k]
-        np.multiply(z[..., hidden:2 * hidden], c_all[prev:prev + k], out=c)
+        c = c_rows[here:here + k]
+        np.multiply(z[..., hidden:2 * hidden], c_rows[prev:prev + k], out=c)
         c += z[..., :hidden] * g
-        np.multiply(z[..., 3 * hidden:], phi(c), out=h_all[lo:lo + k])
-        prev, lo = lo, lo + k
+        np.multiply(z[..., 3 * hidden:], phi(c), out=h_rows[here:here + k])
+        prev = here
 
-    finite = np.isfinite(h_all).all(axis=(1, 2)) & np.isfinite(c_all).all(axis=(1, 2))
+    finite = np.isfinite(h_rows).all(axis=(1, 2)) & np.isfinite(c_rows).all(axis=(1, 2))
     if not finite.all():
+        if not keep_trace:
+            # a non-finite state stays non-finite in its row to the document's
+            # last step; the traced pass names that document and the timestep
+            return forward(seqs, model, doc_ids)[0], None
         bad = int(np.argmin(finite))
         s = bisect.bisect_right(starts, bad) - 1
         raise NumericError(f"{_name(order[bad - starts[s]], doc_ids)}: "
                            f"non-finite LSTM state at timestep {s}")
 
-    # each row's final states, and a zero row so that a lone row's head
-    # product has two rows; every row's product has two (see the module
-    # docstring)
-    final = h_all[[starts[n - 1] + j for j, n in enumerate(lens.tolist())] + [0]]
+    # each row's final states, from the row where its document stopped, and
+    # a zero row so that a lone row's head product has two rows; every
+    # row's product has two (see the module docstring)
+    final = (h_rows[[starts[n - 1] + j for j, n in enumerate(lens.tolist())] + [0]]
+             if keep_trace else h_rows)
     merged_pre = final[:, 0] + final[:, 1]
     merged = (np.maximum(merged_pre, 0) if model.activation == "relu_after_merge"
               else merged_pre)
@@ -418,13 +472,13 @@ def forward(
     for a, b in _row_pieces(batch + 1, 2):
         np.matmul(merged[a:b], v["head.W"].T, out=logits[a:b])
     logits += v["head.b"]
-    probs = softmax(logits)
+    probs = softmax(logits)[:batch]
     trace = ForwardTrace(
         order=order, steps=steps, starts=starts, lead=lead, tokens=tokens,
-        gates=gates, c=c_all, h=h_all, merged_pre=merged_pre[:batch],
-        merged=merged[:batch], probs=probs[:batch], model=model,
-    )
-    return trace.probs[np.argsort(order)], trace
+        gates=gates, c=c_rows, h=h_rows, merged_pre=merged_pre[:batch],
+        merged=merged[:batch], probs=probs, model=model,
+    ) if keep_trace else None
+    return probs[np.argsort(order)], trace
 
 
 def loss(probs: np.ndarray, target: int) -> float:

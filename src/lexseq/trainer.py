@@ -48,9 +48,12 @@ from .tokenizer import EncodedSequence, Vocabulary, encode_text
 CHECKPOINT_MAGIC = b"BLSTM1\x00"
 CHECKPOINT_FORMAT = 1
 
-# Documents per lockstep forward/backward call. Larger groups gain little
-# per step and cost memory: a group's trace and BPTT take 2 * 10 * hidden
-# floats per token, 256 MB for 16 documents of 1000 tokens at hidden 200.
+# Documents per lockstep forward call, and per backward call in training.
+# A training group's trace holds 2 * (4 + 2) * hidden floats per token and
+# BPTT's dz two thirds as much again; 16 documents of 1000 tokens at hidden
+# 200 peak at 263 MB under tracemalloc. Inference keeps no trace, so its
+# memory grows with the rows per step instead: 16 rows hold its step
+# temporaries to a few MB (see CHANGES.md).
 GROUP_DOCS = 16
 
 # Adam's decay rates and denominator guard (Keras' values).
@@ -209,13 +212,15 @@ def map_forward(
     sequences: list[EncodedSequence],
     doc_ids: Sequence[str] | None = None,
 ) -> list[np.ndarray]:
-    """Probabilities per sequence, in input order. Sequences of similar
-    length run together in lockstep groups; a document's result does
-    not depend on its group. ``doc_ids`` names a rejected document."""
+    """Probabilities per sequence, in input order, from forward passes
+    that keep no trace. Sequences of similar length run together in
+    lockstep groups; a document's result does not depend on its group.
+    ``doc_ids`` names a rejected document."""
     results: list[np.ndarray] = [None] * len(sequences)
     for group in _length_groups(range(len(sequences)), sequences):
         probs, _ = forward([sequences[k] for k in group], model,
-                           None if doc_ids is None else [doc_ids[k] for k in group])
+                           None if doc_ids is None else [doc_ids[k] for k in group],
+                           keep_trace=False)
         for k, row in zip(group, probs):
             results[k] = row
     return results
@@ -275,6 +280,9 @@ def train(
                     if int(np.argmax(row)) == target:
                         correct += 1
                 backward(trace, targets, out=grads)
+                # no trace stays alive through the next group's forward,
+                # Adam's step or validation
+                del probs, trace
             if not math.isfinite(batch_loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"

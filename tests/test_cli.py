@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import errno
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -559,6 +560,51 @@ class TestMissingOutputDirectory:
         assert_one_diagnostic(err)
 
 
+class FullDevice(io.RawIOBase):
+    """Raw standard output whose writes fail with ``error`` (ENOSPC, as on
+    /dev/full) while ``full`` is set. Its descriptor is a file's, which
+    main() may redirect to the null device."""
+
+    def __init__(self, fd: int, error: int):
+        super().__init__()
+        self.fd, self.error, self.full = fd, error, True
+
+    def writable(self) -> bool:
+        return True
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def write(self, data) -> int:
+        if self.full:
+            raise OSError(self.error, os.strerror(self.error))
+        return len(data)
+
+    def close(self) -> None:
+        if not self.closed:
+            os.close(self.fd)
+        super().close()
+
+
+@pytest.fixture()
+def failing_stdout(tmp_path, monkeypatch):
+    """A function that puts a FullDevice failing with the given errno
+    behind a 1 KB buffer in place of ``sys.stdout``."""
+    streams = []
+
+    def install(error: int = errno.ENOSPC) -> None:
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        stdout = io.TextIOWrapper(io.BufferedWriter(FullDevice(fd, error), 1024),
+                                  encoding="utf-8", write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        streams.append(stdout)
+
+    yield install
+    for stdout in streams:
+        stdout.buffer.raw.full = False
+        stdout.close()
+
+
 class TestPredict:
     def test_zero_checkpoint_uniform_predictions(self, workspace, capsys):
         code = cli.run([
@@ -617,6 +663,42 @@ class TestPredict:
             os.close(write_end)
         assert done.returncode == 141, done.stderr
         assert not done.stderr
+
+    def test_full_device_is_a_data_error_from_the_write(self, workspace, capsys,
+                                                       failing_stdout):
+        failing_stdout()
+        code = cli.run(["predict", str(workspace["ckpt"]), str(workspace["data"]),
+                        "--vocab", str(workspace["vocab_path"])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_diagnostic(err)
+        assert ("lexseq: data error: cannot write standard output: "
+                "No space left on device") in err
+
+    @pytest.mark.parametrize("docs", [60, 2], ids=["in-predict", "in-the-final-flush"])
+    @pytest.mark.parametrize("error, code", [(errno.ENOSPC, 2), (errno.EPIPE, 141)],
+                             ids=["full", "pipe-closed"])
+    def test_failed_stdout_exits_with_one_diagnostic(self, workspace, capsys,
+                                                     monkeypatch, tmp_path,
+                                                     failing_stdout, docs, error,
+                                                     code):
+        # 60 records overflow the 1 KB buffer inside predict; 2 stay
+        # buffered until main()'s flush
+        data = tmp_path / "data.jsonl"
+        save_dataset(workspace["docs"][:docs], None, data)
+        failing_stdout(error)
+        monkeypatch.setattr(sys, "argv", ["lexseq", "predict", str(workspace["ckpt"]),
+                                          str(data), "--vocab",
+                                          str(workspace["vocab_path"])])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == code
+        err = capsys.readouterr().err
+        if code == 141:
+            assert not err
+        else:
+            assert_one_diagnostic(err)
+            assert "cannot write standard output: No space left on device" in err
 
     def test_digest_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         other_vocab = build_vocabulary(iter(["alpha", "beta"]), cap=10)

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -469,6 +470,148 @@ class TestLockstep:
             for direction in nn.DIRECTIONS:
                 assert m.params.views[f"{direction}.W"].T.flags.c_contiguous
                 assert m.params.views[f"{direction}.U"].T.flags.c_contiguous
+
+
+def _kinks(trace, activation):
+    """Which side of its kink each ReLU of the graph is on."""
+    hidden = trace.model.dims.hidden
+    if activation == "relu":  # the candidate's and the cell output's ReLU
+        return np.concatenate([(trace.gates[..., 2 * hidden:3 * hidden] > 0).ravel(),
+                               (trace.c > 0).ravel()])
+    if activation == "relu_after_merge":
+        return trace.merged_pre > 0
+    return np.zeros(0, bool)
+
+
+class TestReferenceScaleGradients:
+    """BPTT against float64 directional derivatives at the reference hidden
+    and embedding sizes, where a step's h @ U.T runs in row pieces and BPTT
+    leaves early. One random direction per tensor, so that a small tensor
+    such as head.b is not masked by the embedding's share."""
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_directional_derivatives_match_backward(self, activation, monkeypatch):
+        dims = nn.ModelDims(vocab_rows=2000, embed_dim=100, hidden=200, classes=6,
+                            max_len=400)
+        hidden = dims.hidden
+        model = nn.init_parameters(dims, seed=3, activation=activation,
+                                   dtype=np.float64)
+        # forget gates near 0.12: BPTT's state reaches zero in about 50 steps,
+        # before the step at which the shortest document starts
+        for direction in nn.DIRECTIONS:
+            model.params.views[f"{direction}.b"][hidden:2 * hidden] = -2.0
+        lengths = [250, 163, 141, 127, 118, 104, 96, 88, 79, 71]
+        bound = nn.BLAS_SMALL_MNK // (4 * hidden * hidden)
+        assert len(nn._row_pieces(len(lengths), bound)) == 2
+        seqs = _ragged_batch(dims, lengths, seed=4)
+        targets = [k % dims.classes for k in range(len(seqs))]
+        calls = []  # backward calls _phi_derivative twice per step
+        phi_derivative = nn._phi_derivative
+        monkeypatch.setattr(nn, "_phi_derivative",
+                            lambda *args: calls.append(1) or phi_derivative(*args))
+        _, trace = nn.forward(seqs, model)
+        grads = nn.backward(trace, targets)
+        monkeypatch.undo()
+        assert len(calls) // 2 < max(lengths)  # BPTT left early
+
+        def loss_and_kinks(view, step):
+            saved = view.copy()
+            view += step
+            try:
+                probs, moved = nn.forward(seqs, model)
+            finally:
+                view[...] = saved
+            return (sum(nn.loss(row, t) for row, t in zip(probs, targets)),
+                    _kinks(moved, activation))
+
+        rng = np.random.default_rng(5)
+        for name, view in model.params.views.items():
+            direction = rng.standard_normal(view.shape)
+            expected = float(np.sum(grads.views[name] * direction))
+            # a central difference across a ReLU kink is off by the slope's
+            # jump, whatever eps; take the largest eps that crosses none
+            for eps in (1e-6, 1e-7, 1e-8, 1e-9):
+                (up, up_kinks), (down, down_kinks) = (
+                    loss_and_kinks(view, sign * eps * direction) for sign in (1, -1))
+                if np.array_equal(up_kinks, down_kinks):
+                    break
+            else:
+                pytest.fail(f"{name}: a ReLU kink lies within 1e-9 of the point")
+            derivative = (up - down) / (2 * eps)
+            # the loss's float64 rounding is about 1e-14
+            assert abs(derivative - expected) <= 1e-6 * abs(expected) + 1e-14 / eps, (
+                f"{name}: backward {expected!r}, central difference {derivative!r} "
+                f"at eps {eps}")
+
+
+class TestTraceFree:
+    """forward(keep_trace=False), the pass map_forward runs: one running
+    state row per document and the input projection in chunks."""
+
+    @pytest.mark.parametrize("rows", [nn.PROJECTION_ROWS, 2],
+                             ids=["default-chunks", "batch-sized-chunks"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_probabilities_equal_the_traced_bits(self, activation, dtype, rows,
+                                                 monkeypatch):
+        # at hidden 200 a step of more than 6 rows runs in pieces; a chunk
+        # holds at least the batch's rows, so 2 cuts a chunk every step or two
+        monkeypatch.setattr(nn, "PROJECTION_ROWS", rows)
+        dims = nn.ModelDims(vocab_rows=50, embed_dim=100, hidden=200, classes=6,
+                            max_len=12)
+        model = nn.init_parameters(dims, seed=8, activation=activation, dtype=dtype)
+        for lengths in ([1], [5, 1, 3], [12] * 9,
+                        [12, 1, 7, 3, 12, 9, 5, 2, 11, 8, 4, 6, 10, 1, 12, 7]):
+            seqs = _ragged_batch(dims, lengths, seed=len(lengths))
+            traced, _ = nn.forward(seqs, model)
+            untraced, trace = nn.forward(seqs, model, keep_trace=False)
+            assert trace is None
+            npt.assert_array_equal(_bits(untraced), _bits(traced))
+
+    def test_memory_is_a_few_projection_chunks(self):
+        dims = nn.ModelDims(vocab_rows=2002, embed_dim=100, hidden=200, classes=6,
+                            max_len=1000)
+        model = nn.init_parameters(dims, seed=1)
+        seqs = _ragged_batch(dims, [1000] * 16, seed=2)
+        chunk = nn.PROJECTION_ROWS * 2 * 4 * dims.hidden * 4  # float32 gates
+        tracemalloc.start()
+        try:
+            nn.forward(seqs, model, keep_trace=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * chunk  # the traced pass holds 165 MiB
+
+    def test_many_short_documents_stay_within_a_few_chunks(self):
+        # the untraced pass's step temporaries grow with the rows per step,
+        # so map_forward's groups bound its memory however many documents
+        dims = nn.ModelDims(vocab_rows=2002, embed_dim=100, hidden=200, classes=6,
+                            max_len=60)
+        model = nn.init_parameters(dims, seed=1)
+        lengths = np.random.default_rng(3).integers(10, 61, 400).tolist()
+        seqs = _ragged_batch(dims, lengths, seed=4)
+        chunk = nn.PROJECTION_ROWS * 2 * 4 * dims.hidden * 4  # float32 gates
+        tracemalloc.start()
+        try:
+            map_forward(model, seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * chunk  # one group of all 400 rows peaks at 13 MiB
+
+    def test_non_finite_state_names_the_document_and_step(self):
+        model = nn.init_parameters(tiny_dims(), seed=0)
+        model.params.views["embedding"][7] = np.inf
+        seqs = _ragged_batch(tiny_dims(), [3, 5], seed=0)
+        seqs.append(EncodedSequence(ids=np.array([2, 7, 2, 0, 0, 0, 0, 0]), length=3))
+        doc_ids = ["a", "b", "c"]
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as traced:
+                nn.forward(seqs, model, doc_ids)
+            with pytest.raises(NumericError) as untraced:
+                map_forward(model, seqs, doc_ids)
+        assert str(untraced.value) == str(traced.value) == (
+            "document 'c': non-finite LSTM state at timestep 1")
 
 
 class TestParamBuffer:

@@ -647,6 +647,46 @@ class TestMemoryBound:
         peak = traced_peak(lambda: train(model, split, vocab, config))
         assert peak < 3.5 * self.param_bytes
 
+    def test_no_trace_outlives_its_backward(self, monkeypatch):
+        # one training group of 400-token documents at hidden 64, whose trace
+        # is about 20 times the parameters, and validation documents as long
+        rng = random.Random(7)
+        words = [f"w{i}" for i in range(1998)]
+
+        def documents(first):
+            return tuple(Document(f"d{first + i}", " ".join(rng.choices(words, k=400)),
+                                  i % 2) for i in range(8))
+
+        split = SplitDataset(documents(0), documents(100), ())
+        vocab = build_vocabulary(iter_tokens(d.text for d in split.train + split.validation))
+        dims = nn.ModelDims(vocab_rows=vocab.id_count, embed_dim=32, hidden=64,
+                            classes=2, max_len=400)
+        model = nn.init_parameters(dims, seed=1, labels=("a", "b"))
+        _, trace = nn.forward([trainer.encode_document(doc, vocab, dims.max_len)
+                               for doc in split.train], model)
+        trace_bytes = sum(a.nbytes for a in (trace.tokens, trace.gates, trace.c, trace.h))
+        del trace
+        buffers = 3 * 4 * nn.param_size(dims)  # the gradients, m and v
+        assert trace_bytes > 15 * buffers / 3
+
+        before_adam = []
+        adam_update = trainer.adam_update
+
+        def reset_peak_at_the_first_step(*args):
+            if not before_adam:
+                before_adam.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+            return adam_update(*args)
+
+        monkeypatch.setattr(trainer, "adam_update", reset_peak_at_the_first_step)
+        config = TrainConfig(epochs=1, batch_size=8, seed=3)
+        from_adam_on = traced_peak(lambda: train(model, split, vocab, config))
+        # BPTT holds the trace and its dz, two thirds of a trace
+        assert before_adam[0] < buffers + 2 * trace_bytes
+        # Adam's step and validation, whose forward keeps no trace, run
+        # after the training trace is released
+        assert from_adam_on < buffers + 0.5 * trace_bytes
+
 
 class TestEvaluate:
     def test_uniform_model_predicts_class_zero(self):
