@@ -137,10 +137,10 @@ def ocr_command_backend(command_template: str) -> OcrBackend:
 
     The template must contain an ``{input}`` placeholder for the page
     image path; the child's standard output (UTF-8) is the page text,
-    with newlines translated as in text mode. A missing command, a
-    non-zero exit, a child still running after ``OCR_TIMEOUT_S`` seconds
-    (it is killed) or output that is not UTF-8 surfaces as
-    :class:`OcrError`.
+    with newlines translated as in text mode. A missing command, one
+    that cannot be started (no exec bit, a directory), a non-zero exit,
+    a child still running after ``OCR_TIMEOUT_S`` seconds (it is killed)
+    or output that is not UTF-8 surfaces as :class:`OcrError`.
     Each call spawns an independent child process, so the backend
     tolerates concurrent invocations.
     """
@@ -154,6 +154,9 @@ def ocr_command_backend(command_template: str) -> OcrBackend:
             proc = subprocess.run(argv, capture_output=True, timeout=OCR_TIMEOUT_S)
         except FileNotFoundError:
             raise OcrError(f"OCR command not found: {argv[0]!r}") from None
+        except OSError as exc:  # not executable, a directory, ...
+            raise OcrError(f"OCR command {argv[0]!r} could not start: "
+                           f"{exc.strerror}") from None
         except subprocess.TimeoutExpired:
             raise OcrError(f"OCR command on {image_path!r} did not finish within "
                            f"{OCR_TIMEOUT_S:g} s") from None

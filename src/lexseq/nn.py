@@ -34,10 +34,23 @@ in the step table); the rest is one chunk, the per-document state and
 the step's temporaries, which grow with the rows per step: about 2.4 MiB
 for 16 documents of 1000 tokens at reference dims. Both modes run the
 same products and ufuncs on the same rows, so their probabilities have
-the same bits. The untraced pass checks its state for non-finite values
-once, at the end: a non-finite c or h stays non-finite in its row to the
-document's last step. On finding one it reruns the group traced, which
-names the document and the timestep.
+the same bits.
+
+Both modes share one finite check, run on what the call returns: first
+each document's final c and h rows, then its probabilities. The final
+rows hold every fault of the recurrence, since a non-finite c or h stays
+non-finite to the document's last step: ``f * c`` of an infinite or NaN
+c is not finite, and an h that is not finite over a finite c is NaN
+(from a NaN output gate), which ``h @ U.T`` carries into every gate of
+the next step. A non-finite final row is a NumericError naming the
+document and the timestep at which its state first left the finite
+range; only then does the traced pass scan every packed row to find it,
+and the untraced pass reruns the group traced to do so. The head can
+overflow on finite states, as the ReLU cell is unbounded: a probability
+row that is not finite is a NumericError naming the document ("non-finite
+class probabilities"). So every probability :func:`forward` returns is
+finite and on the simplex, its :func:`loss` is finite, and training needs
+no check of its own; ``trainer.adam_update`` still checks the gradient.
 
 A document's bits do not depend on its batch: every operation is
 elementwise or a matrix product whose output row depends only on its
@@ -381,6 +394,11 @@ def forward(
     (text position 0). A document's probabilities do not depend on the
     other documents in the batch or on their order. ``doc_ids`` only
     name the document in an error.
+
+    Every probability returned is finite: a non-finite final c or h row
+    raises NumericError naming the document and the timestep, and a
+    non-finite probability row, from a head that overflows on finite
+    states, one naming the document (see the module docstring).
     """
     if not seqs:
         raise ValueError("forward needs at least one sequence")
@@ -449,22 +467,12 @@ def forward(
         np.multiply(z[..., 3 * hidden:], phi(c), out=h_rows[here:here + k])
         prev = here
 
-    finite = np.isfinite(h_rows).all(axis=(1, 2)) & np.isfinite(c_rows).all(axis=(1, 2))
-    if not finite.all():
-        if not keep_trace:
-            # a non-finite state stays non-finite in its row to the document's
-            # last step; the traced pass names that document and the timestep
-            return forward(seqs, model, doc_ids)[0], None
-        bad = int(np.argmin(finite))
-        s = bisect.bisect_right(starts, bad) - 1
-        raise NumericError(f"{_name(order[bad - starts[s]], doc_ids)}: "
-                           f"non-finite LSTM state at timestep {s}")
-
-    # each row's final states, from the row where its document stopped, and
-    # a zero row so that a lone row's head product has two rows; every
-    # row's product has two (see the module docstring)
-    final = (h_rows[[starts[n - 1] + j for j, n in enumerate(lens.tolist())] + [0]]
-             if keep_trace else h_rows)
+    # each row's final states (traced: from the packed row where its document
+    # stopped; untraced: its own row), and a zero row so that a lone row's
+    # head product has two rows; every row's product has two (see the
+    # module docstring)
+    rows = [starts[n - 1] + j for j, n in enumerate(lens.tolist())] + [0]
+    final_c, final = (a[rows] if keep_trace else a for a in (c_rows, h_rows))
     merged_pre = final[:, 0] + final[:, 1]
     merged = (np.maximum(merged_pre, 0) if model.activation == "relu_after_merge"
               else merged_pre)
@@ -473,6 +481,21 @@ def forward(
         np.matmul(merged[a:b], v["head.W"].T, out=logits[a:b])
     logits += v["head.b"]
     probs = softmax(logits)[:batch]
+
+    # the one finite check, on what the call returns: the final states, then
+    # the probabilities; the scan of every packed row runs only once it fails
+    if not (np.isfinite(final).all() and np.isfinite(final_c).all()):
+        if not keep_trace:  # the traced pass names the document and the timestep
+            return forward(seqs, model, doc_ids)[0], None
+        finite = np.isfinite(h_rows).all(axis=(1, 2)) & np.isfinite(c_rows).all(axis=(1, 2))
+        bad = int(np.argmin(finite))
+        s = bisect.bisect_right(starts, bad) - 1
+        raise NumericError(f"{_name(order[bad - starts[s]], doc_ids)}: "
+                           f"non-finite LSTM state at timestep {s}")
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"{_name(order[int(np.argmin(finite))], doc_ids)}: "
+                           "non-finite class probabilities")
     trace = ForwardTrace(
         order=order, steps=steps, starts=starts, lead=lead, tokens=tokens,
         gates=gates, c=c_rows, h=h_rows, merged_pre=merged_pre[:batch],

@@ -182,6 +182,9 @@ class EncodedSequence:
     length: int
 
     def __post_init__(self):
+        if not (isinstance(self.ids, np.ndarray) and self.ids.ndim == 1
+                and self.ids.dtype.kind in "iu"):
+            raise ValueError("ids must be a 1-D integer array")
         if not 0 <= self.length <= self.ids.shape[0]:
             raise ValueError("length out of range for the id buffer")
         if not np.all(self.ids[:self.length] >= 1):

@@ -267,7 +267,7 @@ def train(
         rng.shuffle(order)
         epoch_loss = 0.0
         correct = 0
-        for batch_no, start in enumerate(range(0, n, config.batch_size)):
+        for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             grads.zero_()
             batch_loss = 0.0
@@ -283,10 +283,6 @@ def train(
                 # no trace stays alive through the next group's forward,
                 # Adam's step or validation
                 del probs, trace
-            if not math.isfinite(batch_loss):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}"
-                )
             grads.scale_(1.0 / len(batch))
             if config.clip_norm is not None:
                 norm = grads.global_norm()

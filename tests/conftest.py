@@ -89,6 +89,25 @@ def swapped_directions(model: nn.BiLstmClassifier) -> nn.BiLstmClassifier:
     return swapped
 
 
+def overflow_head(model: nn.BiLstmClassifier, tokens=slice(None)) -> nn.BiLstmClassifier:
+    """Zero ``model`` in place, then make its logits overflow for every
+    document whose last token is in ``tokens`` while each LSTM state stays
+    finite. Only the forward direction's candidate gate reads the input,
+    through embedding column 0, which is 4.0 for ``tokens``: there the
+    final c is at least 2 and h = 0.5 * c at least 1 in each of hidden
+    (>= 2) units, so every logit is at least 2 * 3e38, +inf in float32,
+    and the softmax of equal infinities is NaN. Other documents' states
+    stay zero and their probabilities uniform."""
+    v = model.params.views
+    for arr in model.params.arrays():
+        arr[...] = 0
+    hidden = model.dims.hidden
+    v["forward_dir.W"][2 * hidden:3 * hidden, 0] = 1.0
+    v["embedding"][tokens, 0] = 4.0
+    v["head.W"][...] = 3e38
+    return model
+
+
 def finite_difference_gradients(
     model: nn.BiLstmClassifier,
     seqs: list[EncodedSequence],

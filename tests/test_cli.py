@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from conftest import SYNTH_LABELS, make_synthetic_corpus, save_dataset
+from conftest import SYNTH_LABELS, make_synthetic_corpus, overflow_head, save_dataset
 
 from lexseq import cli, extraction, nn, trainer
 from lexseq.corpus import Document, LabelSet, load_dataset, stratified_split
@@ -752,6 +752,43 @@ class TestEvaluateCommand:
         assert str(bad) in capsys.readouterr().err
 
 
+class TestHeadOverflow:
+    """A checkpoint whose logits overflow on finite states is a runtime
+    error in predict and evaluate, not NaN output or a miscounted class."""
+
+    @pytest.fixture()
+    def overflowing(self, workspace):
+        dims = nn.ModelDims(vocab_rows=workspace["vocab"].id_count, embed_dim=5,
+                            hidden=3, classes=6, max_len=40)
+        model = overflow_head(nn.init_parameters(
+            dims, seed=0, labels=SYNTH_LABELS, vocab_digest=workspace["vocab"].digest()))
+        ckpt = workspace["tmp_path"] / "overflow.ckpt"
+        save_checkpoint(model, ckpt)
+        data = workspace["tmp_path"] / "d1.jsonl"
+        doc = workspace["docs"][0]
+        save_dataset([Document("d1", doc.text, doc.label)], LabelSet(SYNTH_LABELS), data)
+        return [str(ckpt), str(data), "--vocab", str(workspace["vocab_path"])]
+
+    def assert_runtime_error(self, err):
+        assert_one_diagnostic(err)
+        assert ("lexseq: runtime error: document 'd1': "
+                "non-finite class probabilities") in err.splitlines()
+
+    def test_predict_exits_3_and_writes_nothing(self, overflowing, capsys):
+        with np.errstate(all="ignore"):
+            assert cli.run(["predict", *overflowing]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        self.assert_runtime_error(err)
+
+    def test_evaluate_exits_3_and_writes_no_report(self, overflowing, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        with np.errstate(all="ignore"):
+            assert cli.run(["evaluate", *overflowing, "-o", str(report)]) == 3
+        assert not report.exists()
+        self.assert_runtime_error(capsys.readouterr().err)
+
+
 class TestBuildVocab:
     def test_whole_file_mode(self, workspace, tmp_path, capsys):
         out = tmp_path / "v.txt"
@@ -919,6 +956,28 @@ class TestExtractCommand:
             "-o", str(tmp_path / "o.jsonl"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["not-executable", "a-directory"])
+    def test_command_that_cannot_start_is_runtime_error(self, tmp_path, capsys,
+                                                        command):
+        manifest = tmp_path / "doc.jsonl"
+        manifest.write_text(
+            json.dumps({"page": 1, "text": "@@ ##", "image": "x.png"}) + "\n",
+            encoding="utf-8",
+        )
+        program = tmp_path / command
+        if command == "a-directory":
+            program.mkdir()
+        else:
+            program.write_text("#!/bin/sh\necho text\n", encoding="utf-8")
+            program.chmod(0o644)
+        code = cli.run(["extract", str(manifest), "--ocr-cmd", f"{program} {{input}}",
+                        "-o", str(tmp_path / "o.jsonl")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert_one_diagnostic(err)
+        assert (f"lexseq: runtime error: OCR command {str(program)!r} could not start: "
+                "Permission denied") in err
 
     def test_template_without_placeholder_is_usage_error(self, tmp_path):
         manifest = tmp_path / "doc.jsonl"

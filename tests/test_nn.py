@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     batch_gradient_check_error,
     gradient_check_error,
+    overflow_head,
     random_tiny_model,
     swapped_directions,
 )
@@ -612,6 +613,57 @@ class TestTraceFree:
                 map_forward(model, seqs, doc_ids)
         assert str(untraced.value) == str(traced.value) == (
             "document 'c': non-finite LSTM state at timestep 1")
+
+
+class TestFiniteOutput:
+    """forward's one finite check, on the final c and h rows and then the
+    probabilities it returns, in both modes."""
+
+    def overflowing_batch(self):
+        model = overflow_head(nn.init_parameters(tiny_dims(), seed=0), tokens=7)
+        seqs = [EncodedSequence(ids=np.array(ids + [0] * (8 - len(ids))), length=len(ids))
+                for ids in ([2, 3, 4, 5], [3, 4, 5, 6, 2], [2, 7])]
+        return model, seqs, ["a", "b", "c"]
+
+    def test_head_overflow_on_finite_states_names_the_document(self):
+        model, seqs, doc_ids = self.overflowing_batch()
+        head = model.params.views["head.W"].copy()
+        model.params.views["head.W"][...] = 1.0
+        _, trace = nn.forward(seqs, model)
+        assert np.isfinite(trace.c).all() and np.isfinite(trace.h).all()
+        model.params.views["head.W"][...] = head
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as traced:
+                nn.forward(seqs, model, doc_ids)
+            with pytest.raises(NumericError) as untraced:
+                nn.forward(seqs, model, doc_ids, keep_trace=False)
+            with pytest.raises(NumericError) as mapped:
+                map_forward(model, seqs, doc_ids)
+        assert str(traced.value) == str(untraced.value) == str(mapped.value) == (
+            "document 'c': non-finite class probabilities")
+
+    @pytest.mark.parametrize("keep_trace", [True, False], ids=["traced", "untraced"])
+    def test_non_finite_h_over_a_finite_c_is_a_state_error(self, keep_trace):
+        # NaN output-gate rows give o, and so h, NaN at step 0 while c = f * 0
+        # + i * g stays finite; a check of c alone would pass this document
+        model = nn.init_parameters(tiny_dims(), seed=0)
+        hidden = model.dims.hidden
+        model.params.views["forward_dir.W"][3 * hidden:] = np.nan
+        seq = EncodedSequence(ids=np.array([2, 0, 0, 0, 0, 0, 0, 0]), length=1)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as excinfo:
+            nn.forward([seq], model, ["a"], keep_trace=keep_trace)
+        assert str(excinfo.value) == "document 'a': non-finite LSTM state at timestep 0"
+
+    def test_a_finite_call_checks_only_what_it_returns(self, monkeypatch):
+        # the scan of every packed row (here 3 lead rows and 49 tokens, 520
+        # values in each of c and h) runs only once the check has failed
+        dims = tiny_dims(hidden=5, max_len=30)
+        model = nn.init_parameters(dims, seed=0)
+        seqs = _ragged_batch(dims, [30, 12, 7], seed=0)
+        sizes, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x: sizes.append(np.size(x)) or isfinite(x))
+        nn.forward(seqs, model)
+        assert sizes and max(sizes) <= (len(seqs) + 1) * 2 * dims.hidden
 
 
 class TestParamBuffer:

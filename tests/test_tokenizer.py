@@ -213,6 +213,18 @@ class TestEncode:
         assert encode_text("Recurso LEI", lower, 4).ids.tolist() == [2, 3, 0, 0]
         assert encode_text("Recurso LEI", kept, 4).ids.tolist() == [2, OOV_ID, 0, 0]
 
+    @pytest.mark.parametrize("ids", [
+        np.array([2.7, 3.2]), np.array([True, True]), np.array([[2, 3]]), [2, 3],
+    ], ids=["float", "bool", "2-d", "list"])
+    def test_ids_must_be_a_1d_integer_array(self, ids):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            tokenizer.EncodedSequence(ids=ids, length=2)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+    def test_integer_ids_of_any_width_are_accepted(self, dtype):
+        seq = tokenizer.EncodedSequence(ids=np.array([2, 3, 0], dtype=dtype), length=2)
+        assert seq.ids.dtype == dtype
+
     def test_no_pad_before_nonpad(self):
         vocab = build_vocabulary(iter("abc"), cap=10)
         seq = encode(list("cab"), vocab, 8)

@@ -11,7 +11,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SYNTH_LABELS, flip_bit, load_variant, make_synthetic_corpus
+from conftest import (SYNTH_LABELS, flip_bit, load_variant, make_synthetic_corpus,
+                      overflow_head)
 
 from lexseq import nn, trainer
 from lexseq.corpus import Document, LabelSet, SplitDataset, stratified_split
@@ -686,6 +687,37 @@ class TestMemoryBound:
         # Adam's step and validation, whose forward keeps no trace, run
         # after the training trace is released
         assert from_adam_on < buffers + 0.5 * trace_bytes
+
+
+class TestHeadOverflow:
+    """A model whose logits overflow on finite states: forward's check
+    stops every path that reads probabilities."""
+
+    MESSAGE = r"^document 'doc-\d-\d{3}': non-finite class probabilities$"
+
+    def overflowing_setup(self):
+        split, vocab = build_setup(n_docs=60)
+        model = overflow_head(nn.init_parameters(small_dims(vocab, hidden=3), seed=0,
+                                                 labels=SYNTH_LABELS))
+        return split, vocab, model
+
+    def test_map_forward_and_evaluate_raise(self):
+        split, vocab, model = self.overflowing_setup()
+        seqs = [trainer.encode_document(doc, vocab, model.dims.max_len)
+                for doc in split.test]
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match=self.MESSAGE):
+                trainer.map_forward(model, seqs, [doc.id for doc in split.test])
+            with pytest.raises(NumericError, match=self.MESSAGE):
+                evaluate(model, list(split.test), vocab)
+
+    def test_train_raises_and_writes_no_checkpoint(self, tmp_path):
+        split, vocab, model = self.overflowing_setup()
+        ckpt = tmp_path / "model.ckpt"
+        config = TrainConfig(epochs=1, batch_size=8, seed=0, checkpoint_path=str(ckpt))
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=self.MESSAGE):
+            train(model, split, vocab, config)
+        assert not ckpt.exists()
 
 
 class TestEvaluate:
