@@ -22,7 +22,10 @@ The one step loop runs in two modes. Training (``keep_trace=True``)
 keeps the trace BPTT reads: the input projection ``x @ W.T`` of every
 packed row, run before the loop, and the gates, c and h of every
 packed row, 2 * (4H + 2H) floats per token (9.6 KB at hidden 200, 154 MB
-for 16 documents of 1000 tokens in float32). Inference
+for 16 documents of 1000 tokens in float32). BPTT spends that trace: each
+step's dz goes into one step-sized buffer and then over the gates the
+step has read, so :func:`backward` allocates no second array the size of
+the gates, and a trace serves one :func:`backward`. Inference
 (``keep_trace=False``, which ``trainer.map_forward`` runs) keeps no
 trace: c and h live in one row per document, overwritten in place at
 each step, and the projection runs in chunks of ``PROJECTION_ROWS``
@@ -48,9 +51,12 @@ range; only then does the traced pass scan every packed row to find it,
 and the untraced pass reruns the group traced to do so. The head can
 overflow on finite states, as the ReLU cell is unbounded: a probability
 row that is not finite is a NumericError naming the document ("non-finite
-class probabilities"). So every probability :func:`forward` returns is
-finite and on the simplex, its :func:`loss` is finite, and training needs
-no check of its own; ``trainer.adam_update`` still checks the gradient.
+class probabilities"). The arithmetic runs with numpy's overflow and
+invalid-value warnings off, so that NumericError is all a caller sees. So
+every probability :func:`forward` returns is finite and on the simplex,
+its :func:`loss` is finite, and training needs no check of its own;
+``trainer.adam_update`` still checks the gradient. :func:`loss` refuses
+probabilities off the simplex, NaN among them.
 
 A document's bits do not depend on its batch: every operation is
 elementwise or a matrix product whose output row depends only on its
@@ -344,6 +350,9 @@ class ForwardTrace:
     after ``lead`` (at least 2) rows of zero state: PAD tokens, zero c
     and h. Axis 1 is the direction; backward step s reads text position
     ``length - 1 - s``. Per-document fields are in row order.
+
+    :func:`backward` spends the trace: it writes each step's dz over the
+    gates of the rows BPTT reached, and sets ``spent``.
     """
 
     order: list[int]          # input index of each row
@@ -351,13 +360,15 @@ class ForwardTrace:
     starts: list[int]         # first packed row of each step
     lead: int                 # zero-state rows before step 0
     tokens: np.ndarray        # (lead + N, 2) token ids
-    gates: np.ndarray         # (lead + N, 2, 4H) [i, f, g, o] after activation
+    gates: np.ndarray         # (lead + N, 2, 4H) [i, f, g, o] after activation;
+                              # dz once spent
     c: np.ndarray             # (lead + N, 2, H) cell states
     h: np.ndarray             # (lead + N, 2, H) hidden states
     merged_pre: np.ndarray    # (B, H)
     merged: np.ndarray        # (B, H)
     probs: np.ndarray         # (B, classes)
     model: BiLstmClassifier = field(repr=False)
+    spent: bool = False       # backward has overwritten the gates with dz
 
 
 def _name(k: int, doc_ids: Sequence[str] | None) -> str:
@@ -420,67 +431,70 @@ def forward(
     tokens = np.zeros((lead + lens.sum(), 2), np.intp)
     tokens[lead:] = by_step[running]
 
-    v = model.params.views
-    # traced: the projection of every packed row, and the state of every
-    # packed row after lead zero rows; untraced: the projection of one
-    # chunk of packed rows at a time, and one state row per document,
-    # overwritten at each step, plus a zero row for a lone row's head
-    gates = np.empty((len(tokens) if keep_trace else max(PROJECTION_ROWS, batch),
-                      2, 4 * hidden), dtype)
-    state_rows = len(tokens) if keep_trace else batch + 1
-    c_rows = np.zeros((state_rows, 2, hidden), dtype)
-    h_rows = np.zeros((state_rows, 2, hidden), dtype)
+    # overflow and NaN are caught by the finite check below, as one
+    # NumericError; numpy warns of neither
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = model.params.views
+        # traced: the projection of every packed row, and the state of every
+        # packed row after lead zero rows; untraced: the projection of one
+        # chunk of packed rows at a time, and one state row per document,
+        # overwritten at each step, plus a zero row for a lone row's head
+        gates = np.empty((len(tokens) if keep_trace else max(PROJECTION_ROWS, batch),
+                          2, 4 * hidden), dtype)
+        state_rows = len(tokens) if keep_trace else batch + 1
+        c_rows = np.zeros((state_rows, 2, hidden), dtype)
+        h_rows = np.zeros((state_rows, 2, hidden), dtype)
 
-    def project(lo: int) -> int:
-        """Project packed rows from ``lo`` into ``gates``; the end row."""
-        hi = min(len(tokens), lo + len(gates))
-        x = v["embedding"][tokens[lo:hi]]
-        for d, name in enumerate(DIRECTIONS):
-            np.matmul(x[:, d], v[f"{name}.W"].T, out=gates[:hi - lo, d])
-            gates[:hi - lo, d] += v[f"{name}.b"]
-        return hi
+        def project(lo: int) -> int:
+            """Project packed rows from ``lo`` into ``gates``; the end row."""
+            hi = min(len(tokens), lo + len(gates))
+            x = v["embedding"][tokens[lo:hi]]
+            for d, name in enumerate(DIRECTIONS):
+                np.matmul(x[:, d], v[f"{name}.W"].T, out=gates[:hi - lo, d])
+                gates[:hi - lo, d] += v[f"{name}.b"]
+            return hi
 
-    Us = [v[f"{name}.U"] for name in DIRECTIONS]
-    hu = np.empty((lead, 2, 4 * hidden), dtype)
-    # pieces within the small-matrix bound and never of one row (the row
-    # floor: one-row products take other kernels)
-    bound = BLAS_SMALL_MNK // (4 * hidden * hidden)
-    pieces = {k: _row_pieces(max(k, 2), bound) for k in set(steps)}
-    base, end = 0, project(0) if keep_trace else 0  # gates holds rows [base, end)
-    prev = 0
-    for lo, k in zip(starts, steps):
-        if lo + k > end:  # untraced only; a chunk has at least two rows
-            base = min(lo, len(tokens) - 2)
-            end = project(base)
-        here = lo if keep_trace else 0
-        for d, U in enumerate(Us):
-            for a, b in pieces[k]:
-                np.matmul(h_rows[prev + a:prev + b, d], U.T, out=hu[a:b, d])
-        z = gates[lo - base:lo - base + k]
-        z += hu[:k]
-        g = phi(z[..., 2 * hidden:3 * hidden])
-        _sigmoid(z, out=z)  # the candidate block's share is overwritten next
-        z[..., 2 * hidden:3 * hidden] = g
-        c = c_rows[here:here + k]
-        np.multiply(z[..., hidden:2 * hidden], c_rows[prev:prev + k], out=c)
-        c += z[..., :hidden] * g
-        np.multiply(z[..., 3 * hidden:], phi(c), out=h_rows[here:here + k])
-        prev = here
+        Us = [v[f"{name}.U"] for name in DIRECTIONS]
+        hu = np.empty((lead, 2, 4 * hidden), dtype)
+        # pieces within the small-matrix bound and never of one row (the row
+        # floor: one-row products take other kernels)
+        bound = BLAS_SMALL_MNK // (4 * hidden * hidden)
+        pieces = {k: _row_pieces(max(k, 2), bound) for k in set(steps)}
+        base, end = 0, project(0) if keep_trace else 0  # gates holds rows [base, end)
+        prev = 0
+        for lo, k in zip(starts, steps):
+            if lo + k > end:  # untraced only; a chunk has at least two rows
+                base = min(lo, len(tokens) - 2)
+                end = project(base)
+            here = lo if keep_trace else 0
+            for d, U in enumerate(Us):
+                for a, b in pieces[k]:
+                    np.matmul(h_rows[prev + a:prev + b, d], U.T, out=hu[a:b, d])
+            z = gates[lo - base:lo - base + k]
+            z += hu[:k]
+            g = phi(z[..., 2 * hidden:3 * hidden])
+            _sigmoid(z, out=z)  # the candidate block's share is overwritten next
+            z[..., 2 * hidden:3 * hidden] = g
+            c = c_rows[here:here + k]
+            np.multiply(z[..., hidden:2 * hidden], c_rows[prev:prev + k], out=c)
+            c += z[..., :hidden] * g
+            np.multiply(z[..., 3 * hidden:], phi(c), out=h_rows[here:here + k])
+            prev = here
 
-    # each row's final states (traced: from the packed row where its document
-    # stopped; untraced: its own row), and a zero row so that a lone row's
-    # head product has two rows; every row's product has two (see the
-    # module docstring)
-    rows = [starts[n - 1] + j for j, n in enumerate(lens.tolist())] + [0]
-    final_c, final = (a[rows] if keep_trace else a for a in (c_rows, h_rows))
-    merged_pre = final[:, 0] + final[:, 1]
-    merged = (np.maximum(merged_pre, 0) if model.activation == "relu_after_merge"
-              else merged_pre)
-    logits = np.empty((batch + 1, model.dims.classes), dtype)
-    for a, b in _row_pieces(batch + 1, 2):
-        np.matmul(merged[a:b], v["head.W"].T, out=logits[a:b])
-    logits += v["head.b"]
-    probs = softmax(logits)[:batch]
+        # each row's final states (traced: from the packed row where its document
+        # stopped; untraced: its own row), and a zero row so that a lone row's
+        # head product has two rows; every row's product has two (see the
+        # module docstring)
+        rows = [starts[n - 1] + j for j, n in enumerate(lens.tolist())] + [0]
+        final_c, final = (a[rows] if keep_trace else a for a in (c_rows, h_rows))
+        merged_pre = final[:, 0] + final[:, 1]
+        merged = (np.maximum(merged_pre, 0) if model.activation == "relu_after_merge"
+                  else merged_pre)
+        logits = np.empty((batch + 1, model.dims.classes), dtype)
+        for a, b in _row_pieces(batch + 1, 2):
+            np.matmul(merged[a:b], v["head.W"].T, out=logits[a:b])
+        logits += v["head.b"]
+        probs = softmax(logits)[:batch]
 
     # the one finite check, on what the call returns: the final states, then
     # the probabilities; the scan of every packed row runs only once it fails
@@ -505,11 +519,13 @@ def forward(
 
 
 def loss(probs: np.ndarray, target: int) -> float:
-    """Categorical cross-entropy with the probability floored at 1e-12."""
+    """Categorical cross-entropy with the probability floored at 1e-12.
+    Probabilities off the simplex, or with a NaN, are a ValueError."""
     if not 0 <= target < probs.shape[0]:
         raise ValueError(f"target {target} out of range for {probs.shape[0]} classes")
     total = float(np.sum(probs))
-    if abs(total - 1.0) > 1e-5 or float(np.min(probs)) < -1e-5:
+    # written so that a NaN fails it
+    if not (abs(total - 1.0) <= 1e-5 and float(np.min(probs)) >= -1e-5):
         raise ValueError("probs are not on the simplex")
     return -math.log(max(float(probs[target]), 1e-12))
 
@@ -527,7 +543,15 @@ def backward(
     caller can accumulate a mini-batch into one caller-owned buffer.
     Only embedding rows that actually appear in the batch receive
     gradient. The rows run backward in the forward's lockstep.
+
+    BPTT spends the trace: each step computes its dz into one step-sized
+    buffer and then copies it over the gates it has read, so after the
+    call ``trace.gates`` holds dz for the rows BPTT reached (it may stop
+    early; see the module docstring). A second call on the same trace
+    raises ValueError.
     """
+    if trace.spent:
+        raise ValueError("backward has already run on this trace: its gates hold dz")
     model = trace.model
     batch = len(trace.order)
     targets = np.asarray(targets)
@@ -555,10 +579,11 @@ def backward(
     # in both directions once BPTT reaches its last step
     state = np.zeros((batch, 2, 2, hidden), model.dtype)
     state[:, 0] = dmerged[:, None]
-    dZ = np.empty_like(trace.gates)
+    step_dz = np.empty((batch,) + trace.gates.shape[1:], model.dtype)
     U = [np.ascontiguousarray(v[f"{name}.U"]) for name in DIRECTIONS]
     starts = trace.starts
     stop = 0
+    trace.spent = True
     for s in range(len(steps) - 1, -1, -1):
         k, lo = steps[s], starts[s]
         prev = starts[s - 1] if s else 0
@@ -571,7 +596,7 @@ def backward(
         pc = phi(c)
         do = dh * pc
         dc += dh * o * _phi_derivative(cell_act, c, pc)
-        dz = dZ[lo:lo + k]
+        dz = step_dz[:k]
         dz[..., :hidden] = dc * g * i * (1.0 - i)
         dz[..., hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
         dz[..., 2 * hidden:3 * hidden] = dc * i * _phi_derivative(cell_act, g, g)
@@ -580,18 +605,20 @@ def backward(
             for d in (0, 1):
                 np.matmul(dz[:, d], U[d], out=dh[:, d])
             dc *= f
-            live[np.abs(live) < GRAD_FLUSH] = 0
-            if k == batch and not live.any():
-                stop = s  # exact: every earlier row is linear in dh, dc
-                break
+        gates[...] = dz  # the step's gates are read: dz takes their rows
+        live[np.abs(live) < GRAD_FLUSH] = 0
+        if k == batch and not live.any():
+            stop = s  # exact: every earlier row is linear in dh, dc
+            break
 
-    # the post-loop products cover only the rows BPTT reached; a row's
-    # previous step is as many rows back as were running in that step
+    # the post-loop products cover only the rows BPTT reached, whose gates
+    # now hold dz; a row's previous step is as many rows back as were
+    # running in that step
     lo = starts[stop]
     back = np.repeat(([trace.lead] + steps[:-1])[stop:], steps[stop:])
     prev = np.arange(lo, lo + back.size) - back
     for d, name in enumerate(DIRECTIONS):
-        dz = dZ[lo:, d]
+        dz = trace.gates[lo:, d]
         tokens = trace.tokens[lo:, d]
         gv[f"{name}.W"] += dz.T @ v["embedding"][tokens]
         gv[f"{name}.U"] += dz.T @ trace.h[prev, d]

@@ -49,6 +49,10 @@ _SPACE = re.compile(r"\s")
 
 _VOCAB_MAGIC = "#vocab v1"
 
+# Rows per chunk of the canonical file as digest() hashes it and
+# save_vocabulary writes it: tens of KB of text at a time.
+RENDER_ROWS = 4096
+
 
 def tokenize(text: str, lowercase: bool = True) -> list[str]:
     """Split text into tokens: maximal runs of letters and digits.
@@ -127,12 +131,16 @@ class Vocabulary:
         return len(self.tokens) + 2
 
     def digest(self) -> str:
-        """SHA-256 over the canonical file rendering; checkpoints pin this.
-        Computed on the first call and kept: the table is immutable.
-        ``load_vocabulary`` keeps the hash of a canonical file's bytes."""
+        """SHA-256 of the canonical file, the bytes ``save_vocabulary``
+        writes; checkpoints pin this. The file is hashed a chunk of rows at
+        a time, never held whole. Computed on the first call and kept: the
+        table is immutable. ``load_vocabulary`` keeps the hash of a
+        canonical file's bytes."""
         if self._digest is None:
-            object.__setattr__(self, "_digest",
-                               hashlib.sha256(_render(self).encode("utf-8")).hexdigest())
+            sha = hashlib.sha256()
+            for chunk in _render_chunks(self):
+                sha.update(chunk)
+            object.__setattr__(self, "_digest", sha.hexdigest())
         return self._digest
 
 
@@ -162,16 +170,20 @@ def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000,
     defines the id assignment. The stream is consumed once.
     A ``Counter`` iterates in first-occurrence order and the sort is
     stable, so equal counts keep that order (``most_common`` ranks the
-    same way, through a slower keyed heap).
+    same way, through a slower keyed heap). The sort ranks the tokens
+    themselves, with no pair object per distinct token, and the
+    ``Counter`` is freed before the table's index is built.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     counts = Counter(token_stream)
     if not counts:
         raise DataError("cannot build a vocabulary from an empty token stream")
-    ranked = sorted(counts.items(), key=itemgetter(1), reverse=True)[:cap]
-    return Vocabulary(tokens=map(itemgetter(0), ranked), freqs=map(itemgetter(1), ranked),
-                      cap=cap, lowercase=lowercase)
+    tokens = sorted(counts, key=counts.__getitem__, reverse=True)
+    del tokens[cap:]
+    freqs = list(map(counts.__getitem__, tokens))
+    del counts
+    return Vocabulary(tokens=tokens, freqs=freqs, cap=cap, lowercase=lowercase)
 
 
 @dataclass(frozen=True)
@@ -211,15 +223,26 @@ def _header(size: int, cap: int, lowercase: bool) -> str:
     return f"{_VOCAB_MAGIC} size={size} cap={cap}{casing}"
 
 
-def _render(vocab: Vocabulary) -> str:
-    rows = [f"{token}\t{id_}\t{freq}\n"
-            for token, id_, freq in zip(vocab.tokens, range(2, len(vocab) + 2), vocab.freqs)]
-    return _header(len(vocab), vocab.cap, vocab.lowercase) + "\n" + "".join(rows)
+def _render_chunks(vocab: Vocabulary) -> Iterator[bytes]:
+    """The canonical file of ``vocab`` as UTF-8 chunks: the header line,
+    then ``RENDER_ROWS`` rows at a time."""
+    yield (_header(len(vocab), vocab.cap, vocab.lowercase) + "\n").encode("utf-8")
+    for lo in range(0, len(vocab), RENDER_ROWS):
+        hi = lo + RENDER_ROWS
+        yield "".join([f"{token}\t{id_}\t{freq}\n" for token, id_, freq in
+                       zip(vocab.tokens[lo:hi], range(lo + 2, hi + 2), vocab.freqs[lo:hi])]
+                      ).encode("utf-8")
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Write ``vocab``'s canonical rendering through ``errors.write_atomically``."""
-    write_atomically(path, _render(vocab).encode("utf-8"))
+    """Write ``vocab``'s canonical file through ``errors.write_atomically``,
+    a chunk of rows at a time; its SHA-256 is ``vocab.digest()``."""
+
+    def write(fh):
+        for chunk in _render_chunks(vocab):
+            fh.write(chunk)
+
+    write_atomically(path, write)
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
@@ -287,7 +310,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         vocab = Vocabulary(tokens=tokens, freqs=freqs, cap=cap, lowercase=lowercase)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if canonical:  # these bytes are _render(vocab)'s, so their hash is the digest
+    if canonical:  # these bytes are _render_chunks(vocab)'s, so their hash is the digest
         object.__setattr__(vocab, "_digest", hashlib.sha256(data).hexdigest())
     return vocab
 

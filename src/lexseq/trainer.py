@@ -49,9 +49,10 @@ CHECKPOINT_MAGIC = b"BLSTM1\x00"
 CHECKPOINT_FORMAT = 1
 
 # Documents per lockstep forward call, and per backward call in training.
-# A training group's trace holds 2 * (4 + 2) * hidden floats per token and
-# BPTT's dz two thirds as much again; 16 documents of 1000 tokens at hidden
-# 200 peak at 263 MB under tracemalloc. Inference keeps no trace, so its
+# A training group's trace holds 2 * (4 + 2) * hidden floats per token, and
+# BPTT writes its dz over the trace's gates; 16 documents of 1000 tokens at
+# reference dims peak at 193 MiB under tracemalloc, the gradient buffer
+# included. Inference keeps no trace, so its
 # memory grows with the rows per step instead: 16 rows hold its step
 # temporaries to a few MB (see CHANGES.md).
 GROUP_DOCS = 16

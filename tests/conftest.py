@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ from lexseq.tokenizer import EncodedSequence
 
 SYNTH_CLASSES = 6
 SYNTH_LABELS = tuple(f"class{i}" for i in range(SYNTH_CLASSES))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn`` runs; tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_synthetic_corpus(

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -775,18 +776,31 @@ class TestHeadOverflow:
                 "non-finite class probabilities") in err.splitlines()
 
     def test_predict_exits_3_and_writes_nothing(self, overflowing, capsys):
-        with np.errstate(all="ignore"):
-            assert cli.run(["predict", *overflowing]) == 3
+        assert cli.run(["predict", *overflowing]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         self.assert_runtime_error(err)
 
     def test_evaluate_exits_3_and_writes_no_report(self, overflowing, tmp_path, capsys):
         report = tmp_path / "report.json"
-        with np.errstate(all="ignore"):
-            assert cli.run(["evaluate", *overflowing, "-o", str(report)]) == 3
+        assert cli.run(["evaluate", *overflowing, "-o", str(report)]) == 3
         assert not report.exists()
         self.assert_runtime_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_the_error_is_the_only_line(self, overflowing, tmp_path, capfd, command):
+        # no outer errstate, and warnings printed as a terminal shows them
+        def print_warning(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno,
+                                                    line))
+
+        output = ["-o", str(tmp_path / "report.json")] if command == "evaluate" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = print_warning
+            assert cli.run([command, *overflowing, *output]) == 3
+        assert capfd.readouterr().err.splitlines() == [
+            "lexseq: runtime error: document 'd1': non-finite class probabilities"]
 
 
 class TestBuildVocab:

@@ -15,6 +15,7 @@ from conftest import (
     overflow_head,
     random_tiny_model,
     swapped_directions,
+    traced_peak,
 )
 
 from lexseq import nn
@@ -199,6 +200,11 @@ class TestLoss:
         with pytest.raises(ValueError):
             nn.loss(np.full(6, 0.5), 0)
 
+    @pytest.mark.parametrize("probs", [[np.nan] * 3, [np.nan, 0.5, 0.5], [1.0, 0.0, np.nan]])
+    def test_nan_rejected(self, probs):
+        with pytest.raises(ValueError, match="probs are not on the simplex"):
+            nn.loss(np.array(probs, np.float32), 0)
+
 
 class TestBackward:
     def test_logit_gradient_identity(self):
@@ -295,11 +301,34 @@ class TestBackward:
         _, trace = nn.forward([seq], model)
         single = nn.backward(trace, [1])
         buf = nn.Gradients.zeros_like(model)
-        _, trace2 = nn.forward([seq], model)
-        nn.backward(trace2, [1], out=buf)
-        nn.backward(trace2, [1], out=buf)
+        for _ in range(2):  # backward spends its trace: one forward each
+            _, trace2 = nn.forward([seq], model)
+            nn.backward(trace2, [1], out=buf)
         for one, two in zip(single.arrays(), buf.arrays()):
             npt.assert_allclose(two, one * 2, rtol=1e-5)
+
+    def test_a_spent_trace_is_refused(self):
+        model = nn.init_parameters(tiny_dims(), seed=3)
+        _, trace = nn.forward(_ragged_batch(tiny_dims(), [5, 2], seed=1), model)
+        grads = nn.backward(trace, [1, 0])
+        before = grads.flat.copy()
+        assert trace.spent
+        with pytest.raises(ValueError, match="already run on this trace"):
+            nn.backward(trace, [1, 0], out=grads)
+        npt.assert_array_equal(grads.flat, before)
+
+    def test_reference_group_memory(self):
+        # one training group of 16 documents of 1000 tokens at reference
+        # dims: the trace (154 MB), the gradient buffer (42 MB) and step
+        # temporaries (193 MiB); a dz array the size of the gates would
+        # take the peak to 290 MiB
+        dims = nn.ModelDims(vocab_rows=100_002, embed_dim=100, hidden=200, classes=6,
+                            max_len=1000)
+        model = nn.init_parameters(dims, seed=1)
+        seqs = _ragged_batch(dims, [1000] * 16, seed=2)
+        targets = [k % dims.classes for k in range(16)]
+        peak = traced_peak(lambda: nn.backward(nn.forward(seqs, model)[1], targets))
+        assert peak < 210 * 2 ** 20
 
 
 class TestParameterCount:
@@ -461,8 +490,7 @@ class TestLockstep:
         model.params.views["embedding"][7] = np.inf
         seqs = _ragged_batch(tiny_dims(), [3, 5], seed=0)
         seqs.append(EncodedSequence(ids=np.array([2, 7, 0, 0, 0, 0, 0, 0]), length=2))
-        with np.errstate(all="ignore"), \
-                pytest.raises(NumericError, match="document 'c': non-finite LSTM state"):
+        with pytest.raises(NumericError, match="document 'c': non-finite LSTM state"):
             nn.forward(seqs, model, doc_ids=["a", "b", "c"])
 
     def test_direction_weights_stay_fortran_ordered(self):
@@ -606,11 +634,10 @@ class TestTraceFree:
         seqs = _ragged_batch(tiny_dims(), [3, 5], seed=0)
         seqs.append(EncodedSequence(ids=np.array([2, 7, 2, 0, 0, 0, 0, 0]), length=3))
         doc_ids = ["a", "b", "c"]
-        with np.errstate(all="ignore"):
-            with pytest.raises(NumericError) as traced:
-                nn.forward(seqs, model, doc_ids)
-            with pytest.raises(NumericError) as untraced:
-                map_forward(model, seqs, doc_ids)
+        with pytest.raises(NumericError) as traced:
+            nn.forward(seqs, model, doc_ids)
+        with pytest.raises(NumericError) as untraced:
+            map_forward(model, seqs, doc_ids)
         assert str(untraced.value) == str(traced.value) == (
             "document 'c': non-finite LSTM state at timestep 1")
 
@@ -632,13 +659,12 @@ class TestFiniteOutput:
         _, trace = nn.forward(seqs, model)
         assert np.isfinite(trace.c).all() and np.isfinite(trace.h).all()
         model.params.views["head.W"][...] = head
-        with np.errstate(all="ignore"):
-            with pytest.raises(NumericError) as traced:
-                nn.forward(seqs, model, doc_ids)
-            with pytest.raises(NumericError) as untraced:
-                nn.forward(seqs, model, doc_ids, keep_trace=False)
-            with pytest.raises(NumericError) as mapped:
-                map_forward(model, seqs, doc_ids)
+        with pytest.raises(NumericError) as traced:
+            nn.forward(seqs, model, doc_ids)
+        with pytest.raises(NumericError) as untraced:
+            nn.forward(seqs, model, doc_ids, keep_trace=False)
+        with pytest.raises(NumericError) as mapped:
+            map_forward(model, seqs, doc_ids)
         assert str(traced.value) == str(untraced.value) == str(mapped.value) == (
             "document 'c': non-finite class probabilities")
 
@@ -650,7 +676,7 @@ class TestFiniteOutput:
         hidden = model.dims.hidden
         model.params.views["forward_dir.W"][3 * hidden:] = np.nan
         seq = EncodedSequence(ids=np.array([2, 0, 0, 0, 0, 0, 0, 0]), length=1)
-        with np.errstate(all="ignore"), pytest.raises(NumericError) as excinfo:
+        with pytest.raises(NumericError) as excinfo:
             nn.forward([seq], model, ["a"], keep_trace=keep_trace)
         assert str(excinfo.value) == "document 'a': non-finite LSTM state at timestep 0"
 

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import unicodedata
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_every_truncation_and_bit_flip, damaged, flip_bit, load_variant
+from conftest import (check_every_truncation_and_bit_flip, damaged, flip_bit, load_variant,
+                      traced_peak)
 
 from lexseq import tokenizer
 from lexseq.errors import DataError, utf8_lines
@@ -165,6 +167,15 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(iter(stream), cap=cap)
         assert vocab.entries == tuple((t, counts[t]) for t in ranked)
 
+    def test_memory_is_about_the_counter(self):
+        # 200,000 distinct tokens under a cap of 100,000: no pair object per
+        # distinct token, and the Counter is freed before the table's index
+        # is built; sorting (token, count) pairs peaks at 2.1 Counters
+        stream = [f"t{i}" for i in range(200_000)] + [f"t{i}" for i in range(0, 200_000, 3)]
+        counter = traced_peak(lambda: Counter(iter(stream)))
+        assert traced_peak(lambda: build_vocabulary(iter(stream), cap=100_000)) \
+            < 1.5 * counter
+
 
 class TestEncode:
     def test_oov_and_padding(self):
@@ -237,6 +248,11 @@ class TestEncode:
                 assert not seen_pad
 
 
+def rendering(vocab) -> str:
+    """The canonical file of ``vocab`` as text."""
+    return b"".join(tokenizer._render_chunks(vocab)).decode("utf-8")
+
+
 class TestVocabularyFile:
     def test_roundtrip(self, tmp_path):
         vocab = build_vocabulary(iter(["a", "a", "a", "b", "b"]), cap=2)
@@ -249,7 +265,7 @@ class TestVocabularyFile:
     def test_lowercase_rendering_is_pinned(self):
         # the bytes and digest of every lowercase vocabulary predate the casing key
         vocab = tokenizer.Vocabulary((("recurso", 3), ("lei", 1)), cap=5)
-        assert tokenizer._render(vocab) == (
+        assert rendering(vocab) == (
             "#vocab v1 size=2 cap=5\nrecurso\t2\t3\nlei\t3\t1\n")
         assert vocab.digest() == (
             "6f96c5d7684dcabc14ace10adf7dd0def4441e613421edcac1c38ceb4a4cac4a")
@@ -327,10 +343,10 @@ class TestVocabularyFile:
 
     def test_digest_is_rendered_once_per_vocabulary(self, monkeypatch):
         vocab = build_vocabulary(iter(["a", "b", "a"]), cap=5)
-        expected = hashlib.sha256(tokenizer._render(vocab).encode("utf-8")).hexdigest()
+        expected = hashlib.sha256(rendering(vocab).encode("utf-8")).hexdigest()
         rendered = []
-        real_render = tokenizer._render
-        monkeypatch.setattr(tokenizer, "_render",
+        real_render = tokenizer._render_chunks
+        monkeypatch.setattr(tokenizer, "_render_chunks",
                             lambda v: rendered.append(v) or real_render(v))
         assert vocab.digest() == expected
         assert vocab.digest() == expected
@@ -338,6 +354,26 @@ class TestVocabularyFile:
         # the kept digest is not part of equality or the hash
         twin = build_vocabulary(iter(["a", "b", "a"]), cap=5)
         assert twin == vocab and hash(twin) == hash(vocab)
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_digest_is_the_hash_of_the_saved_bytes(self, tmp_path, lowercase):
+        # more rows than one chunk, some of them not ASCII
+        rows = 2 * tokenizer.RENDER_ROWS + 5
+        tokens = [f"T{k}ção" if k % 3 else f"t{k}" for k in range(rows)]
+        vocab = tokenizer.Vocabulary(tokens=tokens, freqs=range(rows, 0, -1),
+                                     cap=rows + 1, lowercase=lowercase)
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        assert vocab.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert path.read_text(encoding="utf-8") == rendering(vocab)
+
+    def test_digest_holds_no_whole_file(self):
+        # a 100,000-entry table's file is about 1.5 MiB; rendered as one
+        # string and its bytes, the peak is 9.7 MiB
+        tokens = [f"t{k}" for k in range(100_000)]
+        vocab = tokenizer.Vocabulary(tokens=tokens, freqs=range(100_000, 0, -1),
+                                     cap=100_000)
+        assert traced_peak(vocab.digest) < 2 ** 20
 
 
 # str.isspace accepts each of these, the separators too.
@@ -630,15 +666,15 @@ class TestLoadedDigest:
     @settings(max_examples=150, deadline=None)
     @given(tables(), st.sampled_from([None, *FILE_VARIANTS]))
     def test_digest_of_the_rendering(self, path, vocab, variant):
-        text = tokenizer._render(vocab)
+        text = rendering(vocab)
         if variant is not None:
             text = FILE_VARIANTS[variant](text)
-            assert text != tokenizer._render(vocab)
+            assert text != rendering(vocab)
         path.write_bytes(text.encode("utf-8"))
         loaded = load_vocabulary(path)
         assert loaded == vocab
         assert loaded.digest() == hashlib.sha256(
-            tokenizer._render(vocab).encode("utf-8")).hexdigest()
+            rendering(vocab).encode("utf-8")).hexdigest()
 
     @pytest.mark.parametrize("lowercase", [True, False])
     def test_a_canonical_file_is_not_rendered(self, tmp_path, monkeypatch, lowercase):
@@ -652,7 +688,7 @@ class TestLoadedDigest:
         def no_render(vocab):
             raise AssertionError("rendered a table read from a canonical file")
 
-        monkeypatch.setattr(tokenizer, "_render", no_render)
+        monkeypatch.setattr(tokenizer, "_render_chunks", no_render)
         loaded = load_vocabulary(path)
         assert loaded == vocab
         assert loaded.digest() == expected == hashlib.sha256(path.read_bytes()).hexdigest()

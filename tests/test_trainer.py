@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (SYNTH_LABELS, flip_bit, load_variant, make_synthetic_corpus,
-                      overflow_head)
+                      overflow_head, traced_peak)
 
 from lexseq import nn, trainer
 from lexseq.corpus import Document, LabelSet, SplitDataset, stratified_split
@@ -607,16 +607,6 @@ class TestCheckpointFuzz:
             assert theirs.flat.tobytes() == ours.flat.byteswap().tobytes()
 
 
-def traced_peak(fn) -> int:
-    """Peak bytes traced while ``fn`` runs; tracemalloc sees numpy's buffers."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemoryBound:
     """Peak memory is the parameter buffers plus O(ADAM_BLOCK): no code path
     makes a transient copy of the model."""
@@ -682,8 +672,11 @@ class TestMemoryBound:
         monkeypatch.setattr(trainer, "adam_update", reset_peak_at_the_first_step)
         config = TrainConfig(epochs=1, batch_size=8, seed=3)
         from_adam_on = traced_peak(lambda: train(model, split, vocab, config))
-        # BPTT holds the trace and its dz, two thirds of a trace
-        assert before_adam[0] < buffers + 2 * trace_bytes
+        # BPTT writes dz over the trace's gates, so it holds one trace and
+        # step-sized buffers (1.1 traces); a dz array of its own would add
+        # two thirds of a trace
+        assert before_adam[0] < buffers + 1.25 * trace_bytes, (
+            (before_adam[0] - buffers) / trace_bytes)
         # Adam's step and validation, whose forward keeps no trace, run
         # after the training trace is released
         assert from_adam_on < buffers + 0.5 * trace_bytes
@@ -705,17 +698,16 @@ class TestHeadOverflow:
         split, vocab, model = self.overflowing_setup()
         seqs = [trainer.encode_document(doc, vocab, model.dims.max_len)
                 for doc in split.test]
-        with np.errstate(all="ignore"):
-            with pytest.raises(NumericError, match=self.MESSAGE):
-                trainer.map_forward(model, seqs, [doc.id for doc in split.test])
-            with pytest.raises(NumericError, match=self.MESSAGE):
-                evaluate(model, list(split.test), vocab)
+        with pytest.raises(NumericError, match=self.MESSAGE):
+            trainer.map_forward(model, seqs, [doc.id for doc in split.test])
+        with pytest.raises(NumericError, match=self.MESSAGE):
+            evaluate(model, list(split.test), vocab)
 
     def test_train_raises_and_writes_no_checkpoint(self, tmp_path):
         split, vocab, model = self.overflowing_setup()
         ckpt = tmp_path / "model.ckpt"
         config = TrainConfig(epochs=1, batch_size=8, seed=0, checkpoint_path=str(ckpt))
-        with np.errstate(all="ignore"), pytest.raises(NumericError, match=self.MESSAGE):
+        with pytest.raises(NumericError, match=self.MESSAGE):
             train(model, split, vocab, config)
         assert not ckpt.exists()
 
