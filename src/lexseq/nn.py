@@ -104,6 +104,22 @@ contiguous: OpenBLAS is several times slower on a few rows times a
 transposed C-ordered matrix. No bit depends on the layout; checkpoints
 store each tensor in C order.
 
+Those passes (``trainer.adam_update``, its gradient check included, and
+``Gradients.zero_``, ``scale_`` and ``global_norm``) and every input
+projection of ``PROJECTION_ROWS`` rows or more run on two cores: through
+:func:`_halves`, a worker thread runs the upper half of the blocks or
+rows while the caller runs the lower half, when the CPU affinity allows
+two or more cores (``taskset -c 0`` gives one, and then the caller runs
+every range whole). The split does not depend on
+``OPENBLAS_NUM_THREADS``. numpy releases the GIL inside these calls, so
+the halves overlap. No bit moves: the passes are elementwise, the norm
+adds its block sums in block order once both halves are done, and a
+projection row has the same bits in any product of two rows or more. A
+single short document's projection stays on one thread, where the
+hand-off would cost more than it saves. The step loop stays on one
+thread too: it holds the GIL between its small products, and one LSTM
+direction per thread ran 0.37-0.95 times as fast.
+
 BPTT flushes every component of the backward state (dh, dc) whose
 magnitude is below ``GRAD_FLUSH`` (2**-100) to zero after each step,
 and stops once the state of every row is exactly zero. Over a long
@@ -119,8 +135,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -139,10 +157,14 @@ ACTIVATIONS = ("relu", "tanh", "relu_after_merge")
 # see the module docstring.
 GRAD_FLUSH = 2.0 ** -100
 
-# Elements per block of the passes over flat buffers that need scratch
-# space: Gradients.global_norm and trainer.adam_update. A block of Adam's
-# six arrays (1.5 MB in float32) stays in a 2 MB L2 cache; 65,536 measured
-# fastest at reference dims, ahead of 32,768 and 131,072 (see CHANGES.md).
+# Elements per block of the passes over flat buffers: the unit that
+# Gradients.global_norm and trainer.adam_update walk through block-sized
+# scratch, and at which every flat pass is cut into halves for two cores.
+# A block of Adam's six arrays (1.5 MB in float32) stays in a 2 MB L2
+# cache. With Adam on two cores, each walking its own half of the blocks,
+# 65,536 ran about as fast as 131,072 (1-4% slower, within the quartiles)
+# and 30% faster than 32,768; on one core it ran 11% faster than 131,072
+# (reference dims; see CHANGES.md).
 ADAM_BLOCK = 65_536
 
 # OpenBLAS's small-matrix limit: it runs a product of M*N*K <= 10**6 on
@@ -156,11 +178,76 @@ BLAS_SMALL_MNK = 1_000_000
 # trace (at least the batch's row count; see the module docstring). At
 # reference dims 64 to 512 rows ran 64 documents of 1000 tokens at the
 # same docs/s within noise, and 1024 or more about 7% slower; 256 rows of
-# float32 gates are 1.6 MB (see CHANGES.md).
+# float32 gates are 1.6 MB (see CHANGES.md). A projection of this many rows
+# or more, in either mode, runs in two halves on two cores: 256 rows took
+# 1.38 against 2.01 ms on one thread, but 37 rows 0.45 against 0.39 ms.
 PROJECTION_ROWS = 256
 
 # The two LSTM directions, in parameter order.
 DIRECTIONS = ("forward_dir", "backward_dir")
+
+_T = TypeVar("_T")
+
+# The one-thread ThreadPoolExecutor that runs the upper half of a split
+# job; started by the first split (see _halves), and dropped in a forked
+# child, which does not have its thread.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _drop_worker() -> None:
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):  # a platform with fork
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    has one (``taskset -c 0`` gives 1)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _halves(job: Callable[[int, int], _T], n: int, split: bool = True) -> list[_T]:
+    """Run ``job(lo, hi)`` over the index range ``[0, n)`` and return its
+    results in range order.
+
+    With ``split``, ``n >= 2`` and two or more cores, the range runs in two
+    contiguous halves: a worker thread runs the upper half, under the
+    caller's numpy error state, while the caller runs the lower half, and
+    the caller then waits for the worker. Otherwise the caller runs the
+    whole range. An exception in either half is raised here once both have
+    ended; the lower half's wins. ``job`` must be elementwise over its range
+    or write only its own rows, so that the split moves no bit, and may call
+    only numpy and private helpers: the worker opens no span of a traced
+    public function.
+    """
+    global _worker
+    if not (split and n >= 2 and _cores() >= 2):
+        return [job(0, n)]
+    with _worker_lock:
+        if _worker is None:
+            # imported here: concurrent.futures imports logging, which would
+            # add to every `import lexseq`
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="lexseq-halves")
+        worker = _worker
+    mid, err = n // 2, np.geterr()
+
+    def upper() -> _T:
+        with np.errstate(**err):  # numpy's error state is per thread
+            return job(mid, n)
+
+    future = worker.submit(upper)
+    try:
+        lower = job(0, mid)
+    finally:  # the worker may still be writing into the caller's arrays
+        future.exception()  # waits; the upper half's error is raised below
+    return [lower, future.result()]
 
 
 @dataclass(frozen=True)
@@ -267,25 +354,48 @@ class BiLstmClassifier:
 
 
 class Gradients(ParamBuffer):
-    """Gradient buffers in the parameter layout."""
+    """Gradient buffers in the parameter layout.
+
+    ``zero_``, ``scale_`` and ``global_norm`` run in two halves on two
+    cores when the buffer spans two or more ADAM_BLOCK blocks and the CPU
+    affinity allows (see :func:`_halves`), with the same bits as on one."""
+
+    def _in_halves(self, job: Callable[[np.ndarray], object]) -> None:
+        """``job`` on two halves of ``flat`` cut at an ADAM_BLOCK boundary,
+        or on all of it (see :func:`_halves`)."""
+        _halves(lambda a, b: job(self.flat[a * ADAM_BLOCK:b * ADAM_BLOCK]),
+                -(-self.flat.size // ADAM_BLOCK))
 
     def zero_(self) -> None:
-        self.flat.fill(0)
+        self._in_halves(lambda part: part.fill(0))
 
     def scale_(self, k: float) -> None:
-        self.flat *= self.flat.dtype.type(k)
+        k = self.flat.dtype.type(k)
+        self._in_halves(lambda part: np.multiply(part, k, out=part))
 
     def global_norm(self) -> float:
         """L2 norm of every gradient tensor, squared and summed in float64
-        over blocks of each tensor's memory; the gaps are not read."""
-        square = np.empty(ADAM_BLOCK, np.float64)
-        total = 0.0
-        for view in self.arrays():
-            memory = view.ravel(order="A")  # a view: W and U are F-contiguous
-            for lo in range(0, memory.size, ADAM_BLOCK):
+        over blocks of each tensor's memory; the gaps are not read. The
+        blocks' sums are added one by one in block order, whichever half
+        computed them."""
+        # views, not copies: W and U are F-contiguous
+        memories = [view.ravel(order="A") for view in self.arrays()]
+        blocks = [(memory, lo) for memory in memories
+                  for lo in range(0, memory.size, ADAM_BLOCK)]
+        sums = np.empty(len(blocks), np.float64)
+
+        def run(a: int, b: int) -> None:
+            square = np.empty(ADAM_BLOCK, np.float64)
+            for k in range(a, b):
+                memory, lo = blocks[k]
                 block = memory[lo:lo + ADAM_BLOCK]
-                total += float(np.multiply(block, block, out=square[:block.size],
-                                           dtype=np.float64).sum())
+                sums[k] = np.multiply(block, block, out=square[:block.size],
+                                      dtype=np.float64).sum()
+
+        _halves(run, len(blocks), split=self.flat.size > ADAM_BLOCK)
+        total = 0.0
+        for block_sum in sums.tolist():
+            total += block_sum
         return math.sqrt(total)
 
 
@@ -446,12 +556,18 @@ def forward(
         h_rows = np.zeros((state_rows, 2, hidden), dtype)
 
         def project(lo: int) -> int:
-            """Project packed rows from ``lo`` into ``gates``; the end row."""
+            """Project packed rows from ``lo`` into ``gates``, in two halves
+            from PROJECTION_ROWS rows on (and never a half of one row: the
+            row floor); the end row."""
             hi = min(len(tokens), lo + len(gates))
-            x = v["embedding"][tokens[lo:hi]]
-            for d, name in enumerate(DIRECTIONS):
-                np.matmul(x[:, d], v[f"{name}.W"].T, out=gates[:hi - lo, d])
-                gates[:hi - lo, d] += v[f"{name}.b"]
+
+            def part(a: int, b: int) -> None:  # into gates rows [a, b)
+                x = v["embedding"][tokens[lo + a:lo + b]]
+                for d, name in enumerate(DIRECTIONS):
+                    np.matmul(x[:, d], v[f"{name}.W"].T, out=gates[a:b, d])
+                    gates[a:b, d] += v[f"{name}.b"]
+
+            _halves(part, hi - lo, split=hi - lo >= max(PROJECTION_ROWS, 4))
             return hi
 
         Us = [v[f"{name}.U"] for name in DIRECTIONS]

@@ -37,6 +37,7 @@ from .nn import (
     Gradients,
     ModelDims,
     ParamBuffer,
+    _halves,
     backward,
     forward,
     loss,
@@ -125,39 +126,57 @@ def adam_update(
 ) -> tuple[BiLstmClassifier, AdamState]:
     """One bias-corrected Adam step, applied in place to every parameter.
 
-    Walks the flat parameter, gradient, m and v buffers in blocks of
-    ADAM_BLOCK elements through two block-sized scratch buffers, with
-    ``out=`` ufuncs in the operation order of
-    ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. Every element
-    goes through the operations of that expression, so the result is
-    bit-identical to it. A non-finite gradient raises a NumericError
-    naming its tensor; the blocks before it have been updated.
+    A non-finite gradient raises a NumericError naming the tensor of the
+    first non-finite element in flat order, before anything changes: the
+    whole gradient is checked first, and only then is ``state.t``
+    incremented and the step taken. The step walks the flat parameter,
+    gradient, m and v buffers in blocks of ADAM_BLOCK elements through two
+    block-sized scratch buffers, with ``out=`` ufuncs in the operation
+    order of ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. Every
+    element goes through the operations of that expression, so the result
+    is bit-identical to it. The check and the step each run in two halves
+    of the blocks on two cores when the CPU affinity allows (see
+    ``nn._halves``), with the same bits as on one.
     """
+    flats = (model.params.flat, grads.flat, state.m.flat, state.v.flat)
+    starts = range(0, grads.flat.size, ADAM_BLOCK)
+
+    def first_non_finite(a: int, b: int) -> int | None:
+        finite = np.empty(ADAM_BLOCK, bool)
+        for lo in starts[a:b]:
+            grad = grads.flat[lo:lo + ADAM_BLOCK]
+            ok = np.isfinite(grad, out=finite[:grad.size])
+            if not ok.all():
+                return lo + int(np.argmin(ok))
+        return None
+
+    bad = [k for k in _halves(first_non_finite, len(starts)) if k is not None]
+    if bad:
+        raise NumericError(f"non-finite gradient for tensor {grads.name_at(bad[0])}")
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
-    flats = (model.params.flat, grads.flat, state.m.flat, state.v.flat)
-    step = np.empty(ADAM_BLOCK, grads.flat.dtype)
-    denom = np.empty_like(step)
-    for lo in range(0, grads.flat.size, ADAM_BLOCK):
-        param, grad, m, v = (a[lo:lo + ADAM_BLOCK] for a in flats)
-        s, d = step[:grad.size], denom[:grad.size]
-        finite = np.isfinite(grad)
-        if not finite.all():
-            name = grads.name_at(lo + int(np.argmin(finite)))
-            raise NumericError(f"non-finite gradient for tensor {name}")
-        m *= BETA1
-        m += np.multiply(1.0 - BETA1, grad, out=s)
-        v *= BETA2
-        np.multiply(grad, grad, out=d)
-        v += np.multiply(1.0 - BETA2, d, out=d)
-        np.divide(m, bc1, out=s)
-        np.multiply(config.learning_rate, s, out=s)
-        np.divide(v, bc2, out=d)
-        np.sqrt(d, out=d)
-        d += EPSILON
-        s /= d
-        param -= s
+
+    def step(a: int, b: int) -> None:
+        scratch = np.empty(ADAM_BLOCK, grads.flat.dtype)
+        denom = np.empty_like(scratch)
+        for lo in starts[a:b]:
+            param, grad, m, v = (f[lo:lo + ADAM_BLOCK] for f in flats)
+            s, d = scratch[:grad.size], denom[:grad.size]
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, grad, out=s)
+            v *= BETA2
+            np.multiply(grad, grad, out=d)
+            v += np.multiply(1.0 - BETA2, d, out=d)
+            np.divide(m, bc1, out=s)
+            np.multiply(config.learning_rate, s, out=s)
+            np.divide(v, bc2, out=d)
+            np.sqrt(d, out=d)
+            d += EPSILON
+            s /= d
+            param -= s
+
+    _halves(step, len(starts))
     return model, state
 
 

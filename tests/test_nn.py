@@ -1,7 +1,14 @@
+import concurrent.futures
 import copy
 import math
+import multiprocessing
+import os
 import pickle
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -692,6 +699,175 @@ class TestFiniteOutput:
         assert sizes and max(sizes) <= (len(seqs) + 1) * 2 * dims.hidden
 
 
+class TestSplitProjection:
+    """forward's input projection runs in two halves on two cores once it
+    covers PROJECTION_ROWS rows, with the bits of one product."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_halves_keep_every_bit(self, activation, dtype, on_cores):
+        dims = nn.ModelDims(vocab_rows=50, embed_dim=100, hidden=200, classes=6,
+                            max_len=400)
+        model = nn.init_parameters(dims, seed=8, activation=activation, dtype=dtype)
+        # 590 packed rows: one traced projection, and two untraced chunks of
+        # PROJECTION_ROWS rows before a shorter last one
+        seqs = _ragged_batch(dims, [400, 150, 31, 5], seed=3)
+        outputs = []
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            probs, trace = nn.forward(seqs, model)
+            assert len(splits) == 1
+            untraced, _ = nn.forward(seqs, model, keep_trace=False)
+            assert len(splits) == 3
+            outputs.append([_bits(a).tobytes()
+                            for a in (probs, trace.gates, trace.c, trace.h, untraced)])
+        assert outputs[0] == outputs[1]
+
+    @staticmethod
+    def raises_one_error(seqs, model, keep_trace):
+        """The NumericError forward raises, after checking that numpy
+        warned of nothing on either thread."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError) as excinfo:
+                nn.forward(seqs, model, ["a", "b"][:len(seqs)], keep_trace=keep_trace)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("keep_trace", [True, False], ids=["traced", "untraced"])
+    def test_head_overflow_above_the_split_is_one_numeric_error(self, keep_trace,
+                                                              on_cores):
+        dims = tiny_dims(max_len=300)
+        model = overflow_head(nn.init_parameters(dims, seed=0))
+        seqs = _ragged_batch(dims, [300, 40], seed=1)
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            assert self.raises_one_error(seqs, model, keep_trace) == (
+                "document 'a': non-finite class probabilities")
+            assert splits
+
+    @pytest.mark.parametrize("keep_trace", [True, False], ids=["traced", "untraced"])
+    def test_an_overflow_in_the_workers_half_is_one_numeric_error(self, keep_trace,
+                                                                on_cores):
+        # token 7 overflows the forward direction's projection at step 250,
+        # packed row 252 of 302: in the upper half, which the worker runs
+        on_cores(2)
+        dims = tiny_dims(max_len=300)
+        model = zeroed_model(dims)
+        model.params.views["forward_dir.W"][2 * dims.hidden:3 * dims.hidden, 0] = 10.0
+        model.params.views["embedding"][7, 0] = 3e38
+        ids = np.full(300, 2)
+        ids[250] = 7
+        seq = EncodedSequence(ids=ids, length=300)
+        assert self.raises_one_error([seq], model, keep_trace) == (
+            "document 'a': non-finite LSTM state at timestep 250")
+
+
+class TestHalves:
+    """nn._halves, which runs the flat passes and the input projection in
+    two halves on two cores."""
+
+    @staticmethod
+    def record(calls):
+        def job(lo, hi):
+            calls.append((lo, hi, threading.get_ident()))
+            return lo
+        return job
+
+    @pytest.mark.parametrize("n", [2, 7, 160])
+    def test_two_cores_run_the_upper_half_on_a_worker(self, n, on_cores):
+        on_cores(2)
+        calls = []
+        assert nn._halves(self.record(calls), n) == [0, n // 2]
+        assert sorted(call[:2] for call in calls) == [(0, n // 2), (n // 2, n)]
+        threads = {lo: ident for lo, _, ident in calls}
+        assert threads[0] == threading.get_ident() != threads[n // 2]
+
+    @pytest.mark.parametrize("cores, n, split", [(1, 160, True), (2, 1, True),
+                                                 (2, 160, False)])
+    def test_otherwise_the_caller_runs_the_whole_range(self, cores, n, split, on_cores):
+        on_cores(cores)
+        calls = []
+        assert nn._halves(self.record(calls), n, split=split) == [0]
+        assert calls == [(0, n, threading.get_ident())]
+
+    def test_the_worker_runs_under_the_callers_error_state(self, on_cores):
+        on_cores(2)
+        for state in ({"over": "raise"}, {"over": "ignore", "invalid": "ignore"}, {}):
+            with np.errstate(**state):
+                expected = np.geterr()
+                assert nn._halves(lambda lo, hi: np.geterr(), 2) == [expected] * 2
+
+    def test_an_error_in_either_half_is_raised_once_both_have_ended(self, on_cores):
+        on_cores(2)
+        ended = []
+
+        def job(fail_lower, fail_upper):
+            def run(lo, hi):
+                if lo:
+                    time.sleep(0.05)  # the caller's half ends first
+                    ended.append(lo)
+                if fail_lower and not lo or fail_upper and lo:
+                    raise ValueError("lower" if not lo else "upper")
+            return run
+
+        with pytest.raises(ValueError, match="upper"):
+            nn._halves(job(False, True), 4)
+        assert ended == [2]
+        with pytest.raises(ValueError, match="lower"):
+            nn._halves(job(True, True), 4)
+        with pytest.raises(ValueError, match="lower"):
+            nn._halves(job(True, False), 4)
+        assert ended == [2, 2, 2]  # each raise waited for the worker
+
+    def test_concurrent_callers_share_one_worker(self, on_cores, monkeypatch):
+        on_cores(2)
+        started, executor = [], concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(nn, "_worker", None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda *a, **kw: started.append(0) or executor(*a, **kw))
+        arrays = [np.zeros(64) for _ in range(6)]
+        errors = []
+
+        def fill(k):
+            try:
+                for rep in range(1, 40):
+                    def job(lo, hi):
+                        arrays[k][lo:hi] = rep
+                    nn._halves(job, arrays[k].size)
+                    assert (arrays[k] == rep).all()
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(k,)) for k in range(len(arrays))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert len(started) == 1
+        nn._worker.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_starts_its_own_worker(self, on_cores):
+        on_cores(2)
+        nn._halves(lambda lo, hi: None, 2)  # the parent's worker is running
+        child = multiprocessing.get_context("fork").Process(target=nn._halves,
+                                                            args=(max, 2))
+        with warnings.catch_warnings():  # 3.12 warns of fork in a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+
 class TestParamBuffer:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_views_tile_the_flat_buffer_in_table_order(self, dtype):
@@ -749,7 +925,7 @@ class TestParamBuffer:
         assert not any(arr.any() for arr in grads.arrays())
 
     @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 7])
-    def test_global_norm_does_not_read_the_gaps(self, block, monkeypatch):
+    def test_global_norm_does_not_read_the_gaps(self, block, monkeypatch, on_cores):
         monkeypatch.setattr(nn, "ADAM_BLOCK", block)
         grads = nn.Gradients.zeros_like(nn.init_parameters(tiny_dims(hidden=5), seed=2))
         for view in grads.arrays():
@@ -760,11 +936,14 @@ class TestParamBuffer:
         assert gap.any()
         norm = grads.global_norm()
         grads.flat[gap] = 1e3
-        assert grads.global_norm() == norm
+        for cores in (1, 2):
+            on_cores(cores)
+            assert grads.global_norm() == norm
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 97])
-    def test_global_norm_matches_the_per_tensor_sum(self, dtype, block, monkeypatch):
+    def test_global_norm_matches_the_per_tensor_sum(self, dtype, block, monkeypatch,
+                                                    on_cores):
         # more than two blocks, the last one short; 97 also cuts small tensors
         dims = tiny_dims(vocab_rows=nn.ADAM_BLOCK // 4 + 1001, embed_dim=8, hidden=5)
         monkeypatch.setattr(nn, "ADAM_BLOCK", block)
@@ -777,7 +956,31 @@ class TestParamBuffer:
         # the per-tensor float64 expression that the blocked norm replaced
         expected = math.sqrt(sum(float(np.sum(arr.astype(np.float64) ** 2))
                                  for arr in grads.arrays()))
-        assert grads.global_norm() == pytest.approx(expected, rel=1e-12)
+        norms = []
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            norms.append(grads.global_norm())
+            assert splits  # the pass could split
+        assert norms[0] == norms[1] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 97])
+    def test_zero_and_scale_keep_their_bits_on_two_cores(self, dtype, block,
+                                                        monkeypatch, on_cores):
+        dims = tiny_dims(vocab_rows=nn.ADAM_BLOCK // 4 + 1001, embed_dim=8, hidden=5)
+        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+        grads = nn.Gradients(dims, dtype)
+        assert grads.flat.size > 2 * block and grads.flat.size % block
+        values = np.random.default_rng(7).standard_normal(grads.flat.size).astype(dtype)
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            for k in (0.25, 1 / 3, 1e-30):
+                grads.flat[...] = values
+                grads.scale_(k)
+                assert grads.flat.tobytes() == (values * dtype(k)).tobytes()
+            grads.zero_()
+            assert not grads.flat.any()
+            assert len(splits) == 4
 
 
 class TestRowPieces:

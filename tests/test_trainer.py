@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import threading
 import tracemalloc
 import types
 
@@ -138,7 +139,8 @@ class TestAdamUpdate:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block", [trainer.ADAM_BLOCK, 97])
-    def test_bit_identical_to_per_tensor_reference(self, dtype, block, monkeypatch):
+    def test_bit_identical_to_per_tensor_reference(self, dtype, block, monkeypatch,
+                                                   on_cores):
         # more than two blocks, the last one short; 97 also cuts small tensors
         dims = nn.ModelDims(vocab_rows=trainer.ADAM_BLOCK // 4 + 1001, embed_dim=8,
                             hidden=5, classes=3, max_len=8)
@@ -149,20 +151,27 @@ class TestAdamUpdate:
         ref = [arr.copy() for arr in model.params.arrays()]
         ref_m = [np.zeros_like(arr) for arr in ref]
         ref_v = [np.zeros_like(arr) for arr in ref]
-        state = AdamState.zeros_like(model)
-        grads = nn.Gradients.zeros_like(model)
         config = TrainConfig(learning_rate=0.01)
         rng = np.random.default_rng(5)
+        steps = []
         for t in range(1, 5):
+            grads = nn.Gradients.zeros_like(model)
             for view in grads.arrays():
                 g = rng.standard_normal(view.shape) * 10.0 ** rng.integers(-9, 4, view.shape)
                 g[rng.random(view.shape) < 0.3] = 0  # like rows a batch never saw
                 view[...] = g
-            adam_update(model, grads, state, config)
+            steps.append(grads)
             _adam_reference(ref, [a.copy() for a in grads.arrays()], ref_m, ref_v, t, config)
-        got = model.params.arrays() + state.m.arrays() + state.v.arrays()
-        for (name, _), a, b in zip(nn.param_shapes(dims) * 3, got, ref + ref_m + ref_v):
-            assert a.tobytes() == b.tobytes(), name
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            model = nn.init_parameters(dims, seed=3, dtype=dtype)
+            state = AdamState.zeros_like(model)
+            for grads in steps:
+                adam_update(model, grads, state, config)
+            assert len(splits) == 2 * len(steps)  # the check and the step
+            got = model.params.arrays() + state.m.arrays() + state.v.arrays()
+            for (name, _), a, b in zip(nn.param_shapes(dims) * 3, got, ref + ref_m + ref_v):
+                assert a.tobytes() == b.tobytes(), (name, cores)
 
     def test_non_finite_gradient_in_a_later_block_names_its_tensor(self, monkeypatch):
         monkeypatch.setattr(trainer, "ADAM_BLOCK", 5)
@@ -171,6 +180,31 @@ class TestAdamUpdate:
         grads.views["head.W"][1, 0] = np.inf
         with pytest.raises(NumericError, match="tensor head.W"):
             adam_update(model, grads, AdamState.zeros_like(model), TrainConfig())
+
+    @pytest.mark.parametrize("bad", [["forward_dir.U"], ["head.W"],
+                                     ["head.W", "forward_dir.U"]],
+                             ids=["lower-half", "upper-half", "both-halves"])
+    def test_a_non_finite_gradient_changes_nothing(self, bad, monkeypatch, on_cores):
+        # 144 elements in blocks of 5: the halves meet at element 70, between
+        # forward_dir.U (from 32) and head.W (from 112)
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 5)
+        model = self.tiny_model()
+        grads = nn.Gradients.zeros_like(model)
+        cut = len(range(0, grads.flat.size, 5)) // 2 * 5
+        assert grads.starts[2] + 16 <= cut <= grads.starts[7]
+        state = AdamState.zeros_like(model)
+        grads.flat[...] = np.linspace(-1, 1, grads.flat.size)
+        adam_update(model, grads, state, TrainConfig())  # m, v and t not zero
+        for name in bad:
+            grads.views[name][-1] = np.nan
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            before = [a.copy() for a in (model.params.flat, state.m.flat, state.v.flat)]
+            with pytest.raises(NumericError, match=f"tensor {bad[-1]}$"):
+                adam_update(model, grads, state, TrainConfig())
+            assert splits and state.t == 1
+            for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
+                assert a.tobytes() == b.tobytes()
 
     def test_step_counter_increments(self):
         model = self.tiny_model()
@@ -273,6 +307,40 @@ class TestTrain:
             train(model, split, vocab, TrainConfig(epochs=2, batch_size=64, seed=1))
             blobs.append(b"".join(arr.tobytes() for arr in model.params.arrays()))
         assert blobs[0] == blobs[1]
+
+    def test_two_cores_train_the_bytes_of_one(self, monkeypatch, on_cores):
+        # every pass splits: Adam, zero_, scale_ and global_norm over blocks
+        # of 97, and every projection of 4 rows or more
+        for module in (nn, trainer):
+            monkeypatch.setattr(module, "ADAM_BLOCK", 97)
+        monkeypatch.setattr(nn, "PROJECTION_ROWS", 4)
+        # perfbench/tracing.py wraps these and keeps one span stack, so the
+        # worker thread must call none of them
+        callers = set()
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                callers.add(threading.get_ident())
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in [(trainer, "forward"), (trainer, "backward"),
+                            (trainer, "adam_update"), (nn.Gradients, "zero_"),
+                            (nn.Gradients, "scale_"), (nn.Gradients, "global_norm")]:
+            spy(owner, name)
+        split, vocab = build_setup(n_docs=60)
+        blobs = []
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
+            train(model, split, vocab,
+                  TrainConfig(epochs=2, batch_size=8, seed=1, clip_norm=1e-3))
+            assert splits
+            blobs.append(model.params.flat.tobytes())
+        assert blobs[0] == blobs[1]
+        assert callers == {threading.get_ident()}
 
     @staticmethod
     def adam_gradients(monkeypatch, clip_norm):
