@@ -104,21 +104,39 @@ contiguous: OpenBLAS is several times slower on a few rows times a
 transposed C-ordered matrix. No bit depends on the layout; checkpoints
 store each tensor in C order.
 
-Those passes (``trainer.adam_update``, its gradient check included, and
-``Gradients.zero_``, ``scale_`` and ``global_norm``) and every input
+The embedding holds 95% of the parameters at reference dims, and a
+training batch touches a few hundred of its 100,002 rows: only
+:func:`backward`'s tokens receive gradient. So the gradient passes and
+Adam take the rows that may be nonzero, and walk only the flat ranges
+of :meth:`ParamBuffer.ranges`: the runs of those rows, and every tensor
+after the embedding, in ranges of at most ADAM_BLOCK elements. Runs
+closer than RUN_GAP elements are walked as one range, and where the
+ranges would cost more than the whole buffer on the cores at hand, the
+pass walks the whole buffer (:func:`_walk`). Outside the ranges the
+gradient is zero, and so are m and v on a row no step has touched, so
+the passes give the bits of the whole-buffer passes (see
+:class:`Gradients` and ``trainer.adam_update``), which a pass given no
+rows runs. The gradient and moment buffers are on base pages
+(:func:`_small_pages`), so a pass over a few rows of a fresh buffer
+faults in a few pages, not a few 2 MB huge pages.
+
+Those passes over whole buffers (``trainer.adam_update``, its gradient
+check included, and ``Gradients.zero_``, ``scale_`` and
+``global_norm``, which splits its blocks given rows too) and every input
 projection of ``PROJECTION_ROWS`` rows or more run on two cores: through
 :func:`_halves`, a worker thread runs the upper half of the blocks or
 rows while the caller runs the lower half, when the CPU affinity allows
 two or more cores (``taskset -c 0`` gives one, and then the caller runs
-every range whole). The split does not depend on
-``OPENBLAS_NUM_THREADS``. numpy releases the GIL inside these calls, so
-the halves overlap. No bit moves: the passes are elementwise, the norm
-adds its block sums in block order once both halves are done, and a
-projection row has the same bits in any product of two rows or more. A
-single short document's projection stays on one thread, where the
-hand-off would cost more than it saves. The step loop stays on one
-thread too: it holds the GIL between its small products, and one LSTM
-direction per thread ran 0.37-0.95 times as fast.
+every range whole). The ranges of a few rows stay on the calling
+thread, where a second thread only contends for the GIL. The split does
+not depend on ``OPENBLAS_NUM_THREADS``. numpy releases the GIL inside
+these calls, so the halves overlap. No bit moves: the passes are
+elementwise, the norm adds its block sums in block order once both
+halves are done, and a projection row has the same bits in any product
+of two rows or more. A single short document's projection stays on one
+thread, where the hand-off would cost more than it saves. The step loop
+stays on one thread too: it holds the GIL between its small products,
+and one LSTM direction per thread ran 0.37-0.95 times as fast.
 
 BPTT flushes every component of the backward state (dh, dc) whose
 magnitude is below ``GRAD_FLUSH`` (2**-100) to zero after each step,
@@ -159,13 +177,26 @@ GRAD_FLUSH = 2.0 ** -100
 
 # Elements per block of the passes over flat buffers: the unit that
 # Gradients.global_norm and trainer.adam_update walk through block-sized
-# scratch, and at which every flat pass is cut into halves for two cores.
+# scratch, and at which every flat range of a pass is cut (see
+# ParamBuffer.ranges) and every whole-buffer pass is split for two cores.
 # A block of Adam's six arrays (1.5 MB in float32) stays in a 2 MB L2
 # cache. With Adam on two cores, each walking its own half of the blocks,
 # 65,536 ran about as fast as 131,072 (1-4% slower, within the quartiles)
 # and 30% faster than 32,768; on one core it ran 11% faster than 131,072
 # (reference dims; see CHANGES.md).
 ADAM_BLOCK = 65_536
+
+# A flat range costs a pass about as much per call as this many elements
+# more: per range and per element, Adam's step took 12 us and 4.5 ns, and
+# fill 1.1 us and 0.34 ns (reference dims, one core; see CHANGES.md). So
+# runs of touched embedding rows closer than this many elements are walked
+# as one range (ParamBuffer.ranges), and a pass walks the whole buffer
+# where its ranges would cost more (_walk).
+RUN_GAP = 4096
+
+# numpy asks the kernel for transparent huge pages on arrays of this many
+# bytes or more (see _small_pages).
+HUGE_PAGE_ARRAY = 4 << 20
 
 # OpenBLAS's small-matrix limit: it runs a product of M*N*K <= 10**6 on
 # its small-matrix kernel, which does not pack the other operand, on the
@@ -250,6 +281,55 @@ def _halves(job: Callable[[int, int], _T], n: int, split: bool = True) -> list[_
     return [lower, future.result()]
 
 
+def _walk(job: Callable[[list[tuple[int, int]]], _T], buf: "ParamBuffer",
+          rows: np.ndarray | None, block: int) -> list[_T]:
+    """``job`` on the flat ranges of ``buf`` that a pass over embedding rows
+    ``rows`` walks (see :meth:`ParamBuffer.ranges`), on the calling thread;
+    or on every block of ``buf``, in two halves (see :func:`_halves`), with
+    no ``rows`` or where that costs less on the cores this process may use.
+    A range costs its length plus RUN_GAP elements. The ranges of rows stay
+    on one thread: numpy holds the GIL in a loop of 500 elements or fewer,
+    and a second thread walking short ranges made Adam and ``scale_``
+    slower, not faster (13.0 against 10.5 ms for 220 rows at reference
+    dims, and 93 against 54 ms for 3,000)."""
+    if rows is not None:
+        pieces = buf.ranges(rows, block)
+        cost = sum(hi - lo for lo, hi in pieces) + RUN_GAP * len(pieces)
+        if cost * min(_cores(), 2) < buf.flat.size:
+            return [job(pieces)]
+    pieces = buf.ranges(None, block)
+    return _halves(lambda a, b: job(pieces[a:b]), len(pieces))
+
+
+def _small_pages(a: np.ndarray) -> None:
+    """Ask the kernel to back ``a``'s untouched pages with base pages (4 KB
+    on x86-64), not the transparent huge pages that numpy asks for on
+    arrays of HUGE_PAGE_ARRAY bytes or more; a no-op where the platform has
+    no ``MADV_NOHUGEPAGE``. The first write to a page of a fresh buffer
+    zeroes the whole page, so a pass over a few scattered rows of a fresh
+    huge-paged buffer zeroes 2 MB per row: 150 scattered row writes into a
+    fresh 42 MB buffer took 7.2 ms, and 0.53 ms on base pages (a full fill
+    took 9.4 against 29.6 ms). The array stays numpy's own allocation,
+    which tracemalloc sees."""
+    if a.nbytes < HUGE_PAGE_ARRAY:
+        return
+    # imported here: mmap's extension module would add 0.3 MB to the
+    # resident size of every `import lexseq`; numpy has imported ctypes
+    import ctypes
+    import mmap
+    advice = getattr(mmap, "MADV_NOHUGEPAGE", None)
+    if advice is None:
+        return
+    madvise = ctypes.CDLL(None).madvise
+    madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    madvise.restype = ctypes.c_int
+    page = mmap.PAGESIZE
+    lo = -(-a.ctypes.data // page) * page  # the whole pages inside a
+    hi = (a.ctypes.data + a.nbytes) // page * page
+    # advice only: where the kernel refuses it, the pages stay as they were
+    madvise(lo, hi - lo, advice)
+
+
 @dataclass(frozen=True)
 class ModelDims:
     vocab_rows: int
@@ -307,7 +387,34 @@ class ParamBuffer:
 
     @classmethod
     def zeros_like(cls, model: "BiLstmClassifier") -> "ParamBuffer":
-        return cls(model.dims, model.dtype)
+        """A zero buffer in ``model``'s layout, on base pages (see
+        :func:`_small_pages`), for the gradients and Adam's moments."""
+        buf = cls(model.dims, model.dtype)
+        _small_pages(buf.flat)
+        return buf
+
+    def ranges(self, rows: np.ndarray | None, block: int) -> list[tuple[int, int]]:
+        """The flat ranges ``[lo, hi)`` a pass over embedding rows ``rows``
+        walks, in flat order and each within one block of ``block``
+        elements: the runs of ``rows`` (sorted and unique), with gaps of
+        fewer than RUN_GAP elements walked too, then everything after the
+        embedding, gaps included. With ``rows`` None, the whole buffer."""
+        size, width = self.flat.size, self.dims.embed_dim
+        if rows is None:
+            lo, hi = np.array([0]), np.array([size])
+        else:
+            # the part after the embedding starts where row vocab_rows would;
+            # a run ends before a gap of RUN_GAP elements or more
+            rows = np.append(np.asarray(rows, np.int64), self.dims.vocab_rows)
+            new = np.flatnonzero(np.diff(rows) > -(-RUN_GAP // width)) + 1
+            lo = rows[np.r_[0, new]] * width
+            hi = np.append((rows[new - 1] + 1) * width, size)
+        first = lo // block
+        count = (hi - 1) // block - first + 1  # blocks each run spans
+        run = np.repeat(np.arange(lo.size), count)
+        at = first[run] + np.arange(run.size) - np.repeat(np.cumsum(count) - count, count)
+        return list(zip(np.maximum(lo[run], at * block).tolist(),
+                        np.minimum(hi[run], (at + 1) * block).tolist()))
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(self.views.values())
@@ -356,32 +463,57 @@ class BiLstmClassifier:
 class Gradients(ParamBuffer):
     """Gradient buffers in the parameter layout.
 
-    ``zero_``, ``scale_`` and ``global_norm`` run in two halves on two
-    cores when the buffer spans two or more ADAM_BLOCK blocks and the CPU
-    affinity allows (see :func:`_halves`), with the same bits as on one."""
+    ``zero_``, ``scale_`` and ``global_norm`` walk the whole buffer, or,
+    given ``rows`` (sorted unique embedding row ids), only the ranges of
+    :meth:`ranges`: those rows, the gaps between them of fewer than
+    RUN_GAP elements, and every tensor after the embedding (``zero_`` and
+    ``scale_`` walk the whole buffer where that costs less, see
+    :func:`_walk`). The caller promises that the gradient is zero outside
+    those rows; that holds for the unique token ids of the windows that
+    :func:`backward` has run since the buffer was last zero, since only
+    their rows receive gradient. So the passes cost what a batch touched,
+    not the vocabulary, and give the bits of the whole-buffer passes: zero
+    and ``0 * k`` stay zero, and a block with none of the rows sums to
+    exactly 0.0. ``trainer.train`` passes each batch's rows. A pass over
+    the whole buffer, and the norm over two or more blocks, runs in two
+    halves on two cores when the CPU affinity allows (see
+    :func:`_halves`), with the same bits as on one."""
 
-    def _in_halves(self, job: Callable[[np.ndarray], object]) -> None:
-        """``job`` on two halves of ``flat`` cut at an ADAM_BLOCK boundary,
-        or on all of it (see :func:`_halves`)."""
-        _halves(lambda a, b: job(self.flat[a * ADAM_BLOCK:b * ADAM_BLOCK]),
-                -(-self.flat.size // ADAM_BLOCK))
+    def _each(self, job: Callable[[np.ndarray], object],
+              rows: np.ndarray | None) -> None:
+        """``job`` on each flat range of a pass over ``rows`` (see
+        :func:`_walk`)."""
+        def run(pieces: list[tuple[int, int]]) -> None:
+            for lo, hi in pieces:
+                job(self.flat[lo:hi])
 
-    def zero_(self) -> None:
-        self._in_halves(lambda part: part.fill(0))
+        _walk(run, self, rows, ADAM_BLOCK)
 
-    def scale_(self, k: float) -> None:
+    def zero_(self, rows: np.ndarray | None = None) -> None:
+        self._each(lambda part: part.fill(0), rows)
+
+    def scale_(self, k: float, rows: np.ndarray | None = None) -> None:
         k = self.flat.dtype.type(k)
-        self._in_halves(lambda part: np.multiply(part, k, out=part))
+        self._each(lambda part: np.multiply(part, k, out=part), rows)
 
-    def global_norm(self) -> float:
+    def global_norm(self, rows: np.ndarray | None = None) -> float:
         """L2 norm of every gradient tensor, squared and summed in float64
         over blocks of each tensor's memory; the gaps are not read. The
         blocks' sums are added one by one in block order, whichever half
-        computed them."""
+        computed them. With ``rows``, an embedding block that no range of
+        ``rows`` reaches is not summed: its sum would be exactly 0.0, and
+        adding it to the nonnegative total changes no bit. A block that one
+        reaches is summed whole."""
         # views, not copies: W and U are F-contiguous
         memories = [view.ravel(order="A") for view in self.arrays()]
         blocks = [(memory, lo) for memory in memories
                   for lo in range(0, memory.size, ADAM_BLOCK)]
+        if rows is not None:  # the embedding's blocks are the buffer's first
+            embedding = memories[0]
+            reached = {lo // ADAM_BLOCK for lo, _ in self.ranges(rows, ADAM_BLOCK)
+                       if lo < embedding.size}
+            blocks = [(memory, lo) for memory, lo in blocks
+                      if memory is not embedding or lo // ADAM_BLOCK in reached]
         sums = np.empty(len(blocks), np.float64)
 
         def run(a: int, b: int) -> None:

@@ -37,7 +37,7 @@ from .nn import (
     Gradients,
     ModelDims,
     ParamBuffer,
-    _halves,
+    _walk,
     backward,
     forward,
     loss,
@@ -123,46 +123,58 @@ def adam_update(
     grads: Gradients,
     state: AdamState,
     config: TrainConfig,
+    rows: np.ndarray | None = None,
+    moment_rows: np.ndarray | None = None,
 ) -> tuple[BiLstmClassifier, AdamState]:
     """One bias-corrected Adam step, applied in place to every parameter.
 
     A non-finite gradient raises a NumericError naming the tensor of the
     first non-finite element in flat order, before anything changes: the
-    whole gradient is checked first, and only then is ``state.t``
-    incremented and the step taken. The step walks the flat parameter,
-    gradient, m and v buffers in blocks of ADAM_BLOCK elements through two
+    gradient is checked first, and only then is ``state.t`` incremented
+    and the step taken. The step walks the flat parameter, gradient, m and
+    v buffers in ranges of at most ADAM_BLOCK elements through two
     block-sized scratch buffers, with ``out=`` ufuncs in the operation
     order of ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. Every
-    element goes through the operations of that expression, so the result
-    is bit-identical to it. The check and the step each run in two halves
-    of the blocks on two cores when the CPU affinity allows (see
-    ``nn._halves``), with the same bits as on one.
+    element it walks goes through the operations of that expression, so
+    the result is bit-identical to it. Over the whole buffers, the check
+    and the step each run in two halves of the blocks on two cores when
+    the CPU affinity allows (see ``nn._halves``), with the same bits as on
+    one; ranges of a few rows run on the calling thread (see
+    ``nn._walk``).
+
+    ``rows`` and ``moment_rows`` (sorted unique embedding row ids; None is
+    every row) narrow the two passes to those embedding rows and every
+    other tensor (see ``ParamBuffer.ranges``). The check reads ``rows``:
+    the gradient must be zero outside them. The step walks
+    ``moment_rows``: the gradient, m and v must be zero outside them, so
+    they are every row with a nonzero gradient at this or an earlier step
+    of ``state``. Elsewhere the step would be +0.0 and change no bit of a
+    parameter, m or v. A row of ``moment_rows`` that this step's gradient
+    does not touch still decays its m and v: this is Adam, not lazy Adam.
     """
     flats = (model.params.flat, grads.flat, state.m.flat, state.v.flat)
-    starts = range(0, grads.flat.size, ADAM_BLOCK)
 
-    def first_non_finite(a: int, b: int) -> int | None:
+    def first_non_finite(pieces: list[tuple[int, int]]) -> int | None:
         finite = np.empty(ADAM_BLOCK, bool)
-        for lo in starts[a:b]:
-            grad = grads.flat[lo:lo + ADAM_BLOCK]
-            ok = np.isfinite(grad, out=finite[:grad.size])
+        for lo, hi in pieces:
+            ok = np.isfinite(grads.flat[lo:hi], out=finite[:hi - lo])
             if not ok.all():
                 return lo + int(np.argmin(ok))
         return None
 
-    bad = [k for k in _halves(first_non_finite, len(starts)) if k is not None]
+    bad = [k for k in _walk(first_non_finite, grads, rows, ADAM_BLOCK) if k is not None]
     if bad:
         raise NumericError(f"non-finite gradient for tensor {grads.name_at(bad[0])}")
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
 
-    def step(a: int, b: int) -> None:
+    def step(pieces: list[tuple[int, int]]) -> None:
         scratch = np.empty(ADAM_BLOCK, grads.flat.dtype)
         denom = np.empty_like(scratch)
-        for lo in starts[a:b]:
-            param, grad, m, v = (f[lo:lo + ADAM_BLOCK] for f in flats)
-            s, d = scratch[:grad.size], denom[:grad.size]
+        for lo, hi in pieces:
+            param, grad, m, v = (f[lo:hi] for f in flats)
+            s, d = scratch[:hi - lo], denom[:hi - lo]
             m *= BETA1
             m += np.multiply(1.0 - BETA1, grad, out=s)
             v *= BETA2
@@ -176,7 +188,7 @@ def adam_update(
             s /= d
             param -= s
 
-    _halves(step, len(starts))
+    _walk(step, grads, moment_rows, ADAM_BLOCK)
     return model, state
 
 
@@ -258,7 +270,15 @@ def train(
 
     Per epoch: one seeded shuffle of the train indices, gradients
     averaged over each mini-batch (the final short batch is kept), one
-    Adam step per batch, then validation metrics. When a checkpoint
+    Adam step per batch, then validation metrics. The gradient passes and
+    Adam walk only the embedding rows a batch can write, the unique token
+    ids of its windows, and every other tensor: zeroing clears the last
+    batch's rows (the first batch's buffer is fresh from ``zeros_like``),
+    scaling, the norm and Adam's check read this batch's rows, and Adam
+    steps every row a batch of this call has touched, so each of those
+    rows decays its m and v at every step. The bits are those of the
+    passes over the whole buffers (see ``nn.Gradients`` and
+    :func:`adam_update`). When a checkpoint
     path is configured, the model is written there each time the
     validation accuracy improves (ties keep the earlier epoch), before
     ``on_epoch`` sees the epoch, so a run stopped early leaves its best
@@ -277,6 +297,10 @@ def train(
     rng = SplitMix64(config.seed)
     state = AdamState.zeros_like(model)
     grads = Gradients.zeros_like(model)
+    # the embedding rows each batch can write (the unique token ids of its
+    # windows), and every row a batch of this call has written
+    rows = None  # no batch yet: zeros_like has zeroed the gradients
+    touched = np.zeros(model.dims.vocab_rows, bool)
     history = TrainHistory()
     best_val_acc = -1.0
     n = len(train_seqs)
@@ -289,7 +313,10 @@ def train(
         correct = 0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            grads.zero_()
+            if rows is not None:
+                grads.zero_(rows)
+            rows = np.unique(np.concatenate([train_seqs[k].ids[:train_seqs[k].length]
+                                             for k in batch]))
             batch_loss = 0.0
             for group in _length_groups(batch, train_seqs):
                 targets = [train_targets[k] for k in group]
@@ -303,12 +330,13 @@ def train(
                 # no trace stays alive through the next group's forward,
                 # Adam's step or validation
                 del probs, trace
-            grads.scale_(1.0 / len(batch))
+            touched[rows] = True  # forward has checked the ids
+            grads.scale_(1.0 / len(batch), rows)
             if config.clip_norm is not None:
-                norm = grads.global_norm()
+                norm = grads.global_norm(rows)
                 if norm > config.clip_norm:
-                    grads.scale_(config.clip_norm / norm)
-            adam_update(model, grads, state, config)
+                    grads.scale_(config.clip_norm / norm, rows)
+            adam_update(model, grads, state, config, rows, np.flatnonzero(touched))
             epoch_loss += batch_loss
         val_loss = val_acc = None
         if val_seqs:

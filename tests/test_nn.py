@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -791,6 +791,34 @@ class TestHalves:
         assert nn._halves(self.record(calls), n, split=split) == [0]
         assert calls == [(0, n, threading.get_ident())]
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_walk_keeps_a_few_rows_on_the_caller(self, cores, on_cores):
+        on_cores(cores)
+        buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
+        rows = np.array([5, 6, 900])
+        calls = []
+        nn._walk(lambda pieces: calls.append((pieces, threading.get_ident())), buf,
+                 rows, nn.ADAM_BLOCK)
+        assert calls == [(buf.ranges(rows, nn.ADAM_BLOCK), threading.get_ident())]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_walk_takes_the_whole_buffer_where_rows_cost_more(self, cores, on_cores,
+                                                              monkeypatch):
+        monkeypatch.setattr(nn, "RUN_GAP", 1)
+        on_cores(cores)
+        buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
+        # every other row: half the embedding, in a range per row
+        rows = np.arange(0, 20_000, 2)
+        cost = sum(hi - lo + 1 for lo, hi in buf.ranges(rows, 97))
+        assert buf.flat.size / 2 < cost < buf.flat.size
+        calls = []
+        nn._walk(lambda pieces: calls.append(pieces), buf, rows, 97)
+        whole = buf.ranges(None, 97)
+        if cores == 1:  # the rows cost less than the whole buffer on one core
+            assert calls == [buf.ranges(rows, 97)]
+        else:
+            assert sorted(calls) == [whole[:len(whole) // 2], whole[len(whole) // 2:]]
+
     def test_the_worker_runs_under_the_callers_error_state(self, on_cores):
         on_cores(2)
         for state in ({"over": "raise"}, {"over": "ignore", "invalid": "ignore"}, {}):
@@ -981,6 +1009,141 @@ class TestParamBuffer:
             grads.zero_()
             assert not grads.flat.any()
             assert len(splits) == 4
+
+
+class TestRowRanges:
+    """ParamBuffer.ranges and the passes that walk them: only the embedding
+    rows a batch touched, and every other tensor, with the bits of the
+    whole-buffer passes."""
+
+    dims = tiny_dims(vocab_rows=400, embed_dim=8, hidden=5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 399), max_size=40, unique=True),
+           st.sampled_from([7, 97, 4096]), st.sampled_from([1, 9, 64, 4096]))
+    def test_ranges_cover_the_rows_and_every_later_tensor(self, rows, block, gap):
+        buf = nn.ParamBuffer(self.dims)
+        rows = np.array(sorted(rows), np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nn, "RUN_GAP", gap)
+            pieces = buf.ranges(rows, block)
+        width, end = self.dims.embed_dim, self.dims.vocab_rows * self.dims.embed_dim
+        covered = np.zeros(buf.flat.size, bool)
+        for (lo, hi), (next_lo, _) in zip(pieces, pieces[1:] + [(buf.flat.size + 1, 0)]):
+            assert lo < hi <= next_lo  # in flat order, none empty, no overlap
+            assert lo // block == (hi - 1) // block  # within one block
+            covered[lo:hi] = True
+        assert covered[end:].all()  # every tensor after the embedding, gaps too
+        want = np.zeros(end, bool)
+        for row in rows:
+            want[row * width:(row + 1) * width] = True
+        assert covered[:end][want].all()
+        # a walked element that is not a row's lies in a gap of fewer than gap
+        # elements between two walked rows, or between the last and the dense part
+        extra = covered[:end] & ~want
+        for run_lo, run_hi in _runs(extra):
+            assert run_hi - run_lo < gap
+            assert run_lo and want[run_lo - 1]
+            assert run_hi == end or want[run_hi]
+
+    @pytest.mark.parametrize("block", [7, nn.ADAM_BLOCK])
+    def test_no_rows_walk_the_whole_buffer_in_blocks(self, block):
+        buf = nn.ParamBuffer(self.dims)
+        size = buf.flat.size
+        assert buf.ranges(None, block) == [(lo, min(lo + block, size))
+                                           for lo in range(0, size, block)]
+
+    def test_adjacent_rows_merge_into_one_run(self, monkeypatch):
+        monkeypatch.setattr(nn, "RUN_GAP", 1)
+        buf = nn.ParamBuffer(self.dims)
+        end = self.dims.vocab_rows * 8
+        assert buf.ranges(np.array([3, 4, 5, 9, 399]), 10**6) == [
+            (24, 48), (72, 80), (399 * 8, buf.flat.size)]
+        assert buf.ranges(np.array([], np.int64), 10**6) == [(end, buf.flat.size)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block, gap", [(nn.ADAM_BLOCK, nn.RUN_GAP), (97, 1),
+                                            (97, 64)])
+    def test_row_passes_keep_the_bits_of_the_whole_buffer(self, dtype, block, gap,
+                                                          monkeypatch, on_cores):
+        dims = tiny_dims(vocab_rows=nn.ADAM_BLOCK // 4 + 1001, embed_dim=8, hidden=5)
+        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+        monkeypatch.setattr(nn, "RUN_GAP", gap)
+        rng = np.random.default_rng(8)
+        # rows in a few clusters and alone, the first and last rows among them
+        rows = np.unique(np.concatenate([
+            [0, dims.vocab_rows - 1], rng.integers(0, dims.vocab_rows, 40),
+            np.arange(5000, 5040), np.arange(9000, 9003)]))
+        dense = nn.Gradients(dims, dtype)
+        for name, view in dense.views.items():
+            view[...] = rng.standard_normal(view.shape) * 10.0 ** rng.integers(-9, 4, view.shape)
+        mask = np.zeros(dims.vocab_rows, bool)
+        mask[rows] = True
+        dense.views["embedding"][~mask] = 0  # the rows a batch did not touch
+        results = []
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            for with_rows in (None, rows):
+                grads = nn.Gradients(dims, dtype, dense.flat)
+                norm = grads.global_norm(with_rows)
+                grads.scale_(1 / 3, with_rows)
+                scaled = grads.flat.tobytes()
+                grads.zero_(with_rows)
+                assert not grads.flat.any()
+                results.append((norm, scaled))
+            assert splits
+        assert all(result == results[0] for result in results)
+        assert results[0][0] == pytest.approx(math.sqrt(sum(  # the per-tensor sum
+            float(np.sum(arr.astype(np.float64) ** 2)) for arr in dense.arrays())), rel=1e-12)
+
+    def test_row_passes_leave_every_other_row_alone(self, monkeypatch):
+        monkeypatch.setattr(nn, "RUN_GAP", 1)
+        grads = nn.Gradients(self.dims)
+        grads.flat[...] = 2.0
+        rows = np.array([1, 7, 8, 300])
+        grads.scale_(0.5, rows)
+        grads.zero_(np.array([7]))
+        expected = np.full(self.dims.vocab_rows, 2.0)
+        expected[[1, 8, 300]] = 1.0
+        expected[7] = 0.0
+        npt.assert_array_equal(grads.views["embedding"][:, 0], expected)
+        end = self.dims.vocab_rows * self.dims.embed_dim
+        assert not grads.flat[end:].any()  # every later tensor, gaps too
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                        reason="no /proc/self/smaps on this platform")
+    def test_zeros_like_buffers_are_on_base_pages_and_traced(self):
+        dims = tiny_dims(vocab_rows=20_000, embed_dim=64)
+        model = nn.init_parameters(dims, seed=1)
+        assert 4 * nn.param_size(dims) >= nn.HUGE_PAGE_ARRAY
+        buffers = []
+        assert traced_peak(lambda: buffers.append(nn.Gradients.zeros_like(model))) >= (
+            4 * nn.param_size(dims))
+        flags = _vm_flags(buffers[0].flat.ctypes.data + 4 * nn.param_size(dims) // 2)
+        assert "nh" in flags and "hg" not in flags, flags
+        # the parameters keep numpy's own advice
+        assert "nh" not in _vm_flags(model.params.flat.ctypes.data + 4 * nn.param_size(dims) // 2)
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` runs of True in a boolean array."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(np.int8), [0]])))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+def _vm_flags(address: int) -> list[str]:
+    """The VmFlags of the mapping of this process that holds ``address``."""
+    flags, inside = None, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()[0]
+            if "-" in head and not head.endswith(":"):
+                lo, hi = (int(part, 16) for part in head.split("-"))
+                inside = lo <= address < hi
+            elif inside and head == "VmFlags:":
+                flags = line.split()[1:]
+    assert flags is not None, "no mapping holds the address"
+    return flags
 
 
 class TestRowPieces:

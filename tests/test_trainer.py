@@ -206,6 +206,85 @@ class TestAdamUpdate:
             for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
                 assert a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def row_steps(dims, batches, use_rows, clip_norm):
+        """Run the buffer passes as train() does, on gradients written into
+        each batch's embedding rows and every other tensor: with each
+        batch's rows, or over the whole buffers. The bytes of the
+        parameters, m and v after every step, and the norms."""
+        model = nn.init_parameters(dims, seed=4)
+        grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
+        touched = np.zeros(dims.vocab_rows, bool)
+        values = np.random.default_rng(10)
+        snapshots, norms, last = [], [], None
+        for rows in batches:
+            if last is not None:
+                grads.zero_(last if use_rows else None)
+            last = rows
+            grads.views["embedding"][rows] += values.standard_normal((rows.size, dims.embed_dim))
+            for view in grads.arrays()[1:]:
+                view += values.standard_normal(view.shape)
+            touched[rows] = True
+            narrow = rows if use_rows else None
+            grads.scale_(0.25, narrow)
+            if clip_norm is not None:
+                norms.append(grads.global_norm(narrow))
+                if norms[-1] > clip_norm:
+                    grads.scale_(clip_norm / norms[-1], narrow)
+            adam_update(model, grads, state, TrainConfig(learning_rate=0.01), narrow,
+                        np.flatnonzero(touched) if use_rows else None)
+            snapshots.append(b"".join(buf.flat.tobytes()
+                                      for buf in (model.params, state.m, state.v)))
+        return snapshots, norms, state
+
+    @pytest.mark.parametrize("clip_norm", [None, 6.8, 1e-3],
+                             ids=["unclipped", "sometimes-clipped", "clipped"])
+    def test_a_row_touched_once_decays_at_every_later_step(self, clip_norm,
+                                                           monkeypatch, on_cores):
+        # row 5 has a gradient at the first step only; Adam still decays its
+        # m and v at every later step (lazy Adam would not)
+        for module in (nn, trainer):
+            monkeypatch.setattr(module, "ADAM_BLOCK", 97)
+        monkeypatch.setattr(nn, "RUN_GAP", 1)
+        dims = nn.ModelDims(vocab_rows=500, embed_dim=8, hidden=5, classes=3, max_len=8)
+        rng = np.random.default_rng(9)
+        batches = [np.unique(np.r_[5, rng.integers(6, 500, 20)])] + [
+            np.unique(rng.integers(6, 500, 20)) for _ in range(8)]
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            dense, dense_norms, _ = self.row_steps(dims, batches, False, clip_norm)
+            rows, row_norms, state = self.row_steps(dims, batches, True, clip_norm)
+            assert splits
+            assert rows == dense and row_norms == dense_norms  # every bit, every step
+        if clip_norm == 6.8:  # the norm crossed the bound both ways
+            assert min(dense_norms) < clip_norm < max(dense_norms)
+        m = state.m.views["embedding"]
+        first = np.frombuffer(rows[0], np.float32)[state.m.flat.size:][5 * 8:6 * 8]
+        npt.assert_allclose(m[5], first * trainer.BETA1 ** 8, rtol=1e-5)
+        assert np.abs(first).min() > 0
+
+    def test_a_non_finite_gradient_in_a_touched_row_changes_nothing(self, monkeypatch,
+                                                                    on_cores):
+        for module in (nn, trainer):
+            monkeypatch.setattr(module, "ADAM_BLOCK", 97)
+        monkeypatch.setattr(nn, "RUN_GAP", 1)
+        dims = nn.ModelDims(vocab_rows=500, embed_dim=8, hidden=5, classes=3, max_len=8)
+        model = nn.init_parameters(dims, seed=4)
+        grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
+        rows = np.array([3, 40, 41, 250, 499])
+        grads.views["embedding"][rows] = 0.5
+        grads.views["head.b"][...] = 0.25
+        adam_update(model, grads, state, TrainConfig(), rows, rows)  # m, v and t not zero
+        grads.views["embedding"][250, 6] = np.nan
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            before = [a.copy() for a in (model.params.flat, state.m.flat, state.v.flat)]
+            with pytest.raises(NumericError, match="tensor embedding$"):
+                adam_update(model, grads, state, TrainConfig(), rows, rows)
+            assert splits and state.t == 1
+            for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
+                assert a.tobytes() == b.tobytes()
+
     def test_step_counter_increments(self):
         model = self.tiny_model()
         state = AdamState.zeros_like(model)
@@ -261,8 +340,8 @@ class TestTrain:
         import lexseq.trainer as trainer_mod
         seen = {"t": 0}
 
-        def spy(params, grads, state, cfg):
-            result = orig(params, grads, state, cfg)
+        def spy(params, grads, state, cfg, *rows):
+            result = orig(params, grads, state, cfg, *rows)
             seen["t"] = state.t
             return result
 
@@ -342,14 +421,34 @@ class TestTrain:
         assert blobs[0] == blobs[1]
         assert callers == {threading.get_ident()}
 
+    def test_no_zero_runs_before_the_first_backward_of_a_call(self, monkeypatch):
+        # zeros_like has just zeroed the buffer; each later batch clears only
+        # the rows of the batch before it
+        events = []
+        zero_, backward = nn.Gradients.zero_, trainer.backward
+        monkeypatch.setattr(nn.Gradients, "zero_",
+                            lambda grads, rows=None: events.append(rows) or zero_(grads, rows))
+        monkeypatch.setattr(trainer, "backward",
+                            lambda *args, **kw: events.append("backward") or backward(*args, **kw))
+        split, vocab = build_setup(n_docs=60)
+        batches = math.ceil(len(split.train) / 8)
+        for _ in range(2):  # every call starts on a fresh buffer
+            events.clear()
+            model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
+            train(model, split, vocab, TrainConfig(epochs=2, batch_size=8, seed=1))
+            assert events[0] == "backward"
+            zeros = [rows for rows in events if not isinstance(rows, str)]
+            assert len(zeros) == 2 * batches - 1
+            assert all(rows is not None and rows.size for rows in zeros)
+
     @staticmethod
     def adam_gradients(monkeypatch, clip_norm):
         """The gradient buffer each Adam step of a one-epoch run receives."""
         seen = []
 
-        def spy(model, grads, state, cfg):
+        def spy(model, grads, state, cfg, *rows):
             seen.append(grads.flat.copy())
-            return adam_update(model, grads, state, cfg)
+            return adam_update(model, grads, state, cfg, *rows)
 
         monkeypatch.setattr(trainer, "adam_update", spy)
         split, vocab = build_setup(n_docs=60)
@@ -450,6 +549,87 @@ class TestTrain:
         assert all(e.val_accuracy is None for e in history.epochs)
         real_save(final, tmp_path / "final.ckpt")
         assert path.read_bytes() == (tmp_path / "final.ckpt").read_bytes()
+
+
+class TestRowPasses:
+    """train() runs zero_, scale_, global_norm and Adam over the embedding
+    rows its batches touched; every byte must be that of the passes over
+    the whole buffers."""
+
+    @staticmethod
+    def long_setup():
+        # 60-token documents over 1000 words: every row of a group runs at
+        # every step, so BPTT can leave early, and a batch of 3 touches about
+        # a sixth of the embedding rows
+        rng = random.Random(11)
+        words = [f"w{i}" for i in range(1000)]
+        docs = tuple(Document(f"d{i}", " ".join(rng.choices(words, k=60)), i % 3)
+                     for i in range(21))
+        split = SplitDataset(docs[:15], docs[15:], ())
+        return split, build_vocabulary(iter_tokens(d.text for d in docs))
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    @pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["unclipped", "clipped"])
+    def test_row_passes_train_the_bytes_of_the_whole_buffers(self, activation, clip_norm,
+                                                             monkeypatch, on_cores):
+        for module in (nn, trainer):
+            monkeypatch.setattr(module, "ADAM_BLOCK", 97)
+        monkeypatch.setattr(nn, "RUN_GAP", 1)  # no gap walked: the narrowest passes
+        split, vocab = self.long_setup()
+        dims = nn.ModelDims(vocab_rows=vocab.id_count, embed_dim=8, hidden=8, classes=3,
+                            max_len=64)
+        steps, calls, adam_rows, states = [], [], [], []
+        backward, phi_derivative = trainer.backward, nn._phi_derivative
+
+        def backward_spy(trace, targets, out):
+            steps.append(len(trace.steps))
+            return backward(trace, targets, out=out)
+
+        def adam_spy(model, grads, state, cfg, *rows):
+            states.append(state)
+            adam_rows.append(rows)
+            return adam_update(model, grads, state, cfg, *rows)
+
+        monkeypatch.setattr(trainer, "backward", backward_spy)
+        monkeypatch.setattr(nn, "_phi_derivative",  # twice per BPTT step
+                            lambda *args: calls.append(1) or phi_derivative(*args))
+        monkeypatch.setattr(trainer, "adam_update", adam_spy)
+        walk, walks = nn._walk, []
+
+        def walk_spy(*args):
+            result = walk(*args)
+            walks.append(len(result))  # 1: the caller walked ranges of rows
+            return result
+
+        for module in (nn, trainer):
+            monkeypatch.setattr(module, "_walk", walk_spy)
+        ranges = nn.ParamBuffer.ranges
+        results = []
+        for whole in (False, True):
+            if whole:
+                monkeypatch.setattr(nn.ParamBuffer, "ranges",
+                                    lambda buf, rows, block: ranges(buf, None, block))
+            for cores in (1, 2):
+                splits = on_cores(cores)
+                model = nn.init_parameters(dims, seed=3, labels=("a", "b", "c"),
+                                           activation=activation)
+                for direction in nn.DIRECTIONS:  # forget gates near 0.12
+                    model.params.views[f"{direction}.b"][8:16] = -2.0
+                train(model, split, vocab,
+                      TrainConfig(epochs=3, batch_size=3, seed=2, clip_norm=clip_norm))
+                assert splits
+                if cores == 2:  # ranges of rows, and the whole buffer where cheaper
+                    assert (1 in walks) != whole and 2 in walks
+                walks.clear()
+                results.append(b"".join(buf.flat.tobytes() for buf in
+                                        (model.params, states[-1].m, states[-1].v)))
+                assert states[-1].t == 15
+        assert all(result == results[0] for result in results)
+        assert len(calls) // 2 < sum(steps)  # BPTT left early
+        rows, moment_rows = adam_rows[0]
+        assert moment_rows.size == rows.size < vocab.id_count / 3
+        # rows touched before but not by this batch, which still decay
+        assert any(np.setdiff1d(moment_rows, rows).size for rows, moment_rows in adam_rows[1:15])
 
 
 class TestCheckpoint:
