@@ -107,36 +107,37 @@ store each tensor in C order.
 The embedding holds 95% of the parameters at reference dims, and a
 training batch touches a few hundred of its 100,002 rows: only
 :func:`backward`'s tokens receive gradient. So the gradient passes and
-Adam take the rows that may be nonzero, and walk only the flat ranges
-of :meth:`ParamBuffer.ranges`: the runs of those rows, and every tensor
-after the embedding, in ranges of at most ADAM_BLOCK elements. Runs
-closer than RUN_GAP elements are walked as one range, and where the
-ranges would cost more than the whole buffer on the cores at hand, the
-pass walks the whole buffer (:func:`_walk`). Outside the ranges the
-gradient is zero, and so are m and v on a row no step has touched, so
-the passes give the bits of the whole-buffer passes (see
-:class:`Gradients` and ``trainer.adam_update``), which a pass given no
-rows runs. The gradient and moment buffers are on base pages
+Adam take the rows that may be nonzero, gather them into scratch in
+chunks of ADAM_BLOCK // embed_dim rows, run their elementwise operations
+there and write back what they change; they walk every tensor after the
+embedding in place, in blocks of ADAM_BLOCK elements (:func:`_walk`).
+From GATHER_SHARE of the embedding's rows on, gathering costs more, and
+a pass walks the whole buffer in blocks. Outside the rows the gradient
+is zero, and so are m and v on a row no step has touched, so the passes
+give the bits of the whole-buffer passes (see :class:`Gradients` and
+``trainer.adam_update``), which a pass given no rows runs. The
+embedding of the gradient and moment buffers is on base pages
 (:func:`_small_pages`), so a pass over a few rows of a fresh buffer
-faults in a few pages, not a few 2 MB huge pages.
+faults in a few pages, not a few 2 MB huge pages; the tensors after
+it, written whole by every batch, keep their huge pages.
 
-Those passes over whole buffers (``trainer.adam_update``, its gradient
-check included, and ``Gradients.zero_``, ``scale_`` and
-``global_norm``, which splits its blocks given rows too) and every input
-projection of ``PROJECTION_ROWS`` rows or more run on two cores: through
-:func:`_halves`, a worker thread runs the upper half of the blocks or
-rows while the caller runs the lower half, when the CPU affinity allows
-two or more cores (``taskset -c 0`` gives one, and then the caller runs
-every range whole). The ranges of a few rows stay on the calling
-thread, where a second thread only contends for the GIL. The split does
-not depend on ``OPENBLAS_NUM_THREADS``. numpy releases the GIL inside
-these calls, so the halves overlap. No bit moves: the passes are
-elementwise, the norm adds its block sums in block order once both
-halves are done, and a projection row has the same bits in any product
-of two rows or more. A single short document's projection stays on one
-thread, where the hand-off would cost more than it saves. The step loop
-stays on one thread too: it holds the GIL between its small products,
-and one LSTM direction per thread ran 0.37-0.95 times as fast.
+The passes (``trainer.adam_update``, its gradient check included, and
+``Gradients.zero_``, ``scale_`` and ``global_norm``) and every input
+projection of ``PROJECTION_ROWS`` rows or more run on two cores:
+through :func:`_halves`, a worker thread runs the upper half of the
+chunks and blocks, or of the rows, while the caller runs the lower
+half, when the CPU affinity allows two or more cores (``taskset -c 0``
+gives one, and then the caller runs them all). The split does not
+depend on ``OPENBLAS_NUM_THREADS``. numpy releases the GIL inside these
+calls, gathers and write-backs included, so the halves overlap. No bit
+moves: the passes are elementwise, a gathered element goes through the
+operations it would go through in place, the norm adds its block sums
+in block order once both halves are done, and a projection row has the
+same bits in any product of two rows or more. A single short
+document's projection stays on one thread, where the hand-off would
+cost more than it saves. The step loop stays on one thread too: it
+holds the GIL between its small products, and one LSTM direction per
+thread ran 0.37-0.95 times as fast.
 
 BPTT flushes every component of the backward state (dh, dc) whose
 magnitude is below ``GRAD_FLUSH`` (2**-100) to zero after each step,
@@ -177,26 +178,32 @@ GRAD_FLUSH = 2.0 ** -100
 
 # Elements per block of the passes over flat buffers: the unit that
 # Gradients.global_norm and trainer.adam_update walk through block-sized
-# scratch, and at which every flat range of a pass is cut (see
-# ParamBuffer.ranges) and every whole-buffer pass is split for two cores.
-# A block of Adam's six arrays (1.5 MB in float32) stays in a 2 MB L2
-# cache. With Adam on two cores, each walking its own half of the blocks,
-# 65,536 ran about as fast as 131,072 (1-4% slower, within the quartiles)
-# and 30% faster than 32,768; on one core it ran 11% faster than 131,072
-# (reference dims; see CHANGES.md).
+# scratch, at which every flat slice of a pass is cut, and, divided by the
+# embedding width, the rows per chunk a pass gathers (655 at reference
+# dims; see _walk). A block of Adam's six arrays (1.5 MB in float32) stays
+# in a 2 MB L2 cache. With Adam on two cores, each walking its own half of
+# the blocks, 65,536 ran about as fast as 131,072 (1-4% slower, within the
+# quartiles) and 30% faster than 32,768; on one core it ran 11% faster than
+# 131,072 (reference dims; see CHANGES.md).
 ADAM_BLOCK = 65_536
 
-# A flat range costs a pass about as much per call as this many elements
-# more: per range and per element, Adam's step took 12 us and 4.5 ns, and
-# fill 1.1 us and 0.34 ns (reference dims, one core; see CHANGES.md). So
-# runs of touched embedding rows closer than this many elements are walked
-# as one range (ParamBuffer.ranges), and a pass walks the whole buffer
-# where its ranges would cost more (_walk).
-RUN_GAP = 4096
+# A pass given embedding rows gathers them while they are fewer than this
+# share of the embedding's rows, and walks the whole buffer from there on
+# (see _walk). At reference dims, on scattered rows, warm buffers, medians
+# of 15 interleaved calls on two cores (9 on one), the gathered passes
+# took as long as the whole-buffer ones at about these shares: Adam's
+# check and step 0.5 (33.6 against 33.1 ms on two cores, 49.7 against 46.9
+# on one), scale_ 0.3-0.35 and zero_ 0.4-0.5. At 0.4 the four passes of a
+# batch took 35.6 against 39.9 ms on two cores and 51.4 against 57.8 on one
+# (see CHANGES.md).
+GATHER_SHARE = 0.4
 
 # numpy asks the kernel for transparent huge pages on arrays of this many
 # bytes or more (see _small_pages).
 HUGE_PAGE_ARRAY = 4 << 20
+
+# The size of a transparent huge page on x86-64 (see _small_pages).
+HUGE_PAGE = 2 << 20
 
 # OpenBLAS's small-matrix limit: it runs a product of M*N*K <= 10**6 on
 # its small-matrix kernel, which does not pack the other operand, on the
@@ -281,36 +288,68 @@ def _halves(job: Callable[[int, int], _T], n: int, split: bool = True) -> list[_
     return [lower, future.result()]
 
 
-def _walk(job: Callable[[list[tuple[int, int]]], _T], buf: "ParamBuffer",
+def _walk(job: Callable[[list[slice | np.ndarray]], _T], buf: "ParamBuffer",
           rows: np.ndarray | None, block: int) -> list[_T]:
-    """``job`` on the flat ranges of ``buf`` that a pass over embedding rows
-    ``rows`` walks (see :meth:`ParamBuffer.ranges`), on the calling thread;
-    or on every block of ``buf``, in two halves (see :func:`_halves`), with
-    no ``rows`` or where that costs less on the cores this process may use.
-    A range costs its length plus RUN_GAP elements. The ranges of rows stay
-    on one thread: numpy holds the GIL in a loop of 500 elements or fewer,
-    and a second thread walking short ranges made Adam and ``scale_``
-    slower, not faster (13.0 against 10.5 ms for 220 rows at reference
-    dims, and 93 against 54 ms for 3,000)."""
-    if rows is not None:
-        pieces = buf.ranges(rows, block)
-        cost = sum(hi - lo for lo, hi in pieces) + RUN_GAP * len(pieces)
-        if cost * min(_cores(), 2) < buf.flat.size:
-            return [job(pieces)]
-    pieces = buf.ranges(None, block)
-    return _halves(lambda a, b: job(pieces[a:b]), len(pieces))
+    """``job`` on the parts of a pass over ``buf``, in two halves (see
+    :func:`_halves`), and its results in order. A part is a slice of
+    ``buf.flat`` of at most ``block`` elements, or a chunk of at most
+    ``block // embed_dim`` embedding row ids (see :func:`_gathered`). Given
+    ``rows`` (sorted unique embedding row ids) fewer than GATHER_SHARE of
+    the embedding's, the parts are the chunks of ``rows``, then the slices
+    of everything after the embedding, gaps included; otherwise the slices
+    of the whole buffer."""
+    size, width = buf.flat.size, buf.dims.embed_dim
+    parts: list[slice | np.ndarray] = []
+    start = 0
+    if rows is not None and len(rows) < GATHER_SHARE * buf.dims.vocab_rows:
+        per = max(1, block // width)
+        parts = [rows[lo:lo + per] for lo in range(0, len(rows), per)]
+        start = buf.starts[1]
+    parts += [slice(lo, min(lo + block, size)) for lo in range(start, size, block)]
+    return _halves(lambda a, b: job(parts[a:b]), len(parts))
 
 
-def _small_pages(a: np.ndarray) -> None:
-    """Ask the kernel to back ``a``'s untouched pages with base pages (4 KB
-    on x86-64), not the transparent huge pages that numpy asks for on
-    arrays of HUGE_PAGE_ARRAY bytes or more; a no-op where the platform has
-    no ``MADV_NOHUGEPAGE``. The first write to a page of a fresh buffer
-    zeroes the whole page, so a pass over a few scattered rows of a fresh
-    huge-paged buffer zeroes 2 MB per row: 150 scattered row writes into a
-    fresh 42 MB buffer took 7.2 ms, and 0.53 ms on base pages (a full fill
-    took 9.4 against 29.6 ms). The array stays numpy's own allocation,
-    which tracemalloc sees."""
+def _gathered(parts: list[slice | np.ndarray], bufs: Sequence["ParamBuffer"],
+              writes: Sequence[int]):
+    """For each part of a pass (see :func:`_walk`), the part of each buffer
+    of ``bufs`` as a 1-D array: for a slice, the slice of its ``flat``; for
+    a chunk of rows, those embedding rows gathered into scratch of this
+    call, and, once the caller moves on, written back to the buffers at
+    positions ``writes``. Yields the part with the arrays. Scratch is
+    ``len(bufs)`` arrays the size of the first chunk, the largest."""
+    scratch = None
+    for part in parts:
+        if isinstance(part, slice):
+            yield part, [buf.flat[part] for buf in bufs]
+            continue
+        width = bufs[0].dims.embed_dim
+        if scratch is None:
+            scratch = np.empty((len(bufs), part.size * width), bufs[0].flat.dtype)
+        rows = [s[:part.size * width] for s in scratch]
+        for buf, out in zip(bufs, rows):
+            # clip, not raise, which copies out; the write-back checks the ids
+            np.take(buf.views["embedding"], part, axis=0,
+                    out=out.reshape(part.size, width), mode="clip")
+        yield part, rows
+        for k in writes:
+            bufs[k].views["embedding"][part] = rows[k].reshape(part.size, width)
+
+
+def _small_pages(a: np.ndarray, end: int) -> None:
+    """Ask the kernel to back the untouched pages of ``a[:end]``, up to its
+    last HUGE_PAGE boundary, with base pages (4 KB on x86-64), not the
+    transparent huge pages that numpy asks for on arrays of HUGE_PAGE_ARRAY
+    bytes or more; a no-op where the platform has no ``MADV_NOHUGEPAGE``.
+    The first write to a page of a fresh buffer zeroes the whole page, so a
+    pass over a few scattered rows of a fresh huge-paged buffer zeroes 2 MB
+    per row: 150 scattered row writes into a fresh 42 MB buffer took 7.2 ms,
+    and 0.53 ms on base pages (a full fill took 9.4 against 29.6 ms). The
+    rest of ``a`` keeps its huge pages: ``zeros_like`` advises only the
+    embedding, and every batch writes the 1.93 MB after it whole, where
+    one or two huge pages fault in place of about 470 base pages (Adam's
+    step on a fresh train-long batch took 11.4-12.5 against 14.5-15.0 ms,
+    medians of three sessions of interleaved rounds; see CHANGES.md). The
+    array stays numpy's own allocation, which tracemalloc sees."""
     if a.nbytes < HUGE_PAGE_ARRAY:
         return
     # imported here: mmap's extension module would add 0.3 MB to the
@@ -324,10 +363,11 @@ def _small_pages(a: np.ndarray) -> None:
     madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
     madvise.restype = ctypes.c_int
     page = mmap.PAGESIZE
-    lo = -(-a.ctypes.data // page) * page  # the whole pages inside a
-    hi = (a.ctypes.data + a.nbytes) // page * page
-    # advice only: where the kernel refuses it, the pages stay as they were
-    madvise(lo, hi - lo, advice)
+    lo = -(-a.ctypes.data // page) * page  # the first whole page inside a
+    hi = (a.ctypes.data + end * a.itemsize) // HUGE_PAGE * HUGE_PAGE
+    if hi > lo:
+        # advice only: where the kernel refuses it, the pages stay as they were
+        madvise(lo, hi - lo, advice)
 
 
 @dataclass(frozen=True)
@@ -387,34 +427,11 @@ class ParamBuffer:
 
     @classmethod
     def zeros_like(cls, model: "BiLstmClassifier") -> "ParamBuffer":
-        """A zero buffer in ``model``'s layout, on base pages (see
-        :func:`_small_pages`), for the gradients and Adam's moments."""
+        """A zero buffer in ``model``'s layout, its embedding on base pages
+        (see :func:`_small_pages`), for the gradients and Adam's moments."""
         buf = cls(model.dims, model.dtype)
-        _small_pages(buf.flat)
+        _small_pages(buf.flat, buf.starts[1])
         return buf
-
-    def ranges(self, rows: np.ndarray | None, block: int) -> list[tuple[int, int]]:
-        """The flat ranges ``[lo, hi)`` a pass over embedding rows ``rows``
-        walks, in flat order and each within one block of ``block``
-        elements: the runs of ``rows`` (sorted and unique), with gaps of
-        fewer than RUN_GAP elements walked too, then everything after the
-        embedding, gaps included. With ``rows`` None, the whole buffer."""
-        size, width = self.flat.size, self.dims.embed_dim
-        if rows is None:
-            lo, hi = np.array([0]), np.array([size])
-        else:
-            # the part after the embedding starts where row vocab_rows would;
-            # a run ends before a gap of RUN_GAP elements or more
-            rows = np.append(np.asarray(rows, np.int64), self.dims.vocab_rows)
-            new = np.flatnonzero(np.diff(rows) > -(-RUN_GAP // width)) + 1
-            lo = rows[np.r_[0, new]] * width
-            hi = np.append((rows[new - 1] + 1) * width, size)
-        first = lo // block
-        count = (hi - 1) // block - first + 1  # blocks each run spans
-        run = np.repeat(np.arange(lo.size), count)
-        at = first[run] + np.arange(run.size) - np.repeat(np.cumsum(count) - count, count)
-        return list(zip(np.maximum(lo[run], at * block).tolist(),
-                        np.minimum(hi[run], (at + 1) * block).tolist()))
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(self.views.values())
@@ -464,43 +481,48 @@ class Gradients(ParamBuffer):
     """Gradient buffers in the parameter layout.
 
     ``zero_``, ``scale_`` and ``global_norm`` walk the whole buffer, or,
-    given ``rows`` (sorted unique embedding row ids), only the ranges of
-    :meth:`ranges`: those rows, the gaps between them of fewer than
-    RUN_GAP elements, and every tensor after the embedding (``zero_`` and
-    ``scale_`` walk the whole buffer where that costs less, see
-    :func:`_walk`). The caller promises that the gradient is zero outside
-    those rows; that holds for the unique token ids of the windows that
-    :func:`backward` has run since the buffer was last zero, since only
-    their rows receive gradient. So the passes cost what a batch touched,
-    not the vocabulary, and give the bits of the whole-buffer passes: zero
-    and ``0 * k`` stay zero, and a block with none of the rows sums to
-    exactly 0.0. ``trainer.train`` passes each batch's rows. A pass over
-    the whole buffer, and the norm over two or more blocks, runs in two
-    halves on two cores when the CPU affinity allows (see
-    :func:`_halves`), with the same bits as on one."""
+    given ``rows`` (sorted unique embedding row ids), those rows of the
+    embedding and every tensor after it. The caller promises that the
+    gradient is zero outside those rows; that holds for the unique token
+    ids of the windows that :func:`backward` has run since the buffer was
+    last zero, since only their rows receive gradient. ``scale_`` gathers
+    the rows into scratch in chunks, scales them and writes them back, and
+    ``zero_`` writes zero rows (see :func:`_walk`), while there are fewer
+    than GATHER_SHARE of the embedding's rows; the norm sums every block of
+    the embedding's memory that one of the rows reaches. So the passes cost
+    what a batch touched, not the vocabulary, and give the bits of the
+    whole-buffer passes: zero and ``0 * k`` stay zero, and a block with none
+    of the rows sums to exactly 0.0. ``trainer.train`` passes each batch's
+    rows. Every pass, and the norm over two or more blocks, runs in two
+    halves on two cores when the CPU affinity allows (see :func:`_halves`),
+    with the same bits as on one."""
 
-    def _each(self, job: Callable[[np.ndarray], object],
-              rows: np.ndarray | None) -> None:
-        """``job`` on each flat range of a pass over ``rows`` (see
-        :func:`_walk`)."""
-        def run(pieces: list[tuple[int, int]]) -> None:
-            for lo, hi in pieces:
-                job(self.flat[lo:hi])
+    def zero_(self, rows: np.ndarray | None = None) -> None:
+        embedding = self.views["embedding"]
+
+        def run(parts: list[slice | np.ndarray]) -> None:
+            for part in parts:
+                if isinstance(part, slice):
+                    self.flat[part].fill(0)
+                else:
+                    embedding[part] = 0
 
         _walk(run, self, rows, ADAM_BLOCK)
 
-    def zero_(self, rows: np.ndarray | None = None) -> None:
-        self._each(lambda part: part.fill(0), rows)
-
     def scale_(self, k: float, rows: np.ndarray | None = None) -> None:
         k = self.flat.dtype.type(k)
-        self._each(lambda part: np.multiply(part, k, out=part), rows)
+
+        def run(parts: list[slice | np.ndarray]) -> None:
+            for _, (grad,) in _gathered(parts, (self,), (0,)):
+                np.multiply(grad, k, out=grad)
+
+        _walk(run, self, rows, ADAM_BLOCK)
 
     def global_norm(self, rows: np.ndarray | None = None) -> float:
         """L2 norm of every gradient tensor, squared and summed in float64
         over blocks of each tensor's memory; the gaps are not read. The
         blocks' sums are added one by one in block order, whichever half
-        computed them. With ``rows``, an embedding block that no range of
+        computed them. With ``rows``, an embedding block that none of
         ``rows`` reaches is not summed: its sum would be exactly 0.0, and
         adding it to the nonnegative total changes no bit. A block that one
         reaches is summed whole."""
@@ -509,11 +531,14 @@ class Gradients(ParamBuffer):
         blocks = [(memory, lo) for memory in memories
                   for lo in range(0, memory.size, ADAM_BLOCK)]
         if rows is not None:  # the embedding's blocks are the buffer's first
-            embedding = memories[0]
-            reached = {lo // ADAM_BLOCK for lo, _ in self.ranges(rows, ADAM_BLOCK)
-                       if lo < embedding.size}
-            blocks = [(memory, lo) for memory, lo in blocks
-                      if memory is not embedding or lo // ADAM_BLOCK in reached]
+            width, count = self.dims.embed_dim, -(-memories[0].size // ADAM_BLOCK)
+            rows = np.asarray(rows, np.int64)
+            # a row reaches the blocks from its first element's to its last's
+            first = rows * width // ADAM_BLOCK
+            last = ((rows + 1) * width - 1) // ADAM_BLOCK
+            reached = np.cumsum(np.bincount(first, minlength=count + 1)
+                                - np.bincount(last + 1, minlength=count + 1)) > 0
+            blocks = [blocks[k] for k in np.flatnonzero(reached).tolist()] + blocks[count:]
         sums = np.empty(len(blocks), np.float64)
 
         def run(a: int, b: int) -> None:

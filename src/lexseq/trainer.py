@@ -37,6 +37,7 @@ from .nn import (
     Gradients,
     ModelDims,
     ParamBuffer,
+    _gathered,
     _walk,
     backward,
     forward,
@@ -132,34 +133,40 @@ def adam_update(
     first non-finite element in flat order, before anything changes: the
     gradient is checked first, and only then is ``state.t`` incremented
     and the step taken. The step walks the flat parameter, gradient, m and
-    v buffers in ranges of at most ADAM_BLOCK elements through two
+    v buffers in blocks of at most ADAM_BLOCK elements through two
     block-sized scratch buffers, with ``out=`` ufuncs in the operation
     order of ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. Every
     element it walks goes through the operations of that expression, so
-    the result is bit-identical to it. Over the whole buffers, the check
-    and the step each run in two halves of the blocks on two cores when
-    the CPU affinity allows (see ``nn._halves``), with the same bits as on
-    one; ranges of a few rows run on the calling thread (see
-    ``nn._walk``).
+    the result is bit-identical to it. The check and the step each run in
+    two halves of their blocks on two cores when the CPU affinity allows
+    (see ``nn._halves``), with the same bits as on one.
 
     ``rows`` and ``moment_rows`` (sorted unique embedding row ids; None is
     every row) narrow the two passes to those embedding rows and every
-    other tensor (see ``ParamBuffer.ranges``). The check reads ``rows``:
-    the gradient must be zero outside them. The step walks
+    other tensor (see ``nn._walk``): while they are fewer than
+    ``nn.GATHER_SHARE`` of the rows, the pass gathers them into scratch
+    in chunks of ADAM_BLOCK // embed_dim rows, runs the same ufuncs on the
+    chunk, and writes back the parameter, m and v rows; a gathered element
+    goes through the same operations as in place. The check reads
+    ``rows``: the gradient must be zero outside them. The step walks
     ``moment_rows``: the gradient, m and v must be zero outside them, so
     they are every row with a nonzero gradient at this or an earlier step
     of ``state``. Elsewhere the step would be +0.0 and change no bit of a
     parameter, m or v. A row of ``moment_rows`` that this step's gradient
     does not touch still decays its m and v: this is Adam, not lazy Adam.
     """
-    flats = (model.params.flat, grads.flat, state.m.flat, state.v.flat)
+    buffers = (model.params, grads, state.m, state.v)
+    width = model.dims.embed_dim
 
-    def first_non_finite(pieces: list[tuple[int, int]]) -> int | None:
-        finite = np.empty(ADAM_BLOCK, bool)
-        for lo, hi in pieces:
-            ok = np.isfinite(grads.flat[lo:hi], out=finite[:hi - lo])
+    def first_non_finite(parts: list[slice | np.ndarray]) -> int | None:
+        finite = np.empty(max(ADAM_BLOCK, width), bool)
+        for part, (grad,) in _gathered(parts, (grads,), ()):
+            ok = np.isfinite(grad, out=finite[:grad.size])
             if not ok.all():
-                return lo + int(np.argmin(ok))
+                k = int(np.argmin(ok))
+                if isinstance(part, slice):
+                    return part.start + k
+                return int(part[k // width]) * width + k % width
         return None
 
     bad = [k for k in _walk(first_non_finite, grads, rows, ADAM_BLOCK) if k is not None]
@@ -169,12 +176,12 @@ def adam_update(
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
 
-    def step(pieces: list[tuple[int, int]]) -> None:
-        scratch = np.empty(ADAM_BLOCK, grads.flat.dtype)
+    def step(parts: list[slice | np.ndarray]) -> None:
+        scratch = np.empty(max(ADAM_BLOCK, width), grads.flat.dtype)
         denom = np.empty_like(scratch)
-        for lo, hi in pieces:
-            param, grad, m, v = (f[lo:hi] for f in flats)
-            s, d = scratch[:hi - lo], denom[:hi - lo]
+        # param, m and v go back to a gathered chunk's rows
+        for _, (param, grad, m, v) in _gathered(parts, buffers, (0, 2, 3)):
+            s, d = scratch[:param.size], denom[:param.size]
             m *= BETA1
             m += np.multiply(1.0 - BETA1, grad, out=s)
             v *= BETA2
@@ -271,12 +278,13 @@ def train(
     Per epoch: one seeded shuffle of the train indices, gradients
     averaged over each mini-batch (the final short batch is kept), one
     Adam step per batch, then validation metrics. The gradient passes and
-    Adam walk only the embedding rows a batch can write, the unique token
-    ids of its windows, and every other tensor: zeroing clears the last
-    batch's rows (the first batch's buffer is fresh from ``zeros_like``),
-    scaling, the norm and Adam's check read this batch's rows, and Adam
-    steps every row a batch of this call has touched, so each of those
-    rows decays its m and v at every step. The bits are those of the
+    Adam gather only the embedding rows a batch can write, the unique token
+    ids of its windows, and walk every other tensor: zeroing clears the
+    last batch's rows (the first batch's buffer is fresh from
+    ``zeros_like``), scaling, the norm and Adam's check read this batch's
+    rows, and Adam steps every row a batch of this call has touched, so
+    each of those rows decays its m and v at every step. Once those rows
+    are dense, a pass walks the whole buffer. The bits are those of the
     passes over the whole buffers (see ``nn.Gradients`` and
     :func:`adam_update`). When a checkpoint
     path is configured, the model is written there each time the

@@ -791,33 +791,46 @@ class TestHalves:
         assert nn._halves(self.record(calls), n, split=split) == [0]
         assert calls == [(0, n, threading.get_ident())]
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_walk_keeps_a_few_rows_on_the_caller(self, cores, on_cores):
-        on_cores(cores)
-        buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
-        rows = np.array([5, 6, 900])
-        calls = []
-        nn._walk(lambda pieces: calls.append((pieces, threading.get_ident())), buf,
-                 rows, nn.ADAM_BLOCK)
-        assert calls == [(buf.ranges(rows, nn.ADAM_BLOCK), threading.get_ident())]
+    @staticmethod
+    def walk(buf, rows, block):
+        """The parts nn._walk gives its job, in order, and the thread that
+        ran each."""
+        results = nn._walk(lambda parts: (parts, threading.get_ident()), buf, rows, block)
+        return ([part for parts, _ in results for part in parts],
+                [ident for parts, ident in results for _ in parts])
 
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_walk_takes_the_whole_buffer_where_rows_cost_more(self, cores, on_cores,
-                                                              monkeypatch):
-        monkeypatch.setattr(nn, "RUN_GAP", 1)
+    def test_walk_keeps_a_few_rows_on_the_caller(self, cores, on_cores):
+        # one chunk of rows, then the tensors after the embedding in one
+        # block: on two cores the caller gathers the rows, the worker the rest
         on_cores(cores)
         buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
-        # every other row: half the embedding, in a range per row
-        rows = np.arange(0, 20_000, 2)
-        cost = sum(hi - lo + 1 for lo, hi in buf.ranges(rows, 97))
-        assert buf.flat.size / 2 < cost < buf.flat.size
-        calls = []
-        nn._walk(lambda pieces: calls.append(pieces), buf, rows, 97)
-        whole = buf.ranges(None, 97)
-        if cores == 1:  # the rows cost less than the whole buffer on one core
-            assert calls == [buf.ranges(rows, 97)]
-        else:
-            assert sorted(calls) == [whole[:len(whole) // 2], whole[len(whole) // 2:]]
+        parts, threads = self.walk(buf, np.array([5, 6, 900]), nn.ADAM_BLOCK)
+        assert parts[0].tolist() == [5, 6, 900]
+        assert parts[1:] == [slice(buf.starts[1], buf.flat.size)]
+        assert threads[0] == threading.get_ident()
+        assert (threads[1] != threading.get_ident()) == (cores == 2)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_walk_takes_the_whole_buffer_where_rows_cost_more(self, cores, on_cores):
+        # from GATHER_SHARE of the embedding's rows on, gathering costs more
+        # than a pass over the whole buffer in blocks
+        on_cores(cores)
+        buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
+        size, dense = buf.flat.size, math.ceil(nn.GATHER_SHARE * 20_000)
+        for count in (dense - 1, dense):
+            rows = np.arange(0, 2 * count, 2)
+            parts, threads = self.walk(buf, rows, 97)
+            assert len(set(threads)) == cores
+            chunks = [part for part in parts if not isinstance(part, slice)]
+            start = buf.starts[1] if chunks else 0
+            assert parts[len(chunks):] == [slice(lo, min(lo + 97, size))
+                                           for lo in range(start, size, 97)]
+            if count < dense:  # gathered, 12 rows a chunk
+                assert np.concatenate(chunks).tolist() == rows.tolist()
+                assert {len(chunk) for chunk in chunks[:-1]} == {97 // 8}
+            else:
+                assert not chunks
 
     def test_the_worker_runs_under_the_callers_error_state(self, on_cores):
         on_cores(2)
@@ -1012,68 +1025,68 @@ class TestParamBuffer:
 
 
 class TestRowRanges:
-    """ParamBuffer.ranges and the passes that walk them: only the embedding
-    rows a batch touched, and every other tensor, with the bits of the
-    whole-buffer passes."""
+    """The parts of a pass over the embedding rows a batch touched (see
+    nn._walk): the rows in chunks, which the pass gathers, and every tensor
+    after the embedding, with the bits of the whole-buffer passes."""
 
     dims = tiny_dims(vocab_rows=400, embed_dim=8, hidden=5)
 
+    @staticmethod
+    def parts(buf, rows, block):
+        return [part for parts in nn._walk(lambda parts: parts, buf, rows, block)
+                for part in parts]
+
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(0, 399), max_size=40, unique=True),
-           st.sampled_from([7, 97, 4096]), st.sampled_from([1, 9, 64, 4096]))
-    def test_ranges_cover_the_rows_and_every_later_tensor(self, rows, block, gap):
+    @given(st.lists(st.integers(0, 399), max_size=200, unique=True),
+           st.sampled_from([5, 7, 97, 4096]))
+    def test_ranges_cover_the_rows_and_every_later_tensor(self, rows, block):
+        # up to half the rows: both sides of GATHER_SHARE; blocks of 5 and 7
+        # are narrower than a row
         buf = nn.ParamBuffer(self.dims)
         rows = np.array(sorted(rows), np.int64)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(nn, "RUN_GAP", gap)
-            pieces = buf.ranges(rows, block)
-        width, end = self.dims.embed_dim, self.dims.vocab_rows * self.dims.embed_dim
-        covered = np.zeros(buf.flat.size, bool)
-        for (lo, hi), (next_lo, _) in zip(pieces, pieces[1:] + [(buf.flat.size + 1, 0)]):
-            assert lo < hi <= next_lo  # in flat order, none empty, no overlap
-            assert lo // block == (hi - 1) // block  # within one block
-            covered[lo:hi] = True
-        assert covered[end:].all()  # every tensor after the embedding, gaps too
-        want = np.zeros(end, bool)
-        for row in rows:
-            want[row * width:(row + 1) * width] = True
-        assert covered[:end][want].all()
-        # a walked element that is not a row's lies in a gap of fewer than gap
-        # elements between two walked rows, or between the last and the dense part
-        extra = covered[:end] & ~want
-        for run_lo, run_hi in _runs(extra):
-            assert run_hi - run_lo < gap
-            assert run_lo and want[run_lo - 1]
-            assert run_hi == end or want[run_hi]
+        parts = self.parts(buf, rows, block)
+        chunks = [part for part in parts if not isinstance(part, slice)]
+        start = 0
+        if len(rows) < nn.GATHER_SHARE * self.dims.vocab_rows:
+            # the rows in order, in full chunks of block // embed_dim rows but
+            # the last, and at least one row a chunk
+            per = max(1, block // self.dims.embed_dim)
+            assert all(len(chunk) == per for chunk in chunks[:-1])
+            assert 0 < len(chunks[-1] if chunks else [1]) <= per
+            assert sum((chunk.tolist() for chunk in chunks), []) == rows.tolist()
+            start = buf.starts[1]
+        else:
+            assert not chunks
+        # then consecutive slices of at most a block, gaps included, to the end
+        size = buf.flat.size
+        assert parts[len(chunks):] == [slice(lo, min(lo + block, size))
+                                       for lo in range(start, size, block)]
 
     @pytest.mark.parametrize("block", [7, nn.ADAM_BLOCK])
     def test_no_rows_walk_the_whole_buffer_in_blocks(self, block):
         buf = nn.ParamBuffer(self.dims)
         size = buf.flat.size
-        assert buf.ranges(None, block) == [(lo, min(lo + block, size))
-                                           for lo in range(0, size, block)]
+        assert self.parts(buf, None, block) == [slice(lo, min(lo + block, size))
+                                                for lo in range(0, size, block)]
 
-    def test_adjacent_rows_merge_into_one_run(self, monkeypatch):
-        monkeypatch.setattr(nn, "RUN_GAP", 1)
+    def test_no_rows_walk_only_the_tensors_after_the_embedding(self):
         buf = nn.ParamBuffer(self.dims)
-        end = self.dims.vocab_rows * 8
-        assert buf.ranges(np.array([3, 4, 5, 9, 399]), 10**6) == [
-            (24, 48), (72, 80), (399 * 8, buf.flat.size)]
-        assert buf.ranges(np.array([], np.int64), 10**6) == [(end, buf.flat.size)]
+        assert self.parts(buf, np.array([], np.int64), 10**6) == [
+            slice(self.dims.vocab_rows * 8, buf.flat.size)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("block, gap", [(nn.ADAM_BLOCK, nn.RUN_GAP), (97, 1),
-                                            (97, 64)])
-    def test_row_passes_keep_the_bits_of_the_whole_buffer(self, dtype, block, gap,
+    @pytest.mark.parametrize("block, count", [(nn.ADAM_BLOCK, 4096), (97, 1), (97, 64)])
+    def test_row_passes_keep_the_bits_of_the_whole_buffer(self, dtype, block, count,
                                                           monkeypatch, on_cores):
+        # count scattered rows and the first and last ones: half a chunk of
+        # 8,192 rows, or one and several chunks of 12 rows that straddle
+        # blocks of 97 elements
         dims = tiny_dims(vocab_rows=nn.ADAM_BLOCK // 4 + 1001, embed_dim=8, hidden=5)
         monkeypatch.setattr(nn, "ADAM_BLOCK", block)
-        monkeypatch.setattr(nn, "RUN_GAP", gap)
         rng = np.random.default_rng(8)
-        # rows in a few clusters and alone, the first and last rows among them
-        rows = np.unique(np.concatenate([
-            [0, dims.vocab_rows - 1], rng.integers(0, dims.vocab_rows, 40),
-            np.arange(5000, 5040), np.arange(9000, 9003)]))
+        rows = np.unique(np.r_[0, dims.vocab_rows - 1,
+                               rng.choice(dims.vocab_rows, count, replace=False)])
+        assert rows.size < nn.GATHER_SHARE * dims.vocab_rows  # gathered
         dense = nn.Gradients(dims, dtype)
         for name, view in dense.views.items():
             view[...] = rng.standard_normal(view.shape) * 10.0 ** rng.integers(-9, 4, view.shape)
@@ -1096,8 +1109,7 @@ class TestRowRanges:
         assert results[0][0] == pytest.approx(math.sqrt(sum(  # the per-tensor sum
             float(np.sum(arr.astype(np.float64) ** 2)) for arr in dense.arrays())), rel=1e-12)
 
-    def test_row_passes_leave_every_other_row_alone(self, monkeypatch):
-        monkeypatch.setattr(nn, "RUN_GAP", 1)
+    def test_row_passes_leave_every_other_row_alone(self):
         grads = nn.Gradients(self.dims)
         grads.flat[...] = 2.0
         rows = np.array([1, 7, 8, 300])
@@ -1113,22 +1125,23 @@ class TestRowRanges:
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
                         reason="no /proc/self/smaps on this platform")
     def test_zeros_like_buffers_are_on_base_pages_and_traced(self):
-        dims = tiny_dims(vocab_rows=20_000, embed_dim=64)
+        # an embedding of 5.1 MB, and 6 MB of tensors after it
+        dims = tiny_dims(vocab_rows=20_000, embed_dim=64, hidden=400)
         model = nn.init_parameters(dims, seed=1)
         assert 4 * nn.param_size(dims) >= nn.HUGE_PAGE_ARRAY
         buffers = []
         assert traced_peak(lambda: buffers.append(nn.Gradients.zeros_like(model))) >= (
             4 * nn.param_size(dims))
-        flags = _vm_flags(buffers[0].flat.ctypes.data + 4 * nn.param_size(dims) // 2)
+        base, tail = buffers[0].flat.ctypes.data, 4 * buffers[0].starts[1]
+        flags = _vm_flags(base + tail // 2)
         assert "nh" in flags and "hg" not in flags, flags
+        # the tensors after the embedding, from its last huge-page boundary
+        # on, keep numpy's advice
+        boundary = (base + tail) // nn.HUGE_PAGE * nn.HUGE_PAGE
+        for address in (base + tail, boundary + nn.HUGE_PAGE, base + 4 * nn.param_size(dims) - 1):
+            assert "nh" not in _vm_flags(address)
         # the parameters keep numpy's own advice
         assert "nh" not in _vm_flags(model.params.flat.ctypes.data + 4 * nn.param_size(dims) // 2)
-
-
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """The ``[lo, hi)`` runs of True in a boolean array."""
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(np.int8), [0]])))
-    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
 def _vm_flags(address: int) -> list[str]:

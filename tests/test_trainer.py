@@ -18,7 +18,7 @@ from conftest import (SYNTH_LABELS, flip_bit, load_variant, make_synthetic_corpu
 from lexseq import nn, trainer
 from lexseq.corpus import Document, LabelSet, SplitDataset, stratified_split
 from lexseq.errors import DataError, NumericError
-from lexseq.tokenizer import build_vocabulary, iter_tokens
+from lexseq.tokenizer import EncodedSequence, build_vocabulary, iter_tokens
 from lexseq.trainer import (
     AdamState,
     TrainConfig,
@@ -245,7 +245,6 @@ class TestAdamUpdate:
         # m and v at every later step (lazy Adam would not)
         for module in (nn, trainer):
             monkeypatch.setattr(module, "ADAM_BLOCK", 97)
-        monkeypatch.setattr(nn, "RUN_GAP", 1)
         dims = nn.ModelDims(vocab_rows=500, embed_dim=8, hidden=5, classes=3, max_len=8)
         rng = np.random.default_rng(9)
         batches = [np.unique(np.r_[5, rng.integers(6, 500, 20)])] + [
@@ -265,25 +264,53 @@ class TestAdamUpdate:
 
     def test_a_non_finite_gradient_in_a_touched_row_changes_nothing(self, monkeypatch,
                                                                     on_cores):
+        # a NaN in a gathered row, in a tensor after the embedding, and in
+        # both: the first in flat order is named, and nothing changes
         for module in (nn, trainer):
             monkeypatch.setattr(module, "ADAM_BLOCK", 97)
-        monkeypatch.setattr(nn, "RUN_GAP", 1)
         dims = nn.ModelDims(vocab_rows=500, embed_dim=8, hidden=5, classes=3, max_len=8)
+        rows = np.array([3, 40, 41, 250, 499])
+        assert rows.size < nn.GATHER_SHARE * dims.vocab_rows  # gathered
+        for bad in (["embedding"], ["backward_dir.U"], ["backward_dir.U", "embedding"]):
+            model = nn.init_parameters(dims, seed=4)
+            grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
+            grads.views["embedding"][rows] = 0.5
+            grads.views["head.b"][...] = 0.25
+            adam_update(model, grads, state, TrainConfig(), rows, rows)  # m, v, t not zero
+            for name in bad:
+                view = grads.views[name]
+                view[250 if name == "embedding" else -1, 6 % view.shape[1]] = np.nan
+            for cores in (1, 2):
+                splits = on_cores(cores)
+                before = [a.copy() for a in (model.params.flat, state.m.flat, state.v.flat)]
+                with pytest.raises(NumericError, match=f"tensor {bad[-1]}$"):
+                    adam_update(model, grads, state, TrainConfig(), rows, rows)
+                assert splits and state.t == 1
+                for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
+                    assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_row_step_allocates_only_chunk_sized_scratch(self, cores, on_cores):
+        # 3,000, 5,000 and 7,000 rows of 100 elements, in 5 to 11 chunks of
+        # 655 rows: per half, the step's two scratch arrays and the four it
+        # gathers into, however many rows
+        dims = nn.ModelDims(vocab_rows=20_000, embed_dim=100, hidden=4, classes=3,
+                            max_len=8)
         model = nn.init_parameters(dims, seed=4)
         grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
-        rows = np.array([3, 40, 41, 250, 499])
-        grads.views["embedding"][rows] = 0.5
-        grads.views["head.b"][...] = 0.25
-        adam_update(model, grads, state, TrainConfig(), rows, rows)  # m, v and t not zero
-        grads.views["embedding"][250, 6] = np.nan
-        for cores in (1, 2):
-            splits = on_cores(cores)
-            before = [a.copy() for a in (model.params.flat, state.m.flat, state.v.flat)]
-            with pytest.raises(NumericError, match="tensor embedding$"):
-                adam_update(model, grads, state, TrainConfig(), rows, rows)
-            assert splits and state.t == 1
-            for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
-                assert a.tobytes() == b.tobytes()
+        on_cores(cores)
+        rng = np.random.default_rng(3)
+        peaks = []
+        for count in (3000, 3000, 5000, 7000):  # the first call warms up
+            rows = np.sort(rng.choice(dims.vocab_rows, count, replace=False))
+            assert count < nn.GATHER_SHARE * dims.vocab_rows  # gathered
+            grads.views["embedding"][rows] = 0.5
+            peaks.append(traced_peak(
+                lambda: adam_update(model, grads, state, TrainConfig(), rows, rows)))
+        chunk = 4 * trainer.ADAM_BLOCK
+        assert peaks[1] > 6 * cores * (chunk // 2)  # the scratch is there
+        assert max(peaks[1:]) <= 6 * cores * chunk + 64 * 1024
+        assert max(peaks[2:]) <= peaks[1] + 64 * 1024
 
     def test_step_counter_increments(self):
         model = self.tiny_model()
@@ -568,13 +595,30 @@ class TestRowPasses:
         split = SplitDataset(docs[:15], docs[15:], ())
         return split, build_vocabulary(iter_tokens(d.text for d in docs))
 
+    @staticmethod
+    def spy_walks(monkeypatch):
+        """A list that gets, for each pass nn._walk runs, "gathered" if it
+        gathered rows, "whole" if it walked the whole buffer, or "tail" if
+        it walked only the tensors after the embedding."""
+        walk, walks = nn._walk, []
+
+        def spy(job, buf, rows, block):
+            parts = []
+            results = walk(lambda some: parts.extend(some) or job(some), buf, rows, block)
+            walks.append("gathered" if any(isinstance(p, np.ndarray) for p in parts)
+                         else "whole" if parts[0].start == 0 else "tail")
+            return results
+
+        for module in (nn, trainer):
+            monkeypatch.setattr(module, "_walk", spy)
+        return walks
+
     @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
     @pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["unclipped", "clipped"])
     def test_row_passes_train_the_bytes_of_the_whole_buffers(self, activation, clip_norm,
                                                              monkeypatch, on_cores):
-        for module in (nn, trainer):
+        for module in (nn, trainer):  # chunks of 12 rows
             monkeypatch.setattr(module, "ADAM_BLOCK", 97)
-        monkeypatch.setattr(nn, "RUN_GAP", 1)  # no gap walked: the narrowest passes
         split, vocab = self.long_setup()
         dims = nn.ModelDims(vocab_rows=vocab.id_count, embed_dim=8, hidden=8, classes=3,
                             max_len=64)
@@ -594,21 +638,11 @@ class TestRowPasses:
         monkeypatch.setattr(nn, "_phi_derivative",  # twice per BPTT step
                             lambda *args: calls.append(1) or phi_derivative(*args))
         monkeypatch.setattr(trainer, "adam_update", adam_spy)
-        walk, walks = nn._walk, []
-
-        def walk_spy(*args):
-            result = walk(*args)
-            walks.append(len(result))  # 1: the caller walked ranges of rows
-            return result
-
-        for module in (nn, trainer):
-            monkeypatch.setattr(module, "_walk", walk_spy)
-        ranges = nn.ParamBuffer.ranges
+        walks = self.spy_walks(monkeypatch)
         results = []
         for whole in (False, True):
-            if whole:
-                monkeypatch.setattr(nn.ParamBuffer, "ranges",
-                                    lambda buf, rows, block: ranges(buf, None, block))
+            if whole:  # no pass gathers
+                monkeypatch.setattr(nn, "GATHER_SHARE", 0)
             for cores in (1, 2):
                 splits = on_cores(cores)
                 model = nn.init_parameters(dims, seed=3, labels=("a", "b", "c"),
@@ -618,8 +652,8 @@ class TestRowPasses:
                 train(model, split, vocab,
                       TrainConfig(epochs=3, batch_size=3, seed=2, clip_norm=clip_norm))
                 assert splits
-                if cores == 2:  # ranges of rows, and the whole buffer where cheaper
-                    assert (1 in walks) != whole and 2 in walks
+                # gathered rows, and the whole buffer once the rows are dense
+                assert ("gathered" in walks) != whole and "whole" in walks
                 walks.clear()
                 results.append(b"".join(buf.flat.tobytes() for buf in
                                         (model.params, states[-1].m, states[-1].v)))
@@ -630,6 +664,87 @@ class TestRowPasses:
         assert moment_rows.size == rows.size < vocab.id_count / 3
         # rows touched before but not by this batch, which still decay
         assert any(np.setdiff1d(moment_rows, rows).size for rows, moment_rows in adam_rows[1:15])
+
+
+    @staticmethod
+    def pass_steps(model, batches, use_rows, clip_norm):
+        """Run train()'s buffer passes on each batch's gradient: backward
+        over documents of the batch's row ids (row 0, PAD, is no token), or
+        a gradient after the embedding only for a batch of no rows, plus a
+        planted value in each of its rows; with each batch's rows, or over
+        the whole buffers. The bytes of the parameters, m and v after every
+        step, and the norms."""
+        dims = model.dims
+        grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
+        touched = np.zeros(dims.vocab_rows, bool)
+        planted = np.random.default_rng(10)
+        snapshots, norms, last = [], [], None
+        for rows in batches:
+            if last is not None:
+                grads.zero_(last if use_rows else None)
+            last = rows
+            tokens = rows[rows > 0]
+            if tokens.size:
+                docs = np.array_split(tokens, -(-tokens.size // dims.max_len))
+                _, trace = nn.forward([EncodedSequence(doc, doc.size) for doc in docs], model)
+                nn.backward(trace, [k % dims.classes for k in range(len(docs))], out=grads)
+            else:
+                for view in grads.arrays()[1:]:
+                    view += 0.5
+            grads.views["embedding"][rows] += planted.standard_normal((rows.size, dims.embed_dim))
+            touched[rows] = True
+            narrow = rows if use_rows else None
+            grads.scale_(1 / 3, narrow)
+            if clip_norm is not None:
+                norms.append(grads.global_norm(narrow))
+                if norms[-1] > clip_norm:
+                    grads.scale_(clip_norm / norms[-1], narrow)
+            adam_update(model, grads, state, TrainConfig(learning_rate=0.01), narrow,
+                        np.flatnonzero(touched) if use_rows else None)
+            snapshots.append(b"".join(buf.flat.tobytes()
+                                      for buf in (model.params, state.m, state.v)))
+        return snapshots, norms
+
+    VOCAB_ROWS = 12_000  # 144,000 embedding elements of 12 a row: 3 blocks
+    SAMPLE = np.random.default_rng(12).permutation(np.arange(4, 12_000))
+    CASES = {
+        "edges": [[0, 1, VOCAB_ROWS - 1], [1, 2, 3]],
+        # rows 5461 and 10922 straddle the ends of blocks 0 and 1
+        "straddling": [[5460, 5461, 5462], [10922]],
+        # 50 rows in chunks of 3 (ADAM_BLOCK 40), then 50 others
+        "chunks": [SAMPLE[:50], SAMPLE[50:100]],
+        # a batch of no rows after one of three
+        "empty": [[7, 8, 9], []],
+        # one row fewer than GATHER_SHARE of the rows, then as many: the step
+        # of the second batch and every later one walks the whole buffer
+        "crossover": [SAMPLE[:math.ceil(nn.GATHER_SHARE * VOCAB_ROWS) - 1],
+                      SAMPLE[-math.ceil(nn.GATHER_SHARE * VOCAB_ROWS):], [3]],
+    }
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    @pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_gathered_passes_keep_the_bytes_of_the_whole_buffers(
+            self, case, clip_norm, activation, monkeypatch, on_cores):
+        if case == "chunks":
+            for module in (nn, trainer):
+                monkeypatch.setattr(module, "ADAM_BLOCK", 40)
+        batches = [np.unique(np.asarray(rows, np.int64)) for rows in self.CASES[case]]
+        dims = nn.ModelDims(vocab_rows=self.VOCAB_ROWS, embed_dim=12, hidden=4,
+                            classes=3, max_len=64)
+        walks = self.spy_walks(monkeypatch)
+        results = []
+        for cores in (1, 2):
+            splits = on_cores(cores)
+            for use_rows in (False, True):
+                walks.clear()
+                model = nn.init_parameters(dims, seed=5, activation=activation)
+                results.append(self.pass_steps(model, batches, use_rows, clip_norm))
+                assert splits
+            assert "gathered" in walks
+            assert ("whole" in walks) == (case == "crossover")
+            assert ("tail" in walks) == (case == "empty")
+        assert all(result == results[0] for result in results)  # every bit, every step
 
 
 class TestCheckpoint:
