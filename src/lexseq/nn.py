@@ -105,21 +105,15 @@ transposed C-ordered matrix. No bit depends on the layout; checkpoints
 store each tensor in C order.
 
 The embedding holds 95% of the parameters at reference dims, and a
-training batch touches a few hundred of its 100,002 rows: only
-:func:`backward`'s tokens receive gradient. So the gradient passes and
-Adam take the rows that may be nonzero, gather them into scratch in
-chunks of ADAM_BLOCK // embed_dim rows, run their elementwise operations
-there and write back what they change; they walk every tensor after the
-embedding in place, in blocks of ADAM_BLOCK elements (:func:`_walk`).
-From GATHER_SHARE of the embedding's rows on, gathering costs more, and
-a pass walks the whole buffer in blocks. Outside the rows the gradient
-is zero, and so are m and v on a row no step has touched, so the passes
-give the bits of the whole-buffer passes (see :class:`Gradients` and
-``trainer.adam_update``), which a pass given no rows runs. The
-embedding of the gradient and moment buffers is on base pages
-(:func:`_small_pages`), so a pass over a few rows of a fresh buffer
-faults in a few pages, not a few 2 MB huge pages; the tensors after
-it, written whole by every batch, keep their huge pages.
+training batch touches a few hundred of its 100,002 rows, so the
+gradient and moment buffers keep a mask of the embedding rows that may
+be nonzero, and the passes over them walk those rows and every tensor
+after the embedding, with the bits of the whole-buffer passes (see
+:class:`Gradients` and ``trainer.AdamState``). The embedding of the
+gradient and moment buffers is on base pages (:func:`_small_pages`), so
+a pass over a few rows of a fresh buffer faults in a few pages, not a
+few 2 MB huge pages; the tensors after it, written whole by every batch,
+keep their huge pages.
 
 The passes (``trainer.adam_update``, its gradient check included, and
 ``Gradients.zero_``, ``scale_`` and ``global_norm``) and every input
@@ -289,16 +283,18 @@ def _halves(job: Callable[[int, int], _T], n: int, split: bool = True) -> list[_
 
 
 def _walk(job: Callable[[list[slice | np.ndarray]], _T], buf: "ParamBuffer",
-          rows: np.ndarray | None, block: int) -> list[_T]:
+          mask: np.ndarray | None) -> list[_T]:
     """``job`` on the parts of a pass over ``buf``, in two halves (see
     :func:`_halves`), and its results in order. A part is a slice of
-    ``buf.flat`` of at most ``block`` elements, or a chunk of at most
-    ``block // embed_dim`` embedding row ids (see :func:`_gathered`). Given
-    ``rows`` (sorted unique embedding row ids) fewer than GATHER_SHARE of
-    the embedding's, the parts are the chunks of ``rows``, then the slices
-    of everything after the embedding, gaps included; otherwise the slices
-    of the whole buffer."""
-    size, width = buf.flat.size, buf.dims.embed_dim
+    ``buf.flat`` of at most ADAM_BLOCK elements, or a chunk of at most
+    ``ADAM_BLOCK // embed_dim`` embedding row ids (see :func:`_gathered`).
+    Given ``mask`` (a boolean mask of embedding rows) with fewer rows than
+    GATHER_SHARE of the embedding's, the parts are the chunks of its rows
+    in order, then the slices of everything after the embedding, gaps
+    included; otherwise, and with no mask, the slices of the whole
+    buffer."""
+    size, width, block = buf.flat.size, buf.dims.embed_dim, ADAM_BLOCK
+    rows = None if mask is None else np.flatnonzero(mask)
     parts: list[slice | np.ndarray] = []
     start = 0
     if rows is not None and len(rows) < GATHER_SHARE * buf.dims.vocab_rows:
@@ -408,11 +404,13 @@ class ParamBuffer:
     named view each, in :func:`param_shapes` order (see the module
     docstring). Tensors start on 64-byte boundaries, because OpenBLAS's
     small products ran about 5% slower on W and U aligned to 16 bytes; the
-    gaps stay zero. ``values``, a flat buffer of this layout, is copied in."""
+    gaps stay zero. ``values``, a flat buffer of this layout, is copied in.
+    ``rows`` is the mask of the embedding rows that may be nonzero, None
+    for any row (see :class:`Gradients`)."""
 
     def __init__(self, dims: ModelDims, dtype=np.float32,
                  values: np.ndarray | None = None):
-        self.dims, self.views = dims, {}
+        self.dims, self.views, self.rows = dims, {}, None
         sizes = [-(-math.prod(shape) // 16) * 16 for _, shape in param_shapes(dims)]
         self.starts = [sum(sizes[:k]) for k in range(len(sizes))]
         nbytes = sum(sizes) * np.dtype(dtype).itemsize
@@ -427,9 +425,11 @@ class ParamBuffer:
 
     @classmethod
     def zeros_like(cls, model: "BiLstmClassifier") -> "ParamBuffer":
-        """A zero buffer in ``model``'s layout, its embedding on base pages
-        (see :func:`_small_pages`), for the gradients and Adam's moments."""
+        """A zero buffer in ``model``'s layout with an empty row mask, its
+        embedding on base pages (see :func:`_small_pages`), for the
+        gradients and Adam's moments."""
         buf = cls(model.dims, model.dtype)
+        buf.rows = np.zeros(model.dims.vocab_rows, bool)
         _small_pages(buf.flat, buf.starts[1])
         return buf
 
@@ -480,24 +480,28 @@ class BiLstmClassifier:
 class Gradients(ParamBuffer):
     """Gradient buffers in the parameter layout.
 
-    ``zero_``, ``scale_`` and ``global_norm`` walk the whole buffer, or,
-    given ``rows`` (sorted unique embedding row ids), those rows of the
-    embedding and every tensor after it. The caller promises that the
-    gradient is zero outside those rows; that holds for the unique token
-    ids of the windows that :func:`backward` has run since the buffer was
-    last zero, since only their rows receive gradient. ``scale_`` gathers
-    the rows into scratch in chunks, scales them and writes them back, and
-    ``zero_`` writes zero rows (see :func:`_walk`), while there are fewer
-    than GATHER_SHARE of the embedding's rows; the norm sums every block of
-    the embedding's memory that one of the rows reaches. So the passes cost
-    what a batch touched, not the vocabulary, and give the bits of the
-    whole-buffer passes: zero and ``0 * k`` stay zero, and a block with none
-    of the rows sums to exactly 0.0. ``trainer.train`` passes each batch's
-    rows. Every pass, and the norm over two or more blocks, runs in two
-    halves on two cores when the CPU affinity allows (see :func:`_halves`),
-    with the same bits as on one."""
+    ``rows`` is a boolean mask over the embedding rows that holds every
+    row that may be nonzero; None means any row. :func:`backward` sets the
+    rows it adds gradient into, ``zero_`` clears the mask, and
+    ``zeros_like`` starts it empty; every other buffer (a copy, a pickle,
+    a checkpoint's, :func:`init_parameters`') has None. Code that
+    writes the embedding by hand, not through :func:`backward`, must set
+    the rows it writes: a row outside the mask is taken to be zero.
 
-    def zero_(self, rows: np.ndarray | None = None) -> None:
+    ``zero_``, ``scale_`` and ``global_norm`` walk the rows of the mask and
+    every tensor after the embedding (see :func:`_walk`). While the rows
+    are fewer than GATHER_SHARE of the embedding's, ``scale_`` gathers them
+    into scratch in chunks, scales them and writes them back, and
+    ``zero_`` writes zero rows; the norm sums every block of the
+    embedding's memory that one of the rows reaches. From there on, and
+    with no mask, a pass walks the whole buffer. So the passes cost what a
+    batch touched, not the vocabulary, and give the bits of the
+    whole-buffer passes: zero and ``0 * k`` stay zero, and a block with
+    none of the rows sums to exactly 0.0. Every pass, and the norm over two
+    or more blocks, runs in two halves on two cores when the CPU affinity
+    allows (see :func:`_halves`), with the same bits as on one."""
+
+    def zero_(self) -> None:
         embedding = self.views["embedding"]
 
         def run(parts: list[slice | np.ndarray]) -> None:
@@ -507,32 +511,33 @@ class Gradients(ParamBuffer):
                 else:
                     embedding[part] = 0
 
-        _walk(run, self, rows, ADAM_BLOCK)
+        _walk(run, self, self.rows)
+        self.rows = np.zeros(self.dims.vocab_rows, bool)
 
-    def scale_(self, k: float, rows: np.ndarray | None = None) -> None:
+    def scale_(self, k: float) -> None:
         k = self.flat.dtype.type(k)
 
         def run(parts: list[slice | np.ndarray]) -> None:
             for _, (grad,) in _gathered(parts, (self,), (0,)):
                 np.multiply(grad, k, out=grad)
 
-        _walk(run, self, rows, ADAM_BLOCK)
+        _walk(run, self, self.rows)
 
-    def global_norm(self, rows: np.ndarray | None = None) -> float:
+    def global_norm(self) -> float:
         """L2 norm of every gradient tensor, squared and summed in float64
         over blocks of each tensor's memory; the gaps are not read. The
         blocks' sums are added one by one in block order, whichever half
-        computed them. With ``rows``, an embedding block that none of
-        ``rows`` reaches is not summed: its sum would be exactly 0.0, and
-        adding it to the nonnegative total changes no bit. A block that one
-        reaches is summed whole."""
+        computed them. An embedding block that none of ``rows`` reaches is
+        not summed: its sum would be exactly 0.0, and adding it to the
+        nonnegative total changes no bit. A block that one reaches is
+        summed whole."""
         # views, not copies: W and U are F-contiguous
         memories = [view.ravel(order="A") for view in self.arrays()]
         blocks = [(memory, lo) for memory in memories
                   for lo in range(0, memory.size, ADAM_BLOCK)]
-        if rows is not None:  # the embedding's blocks are the buffer's first
+        if self.rows is not None:  # the embedding's blocks are the buffer's first
             width, count = self.dims.embed_dim, -(-memories[0].size // ADAM_BLOCK)
-            rows = np.asarray(rows, np.int64)
+            rows = np.flatnonzero(self.rows)
             # a row reaches the blocks from its first element's to its last's
             first = rows * width // ADAM_BLOCK
             last = ((rows + 1) * width - 1) // ADAM_BLOCK
@@ -815,7 +820,8 @@ def backward(
     added into ``out`` (a fresh zero buffer when not supplied), so a
     caller can accumulate a mini-batch into one caller-owned buffer.
     Only embedding rows that actually appear in the batch receive
-    gradient. The rows run backward in the forward's lockstep.
+    gradient, and those BPTT reaches are set in ``out.rows`` (see
+    :class:`Gradients`). The rows run backward in the forward's lockstep.
 
     BPTT spends the trace: each step computes its dz into one step-sized
     buffer and then copies it over the gates it has read, so after the
@@ -897,7 +903,8 @@ def backward(
         gv[f"{name}.U"] += dz.T @ trace.h[prev, d]
         gv[f"{name}.b"] += dz.sum(axis=0)
         np.add.at(gv["embedding"], tokens, dz @ v[f"{name}.W"])
-
+    if grads.rows is not None:
+        grads.rows[trace.tokens[lo:]] = True
     return grads
 
 

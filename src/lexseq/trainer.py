@@ -27,12 +27,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import nn
 from .corpus import Document, LabelSet, SplitDataset
 from .errors import DataError, NumericError, open_input, parse_json, write_atomically
 from .metrics import EvaluationReport, evaluation_report
 from .nn import (
     ACTIVATIONS,
-    ADAM_BLOCK,
     BiLstmClassifier,
     Gradients,
     ModelDims,
@@ -87,7 +87,18 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Adam's first and second moments, in the parameter layout."""
+    """Adam's first and second moments, in the parameter layout.
+
+    The state's mask, ``m.rows`` and ``v.rows`` (one set; see
+    ``nn.Gradients``), is the union of the masks of every gradient
+    :func:`adam_update` has stepped: the embedding rows where m and v may
+    be nonzero. ``zeros_like`` starts it empty, and ``load_checkpoint``'s
+    state has None, any row. Adam steps the rows of that union and of the
+    gradient's mask, so a row that a batch touched once decays its m and
+    v at every later step: this is Adam, not lazy Adam. Outside those rows
+    the gradient, m and v are zero, where the step is +0.0 and changes no
+    bit of a parameter, m or v. The union is merged only once the
+    gradient's finite check has passed."""
 
     m: ParamBuffer
     v: ParamBuffer
@@ -124,60 +135,48 @@ def adam_update(
     grads: Gradients,
     state: AdamState,
     config: TrainConfig,
-    rows: np.ndarray | None = None,
-    moment_rows: np.ndarray | None = None,
 ) -> tuple[BiLstmClassifier, AdamState]:
     """One bias-corrected Adam step, applied in place to every parameter.
 
     A non-finite gradient raises a NumericError naming the tensor of the
     first non-finite element in flat order, before anything changes: the
-    gradient is checked first, and only then is ``state.t`` incremented
-    and the step taken. The step walks the flat parameter, gradient, m and
-    v buffers in blocks of at most ADAM_BLOCK elements through two
-    block-sized scratch buffers, with ``out=`` ufuncs in the operation
-    order of ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. Every
+    gradient is checked first, and only then is ``state.t`` incremented,
+    the state's row mask merged (see :class:`AdamState`) and the step
+    taken. The step walks the flat parameter, gradient, m and v buffers in
+    blocks of at most ``nn.ADAM_BLOCK`` elements through two block-sized
+    scratch buffers, with ``out=`` ufuncs in the operation order of
+    ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, and gathers
+    embedding rows into scratch as ``nn.Gradients``' passes do. Every
     element it walks goes through the operations of that expression, so
     the result is bit-identical to it. The check and the step each run in
     two halves of their blocks on two cores when the CPU affinity allows
     (see ``nn._halves``), with the same bits as on one.
-
-    ``rows`` and ``moment_rows`` (sorted unique embedding row ids; None is
-    every row) narrow the two passes to those embedding rows and every
-    other tensor (see ``nn._walk``): while they are fewer than
-    ``nn.GATHER_SHARE`` of the rows, the pass gathers them into scratch
-    in chunks of ADAM_BLOCK // embed_dim rows, runs the same ufuncs on the
-    chunk, and writes back the parameter, m and v rows; a gathered element
-    goes through the same operations as in place. The check reads
-    ``rows``: the gradient must be zero outside them. The step walks
-    ``moment_rows``: the gradient, m and v must be zero outside them, so
-    they are every row with a nonzero gradient at this or an earlier step
-    of ``state``. Elsewhere the step would be +0.0 and change no bit of a
-    parameter, m or v. A row of ``moment_rows`` that this step's gradient
-    does not touch still decays its m and v: this is Adam, not lazy Adam.
     """
     buffers = (model.params, grads, state.m, state.v)
     width = model.dims.embed_dim
 
-    def first_non_finite(parts: list[slice | np.ndarray]) -> int | None:
-        finite = np.empty(max(ADAM_BLOCK, width), bool)
+    def first_non_finite(parts: list[slice | np.ndarray]) -> str | None:
+        finite = np.empty(max(nn.ADAM_BLOCK, width), bool)
         for part, (grad,) in _gathered(parts, (grads,), ()):
             ok = np.isfinite(grad, out=finite[:grad.size])
             if not ok.all():
-                k = int(np.argmin(ok))
                 if isinstance(part, slice):
-                    return part.start + k
-                return int(part[k // width]) * width + k % width
+                    return grads.name_at(part.start + int(np.argmin(ok)))
+                return "embedding"
         return None
 
-    bad = [k for k in _walk(first_non_finite, grads, rows, ADAM_BLOCK) if k is not None]
+    bad = [name for name in _walk(first_non_finite, grads, grads.rows) if name]
     if bad:
-        raise NumericError(f"non-finite gradient for tensor {grads.name_at(bad[0])}")
+        raise NumericError(f"non-finite gradient for tensor {bad[0]}")
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
+    masks = (grads.rows, state.m.rows, state.v.rows)
+    rows = None if any(mask is None for mask in masks) else np.logical_or.reduce(masks)
+    state.m.rows = state.v.rows = rows
 
     def step(parts: list[slice | np.ndarray]) -> None:
-        scratch = np.empty(max(ADAM_BLOCK, width), grads.flat.dtype)
+        scratch = np.empty(max(nn.ADAM_BLOCK, width), grads.flat.dtype)
         denom = np.empty_like(scratch)
         # param, m and v go back to a gathered chunk's rows
         for _, (param, grad, m, v) in _gathered(parts, buffers, (0, 2, 3)):
@@ -195,7 +194,7 @@ def adam_update(
             s /= d
             param -= s
 
-    _walk(step, grads, moment_rows, ADAM_BLOCK)
+    _walk(step, grads, rows)
     return model, state
 
 
@@ -277,20 +276,13 @@ def train(
 
     Per epoch: one seeded shuffle of the train indices, gradients
     averaged over each mini-batch (the final short batch is kept), one
-    Adam step per batch, then validation metrics. The gradient passes and
-    Adam gather only the embedding rows a batch can write, the unique token
-    ids of its windows, and walk every other tensor: zeroing clears the
-    last batch's rows (the first batch's buffer is fresh from
-    ``zeros_like``), scaling, the norm and Adam's check read this batch's
-    rows, and Adam steps every row a batch of this call has touched, so
-    each of those rows decays its m and v at every step. Once those rows
-    are dense, a pass walks the whole buffer. The bits are those of the
-    passes over the whole buffers (see ``nn.Gradients`` and
-    :func:`adam_update`). When a checkpoint
-    path is configured, the model is written there each time the
-    validation accuracy improves (ties keep the earlier epoch), before
-    ``on_epoch`` sees the epoch, so a run stopped early leaves its best
-    model so far; without validation it is written once, at the end.
+    Adam step per batch, then validation metrics. The gradient buffer is
+    zeroed before every batch but the first, whose buffer is fresh from
+    ``zeros_like``. When a checkpoint path is configured, the model is
+    written there each time the validation accuracy improves (ties keep
+    the earlier epoch), before ``on_epoch`` sees the epoch, so a run
+    stopped early leaves its best model so far; without validation it is
+    written once, at the end.
 
     Returns ``model``, trained in place to the last epoch, and the
     history. The best validation epoch's model is the checkpoint's:
@@ -305,10 +297,6 @@ def train(
     rng = SplitMix64(config.seed)
     state = AdamState.zeros_like(model)
     grads = Gradients.zeros_like(model)
-    # the embedding rows each batch can write (the unique token ids of its
-    # windows), and every row a batch of this call has written
-    rows = None  # no batch yet: zeros_like has zeroed the gradients
-    touched = np.zeros(model.dims.vocab_rows, bool)
     history = TrainHistory()
     best_val_acc = -1.0
     n = len(train_seqs)
@@ -321,10 +309,8 @@ def train(
         correct = 0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            if rows is not None:
-                grads.zero_(rows)
-            rows = np.unique(np.concatenate([train_seqs[k].ids[:train_seqs[k].length]
-                                             for k in batch]))
+            if state.t:  # zeros_like has zeroed the first batch's buffer
+                grads.zero_()
             batch_loss = 0.0
             for group in _length_groups(batch, train_seqs):
                 targets = [train_targets[k] for k in group]
@@ -338,13 +324,12 @@ def train(
                 # no trace stays alive through the next group's forward,
                 # Adam's step or validation
                 del probs, trace
-            touched[rows] = True  # forward has checked the ids
-            grads.scale_(1.0 / len(batch), rows)
+            grads.scale_(1.0 / len(batch))
             if config.clip_norm is not None:
-                norm = grads.global_norm(rows)
+                norm = grads.global_norm()
                 if norm > config.clip_norm:
-                    grads.scale_(config.clip_norm / norm, rows)
-            adam_update(model, grads, state, config, rows, np.flatnonzero(touched))
+                    grads.scale_(config.clip_norm / norm)
+            adam_update(model, grads, state, config)
             epoch_loss += batch_loss
         val_loss = val_acc = None
         if val_seqs:

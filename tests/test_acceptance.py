@@ -10,8 +10,12 @@ contract.
 
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -35,7 +39,6 @@ from lexseq.tokenizer import (
     build_vocabulary,
     iter_tokens,
 )
-from lexseq.trainer import TrainConfig, train
 
 # Reference per-class table (rows ARE, Acórdão, Despacho, Outro, RE,
 # Sentença) and the test-partition supports.
@@ -174,21 +177,34 @@ def test_criterion_6_end_to_end_learning(tmp_path):
 
 
 def test_criterion_7_deterministic_checkpoints(tmp_path):
+    """Two `python -m lexseq train` processes with other hash seeds write
+    the same checkpoint bytes, and the same history bytes but for the
+    wall-clock seconds of each epoch."""
     docs = make_synthetic_corpus(n_docs=90, seed=31)
-    split = stratified_split(docs, (0.7, 0.2, 0.1), seed=8)
-    vocab = build_vocabulary(iter_tokens(d.text for d in split.train), cap=1000)
-    blobs = []
-    for name in ("one.ckpt", "two.ckpt"):
-        dims = nn.ModelDims(vocab_rows=vocab.id_count, embed_dim=16, hidden=12,
-                            classes=6, max_len=40)
-        model = nn.init_parameters(dims, seed=8, labels=SYNTH_LABELS,
-                                   vocab_digest=vocab.digest())
-        config = TrainConfig(epochs=3, batch_size=16, seed=8,
-                             checkpoint_path=str(tmp_path / name))
-        train(model, split, vocab, config)
-        blobs.append((tmp_path / name).read_bytes())
-    check(7, "identical config and seed give byte-identical checkpoints",
-          blobs[0] == blobs[1], f"{len(blobs[0])} bytes")
+    data, labels_path = tmp_path / "corpus.jsonl", tmp_path / "labels.txt"
+    save_dataset(docs, LabelSet(SYNTH_LABELS), data)
+    labels_path.write_text("\n".join(SYNTH_LABELS) + "\n", encoding="utf-8")
+    vocab_path = tmp_path / "vocab.txt"
+    assert cli.run(["build-vocab", str(data), "--labels", str(labels_path),
+                    "--seed", "8", "--cap", "1000", "-o", str(vocab_path)]) == 0
+    src = Path(cli.__file__).resolve().parents[1]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        ckpt, history = tmp_path / f"{hash_seed}.ckpt", tmp_path / f"{hash_seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "lexseq", "train", str(data), "--labels",
+             str(labels_path), "--vocab", str(vocab_path), "--seed", "8",
+             "--epochs", "2", "--batch", "16", "--embed", "16", "--hidden", "12",
+             "--max-len", "40", "-o", str(ckpt), "--history", str(history)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append((ckpt.read_bytes(), re.sub(rb'"seconds": [^,\n}]+', b'"seconds": 0',
+                                                  history.read_bytes())))
+    check(7, "identical config and seed give byte-identical checkpoints "
+          "in processes with other hash seeds", outputs[0] == outputs[1],
+          f"{len(outputs[0][0])} bytes")
 
 
 def test_criterion_8_inference_throughput():

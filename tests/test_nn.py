@@ -38,6 +38,13 @@ def tiny_dims(**kw):
     return nn.ModelDims(**base)
 
 
+def row_mask(dims, rows):
+    """A mask of the embedding rows ``rows``, as ``ParamBuffer.rows`` holds."""
+    mask = np.zeros(dims.vocab_rows, bool)
+    mask[rows] = True
+    return mask
+
+
 def zeroed_model(dims, activation="relu"):
     model = nn.init_parameters(dims, seed=0, activation=activation)
     for arr in model.params.arrays():
@@ -298,6 +305,7 @@ class TestBackward:
         _, trace = nn.forward([seq], model)
         grads = nn.backward(trace, [0])
         used = {3, 4}
+        assert np.flatnonzero(grads.rows).tolist() == sorted(used)
         for row in range(model.dims.vocab_rows):
             if row not in used:
                 npt.assert_array_equal(grads.views["embedding"][row], 0)
@@ -792,10 +800,10 @@ class TestHalves:
         assert calls == [(0, n, threading.get_ident())]
 
     @staticmethod
-    def walk(buf, rows, block):
+    def walk(buf, mask):
         """The parts nn._walk gives its job, in order, and the thread that
         ran each."""
-        results = nn._walk(lambda parts: (parts, threading.get_ident()), buf, rows, block)
+        results = nn._walk(lambda parts: (parts, threading.get_ident()), buf, mask)
         return ([part for parts, _ in results for part in parts],
                 [ident for parts, ident in results for _ in parts])
 
@@ -805,22 +813,24 @@ class TestHalves:
         # block: on two cores the caller gathers the rows, the worker the rest
         on_cores(cores)
         buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
-        parts, threads = self.walk(buf, np.array([5, 6, 900]), nn.ADAM_BLOCK)
+        parts, threads = self.walk(buf, row_mask(buf.dims, [5, 6, 900]))
         assert parts[0].tolist() == [5, 6, 900]
         assert parts[1:] == [slice(buf.starts[1], buf.flat.size)]
         assert threads[0] == threading.get_ident()
         assert (threads[1] != threading.get_ident()) == (cores == 2)
 
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_walk_takes_the_whole_buffer_where_rows_cost_more(self, cores, on_cores):
+    def test_walk_takes_the_whole_buffer_where_rows_cost_more(self, cores, on_cores,
+                                                              monkeypatch):
         # from GATHER_SHARE of the embedding's rows on, gathering costs more
         # than a pass over the whole buffer in blocks
         on_cores(cores)
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
         buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
         size, dense = buf.flat.size, math.ceil(nn.GATHER_SHARE * 20_000)
         for count in (dense - 1, dense):
             rows = np.arange(0, 2 * count, 2)
-            parts, threads = self.walk(buf, rows, 97)
+            parts, threads = self.walk(buf, row_mask(buf.dims, rows))
             assert len(set(threads)) == cores
             chunks = [part for part in parts if not isinstance(part, slice)]
             start = buf.starts[1] if chunks else 0
@@ -956,14 +966,16 @@ class TestParamBuffer:
     def test_gradient_passes_cover_every_tensor(self):
         model = nn.init_parameters(tiny_dims(), seed=2)
         grads = nn.Gradients.zeros_like(model)
+        assert grads.rows.shape == (model.dims.vocab_rows,) and not grads.rows.any()
         for arr in grads.arrays():  # the gaps between tensors stay zero
             arr[...] = 2.0
+        grads.rows[:] = True  # every row planted
         grads.scale_(0.25)
         for arr in grads.arrays():
             npt.assert_array_equal(arr, 0.5)
         assert grads.global_norm() == pytest.approx(0.5 * math.sqrt(nn.param_size(model.dims)))
         grads.zero_()
-        assert not any(arr.any() for arr in grads.arrays())
+        assert not any(arr.any() for arr in grads.arrays()) and not grads.rows.any()
 
     @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 7])
     def test_global_norm_does_not_read_the_gaps(self, block, monkeypatch, on_cores):
@@ -971,6 +983,7 @@ class TestParamBuffer:
         grads = nn.Gradients.zeros_like(nn.init_parameters(tiny_dims(hidden=5), seed=2))
         for view in grads.arrays():
             view[...] = np.arange(view.size).reshape(view.shape) % 5 - 2.0
+        grads.rows[:] = True  # every row planted
         gap = np.ones(grads.flat.size, bool)
         for start, view in zip(grads.starts, grads.arrays()):
             gap[start:start + view.size] = False
@@ -994,6 +1007,7 @@ class TestParamBuffer:
         rng = np.random.default_rng(6)
         for view in grads.arrays():
             view[...] = rng.standard_normal(view.shape) * 10.0 ** rng.integers(-9, 4, view.shape)
+        grads.rows[:] = True  # every row planted
         # the per-tensor float64 expression that the blocked norm replaced
         expected = math.sqrt(sum(float(np.sum(arr.astype(np.float64) ** 2))
                                  for arr in grads.arrays()))
@@ -1017,23 +1031,24 @@ class TestParamBuffer:
             splits = on_cores(cores)
             for k in (0.25, 1 / 3, 1e-30):
                 grads.flat[...] = values
+                grads.rows = None  # any row: planted whole
                 grads.scale_(k)
                 assert grads.flat.tobytes() == (values * dtype(k)).tobytes()
             grads.zero_()
-            assert not grads.flat.any()
+            assert not grads.flat.any() and not grads.rows.any()
             assert len(splits) == 4
 
 
 class TestRowRanges:
-    """The parts of a pass over the embedding rows a batch touched (see
+    """The parts of a pass over the embedding rows of a buffer's mask (see
     nn._walk): the rows in chunks, which the pass gathers, and every tensor
     after the embedding, with the bits of the whole-buffer passes."""
 
     dims = tiny_dims(vocab_rows=400, embed_dim=8, hidden=5)
 
     @staticmethod
-    def parts(buf, rows, block):
-        return [part for parts in nn._walk(lambda parts: parts, buf, rows, block)
+    def parts(buf, mask):
+        return [part for parts in nn._walk(lambda parts: parts, buf, mask)
                 for part in parts]
 
     @settings(max_examples=60, deadline=None)
@@ -1044,7 +1059,9 @@ class TestRowRanges:
         # are narrower than a row
         buf = nn.ParamBuffer(self.dims)
         rows = np.array(sorted(rows), np.int64)
-        parts = self.parts(buf, rows, block)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nn, "ADAM_BLOCK", block)
+            parts = self.parts(buf, row_mask(self.dims, rows))
         chunks = [part for part in parts if not isinstance(part, slice)]
         start = 0
         if len(rows) < nn.GATHER_SHARE * self.dims.vocab_rows:
@@ -1063,15 +1080,18 @@ class TestRowRanges:
                                        for lo in range(start, size, block)]
 
     @pytest.mark.parametrize("block", [7, nn.ADAM_BLOCK])
-    def test_no_rows_walk_the_whole_buffer_in_blocks(self, block):
+    def test_no_rows_walk_the_whole_buffer_in_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
         buf = nn.ParamBuffer(self.dims)
         size = buf.flat.size
-        assert self.parts(buf, None, block) == [slice(lo, min(lo + block, size))
-                                                for lo in range(0, size, block)]
+        assert buf.rows is None  # not from zeros_like: any row
+        assert self.parts(buf, buf.rows) == [slice(lo, min(lo + block, size))
+                                             for lo in range(0, size, block)]
 
-    def test_no_rows_walk_only_the_tensors_after_the_embedding(self):
-        buf = nn.ParamBuffer(self.dims)
-        assert self.parts(buf, np.array([], np.int64), 10**6) == [
+    def test_no_rows_walk_only_the_tensors_after_the_embedding(self, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 10**6)
+        buf = nn.Gradients.zeros_like(nn.init_parameters(self.dims, seed=0))
+        assert self.parts(buf, buf.rows) == [
             slice(self.dims.vocab_rows * 8, buf.flat.size)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1090,19 +1110,19 @@ class TestRowRanges:
         dense = nn.Gradients(dims, dtype)
         for name, view in dense.views.items():
             view[...] = rng.standard_normal(view.shape) * 10.0 ** rng.integers(-9, 4, view.shape)
-        mask = np.zeros(dims.vocab_rows, bool)
-        mask[rows] = True
+        mask = row_mask(dims, rows)
         dense.views["embedding"][~mask] = 0  # the rows a batch did not touch
         results = []
         for cores in (1, 2):
             splits = on_cores(cores)
-            for with_rows in (None, rows):
+            for with_mask in (None, mask):
                 grads = nn.Gradients(dims, dtype, dense.flat)
-                norm = grads.global_norm(with_rows)
-                grads.scale_(1 / 3, with_rows)
+                grads.rows = None if with_mask is None else with_mask.copy()
+                norm = grads.global_norm()
+                grads.scale_(1 / 3)
                 scaled = grads.flat.tobytes()
-                grads.zero_(with_rows)
-                assert not grads.flat.any()
+                grads.zero_()
+                assert not grads.flat.any() and not grads.rows.any()
                 results.append((norm, scaled))
             assert splits
         assert all(result == results[0] for result in results)
@@ -1112,9 +1132,10 @@ class TestRowRanges:
     def test_row_passes_leave_every_other_row_alone(self):
         grads = nn.Gradients(self.dims)
         grads.flat[...] = 2.0
-        rows = np.array([1, 7, 8, 300])
-        grads.scale_(0.5, rows)
-        grads.zero_(np.array([7]))
+        grads.rows = row_mask(self.dims, [1, 7, 8, 300])
+        grads.scale_(0.5)
+        grads.rows = row_mask(self.dims, [7])
+        grads.zero_()
         expected = np.full(self.dims.vocab_rows, 2.0)
         expected[[1, 8, 300]] = 1.0
         expected[7] = 0.0

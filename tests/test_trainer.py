@@ -138,13 +138,13 @@ class TestAdamUpdate:
             adam_update(model, grads, AdamState.zeros_like(model), TrainConfig())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("block", [trainer.ADAM_BLOCK, 97])
+    @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 97])
     def test_bit_identical_to_per_tensor_reference(self, dtype, block, monkeypatch,
                                                    on_cores):
         # more than two blocks, the last one short; 97 also cuts small tensors
-        dims = nn.ModelDims(vocab_rows=trainer.ADAM_BLOCK // 4 + 1001, embed_dim=8,
+        dims = nn.ModelDims(vocab_rows=nn.ADAM_BLOCK // 4 + 1001, embed_dim=8,
                             hidden=5, classes=3, max_len=8)
-        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
         model = nn.init_parameters(dims, seed=3, dtype=dtype)
         size = model.params.flat.size
         assert size > 2 * block and size % block
@@ -160,6 +160,7 @@ class TestAdamUpdate:
                 g = rng.standard_normal(view.shape) * 10.0 ** rng.integers(-9, 4, view.shape)
                 g[rng.random(view.shape) < 0.3] = 0  # like rows a batch never saw
                 view[...] = g
+            grads.rows[:] = True  # every row planted
             steps.append(grads)
             _adam_reference(ref, [a.copy() for a in grads.arrays()], ref_m, ref_v, t, config)
         for cores in (1, 2):
@@ -174,7 +175,7 @@ class TestAdamUpdate:
                 assert a.tobytes() == b.tobytes(), (name, cores)
 
     def test_non_finite_gradient_in_a_later_block_names_its_tensor(self, monkeypatch):
-        monkeypatch.setattr(trainer, "ADAM_BLOCK", 5)
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 5)
         model = self.tiny_model()
         grads = nn.Gradients.zeros_like(model)
         grads.views["head.W"][1, 0] = np.inf
@@ -187,13 +188,14 @@ class TestAdamUpdate:
     def test_a_non_finite_gradient_changes_nothing(self, bad, monkeypatch, on_cores):
         # 144 elements in blocks of 5: the halves meet at element 70, between
         # forward_dir.U (from 32) and head.W (from 112)
-        monkeypatch.setattr(trainer, "ADAM_BLOCK", 5)
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 5)
         model = self.tiny_model()
         grads = nn.Gradients.zeros_like(model)
         cut = len(range(0, grads.flat.size, 5)) // 2 * 5
         assert grads.starts[2] + 16 <= cut <= grads.starts[7]
         state = AdamState.zeros_like(model)
         grads.flat[...] = np.linspace(-1, 1, grads.flat.size)
+        grads.rows[:] = True  # every row planted
         adam_update(model, grads, state, TrainConfig())  # m, v and t not zero
         for name in bad:
             grads.views[name][-1] = np.nan
@@ -209,30 +211,30 @@ class TestAdamUpdate:
     @staticmethod
     def row_steps(dims, batches, use_rows, clip_norm):
         """Run the buffer passes as train() does, on gradients written into
-        each batch's embedding rows and every other tensor: with each
-        batch's rows, or over the whole buffers. The bytes of the
-        parameters, m and v after every step, and the norms."""
+        each batch's embedding rows and every other tensor: with the mask of
+        each batch's rows, or with no mask, over the whole buffers. The
+        bytes of the parameters, m and v after every step, the norms and
+        the state."""
         model = nn.init_parameters(dims, seed=4)
         grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
-        touched = np.zeros(dims.vocab_rows, bool)
         values = np.random.default_rng(10)
-        snapshots, norms, last = [], [], None
+        snapshots, norms = [], []
         for rows in batches:
-            if last is not None:
-                grads.zero_(last if use_rows else None)
-            last = rows
+            if state.t:
+                grads.zero_()
             grads.views["embedding"][rows] += values.standard_normal((rows.size, dims.embed_dim))
             for view in grads.arrays()[1:]:
                 view += values.standard_normal(view.shape)
-            touched[rows] = True
-            narrow = rows if use_rows else None
-            grads.scale_(0.25, narrow)
+            if use_rows:
+                grads.rows[rows] = True
+            else:
+                grads.rows = None
+            grads.scale_(0.25)
             if clip_norm is not None:
-                norms.append(grads.global_norm(narrow))
+                norms.append(grads.global_norm())
                 if norms[-1] > clip_norm:
-                    grads.scale_(clip_norm / norms[-1], narrow)
-            adam_update(model, grads, state, TrainConfig(learning_rate=0.01), narrow,
-                        np.flatnonzero(touched) if use_rows else None)
+                    grads.scale_(clip_norm / norms[-1])
+            adam_update(model, grads, state, TrainConfig(learning_rate=0.01))
             snapshots.append(b"".join(buf.flat.tobytes()
                                       for buf in (model.params, state.m, state.v)))
         return snapshots, norms, state
@@ -243,20 +245,24 @@ class TestAdamUpdate:
                                                            monkeypatch, on_cores):
         # row 5 has a gradient at the first step only; Adam still decays its
         # m and v at every later step (lazy Adam would not)
-        for module in (nn, trainer):
-            monkeypatch.setattr(module, "ADAM_BLOCK", 97)
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
         dims = nn.ModelDims(vocab_rows=500, embed_dim=8, hidden=5, classes=3, max_len=8)
         rng = np.random.default_rng(9)
         batches = [np.unique(np.r_[5, rng.integers(6, 500, 20)])] + [
             np.unique(rng.integers(6, 500, 20)) for _ in range(8)]
         for cores in (1, 2):
             splits = on_cores(cores)
-            dense, dense_norms, _ = self.row_steps(dims, batches, False, clip_norm)
+            dense, dense_norms, dense_state = self.row_steps(dims, batches, False, clip_norm)
             rows, row_norms, state = self.row_steps(dims, batches, True, clip_norm)
             assert splits
             assert rows == dense and row_norms == dense_norms  # every bit, every step
         if clip_norm == 6.8:  # the norm crossed the bound both ways
             assert min(dense_norms) < clip_norm < max(dense_norms)
+        # the state's mask is every row a batch touched, or any row
+        assert dense_state.m.rows is None and dense_state.v.rows is None
+        touched = np.unique(np.concatenate(batches)).tolist()
+        assert np.flatnonzero(state.m.rows).tolist() == touched
+        assert np.flatnonzero(state.v.rows).tolist() == touched
         m = state.m.views["embedding"]
         first = np.frombuffer(rows[0], np.float32)[state.m.flat.size:][5 * 8:6 * 8]
         npt.assert_allclose(m[5], first * trainer.BETA1 ** 8, rtol=1e-5)
@@ -265,9 +271,9 @@ class TestAdamUpdate:
     def test_a_non_finite_gradient_in_a_touched_row_changes_nothing(self, monkeypatch,
                                                                     on_cores):
         # a NaN in a gathered row, in a tensor after the embedding, and in
-        # both: the first in flat order is named, and nothing changes
-        for module in (nn, trainer):
-            monkeypatch.setattr(module, "ADAM_BLOCK", 97)
+        # both: the first in flat order is named, and nothing changes, the
+        # state's mask included, though the gradient's mask holds a new row
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
         dims = nn.ModelDims(vocab_rows=500, embed_dim=8, hidden=5, classes=3, max_len=8)
         rows = np.array([3, 40, 41, 250, 499])
         assert rows.size < nn.GATHER_SHARE * dims.vocab_rows  # gathered
@@ -276,7 +282,10 @@ class TestAdamUpdate:
             grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
             grads.views["embedding"][rows] = 0.5
             grads.views["head.b"][...] = 0.25
-            adam_update(model, grads, state, TrainConfig(), rows, rows)  # m, v, t not zero
+            grads.rows[rows] = True
+            adam_update(model, grads, state, TrainConfig())  # m, v, t not zero
+            grads.views["embedding"][7] = 0.5
+            grads.rows[7] = True
             for name in bad:
                 view = grads.views[name]
                 view[250 if name == "embedding" else -1, 6 % view.shape[1]] = np.nan
@@ -284,32 +293,37 @@ class TestAdamUpdate:
                 splits = on_cores(cores)
                 before = [a.copy() for a in (model.params.flat, state.m.flat, state.v.flat)]
                 with pytest.raises(NumericError, match=f"tensor {bad[-1]}$"):
-                    adam_update(model, grads, state, TrainConfig(), rows, rows)
+                    adam_update(model, grads, state, TrainConfig())
                 assert splits and state.t == 1
                 for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
                     assert a.tobytes() == b.tobytes()
+                for mask in (state.m.rows, state.v.rows):
+                    assert np.flatnonzero(mask).tolist() == rows.tolist()
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_a_row_step_allocates_only_chunk_sized_scratch(self, cores, on_cores):
         # 3,000, 5,000 and 7,000 rows of 100 elements, in 5 to 11 chunks of
         # 655 rows: per half, the step's two scratch arrays and the four it
-        # gathers into, however many rows
+        # gathers into, however many rows; besides, the call reads the row
+        # ids out of the masks (8 bytes a row) and keeps the state's new
+        # mask (a byte per embedding row)
         dims = nn.ModelDims(vocab_rows=20_000, embed_dim=100, hidden=4, classes=3,
                             max_len=8)
         model = nn.init_parameters(dims, seed=4)
-        grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
         on_cores(cores)
         rng = np.random.default_rng(3)
         peaks = []
         for count in (3000, 3000, 5000, 7000):  # the first call warms up
             rows = np.sort(rng.choice(dims.vocab_rows, count, replace=False))
             assert count < nn.GATHER_SHARE * dims.vocab_rows  # gathered
+            grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
             grads.views["embedding"][rows] = 0.5
+            grads.rows[rows] = True
             peaks.append(traced_peak(
-                lambda: adam_update(model, grads, state, TrainConfig(), rows, rows)))
-        chunk = 4 * trainer.ADAM_BLOCK
+                lambda: adam_update(model, grads, state, TrainConfig())))
+        chunk = 4 * nn.ADAM_BLOCK
         assert peaks[1] > 6 * cores * (chunk // 2)  # the scratch is there
-        assert max(peaks[1:]) <= 6 * cores * chunk + 64 * 1024
+        assert max(peaks[1:]) <= 6 * cores * chunk + 8 * 7000 + dims.vocab_rows + 64 * 1024
         assert max(peaks[2:]) <= peaks[1] + 64 * 1024
 
     def test_step_counter_increments(self):
@@ -367,8 +381,8 @@ class TestTrain:
         import lexseq.trainer as trainer_mod
         seen = {"t": 0}
 
-        def spy(params, grads, state, cfg, *rows):
-            result = orig(params, grads, state, cfg, *rows)
+        def spy(params, grads, state, cfg):
+            result = orig(params, grads, state, cfg)
             seen["t"] = state.t
             return result
 
@@ -417,8 +431,7 @@ class TestTrain:
     def test_two_cores_train_the_bytes_of_one(self, monkeypatch, on_cores):
         # every pass splits: Adam, zero_, scale_ and global_norm over blocks
         # of 97, and every projection of 4 rows or more
-        for module in (nn, trainer):
-            monkeypatch.setattr(module, "ADAM_BLOCK", 97)
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
         monkeypatch.setattr(nn, "PROJECTION_ROWS", 4)
         # perfbench/tracing.py wraps these and keeps one span stack, so the
         # worker thread must call none of them
@@ -450,11 +463,11 @@ class TestTrain:
 
     def test_no_zero_runs_before_the_first_backward_of_a_call(self, monkeypatch):
         # zeros_like has just zeroed the buffer; each later batch clears only
-        # the rows of the batch before it
+        # the rows of the batch before it, which its mask holds
         events = []
         zero_, backward = nn.Gradients.zero_, trainer.backward
         monkeypatch.setattr(nn.Gradients, "zero_",
-                            lambda grads, rows=None: events.append(rows) or zero_(grads, rows))
+                            lambda grads: events.append(grads.rows.copy()) or zero_(grads))
         monkeypatch.setattr(trainer, "backward",
                             lambda *args, **kw: events.append("backward") or backward(*args, **kw))
         split, vocab = build_setup(n_docs=60)
@@ -464,18 +477,18 @@ class TestTrain:
             model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
             train(model, split, vocab, TrainConfig(epochs=2, batch_size=8, seed=1))
             assert events[0] == "backward"
-            zeros = [rows for rows in events if not isinstance(rows, str)]
+            zeros = [mask for mask in events if not isinstance(mask, str)]
             assert len(zeros) == 2 * batches - 1
-            assert all(rows is not None and rows.size for rows in zeros)
+            assert all(mask.any() for mask in zeros)
 
     @staticmethod
     def adam_gradients(monkeypatch, clip_norm):
         """The gradient buffer each Adam step of a one-epoch run receives."""
         seen = []
 
-        def spy(model, grads, state, cfg, *rows):
+        def spy(model, grads, state, cfg):
             seen.append(grads.flat.copy())
-            return adam_update(model, grads, state, cfg, *rows)
+            return adam_update(model, grads, state, cfg)
 
         monkeypatch.setattr(trainer, "adam_update", spy)
         split, vocab = build_setup(n_docs=60)
@@ -580,8 +593,8 @@ class TestTrain:
 
 class TestRowPasses:
     """train() runs zero_, scale_, global_norm and Adam over the embedding
-    rows its batches touched; every byte must be that of the passes over
-    the whole buffers."""
+    rows of the gradient's and the state's masks; every byte must be that
+    of the passes over the whole buffers."""
 
     @staticmethod
     def long_setup():
@@ -602,9 +615,9 @@ class TestRowPasses:
         it walked only the tensors after the embedding."""
         walk, walks = nn._walk, []
 
-        def spy(job, buf, rows, block):
+        def spy(job, buf, mask):
             parts = []
-            results = walk(lambda some: parts.extend(some) or job(some), buf, rows, block)
+            results = walk(lambda some: parts.extend(some) or job(some), buf, mask)
             walks.append("gathered" if any(isinstance(p, np.ndarray) for p in parts)
                          else "whole" if parts[0].start == 0 else "tail")
             return results
@@ -617,8 +630,7 @@ class TestRowPasses:
     @pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["unclipped", "clipped"])
     def test_row_passes_train_the_bytes_of_the_whole_buffers(self, activation, clip_norm,
                                                              monkeypatch, on_cores):
-        for module in (nn, trainer):  # chunks of 12 rows
-            monkeypatch.setattr(module, "ADAM_BLOCK", 97)
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 97)  # chunks of 12 rows
         split, vocab = self.long_setup()
         dims = nn.ModelDims(vocab_rows=vocab.id_count, embed_dim=8, hidden=8, classes=3,
                             max_len=64)
@@ -629,10 +641,12 @@ class TestRowPasses:
             steps.append(len(trace.steps))
             return backward(trace, targets, out=out)
 
-        def adam_spy(model, grads, state, cfg, *rows):
+        def adam_spy(model, grads, state, cfg):
             states.append(state)
-            adam_rows.append(rows)
-            return adam_update(model, grads, state, cfg, *rows)
+            rows = np.flatnonzero(grads.rows)
+            result = adam_update(model, grads, state, cfg)
+            adam_rows.append((rows, np.flatnonzero(state.m.rows)))
+            return result
 
         monkeypatch.setattr(trainer, "backward", backward_spy)
         monkeypatch.setattr(nn, "_phi_derivative",  # twice per BPTT step
@@ -665,24 +679,21 @@ class TestRowPasses:
         # rows touched before but not by this batch, which still decay
         assert any(np.setdiff1d(moment_rows, rows).size for rows, moment_rows in adam_rows[1:15])
 
-
     @staticmethod
     def pass_steps(model, batches, use_rows, clip_norm):
         """Run train()'s buffer passes on each batch's gradient: backward
         over documents of the batch's row ids (row 0, PAD, is no token), or
         a gradient after the embedding only for a batch of no rows, plus a
-        planted value in each of its rows; with each batch's rows, or over
-        the whole buffers. The bytes of the parameters, m and v after every
-        step, and the norms."""
+        planted value in each of its rows; with the masks backward and the
+        planting set, or with no mask, over the whole buffers. The bytes of
+        the parameters, m and v after every step, and the norms."""
         dims = model.dims
         grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
-        touched = np.zeros(dims.vocab_rows, bool)
         planted = np.random.default_rng(10)
-        snapshots, norms, last = [], [], None
+        snapshots, norms = [], []
         for rows in batches:
-            if last is not None:
-                grads.zero_(last if use_rows else None)
-            last = rows
+            if state.t:
+                grads.zero_()
             tokens = rows[rows > 0]
             if tokens.size:
                 docs = np.array_split(tokens, -(-tokens.size // dims.max_len))
@@ -692,15 +703,16 @@ class TestRowPasses:
                 for view in grads.arrays()[1:]:
                     view += 0.5
             grads.views["embedding"][rows] += planted.standard_normal((rows.size, dims.embed_dim))
-            touched[rows] = True
-            narrow = rows if use_rows else None
-            grads.scale_(1 / 3, narrow)
+            if use_rows:
+                grads.rows[rows] = True
+            else:
+                grads.rows = None
+            grads.scale_(1 / 3)
             if clip_norm is not None:
-                norms.append(grads.global_norm(narrow))
+                norms.append(grads.global_norm())
                 if norms[-1] > clip_norm:
-                    grads.scale_(clip_norm / norms[-1], narrow)
-            adam_update(model, grads, state, TrainConfig(learning_rate=0.01), narrow,
-                        np.flatnonzero(touched) if use_rows else None)
+                    grads.scale_(clip_norm / norms[-1])
+            adam_update(model, grads, state, TrainConfig(learning_rate=0.01))
             snapshots.append(b"".join(buf.flat.tobytes()
                                       for buf in (model.params, state.m, state.v)))
         return snapshots, norms
@@ -727,8 +739,7 @@ class TestRowPasses:
     def test_gathered_passes_keep_the_bytes_of_the_whole_buffers(
             self, case, clip_norm, activation, monkeypatch, on_cores):
         if case == "chunks":
-            for module in (nn, trainer):
-                monkeypatch.setattr(module, "ADAM_BLOCK", 40)
+            monkeypatch.setattr(nn, "ADAM_BLOCK", 40)
         batches = [np.unique(np.asarray(rows, np.int64)) for rows in self.CASES[case]]
         dims = nn.ModelDims(vocab_rows=self.VOCAB_ROWS, embed_dim=12, hidden=4,
                             classes=3, max_len=64)
@@ -745,6 +756,52 @@ class TestRowPasses:
             assert ("whole" in walks) == (case == "crossover")
             assert ("tail" in walks) == (case == "empty")
         assert all(result == results[0] for result in results)  # every bit, every step
+
+
+    OPS = st.one_of(st.tuples(st.just("backward"), st.integers(0, 2**32 - 1)),
+                    st.tuples(st.sampled_from(["zero", "adam"]), st.none()),
+                    st.tuples(st.just("scale"), st.sampled_from([0.5, 1e-3])),
+                    st.tuples(st.just("nan"), st.integers(0, 299)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(nn.ACTIVATIONS), st.lists(OPS, min_size=1, max_size=10))
+    def test_the_masks_hold_every_nonzero_row(self, activation, ops):
+        """Through backward calls into one buffer, with BPTT leaving early,
+        and runs of zero_, scale_ and adam_update, every embedding row with
+        a nonzero gradient is in the gradient's mask and every row with a
+        nonzero m or v in the state's; a non-finite gradient leaves the
+        state's mask as it was."""
+        dims = nn.ModelDims(vocab_rows=300, embed_dim=3, hidden=4, classes=3, max_len=80)
+        model = nn.init_parameters(dims, seed=1, activation=activation)
+        for direction in nn.DIRECTIONS:  # forget gates near 0.12: BPTT leaves
+            model.params.views[f"{direction}.b"][4:8] = -2.0  # 5 to 26 steps early
+        grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
+        for op, arg in ops:
+            if op == "backward":  # one to three documents of 50 to 80 tokens
+                rng = np.random.default_rng(arg)
+                lengths = rng.integers(50, 81, rng.integers(1, 4))
+                seqs = [EncodedSequence(ids, ids.size)
+                        for ids in (rng.integers(1, 300, n) for n in lengths)]
+                _, trace = nn.forward(seqs, model)
+                nn.backward(trace, [k % 3 for k in range(len(seqs))], out=grads)
+            elif op == "zero":
+                grads.zero_()
+            elif op == "scale":
+                grads.scale_(arg)
+            elif op == "adam":
+                adam_update(model, grads, state, TrainConfig(learning_rate=0.01))
+            else:  # a NaN in row arg of a copy of the gradient, its mask set
+                bad = nn.Gradients(dims, model.dtype, grads.flat)
+                bad.rows = grads.rows.copy()
+                bad.rows[arg] = True
+                bad.views["embedding"][arg, 0] = np.nan
+                masks = [state.m.rows.copy(), state.v.rows.copy()]
+                with pytest.raises(NumericError, match="tensor embedding$"):
+                    adam_update(model, bad, state, TrainConfig())
+                for mask, before in zip((state.m.rows, state.v.rows), masks):
+                    assert (mask == before).all()
+            for buf in (grads, state.m, state.v):
+                assert not (buf.views["embedding"].any(axis=1) & ~buf.rows).any(), op
 
 
 class TestCheckpoint:
@@ -775,6 +832,7 @@ class TestCheckpoint:
         state = AdamState.zeros_like(model)
         for arr in state.m.arrays() + state.v.arrays():
             arr += 0.25
+        state.m.rows[:] = state.v.rows[:] = True  # every row planted
         state.t = 17
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, state=state)
@@ -783,6 +841,36 @@ class TestCheckpoint:
         for a, b in zip(state.m.arrays() + state.v.arrays(),
                         loaded_state.m.arrays() + loaded_state.v.arrays()):
             npt.assert_array_equal(a, b)
+
+    def test_a_loaded_state_has_no_mask_and_steps_the_bytes_of_the_live_one(
+            self, tmp_path, monkeypatch):
+        # a few hundred of 3,000 embedding rows touched, in chunks of 12
+        # rows: the live state gathers them, the loaded one walks every row
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
+        dims = nn.ModelDims(vocab_rows=3000, embed_dim=8, hidden=5, classes=3, max_len=40)
+        model = nn.init_parameters(dims, seed=6)
+        state = AdamState.zeros_like(model)
+        rng = np.random.default_rng(6)
+
+        def gradient():
+            seqs = [EncodedSequence(ids, ids.size) for ids in
+                    (rng.integers(1, 3000, 40) for _ in range(3))]
+            _, trace = nn.forward(seqs, model)
+            return nn.backward(trace, [0, 1, 2])
+
+        for _ in range(3):
+            adam_update(model, gradient(), state, TrainConfig(learning_rate=0.01))
+        assert 0 < state.m.rows.sum() < nn.GATHER_SHARE * dims.vocab_rows  # gathered
+        save_checkpoint(model, tmp_path / "model.ckpt", state)
+        loaded, loaded_state = load_checkpoint(tmp_path / "model.ckpt")
+        assert loaded_state.m.rows is None and loaded_state.v.rows is None
+        grads = gradient()
+        steps = []
+        for params, adam in ((model, state), (loaded, loaded_state)):
+            adam_update(params, grads, adam, TrainConfig(learning_rate=0.01))
+            steps.append([buf.flat.tobytes() for buf in (params.params, adam.m, adam.v)])
+        assert steps[0] == steps[1]
+        assert state.m.rows is not None and loaded_state.m.rows is None
 
     def test_truncated_payload(self, tmp_path):
         _, path, vocab, _ = self.roundtrip_model(tmp_path)
@@ -828,6 +916,7 @@ class TestCheckpoint:
         grads = nn.Gradients.zeros_like(model)
         for g, arr in zip(grads.arrays(), nn.init_parameters(dims, seed=4).params.arrays()):
             g[...] = arr
+        grads.rows[:] = True  # every row planted
         state = AdamState.zeros_like(model)
         for _ in range(3):
             adam_update(model, grads, state, TrainConfig())
@@ -897,6 +986,7 @@ def fuzz_checkpoint(tmp_path_factory):
     grads = nn.Gradients.zeros_like(model)
     for view in grads.arrays():
         view[...] = np.linspace(-1.0, 1.0, view.size).reshape(view.shape)
+    grads.rows[:] = True  # every row planted
     adam_update(model, grads, state, TrainConfig())
     path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
     save_checkpoint(model, path, state=state)
