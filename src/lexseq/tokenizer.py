@@ -13,13 +13,20 @@ file), and ``encode`` takes the window ``max_len`` from its caller,
 which reads it from the model (``ModelDims.max_len``).
 
 A vocabulary holds its table as two columns, ``tokens`` and ``freqs``,
-with no object per entry; ``entries`` pairs them up on demand. Its
-digest is the SHA-256 of its canonical file (what ``save_vocabulary``
-writes). ``load_vocabulary`` parses the rows a column at a time and,
-when the file's bytes are that canonical file, keeps the SHA-256 of
-the bytes it read; any other accepted form (CRLF or ``\r`` line ends,
-``+3`` ids, ``007`` frequencies, no final newline) is rendered on the
-first ``digest()``, as a built vocabulary is.
+with no object per entry; ``entries`` pairs them up on demand. A table
+from outside input (the constructor, ``load_vocabulary``) is checked
+against every table rule and gets its token -> id dict at once, since
+the duplicate check builds it. ``build_vocabulary`` checks only what
+its stream can break, each token a non-empty string with no
+whitespace (its ``Counter`` keeps the rest), and makes the dict on the
+table's first ``id_of`` or ``encode``.
+
+A vocabulary's digest is the SHA-256 of its canonical file (what
+``save_vocabulary`` writes). ``load_vocabulary`` parses the rows a
+column at a time and, when the file's bytes are that canonical file,
+keeps the SHA-256 of the bytes it read; any other accepted form (CRLF
+or ``\r`` line ends, ``+3`` ids, ``007`` frequencies, no final newline)
+is rendered on the first ``digest()``, as a built vocabulary is.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import chain, count, islice, repeat
 from operator import eq, ge, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -44,8 +51,6 @@ OOV_ID = 1
 # [^\W_] is isalnum() and \d is isdecimal(). The punctuation bridge keeps
 # citation numbers like 8.112/90 as single tokens.
 _TOKEN = re.compile(r"[^\W_]+(?:(?<=\d)[./-](?=\d)[^\W_]+)*")
-# Equal to str.isspace on every code point.
-_SPACE = re.compile(r"\s")
 
 _VOCAB_MAGIC = "#vocab v1"
 
@@ -76,14 +81,17 @@ class Vocabulary:
     is how its texts were tokenized, and how text is tokenized for it.
 
     Build it from the columns (``tokens=``, ``freqs=``) or from
-    ``(token, frequency)`` pairs (``entries``); both run the same checks.
+    ``(token, frequency)`` pairs (``entries``); both run every check and
+    make the token -> id dict. The dict is not part of ``==``, ``hash``
+    or ``repr``.
     """
 
     tokens: tuple[str, ...]
     freqs: tuple[int, ...]
     cap: int
     lowercase: bool = True
-    _index: dict = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] | None = field(default=None, init=False, repr=False,
+                                          compare=False)
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, entries: Iterable[tuple[str, int]] | None = None, *, cap: int,
@@ -99,15 +107,19 @@ class Vocabulary:
         tokens, freqs = tuple(tokens), tuple(freqs)
         if len(tokens) != len(freqs):
             raise ValueError("vocabulary columns differ in length")
-        if len(tokens) > cap:
-            raise ValueError("vocabulary exceeds its cap")
-        # Whole-column checks that make no object per entry; the faulty
-        # entry is looked for only when a check fails.
-        index = dict(zip(tokens, range(2, len(tokens) + 2)))
-        if not (len(index) == len(tokens) and all(tokens)
-                and not _SPACE.search("".join(tokens))
-                and all(map(ge, freqs, islice(freqs, 1, None)))):
-            _raise_first_fault(tokens, freqs)
+        self._set(tokens, freqs, cap, lowercase, _checked_index(tokens, freqs, cap))
+
+    @classmethod
+    def _trusted(cls, tokens: Iterable[str], freqs: Iterable[int], cap: int,
+                 lowercase: bool, index: dict[str, int] | None = None) -> Vocabulary:
+        """A table whose checks the caller ran. With no ``index`` the
+        token -> id dict is made on the first lookup."""
+        vocab = object.__new__(cls)
+        vocab._set(tuple(tokens), tuple(freqs), cap, lowercase, index)
+        return vocab
+
+    def _set(self, tokens: tuple[str, ...], freqs: tuple[int, ...], cap: int,
+             lowercase: bool, index: dict[str, int] | None) -> None:
         for name, value in (("tokens", tokens), ("freqs", freqs), ("cap", cap),
                             ("lowercase", lowercase), ("_index", index),
                             ("_digest", None)):
@@ -123,7 +135,13 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         """Token id, or OOV_ID for tokens outside the vocabulary."""
-        return self._index.get(token, OOV_ID)
+        return self._ids().get(token, OOV_ID)
+
+    def _ids(self) -> dict[str, int]:
+        """The token -> id dict, made on the first call and kept."""
+        if self._index is None:
+            object.__setattr__(self, "_index", dict(zip(self.tokens, count(2))))
+        return self._index
 
     @property
     def id_count(self) -> int:
@@ -142,6 +160,35 @@ class Vocabulary:
                 sha.update(chunk)
             object.__setattr__(self, "_digest", sha.hexdigest())
         return self._digest
+
+
+def _checked_index(tokens: tuple[str, ...], freqs: tuple[int, ...], cap: int,
+                   index: dict[str, int] | None = None) -> dict[str, int]:
+    """The token -> id dict of a table from outside input, once the table
+    keeps every rule: no more entries than ``cap``, then each token a
+    non-empty string with no whitespace and no token twice, frequencies
+    non-increasing. ``index`` is the dict when the caller made it."""
+    if len(tokens) > cap:
+        raise ValueError("vocabulary exceeds its cap")
+    if index is None:
+        index = dict(zip(tokens, count(2)))
+    # Whole-column checks that make no object per entry; the faulty
+    # entry is looked for only when a check fails.
+    if not (len(index) == len(tokens) and _plain(tokens)
+            and all(map(ge, freqs, islice(freqs, 1, None)))):
+        _raise_first_fault(tokens, freqs)
+    return index
+
+
+def _plain(tokens: Sequence[str]) -> bool:
+    """Whether every token is non-empty and holds no whitespace. Raises
+    TypeError for a token that is not a string but is true."""
+    if not all(tokens):
+        return False
+    # str.split() splits at exactly the code points where str.isspace()
+    # holds, so it leaves a text with none as its one part
+    text = "".join(tokens)
+    return not text or text.split() == [text]
 
 
 def _raise_first_fault(tokens: tuple[str, ...], freqs: tuple[int, ...]) -> None:
@@ -171,8 +218,13 @@ def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000,
     A ``Counter`` iterates in first-occurrence order and the sort is
     stable, so equal counts keep that order (``most_common`` ranks the
     same way, through a slower keyed heap). The sort ranks the tokens
-    themselves, with no pair object per distinct token, and the
-    ``Counter`` is freed before the table's index is built.
+    themselves, with no pair object per distinct token.
+
+    The ``Counter`` makes the tokens unique and the ranking makes the
+    frequencies non-increasing and keeps the cap, so the table is checked
+    only for what the stream can break: each token a non-empty string
+    with no whitespace, with the message the constructor gives. The
+    token -> id dict is made on the table's first lookup.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -182,8 +234,10 @@ def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000,
     tokens = sorted(counts, key=counts.__getitem__, reverse=True)
     del tokens[cap:]
     freqs = list(map(counts.__getitem__, tokens))
-    del counts
-    return Vocabulary(tokens=tokens, freqs=freqs, cap=cap, lowercase=lowercase)
+    del counts  # before the columns are copied: the build peaks in the Counter
+    if not _plain(tokens):
+        _raise_first_fault(tokens, freqs)
+    return Vocabulary._trusted(tokens, freqs, cap, lowercase)
 
 
 @dataclass(frozen=True)
@@ -209,7 +263,7 @@ def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> EncodedSequenc
     """Map tokens to ids, truncate to the ``max_len`` window, post-pad."""
     kept = tokens[:max_len]
     ids = np.zeros(max_len, dtype=np.int64)
-    ids[:len(kept)] = [vocab.id_of(t) for t in kept]
+    ids[:len(kept)] = list(map(vocab._ids().get, kept, repeat(OOV_ID)))
     return EncodedSequence(ids=ids, length=len(kept))
 
 
@@ -300,16 +354,18 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     # by about 10%.)
     tokens = "\n".join(tokens)
     tokens = tokens.split("\n") if n else []
-    if len(set(tokens)) != n:
+    index = dict(zip(tokens, count(2)))  # the table's, and its duplicate check
+    if len(index) != n:
         _raise_first_bad_row(path, text)
     if n != size:
         raise DataError(f"{path}: header declares size={size} but file has {n} rows")
     if not n:
         raise DataError(f"{path}: vocabulary has no tokens")
     try:
-        vocab = Vocabulary(tokens=tokens, freqs=freqs, cap=cap, lowercase=lowercase)
+        index = _checked_index(tokens, freqs, cap, index)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    vocab = Vocabulary._trusted(tokens, freqs, cap, lowercase, index)
     if canonical:  # these bytes are _render_chunks(vocab)'s, so their hash is the digest
         object.__setattr__(vocab, "_digest", hashlib.sha256(data).hexdigest())
     return vocab

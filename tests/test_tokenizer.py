@@ -169,12 +169,14 @@ class TestBuildVocabulary:
 
     def test_memory_is_about_the_counter(self):
         # 200,000 distinct tokens under a cap of 100,000: no pair object per
-        # distinct token, and the Counter is freed before the table's index
-        # is built; sorting (token, count) pairs peaks at 2.1 Counters
+        # distinct token, no token -> id dict, and the Counter is freed
+        # before the columns are copied, so the build peaks in the Counter
+        # (1.000 of its peak; 1.089 with the dict built at once, and
+        # sorting (token, count) pairs peaks at 2.1 Counters)
         stream = [f"t{i}" for i in range(200_000)] + [f"t{i}" for i in range(0, 200_000, 3)]
         counter = traced_peak(lambda: Counter(iter(stream)))
         assert traced_peak(lambda: build_vocabulary(iter(stream), cap=100_000)) \
-            < 1.5 * counter
+            < 1.02 * counter
 
 
 class TestEncode:
@@ -475,6 +477,94 @@ class TestVocabularyRules:
         else:  # a line or field separator breaks the row first
             expected = f"{path}:3: expected token<TAB>id<TAB>frequency"
         assert str(excinfo.value) == expected
+
+
+def ranked_entries(stream: list, cap: int) -> tuple:
+    """The first ``cap`` (token, count) pairs of ``stream`` by descending
+    count, ties by first occurrence: the table ``build_vocabulary`` makes."""
+    counts = Counter(stream)
+    ranked = sorted(counts, key=lambda t: (-counts[t], stream.index(t)))[:cap]
+    return tuple((t, counts[t]) for t in ranked)
+
+
+def outcome(build):
+    """The table ``build()`` returns, or its exception's type and message."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBuiltTableEqualsTheCheckedOne:
+    """``build_vocabulary`` skips the checks its ``Counter`` makes true and
+    the token -> id dict until a lookup; its table is the one the checked
+    constructor builds on the same counts, and a stream the constructor
+    refuses raises the constructor's exception."""
+
+    @given(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=60),
+           st.integers(-7, 3), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_same_table_and_ids(self, stream, below, lowercase):
+        distinct = len(set(stream))
+        cap = max(1, distinct + below)  # below, at and above the distinct count
+        built = build_vocabulary(iter(stream), cap=cap, lowercase=lowercase)
+        checked = tokenizer.Vocabulary(entries=ranked_entries(stream, cap), cap=cap,
+                                       lowercase=lowercase)
+        assert built.tokens == checked.tokens and built.freqs == checked.freqs
+        assert built == checked and hash(built) == hash(checked)
+        assert repr(built) == repr(checked)
+        assert built.digest() == checked.digest()
+        for token in [*checked.tokens, "absent"]:
+            assert built.id_of(token) == checked.id_of(token)
+
+    @pytest.mark.parametrize("stream", [
+        ["a", "", "b"], ["a", 0, "a"], [None], ["a", 5], ["a", b"b"], [5, ""],
+        [0.0, "a b"],
+        *([f"a{space}b", "c"] for space in WHITESPACE),
+        *([space] for space in WHITESPACE),
+    ], ids=repr)
+    def test_a_faulty_stream_raises_what_the_constructor_raises(self, stream):
+        entries = ranked_entries(stream, cap=10)
+        expected = outcome(lambda: tokenizer.Vocabulary(entries=entries, cap=10))
+        assert isinstance(expected, tuple)
+        assert outcome(lambda: build_vocabulary(iter(stream), cap=10)) == expected
+
+    def test_faulty_streams_name_the_fault(self):
+        for stream, fault in [
+                (["a", "", "b"], (ValueError, "empty token in vocabulary")),
+                (["a", 0, "a"], (ValueError, "empty token in vocabulary")),
+                (["a", 5], (TypeError, "sequence item 1: expected str instance, int found")),
+                *((["a", f"b{space}c"], (ValueError, f"token {'b' + space + 'c'!r} "
+                                         "contains whitespace")) for space in WHITESPACE)]:
+            assert outcome(lambda: build_vocabulary(iter(stream), cap=10)) == fault
+
+    def test_the_whitespace_check_is_str_isspace(self):
+        # over every code point: none of the others splits a token, and
+        # each of the spaces does, alone or inside one
+        spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+        assert set(WHITESPACE) <= set(spaces)
+        others = "".join(chr(c) for c in range(0x110000) if not chr(c).isspace())
+        assert tokenizer._plain([others, "a"])
+        for space in spaces:
+            assert not tokenizer._plain(["a", space]) and not tokenizer._plain([f"a{space}b"])
+
+    def test_the_index_is_made_on_the_first_lookup(self):
+        stream = "the court held that the court may hear the appeal".split()
+        built = build_vocabulary(iter(stream), cap=5)
+        checked = tokenizer.Vocabulary(entries=ranked_entries(stream, 5), cap=5)
+        assert built._index is None and checked._index is not None
+        doc = ["the", "appeal", "court", "held", "nowhere", "the"]
+        ids = encode(doc, built, max_len=8).ids
+        assert ids.tolist() == [checked.id_of(t) for t in doc] + [PAD_ID] * 2
+        assert built._index == checked._index
+        index = built._index
+        assert built.id_of("court") == 3 and built._index is index  # made once
+
+    def test_a_loaded_table_is_indexed(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(build_vocabulary(iter("abcab"), cap=5), path)
+        loaded = load_vocabulary(path)
+        assert loaded._index == {"a": 2, "b": 3, "c": 4}
 
 
 @pytest.fixture(scope="module")
