@@ -176,7 +176,8 @@ def ocr_command_backend(command_template: str) -> OcrBackend:
 
 
 def load_page_manifest(path: str | Path) -> list[PageRecord]:
-    """Read one document's page manifest (JSON Lines: page, text, image)."""
+    """Read one document's page manifest (JSON Lines: page, text, image).
+    Page numbers must strictly increase from line to line."""
     pages: list[PageRecord] = []
     for lineno, raw in json_lines(path, "manifest"):
         if not isinstance(raw, dict) or type(raw.get("page")) is not int:  # bool is an int
@@ -189,6 +190,9 @@ def load_page_manifest(path: str | Path) -> list[PageRecord]:
                                     image_path=image))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
+        if len(pages) > 1 and pages[-1].page_number <= pages[-2].page_number:
+            raise DataError(f"{path}:{lineno}: page {pages[-1].page_number} after page "
+                            f"{pages[-2].page_number}; page numbers must strictly increase")
     if not pages:
         raise DataError(f"{path}: manifest has no pages")
     return pages

@@ -115,23 +115,9 @@ a pass over a few rows of a fresh buffer faults in a few pages, not a
 few 2 MB huge pages; the tensors after it, written whole by every batch,
 keep their huge pages.
 
-The passes (``trainer.adam_update``, its gradient check included, and
-``Gradients.zero_``, ``scale_`` and ``global_norm``) and every input
-projection of ``PROJECTION_ROWS`` rows or more run on two cores:
-through :func:`_halves`, a worker thread runs the upper half of the
-chunks and blocks, or of the rows, while the caller runs the lower
-half, when the CPU affinity allows two or more cores (``taskset -c 0``
-gives one, and then the caller runs them all). The split does not
-depend on ``OPENBLAS_NUM_THREADS``. numpy releases the GIL inside these
-calls, gathers and write-backs included, so the halves overlap. No bit
-moves: the passes are elementwise, a gathered element goes through the
-operations it would go through in place, the norm adds its block sums
-in block order once both halves are done, and a projection row has the
-same bits in any product of two rows or more. A single short
-document's projection stays on one thread, where the hand-off would
-cost more than it saves. The step loop stays on one thread too: it
-holds the GIL between its small products, and one LSTM direction per
-thread ran 0.37-0.95 times as fast.
+Every pass and projection runs on the calling thread. The step loop
+stays on one thread: it holds the GIL between its small products, and
+one LSTM direction per thread ran 0.37-0.95 times as fast.
 
 BPTT flushes every component of the backward state (dh, dc) whose
 magnitude is below ``GRAD_FLUSH`` (2**-100) to zero after each step,
@@ -148,10 +134,8 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -175,21 +159,17 @@ GRAD_FLUSH = 2.0 ** -100
 # scratch, at which every flat slice of a pass is cut, and, divided by the
 # embedding width, the rows per chunk a pass gathers (655 at reference
 # dims; see _walk). A block of Adam's six arrays (1.5 MB in float32) stays
-# in a 2 MB L2 cache. With Adam on two cores, each walking its own half of
-# the blocks, 65,536 ran about as fast as 131,072 (1-4% slower, within the
-# quartiles) and 30% faster than 32,768; on one core it ran 11% faster than
-# 131,072 (reference dims; see CHANGES.md).
+# in a 2 MB L2 cache. Adam's step ran 11% faster than at 131,072
+# (reference dims; see CHANGES.md).
 ADAM_BLOCK = 65_536
 
 # A pass given embedding rows gathers them while they are fewer than this
 # share of the embedding's rows, and walks the whole buffer from there on
 # (see _walk). At reference dims, on scattered rows, warm buffers, medians
-# of 15 interleaved calls on two cores (9 on one), the gathered passes
-# took as long as the whole-buffer ones at about these shares: Adam's
-# check and step 0.5 (33.6 against 33.1 ms on two cores, 49.7 against 46.9
-# on one), scale_ 0.3-0.35 and zero_ 0.4-0.5. At 0.4 the four passes of a
-# batch took 35.6 against 39.9 ms on two cores and 51.4 against 57.8 on one
-# (see CHANGES.md).
+# of 9 interleaved calls, the gathered passes took as long as the
+# whole-buffer ones at about these shares: Adam's check and step 0.5 (49.7
+# against 46.9 ms), scale_ 0.3-0.35 and zero_ 0.4-0.5. At 0.4 the four
+# passes of a batch took 51.4 against 57.8 ms (see CHANGES.md).
 GATHER_SHARE = 0.4
 
 # numpy asks the kernel for transparent huge pages on arrays of this many
@@ -210,82 +190,15 @@ BLAS_SMALL_MNK = 1_000_000
 # trace (at least the batch's row count; see the module docstring). At
 # reference dims 64 to 512 rows ran 64 documents of 1000 tokens at the
 # same docs/s within noise, and 1024 or more about 7% slower; 256 rows of
-# float32 gates are 1.6 MB (see CHANGES.md). A projection of this many rows
-# or more, in either mode, runs in two halves on two cores: 256 rows took
-# 1.38 against 2.01 ms on one thread, but 37 rows 0.45 against 0.39 ms.
+# float32 gates are 1.6 MB (see CHANGES.md).
 PROJECTION_ROWS = 256
 
 # The two LSTM directions, in parameter order.
 DIRECTIONS = ("forward_dir", "backward_dir")
 
-_T = TypeVar("_T")
 
-# The one-thread ThreadPoolExecutor that runs the upper half of a split
-# job; started by the first split (see _halves), and dropped in a forked
-# child, which does not have its thread.
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _drop_worker() -> None:
-    global _worker
-    _worker = None
-
-
-if hasattr(os, "register_at_fork"):  # a platform with fork
-    os.register_at_fork(after_in_child=_drop_worker)
-
-
-def _cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    has one (``taskset -c 0`` gives 1)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _halves(job: Callable[[int, int], _T], n: int, split: bool = True) -> list[_T]:
-    """Run ``job(lo, hi)`` over the index range ``[0, n)`` and return its
-    results in range order.
-
-    With ``split``, ``n >= 2`` and two or more cores, the range runs in two
-    contiguous halves: a worker thread runs the upper half, under the
-    caller's numpy error state, while the caller runs the lower half, and
-    the caller then waits for the worker. Otherwise the caller runs the
-    whole range. An exception in either half is raised here once both have
-    ended; the lower half's wins. ``job`` must be elementwise over its range
-    or write only its own rows, so that the split moves no bit, and may call
-    only numpy and private helpers: the worker opens no span of a traced
-    public function.
-    """
-    global _worker
-    if not (split and n >= 2 and _cores() >= 2):
-        return [job(0, n)]
-    with _worker_lock:
-        if _worker is None:
-            # imported here: concurrent.futures imports logging, which would
-            # add to every `import lexseq`
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="lexseq-halves")
-        worker = _worker
-    mid, err = n // 2, np.geterr()
-
-    def upper() -> _T:
-        with np.errstate(**err):  # numpy's error state is per thread
-            return job(mid, n)
-
-    future = worker.submit(upper)
-    try:
-        lower = job(0, mid)
-    finally:  # the worker may still be writing into the caller's arrays
-        future.exception()  # waits; the upper half's error is raised below
-    return [lower, future.result()]
-
-
-def _walk(job: Callable[[list[slice | np.ndarray]], _T], buf: "ParamBuffer",
-          mask: np.ndarray | None) -> list[_T]:
-    """``job`` on the parts of a pass over ``buf``, in two halves (see
-    :func:`_halves`), and its results in order. A part is a slice of
+def _walk(buf: "ParamBuffer", mask: np.ndarray | None) -> list[slice | np.ndarray]:
+    """The parts of a pass over ``buf``, in order. A part is a slice of
     ``buf.flat`` of at most ADAM_BLOCK elements, or a chunk of at most
     ``ADAM_BLOCK // embed_dim`` embedding row ids (see :func:`_gathered`).
     Given ``mask`` (a boolean mask of embedding rows) with fewer rows than
@@ -301,8 +214,7 @@ def _walk(job: Callable[[list[slice | np.ndarray]], _T], buf: "ParamBuffer",
         per = max(1, block // width)
         parts = [rows[lo:lo + per] for lo in range(0, len(rows), per)]
         start = buf.starts[1]
-    parts += [slice(lo, min(lo + block, size)) for lo in range(start, size, block)]
-    return _halves(lambda a, b: job(parts[a:b]), len(parts))
+    return parts + [slice(lo, min(lo + block, size)) for lo in range(start, size, block)]
 
 
 def _gathered(parts: list[slice | np.ndarray], bufs: Sequence["ParamBuffer"],
@@ -497,40 +409,29 @@ class Gradients(ParamBuffer):
     with no mask, a pass walks the whole buffer. So the passes cost what a
     batch touched, not the vocabulary, and give the bits of the
     whole-buffer passes: zero and ``0 * k`` stay zero, and a block with
-    none of the rows sums to exactly 0.0. Every pass, and the norm over two
-    or more blocks, runs in two halves on two cores when the CPU affinity
-    allows (see :func:`_halves`), with the same bits as on one."""
+    none of the rows sums to exactly 0.0."""
 
     def zero_(self) -> None:
         embedding = self.views["embedding"]
-
-        def run(parts: list[slice | np.ndarray]) -> None:
-            for part in parts:
-                if isinstance(part, slice):
-                    self.flat[part].fill(0)
-                else:
-                    embedding[part] = 0
-
-        _walk(run, self, self.rows)
+        for part in _walk(self, self.rows):
+            if isinstance(part, slice):
+                self.flat[part].fill(0)
+            else:
+                embedding[part] = 0
         self.rows = np.zeros(self.dims.vocab_rows, bool)
 
     def scale_(self, k: float) -> None:
         k = self.flat.dtype.type(k)
-
-        def run(parts: list[slice | np.ndarray]) -> None:
-            for _, (grad,) in _gathered(parts, (self,), (0,)):
-                np.multiply(grad, k, out=grad)
-
-        _walk(run, self, self.rows)
+        for _, (grad,) in _gathered(_walk(self, self.rows), (self,), (0,)):
+            np.multiply(grad, k, out=grad)
 
     def global_norm(self) -> float:
         """L2 norm of every gradient tensor, squared and summed in float64
         over blocks of each tensor's memory; the gaps are not read. The
-        blocks' sums are added one by one in block order, whichever half
-        computed them. An embedding block that none of ``rows`` reaches is
-        not summed: its sum would be exactly 0.0, and adding it to the
-        nonnegative total changes no bit. A block that one reaches is
-        summed whole."""
+        blocks' sums are added one by one in block order. An embedding
+        block that none of ``rows`` reaches is not summed: its sum would be
+        exactly 0.0, and adding it to the nonnegative total changes no bit.
+        A block that one reaches is summed whole."""
         # views, not copies: W and U are F-contiguous
         memories = [view.ravel(order="A") for view in self.arrays()]
         blocks = [(memory, lo) for memory in memories
@@ -544,20 +445,12 @@ class Gradients(ParamBuffer):
             reached = np.cumsum(np.bincount(first, minlength=count + 1)
                                 - np.bincount(last + 1, minlength=count + 1)) > 0
             blocks = [blocks[k] for k in np.flatnonzero(reached).tolist()] + blocks[count:]
-        sums = np.empty(len(blocks), np.float64)
-
-        def run(a: int, b: int) -> None:
-            square = np.empty(ADAM_BLOCK, np.float64)
-            for k in range(a, b):
-                memory, lo = blocks[k]
-                block = memory[lo:lo + ADAM_BLOCK]
-                sums[k] = np.multiply(block, block, out=square[:block.size],
-                                      dtype=np.float64).sum()
-
-        _halves(run, len(blocks), split=self.flat.size > ADAM_BLOCK)
+        square = np.empty(ADAM_BLOCK, np.float64)
         total = 0.0
-        for block_sum in sums.tolist():
-            total += block_sum
+        for memory, lo in blocks:
+            block = memory[lo:lo + ADAM_BLOCK]
+            total += float(np.multiply(block, block, out=square[:block.size],
+                                       dtype=np.float64).sum())
         return math.sqrt(total)
 
 
@@ -718,18 +611,12 @@ def forward(
         h_rows = np.zeros((state_rows, 2, hidden), dtype)
 
         def project(lo: int) -> int:
-            """Project packed rows from ``lo`` into ``gates``, in two halves
-            from PROJECTION_ROWS rows on (and never a half of one row: the
-            row floor); the end row."""
+            """Project packed rows from ``lo`` into ``gates``; the end row."""
             hi = min(len(tokens), lo + len(gates))
-
-            def part(a: int, b: int) -> None:  # into gates rows [a, b)
-                x = v["embedding"][tokens[lo + a:lo + b]]
-                for d, name in enumerate(DIRECTIONS):
-                    np.matmul(x[:, d], v[f"{name}.W"].T, out=gates[a:b, d])
-                    gates[a:b, d] += v[f"{name}.b"]
-
-            _halves(part, hi - lo, split=hi - lo >= max(PROJECTION_ROWS, 4))
+            x = v["embedding"][tokens[lo:hi]]
+            for d, name in enumerate(DIRECTIONS):
+                np.matmul(x[:, d], v[f"{name}.W"].T, out=gates[:hi - lo, d])
+                gates[:hi - lo, d] += v[f"{name}.b"]
             return hi
 
         Us = [v[f"{name}.U"] for name in DIRECTIONS]

@@ -148,26 +148,16 @@ def adam_update(
     ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, and gathers
     embedding rows into scratch as ``nn.Gradients``' passes do. Every
     element it walks goes through the operations of that expression, so
-    the result is bit-identical to it. The check and the step each run in
-    two halves of their blocks on two cores when the CPU affinity allows
-    (see ``nn._halves``), with the same bits as on one.
+    the result is bit-identical to it.
     """
-    buffers = (model.params, grads, state.m, state.v)
     width = model.dims.embed_dim
-
-    def first_non_finite(parts: list[slice | np.ndarray]) -> str | None:
-        finite = np.empty(max(nn.ADAM_BLOCK, width), bool)
-        for part, (grad,) in _gathered(parts, (grads,), ()):
-            ok = np.isfinite(grad, out=finite[:grad.size])
-            if not ok.all():
-                if isinstance(part, slice):
-                    return grads.name_at(part.start + int(np.argmin(ok)))
-                return "embedding"
-        return None
-
-    bad = [name for name in _walk(first_non_finite, grads, grads.rows) if name]
-    if bad:
-        raise NumericError(f"non-finite gradient for tensor {bad[0]}")
+    finite = np.empty(max(nn.ADAM_BLOCK, width), bool)
+    for part, (grad,) in _gathered(_walk(grads, grads.rows), (grads,), ()):
+        if not np.isfinite(grad, out=finite[:grad.size]).all():
+            bad = (grads.name_at(part.start + int(np.argmin(finite[:grad.size])))
+                   if isinstance(part, slice) else "embedding")
+            raise NumericError(f"non-finite gradient for tensor {bad}")
+    del finite  # freed before the step allocates its own scratch
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
@@ -175,26 +165,24 @@ def adam_update(
     rows = None if any(mask is None for mask in masks) else np.logical_or.reduce(masks)
     state.m.rows = state.v.rows = rows
 
-    def step(parts: list[slice | np.ndarray]) -> None:
-        scratch = np.empty(max(nn.ADAM_BLOCK, width), grads.flat.dtype)
-        denom = np.empty_like(scratch)
-        # param, m and v go back to a gathered chunk's rows
-        for _, (param, grad, m, v) in _gathered(parts, buffers, (0, 2, 3)):
-            s, d = scratch[:param.size], denom[:param.size]
-            m *= BETA1
-            m += np.multiply(1.0 - BETA1, grad, out=s)
-            v *= BETA2
-            np.multiply(grad, grad, out=d)
-            v += np.multiply(1.0 - BETA2, d, out=d)
-            np.divide(m, bc1, out=s)
-            np.multiply(config.learning_rate, s, out=s)
-            np.divide(v, bc2, out=d)
-            np.sqrt(d, out=d)
-            d += EPSILON
-            s /= d
-            param -= s
-
-    _walk(step, grads, rows)
+    buffers = (model.params, grads, state.m, state.v)
+    scratch = np.empty(max(nn.ADAM_BLOCK, width), grads.flat.dtype)
+    denom = np.empty_like(scratch)
+    # param, m and v go back to a gathered chunk's rows
+    for _, (param, grad, m, v) in _gathered(_walk(grads, rows), buffers, (0, 2, 3)):
+        s, d = scratch[:param.size], denom[:param.size]
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, grad, out=s)
+        v *= BETA2
+        np.multiply(grad, grad, out=d)
+        v += np.multiply(1.0 - BETA2, d, out=d)
+        np.divide(m, bc1, out=s)
+        np.multiply(config.learning_rate, s, out=s)
+        np.divide(v, bc2, out=d)
+        np.sqrt(d, out=d)
+        d += EPSILON
+        s /= d
+        param -= s
     return model, state
 
 

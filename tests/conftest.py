@@ -54,19 +54,6 @@ def make_synthetic_corpus(
     return docs
 
 
-@pytest.fixture
-def on_cores(monkeypatch):
-    """``on_cores(n)`` makes ``nn._halves`` see ``n`` cores whatever this
-    host's CPU affinity allows: 1 forces the one-core path and 2 the
-    two-thread path. It returns a list that grows by one each time a job
-    could split, so a test can check that its pass reached the split."""
-    def force(n: int) -> list[int]:
-        asked: list[int] = []
-        monkeypatch.setattr(nn, "_cores", lambda: asked.append(n) or n)
-        return asked
-    return force
-
-
 @pytest.fixture(scope="session")
 def synthetic_corpus() -> list[corpus.Document]:
     return make_synthetic_corpus()

@@ -229,6 +229,20 @@ class TestPageManifest:
         with pytest.raises(DataError):
             load_page_manifest(path)
 
+    @pytest.mark.parametrize("numbers, lineno, message", [
+        ([2, 1, 1], 2, "page 1 after page 2"),
+        ([1, 2, 2], 3, "page 2 after page 2"),
+        ([1, 3, 2], 3, "page 2 after page 3"),
+    ], ids=["decreasing", "repeated", "decreasing-late"])
+    def test_page_numbers_must_strictly_increase(self, tmp_path, numbers, lineno, message):
+        path = tmp_path / "doc.jsonl"
+        path.write_text("".join(json.dumps({"page": n, "text": f"p{n}"}) + "\n"
+                                for n in numbers), encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            load_page_manifest(path)
+        assert str(excinfo.value) == (
+            f"{path}:{lineno}: {message}; page numbers must strictly increase")
+
     @pytest.mark.parametrize("line", [
         '{"page": true, "text": "abc"}',
         '{"page": false, "text": "abc"}',

@@ -139,8 +139,7 @@ class TestAdamUpdate:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 97])
-    def test_bit_identical_to_per_tensor_reference(self, dtype, block, monkeypatch,
-                                                   on_cores):
+    def test_bit_identical_to_per_tensor_reference(self, dtype, block, monkeypatch):
         # more than two blocks, the last one short; 97 also cuts small tensors
         dims = nn.ModelDims(vocab_rows=nn.ADAM_BLOCK // 4 + 1001, embed_dim=8,
                             hidden=5, classes=3, max_len=8)
@@ -163,16 +162,13 @@ class TestAdamUpdate:
             grads.rows[:] = True  # every row planted
             steps.append(grads)
             _adam_reference(ref, [a.copy() for a in grads.arrays()], ref_m, ref_v, t, config)
-        for cores in (1, 2):
-            splits = on_cores(cores)
-            model = nn.init_parameters(dims, seed=3, dtype=dtype)
-            state = AdamState.zeros_like(model)
-            for grads in steps:
-                adam_update(model, grads, state, config)
-            assert len(splits) == 2 * len(steps)  # the check and the step
-            got = model.params.arrays() + state.m.arrays() + state.v.arrays()
-            for (name, _), a, b in zip(nn.param_shapes(dims) * 3, got, ref + ref_m + ref_v):
-                assert a.tobytes() == b.tobytes(), (name, cores)
+        model = nn.init_parameters(dims, seed=3, dtype=dtype)
+        state = AdamState.zeros_like(model)
+        for grads in steps:
+            adam_update(model, grads, state, config)
+        got = model.params.arrays() + state.m.arrays() + state.v.arrays()
+        for (name, _), a, b in zip(nn.param_shapes(dims) * 3, got, ref + ref_m + ref_v):
+            assert a.tobytes() == b.tobytes(), name
 
     def test_non_finite_gradient_in_a_later_block_names_its_tensor(self, monkeypatch):
         monkeypatch.setattr(nn, "ADAM_BLOCK", 5)
@@ -184,29 +180,25 @@ class TestAdamUpdate:
 
     @pytest.mark.parametrize("bad", [["forward_dir.U"], ["head.W"],
                                      ["head.W", "forward_dir.U"]],
-                             ids=["lower-half", "upper-half", "both-halves"])
-    def test_a_non_finite_gradient_changes_nothing(self, bad, monkeypatch, on_cores):
-        # 144 elements in blocks of 5: the halves meet at element 70, between
-        # forward_dir.U (from 32) and head.W (from 112)
+                             ids=["early-block", "late-block", "both-blocks"])
+    def test_a_non_finite_gradient_changes_nothing(self, bad, monkeypatch):
+        # 144 elements in blocks of 5: forward_dir.U starts at element 32 and
+        # head.W at 112; with both bad, the first in flat order is named
         monkeypatch.setattr(nn, "ADAM_BLOCK", 5)
         model = self.tiny_model()
         grads = nn.Gradients.zeros_like(model)
-        cut = len(range(0, grads.flat.size, 5)) // 2 * 5
-        assert grads.starts[2] + 16 <= cut <= grads.starts[7]
         state = AdamState.zeros_like(model)
         grads.flat[...] = np.linspace(-1, 1, grads.flat.size)
         grads.rows[:] = True  # every row planted
         adam_update(model, grads, state, TrainConfig())  # m, v and t not zero
         for name in bad:
             grads.views[name][-1] = np.nan
-        for cores in (1, 2):
-            splits = on_cores(cores)
-            before = [a.copy() for a in (model.params.flat, state.m.flat, state.v.flat)]
-            with pytest.raises(NumericError, match=f"tensor {bad[-1]}$"):
-                adam_update(model, grads, state, TrainConfig())
-            assert splits and state.t == 1
-            for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
-                assert a.tobytes() == b.tobytes()
+        before = [a.copy() for a in (model.params.flat, state.m.flat, state.v.flat)]
+        with pytest.raises(NumericError, match=f"tensor {bad[-1]}$"):
+            adam_update(model, grads, state, TrainConfig())
+        assert state.t == 1
+        for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
+            assert a.tobytes() == b.tobytes()
 
     @staticmethod
     def row_steps(dims, batches, use_rows, clip_norm):
@@ -241,8 +233,7 @@ class TestAdamUpdate:
 
     @pytest.mark.parametrize("clip_norm", [None, 6.8, 1e-3],
                              ids=["unclipped", "sometimes-clipped", "clipped"])
-    def test_a_row_touched_once_decays_at_every_later_step(self, clip_norm,
-                                                           monkeypatch, on_cores):
+    def test_a_row_touched_once_decays_at_every_later_step(self, clip_norm, monkeypatch):
         # row 5 has a gradient at the first step only; Adam still decays its
         # m and v at every later step (lazy Adam would not)
         monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
@@ -250,12 +241,9 @@ class TestAdamUpdate:
         rng = np.random.default_rng(9)
         batches = [np.unique(np.r_[5, rng.integers(6, 500, 20)])] + [
             np.unique(rng.integers(6, 500, 20)) for _ in range(8)]
-        for cores in (1, 2):
-            splits = on_cores(cores)
-            dense, dense_norms, dense_state = self.row_steps(dims, batches, False, clip_norm)
-            rows, row_norms, state = self.row_steps(dims, batches, True, clip_norm)
-            assert splits
-            assert rows == dense and row_norms == dense_norms  # every bit, every step
+        dense, dense_norms, dense_state = self.row_steps(dims, batches, False, clip_norm)
+        rows, row_norms, state = self.row_steps(dims, batches, True, clip_norm)
+        assert rows == dense and row_norms == dense_norms  # every bit, every step
         if clip_norm == 6.8:  # the norm crossed the bound both ways
             assert min(dense_norms) < clip_norm < max(dense_norms)
         # the state's mask is every row a batch touched, or any row
@@ -268,8 +256,7 @@ class TestAdamUpdate:
         npt.assert_allclose(m[5], first * trainer.BETA1 ** 8, rtol=1e-5)
         assert np.abs(first).min() > 0
 
-    def test_a_non_finite_gradient_in_a_touched_row_changes_nothing(self, monkeypatch,
-                                                                    on_cores):
+    def test_a_non_finite_gradient_in_a_touched_row_changes_nothing(self, monkeypatch):
         # a NaN in a gathered row, in a tensor after the embedding, and in
         # both: the first in flat order is named, and nothing changes, the
         # state's mask included, though the gradient's mask holds a new row
@@ -289,28 +276,25 @@ class TestAdamUpdate:
             for name in bad:
                 view = grads.views[name]
                 view[250 if name == "embedding" else -1, 6 % view.shape[1]] = np.nan
-            for cores in (1, 2):
-                splits = on_cores(cores)
-                before = [a.copy() for a in (model.params.flat, state.m.flat, state.v.flat)]
-                with pytest.raises(NumericError, match=f"tensor {bad[-1]}$"):
-                    adam_update(model, grads, state, TrainConfig())
-                assert splits and state.t == 1
-                for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
-                    assert a.tobytes() == b.tobytes()
-                for mask in (state.m.rows, state.v.rows):
-                    assert np.flatnonzero(mask).tolist() == rows.tolist()
+            before = [a.copy() for a in (model.params.flat, state.m.flat, state.v.flat)]
+            with pytest.raises(NumericError, match=f"tensor {bad[-1]}$"):
+                adam_update(model, grads, state, TrainConfig())
+            assert state.t == 1
+            for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
+                assert a.tobytes() == b.tobytes()
+            for mask in (state.m.rows, state.v.rows):
+                assert np.flatnonzero(mask).tolist() == rows.tolist()
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_a_row_step_allocates_only_chunk_sized_scratch(self, cores, on_cores):
+    def test_a_row_step_allocates_only_chunk_sized_scratch(self):
         # 3,000, 5,000 and 7,000 rows of 100 elements, in 5 to 11 chunks of
-        # 655 rows: per half, the step's two scratch arrays and the four it
-        # gathers into, however many rows; besides, the call reads the row
-        # ids out of the masks (8 bytes a row) and keeps the state's new
-        # mask (a byte per embedding row)
+        # 655 rows: the step's two scratch arrays and the four it gathers
+        # into, however many rows, with the check's scratch freed before
+        # them; besides, the call reads the row ids out of the masks (8
+        # bytes a row) and keeps the state's new mask (a byte per embedding
+        # row)
         dims = nn.ModelDims(vocab_rows=20_000, embed_dim=100, hidden=4, classes=3,
                             max_len=8)
         model = nn.init_parameters(dims, seed=4)
-        on_cores(cores)
         rng = np.random.default_rng(3)
         peaks = []
         for count in (3000, 3000, 5000, 7000):  # the first call warms up
@@ -322,8 +306,8 @@ class TestAdamUpdate:
             peaks.append(traced_peak(
                 lambda: adam_update(model, grads, state, TrainConfig())))
         chunk = 4 * nn.ADAM_BLOCK
-        assert peaks[1] > 6 * cores * (chunk // 2)  # the scratch is there
-        assert max(peaks[1:]) <= 6 * cores * chunk + 8 * 7000 + dims.vocab_rows + 64 * 1024
+        assert peaks[1] > 6 * (chunk // 2)  # the scratch is there
+        assert max(peaks[1:]) <= 6 * chunk + 8 * 7000 + dims.vocab_rows + 64 * 1024
         assert max(peaks[2:]) <= peaks[1] + 64 * 1024
 
     def test_step_counter_increments(self):
@@ -428,13 +412,13 @@ class TestTrain:
             blobs.append(b"".join(arr.tobytes() for arr in model.params.arrays()))
         assert blobs[0] == blobs[1]
 
-    def test_two_cores_train_the_bytes_of_one(self, monkeypatch, on_cores):
-        # every pass splits: Adam, zero_, scale_ and global_norm over blocks
-        # of 97, and every projection of 4 rows or more
+    def test_training_and_inference_run_on_the_calling_thread(self, monkeypatch):
+        # every pass over blocks of 97, so Adam, zero_, scale_ and global_norm
+        # each cross several blocks, and projections of 4 rows per chunk
         monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
         monkeypatch.setattr(nn, "PROJECTION_ROWS", 4)
-        # perfbench/tracing.py wraps these and keeps one span stack, so the
-        # worker thread must call none of them
+        # perfbench/tracing.py wraps these and keeps one span stack, so no
+        # other thread may call them
         callers = set()
 
         def spy(owner, name):
@@ -446,19 +430,18 @@ class TestTrain:
             monkeypatch.setattr(owner, name, wrapper)
 
         for owner, name in [(trainer, "forward"), (trainer, "backward"),
-                            (trainer, "adam_update"), (nn.Gradients, "zero_"),
-                            (nn.Gradients, "scale_"), (nn.Gradients, "global_norm")]:
+                            (trainer, "adam_update"), (trainer, "map_forward"),
+                            (nn.Gradients, "zero_"), (nn.Gradients, "scale_"),
+                            (nn.Gradients, "global_norm")]:
             spy(owner, name)
         split, vocab = build_setup(n_docs=60)
-        blobs = []
-        for cores in (1, 2):
-            splits = on_cores(cores)
-            model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
-            train(model, split, vocab,
-                  TrainConfig(epochs=2, batch_size=8, seed=1, clip_norm=1e-3))
-            assert splits
-            blobs.append(model.params.flat.tobytes())
-        assert blobs[0] == blobs[1]
+        threads = threading.enumerate()
+        model = nn.init_parameters(small_dims(vocab), seed=1, labels=SYNTH_LABELS)
+        train(model, split, vocab, TrainConfig(epochs=2, batch_size=8, seed=1, clip_norm=1e-3))
+        assert threading.enumerate() == threads
+        seqs = [trainer.encode_document(doc, vocab, model.dims.max_len) for doc in split.test]
+        trainer.map_forward(model, seqs)
+        assert threading.enumerate() == threads
         assert callers == {threading.get_ident()}
 
     def test_no_zero_runs_before_the_first_backward_of_a_call(self, monkeypatch):
@@ -615,12 +598,11 @@ class TestRowPasses:
         it walked only the tensors after the embedding."""
         walk, walks = nn._walk, []
 
-        def spy(job, buf, mask):
-            parts = []
-            results = walk(lambda some: parts.extend(some) or job(some), buf, mask)
+        def spy(buf, mask):
+            parts = walk(buf, mask)
             walks.append("gathered" if any(isinstance(p, np.ndarray) for p in parts)
                          else "whole" if parts[0].start == 0 else "tail")
-            return results
+            return parts
 
         for module in (nn, trainer):
             monkeypatch.setattr(module, "_walk", spy)
@@ -629,7 +611,7 @@ class TestRowPasses:
     @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
     @pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["unclipped", "clipped"])
     def test_row_passes_train_the_bytes_of_the_whole_buffers(self, activation, clip_norm,
-                                                             monkeypatch, on_cores):
+                                                             monkeypatch):
         monkeypatch.setattr(nn, "ADAM_BLOCK", 97)  # chunks of 12 rows
         split, vocab = self.long_setup()
         dims = nn.ModelDims(vocab_rows=vocab.id_count, embed_dim=8, hidden=8, classes=3,
@@ -657,21 +639,18 @@ class TestRowPasses:
         for whole in (False, True):
             if whole:  # no pass gathers
                 monkeypatch.setattr(nn, "GATHER_SHARE", 0)
-            for cores in (1, 2):
-                splits = on_cores(cores)
-                model = nn.init_parameters(dims, seed=3, labels=("a", "b", "c"),
-                                           activation=activation)
-                for direction in nn.DIRECTIONS:  # forget gates near 0.12
-                    model.params.views[f"{direction}.b"][8:16] = -2.0
-                train(model, split, vocab,
-                      TrainConfig(epochs=3, batch_size=3, seed=2, clip_norm=clip_norm))
-                assert splits
-                # gathered rows, and the whole buffer once the rows are dense
-                assert ("gathered" in walks) != whole and "whole" in walks
-                walks.clear()
-                results.append(b"".join(buf.flat.tobytes() for buf in
-                                        (model.params, states[-1].m, states[-1].v)))
-                assert states[-1].t == 15
+            model = nn.init_parameters(dims, seed=3, labels=("a", "b", "c"),
+                                       activation=activation)
+            for direction in nn.DIRECTIONS:  # forget gates near 0.12
+                model.params.views[f"{direction}.b"][8:16] = -2.0
+            train(model, split, vocab,
+                  TrainConfig(epochs=3, batch_size=3, seed=2, clip_norm=clip_norm))
+            # gathered rows, and the whole buffer once the rows are dense
+            assert ("gathered" in walks) != whole and "whole" in walks
+            walks.clear()
+            results.append(b"".join(buf.flat.tobytes() for buf in
+                                    (model.params, states[-1].m, states[-1].v)))
+            assert states[-1].t == 15
         assert all(result == results[0] for result in results)
         assert len(calls) // 2 < sum(steps)  # BPTT left early
         rows, moment_rows = adam_rows[0]
@@ -737,7 +716,7 @@ class TestRowPasses:
     @pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["unclipped", "clipped"])
     @pytest.mark.parametrize("case", list(CASES))
     def test_gathered_passes_keep_the_bytes_of_the_whole_buffers(
-            self, case, clip_norm, activation, monkeypatch, on_cores):
+            self, case, clip_norm, activation, monkeypatch):
         if case == "chunks":
             monkeypatch.setattr(nn, "ADAM_BLOCK", 40)
         batches = [np.unique(np.asarray(rows, np.int64)) for rows in self.CASES[case]]
@@ -745,17 +724,14 @@ class TestRowPasses:
                             classes=3, max_len=64)
         walks = self.spy_walks(monkeypatch)
         results = []
-        for cores in (1, 2):
-            splits = on_cores(cores)
-            for use_rows in (False, True):
-                walks.clear()
-                model = nn.init_parameters(dims, seed=5, activation=activation)
-                results.append(self.pass_steps(model, batches, use_rows, clip_norm))
-                assert splits
-            assert "gathered" in walks
-            assert ("whole" in walks) == (case == "crossover")
-            assert ("tail" in walks) == (case == "empty")
-        assert all(result == results[0] for result in results)  # every bit, every step
+        for use_rows in (False, True):
+            walks.clear()
+            model = nn.init_parameters(dims, seed=5, activation=activation)
+            results.append(self.pass_steps(model, batches, use_rows, clip_norm))
+        assert "gathered" in walks
+        assert ("whole" in walks) == (case == "crossover")
+        assert ("tail" in walks) == (case == "empty")
+        assert results[0] == results[1]  # every bit, every step
 
 
     OPS = st.one_of(st.tuples(st.just("backward"), st.integers(0, 2**32 - 1)),
