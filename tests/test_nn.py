@@ -918,6 +918,33 @@ class TestRowRanges:
         assert nn._walk(buf, buf.rows) == [
             slice(self.dims.vocab_rows * 8, buf.flat.size)]
 
+    def test_a_few_rows_gather_before_one_block_of_the_rest(self):
+        # one chunk of rows, then the tensors after the embedding in one block
+        buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
+        parts = nn._walk(buf, row_mask(buf.dims, [5, 6, 900]))
+        assert parts[0].tolist() == [5, 6, 900]
+        assert parts[1:] == [slice(buf.starts[1], buf.flat.size)]
+
+    @pytest.mark.parametrize("below", [1, 0], ids=["gathered", "whole"])
+    def test_from_gather_share_the_pass_takes_the_whole_buffer(self, below,
+                                                               monkeypatch):
+        # from GATHER_SHARE of the embedding's rows on, gathering costs more
+        # than a pass over the whole buffer in blocks
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
+        buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
+        size = buf.flat.size
+        rows = np.arange(0, 2 * (math.ceil(nn.GATHER_SHARE * 20_000) - below), 2)
+        parts = nn._walk(buf, row_mask(buf.dims, rows))
+        chunks = [part for part in parts if not isinstance(part, slice)]
+        start = buf.starts[1] if below else 0
+        assert parts[len(chunks):] == [slice(lo, min(lo + 97, size))
+                                       for lo in range(start, size, 97)]
+        if below:  # 12 rows a chunk
+            assert np.concatenate(chunks).tolist() == rows.tolist()
+            assert {len(chunk) for chunk in chunks[:-1]} == {97 // 8}
+        else:
+            assert not chunks
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block, count", [(nn.ADAM_BLOCK, 4096), (97, 1), (97, 64)])
     def test_row_passes_keep_the_bits_of_the_whole_buffer(self, dtype, block, count,
@@ -999,6 +1026,93 @@ def _vm_flags(address: int) -> list[str]:
                 flags = line.split()[1:]
     assert flags is not None, "no mapping holds the address"
     return flags
+
+
+class TestGathered:
+    """nn._gathered, which hands a pass each part of its buffers: a slice
+    as views, a chunk of embedding rows gathered into scratch and written
+    back to the buffers it names."""
+
+    dims = tiny_dims(vocab_rows=400, embed_dim=8, hidden=5)
+
+    def buffers(self, dtype=np.float32):
+        """Three buffers, each with its own values."""
+        bufs = []
+        for k in range(3):
+            buf = nn.ParamBuffer(self.dims, dtype)
+            buf.flat[...] = np.arange(buf.flat.size) + 1000.0 * k
+            bufs.append(buf)
+        return bufs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_slice_is_a_view_of_each_buffer(self, dtype):
+        bufs = self.buffers(dtype)
+        parts = [slice(5, 40), slice(bufs[0].starts[1], bufs[0].flat.size)]
+        seen = []
+        for part, arrays in nn._gathered(parts, bufs, (0,)):
+            seen.append(part)
+            for buf, arr in zip(bufs, arrays):
+                assert arr.dtype == dtype and np.shares_memory(arr, buf.flat)
+                npt.assert_array_equal(arr, buf.flat[part])
+            arrays[1][0] = -1.0  # a view: every buffer takes the write at once
+            assert bufs[1].flat[part.start] == -1.0
+        assert seen == parts
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_chunk_holds_its_rows_of_each_buffer(self, dtype):
+        bufs = self.buffers(dtype)
+        parts = [np.array([3, 9, 200]), np.array([399])]
+        for part, arrays in nn._gathered(parts, bufs, ()):
+            for buf, arr in zip(bufs, arrays):
+                assert arr.dtype == dtype and not np.shares_memory(arr, buf.flat)
+                npt.assert_array_equal(arr, buf.views["embedding"][part].ravel())
+
+    @pytest.mark.parametrize("writes", [(), (0,), (1, 2), (0, 1, 2)])
+    def test_only_the_named_buffers_take_their_rows_back(self, writes):
+        bufs = self.buffers()
+        before = [buf.flat.copy() for buf in bufs]
+        rows = [3, 9, 200, 399]
+        parts = [np.array(rows[:3]), np.array(rows[3:]),
+                 slice(bufs[0].starts[1], bufs[0].starts[1] + 16)]
+        for part, arrays in nn._gathered(parts, bufs, writes):
+            if not isinstance(part, slice):
+                for arr in arrays:
+                    arr += 0.5
+        for k, (buf, old) in enumerate(zip(bufs, before)):
+            expected = old.copy()
+            if k in writes:
+                expected[:buf.starts[1]].reshape(self.dims.vocab_rows, 8)[rows] += 0.5
+            assert buf.flat.tobytes() == expected.tobytes()
+
+    def test_a_chunk_goes_back_once_the_caller_moves_on(self):
+        buf = self.buffers()[0]
+        walk = nn._gathered([np.array([1, 2]), np.array([7])], (buf,), (0,))
+        part, (rows,) = next(walk)
+        rows[:] = -1.0
+        assert (buf.views["embedding"][[1, 2]] >= 0).all()  # not yet
+        part, (rows,) = next(walk)
+        assert (buf.views["embedding"][[1, 2]] == -1.0).all()
+        rows[:] = -2.0
+        assert next(walk, None) is None  # the last chunk goes back at the end
+        assert (buf.views["embedding"][7] == -2.0).all()
+
+    def test_every_chunk_reuses_the_first_chunks_scratch(self):
+        bufs = self.buffers()[:2]
+        parts = [np.array([0, 4, 5, 6, 10]), np.array([11, 12])]
+        arrays = [arrays for _, arrays in nn._gathered(parts, bufs, ())]
+        assert [arr.size for arr in arrays[0]] == [5 * 8] * 2
+        assert [arr.size for arr in arrays[1]] == [2 * 8] * 2
+        for first, second in zip(*arrays):
+            assert np.shares_memory(first, second)
+        assert not np.shares_memory(arrays[0][0], arrays[0][1])
+
+    def test_a_row_outside_the_embedding_is_refused_on_the_way_back(self):
+        buf = self.buffers()[0]
+        before = buf.flat.copy()
+        with pytest.raises(IndexError):
+            for _ in nn._gathered([np.array([2, 400])], (buf,), (0,)):
+                pass
+        assert buf.flat.tobytes() == before.tobytes()
 
 
 class TestRowPieces:
