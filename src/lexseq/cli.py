@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -237,14 +238,20 @@ def _cmd_train(args) -> int:
         file=sys.stderr,
     )
 
+    # the history holds results only; each line times the epoch since the last
+    started = time.perf_counter()
+
     def log_epoch(record: trainer.EpochRecord) -> None:
+        nonlocal started
+        now = time.perf_counter()
         val = (f" val_loss={record.val_loss:.4f} val_acc={record.val_accuracy:.4f}"
                if record.val_loss is not None else "")
         print(
             f"epoch {record.epoch}: loss={record.train_loss:.4f} "
-            f"acc={record.train_accuracy:.4f}{val} ({record.seconds:.1f}s)",
+            f"acc={record.train_accuracy:.4f}{val} ({now - started:.1f}s)",
             file=sys.stderr,
         )
+        started = now
 
     _, history = trainer.train(model, split, vocab, config, on_epoch=log_epoch)
     if args.history:

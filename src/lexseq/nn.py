@@ -106,14 +106,17 @@ store each tensor in C order.
 
 The embedding holds 95% of the parameters at reference dims, and a
 training batch touches a few hundred of its 100,002 rows, so the
-gradient and moment buffers keep a mask of the embedding rows that may
-be nonzero, and the passes over them walk those rows and every tensor
-after the embedding, with the bits of the whole-buffer passes (see
-:class:`Gradients` and ``trainer.AdamState``). The embedding of the
-gradient and moment buffers is on base pages (:func:`_small_pages`), so
-a pass over a few rows of a fresh buffer faults in a few pages, not a
-few 2 MB huge pages; the tensors after it, written whole by every batch,
-keep their huge pages.
+gradient and Adam's state each keep a mask of the embedding rows that
+may be nonzero. Every pass over them walks one list of parts
+(:func:`_walk`): the mask's rows, gathered in chunks, then every tensor
+after the embedding in blocks. Outside the mask the gradient, m and v
+are zero, where every pass changes no bit, so a pass gives the bits of
+its expression over the whole buffer (see :class:`Gradients` and
+``trainer.AdamState``). The embedding of the gradient and moment
+buffers is on base pages (:func:`_small_pages`), so a pass over a few
+rows of a fresh buffer faults in a few pages, not a few 2 MB huge pages;
+the tensors after it, written whole by every batch, keep their huge
+pages.
 
 Every pass and projection runs on the calling thread. The step loop
 stays on one thread: it holds the GIL between its small products, and
@@ -163,15 +166,6 @@ GRAD_FLUSH = 2.0 ** -100
 # (reference dims; see CHANGES.md).
 ADAM_BLOCK = 65_536
 
-# A pass given embedding rows gathers them while they are fewer than this
-# share of the embedding's rows, and walks the whole buffer from there on
-# (see _walk). At reference dims, on scattered rows, warm buffers, medians
-# of 9 interleaved calls, the gathered passes took as long as the
-# whole-buffer ones at about these shares: Adam's check and step 0.5 (49.7
-# against 46.9 ms), scale_ 0.3-0.35 and zero_ 0.4-0.5. At 0.4 the four
-# passes of a batch took 51.4 against 57.8 ms (see CHANGES.md).
-GATHER_SHARE = 0.4
-
 # numpy asks the kernel for transparent huge pages on arrays of this many
 # bytes or more (see _small_pages).
 HUGE_PAGE_ARRAY = 4 << 20
@@ -197,24 +191,17 @@ PROJECTION_ROWS = 256
 DIRECTIONS = ("forward_dir", "backward_dir")
 
 
-def _walk(buf: "ParamBuffer", mask: np.ndarray | None) -> list[slice | np.ndarray]:
-    """The parts of a pass over ``buf``, in order. A part is a slice of
-    ``buf.flat`` of at most ADAM_BLOCK elements, or a chunk of at most
-    ``ADAM_BLOCK // embed_dim`` embedding row ids (see :func:`_gathered`).
-    Given ``mask`` (a boolean mask of embedding rows) with fewer rows than
-    GATHER_SHARE of the embedding's, the parts are the chunks of its rows
-    in order, then the slices of everything after the embedding, gaps
-    included; otherwise, and with no mask, the slices of the whole
-    buffer."""
-    size, width, block = buf.flat.size, buf.dims.embed_dim, ADAM_BLOCK
-    rows = None if mask is None else np.flatnonzero(mask)
-    parts: list[slice | np.ndarray] = []
-    start = 0
-    if rows is not None and len(rows) < GATHER_SHARE * buf.dims.vocab_rows:
-        per = max(1, block // width)
-        parts = [rows[lo:lo + per] for lo in range(0, len(rows), per)]
-        start = buf.starts[1]
-    return parts + [slice(lo, min(lo + block, size)) for lo in range(start, size, block)]
+def _walk(buf: "ParamBuffer", mask: np.ndarray) -> list[slice | np.ndarray]:
+    """The parts of a pass over ``buf``, in order: the embedding rows of
+    ``mask`` (a boolean mask over them) in chunks of at most
+    ``ADAM_BLOCK // embed_dim`` row ids, which the pass gathers (see
+    :func:`_gathered`), then slices of ``buf.flat`` of at most ADAM_BLOCK
+    elements over everything after the embedding, gaps included."""
+    size, block = buf.flat.size, ADAM_BLOCK
+    rows = np.flatnonzero(mask)
+    per = max(1, block // buf.dims.embed_dim)
+    return ([rows[lo:lo + per] for lo in range(0, len(rows), per)]
+            + [slice(lo, min(lo + block, size)) for lo in range(buf.starts[1], size, block)])
 
 
 def _gathered(parts: list[slice | np.ndarray], bufs: Sequence["ParamBuffer"],
@@ -316,13 +303,11 @@ class ParamBuffer:
     named view each, in :func:`param_shapes` order (see the module
     docstring). Tensors start on 64-byte boundaries, because OpenBLAS's
     small products ran about 5% slower on W and U aligned to 16 bytes; the
-    gaps stay zero. ``values``, a flat buffer of this layout, is copied in.
-    ``rows`` is the mask of the embedding rows that may be nonzero, None
-    for any row (see :class:`Gradients`)."""
+    gaps stay zero. ``values``, a flat buffer of this layout, is copied in."""
 
     def __init__(self, dims: ModelDims, dtype=np.float32,
                  values: np.ndarray | None = None):
-        self.dims, self.views, self.rows = dims, {}, None
+        self.dims, self.views = dims, {}
         sizes = [-(-math.prod(shape) // 16) * 16 for _, shape in param_shapes(dims)]
         self.starts = [sum(sizes[:k]) for k in range(len(sizes))]
         nbytes = sum(sizes) * np.dtype(dtype).itemsize
@@ -337,16 +322,20 @@ class ParamBuffer:
 
     @classmethod
     def zeros_like(cls, model: "BiLstmClassifier") -> "ParamBuffer":
-        """A zero buffer in ``model``'s layout with an empty row mask, its
-        embedding on base pages (see :func:`_small_pages`), for the
-        gradients and Adam's moments."""
+        """A zero buffer in ``model``'s layout, its embedding on base pages
+        (see :func:`_small_pages`), for the gradients and Adam's moments."""
         buf = cls(model.dims, model.dtype)
-        buf.rows = np.zeros(model.dims.vocab_rows, bool)
         _small_pages(buf.flat, buf.starts[1])
         return buf
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(self.views.values())
+
+    def nonzero_rows(self) -> np.ndarray:
+        """The boolean mask of the embedding rows with a nonzero bit; -0.0
+        and NaN count."""
+        embedding = self.views["embedding"]
+        return embedding.view(f"u{embedding.itemsize}").any(axis=1)
 
     def name_at(self, index: int) -> str:
         """Name of the tensor that holds element ``index`` of ``flat``."""
@@ -393,23 +382,27 @@ class Gradients(ParamBuffer):
     """Gradient buffers in the parameter layout.
 
     ``rows`` is a boolean mask over the embedding rows that holds every
-    row that may be nonzero; None means any row. :func:`backward` sets the
-    rows it adds gradient into, ``zero_`` clears the mask, and
-    ``zeros_like`` starts it empty; every other buffer (a copy, a pickle,
-    a checkpoint's, :func:`init_parameters`') has None. Code that
-    writes the embedding by hand, not through :func:`backward`, must set
-    the rows it writes: a row outside the mask is taken to be zero.
+    row that may be nonzero; a row outside it is taken to be zero. A fresh
+    buffer starts it empty, and one built from values (a copy, a pickle)
+    takes its :meth:`nonzero_rows`. :func:`backward` sets the rows it adds
+    gradient into, and ``zero_`` clears the mask. Code that writes the
+    embedding by hand, not through :func:`backward`, must set the rows it
+    writes.
 
     ``zero_``, ``scale_`` and ``global_norm`` walk the rows of the mask and
-    every tensor after the embedding (see :func:`_walk`). While the rows
-    are fewer than GATHER_SHARE of the embedding's, ``scale_`` gathers them
-    into scratch in chunks, scales them and writes them back, and
-    ``zero_`` writes zero rows; the norm sums every block of the
-    embedding's memory that one of the rows reaches. From there on, and
-    with no mask, a pass walks the whole buffer. So the passes cost what a
-    batch touched, not the vocabulary, and give the bits of the
-    whole-buffer passes: zero and ``0 * k`` stay zero, and a block with
-    none of the rows sums to exactly 0.0."""
+    every tensor after the embedding (see :func:`_walk`): ``scale_`` gathers
+    the rows into scratch in chunks, scales them and writes them back,
+    ``zero_`` writes zero rows, and the norm sums every block of the
+    embedding's memory that one of the rows reaches. So the passes cost
+    what a batch touched, not the vocabulary, and give the bits of
+    ``flat.fill(0)``, ``flat *= k`` and the norm of every block: zero and
+    ``0 * k`` stay zero, and a block with none of the rows sums to exactly
+    0.0."""
+
+    def __init__(self, dims: ModelDims, dtype=np.float32,
+                 values: np.ndarray | None = None):
+        super().__init__(dims, dtype, values)
+        self.rows = np.zeros(dims.vocab_rows, bool) if values is None else self.nonzero_rows()
 
     def zero_(self) -> None:
         embedding = self.views["embedding"]
@@ -418,7 +411,7 @@ class Gradients(ParamBuffer):
                 self.flat[part].fill(0)
             else:
                 embedding[part] = 0
-        self.rows = np.zeros(self.dims.vocab_rows, bool)
+        self.rows[:] = False
 
     def scale_(self, k: float) -> None:
         k = self.flat.dtype.type(k)
@@ -436,15 +429,15 @@ class Gradients(ParamBuffer):
         memories = [view.ravel(order="A") for view in self.arrays()]
         blocks = [(memory, lo) for memory in memories
                   for lo in range(0, memory.size, ADAM_BLOCK)]
-        if self.rows is not None:  # the embedding's blocks are the buffer's first
-            width, count = self.dims.embed_dim, -(-memories[0].size // ADAM_BLOCK)
-            rows = np.flatnonzero(self.rows)
-            # a row reaches the blocks from its first element's to its last's
-            first = rows * width // ADAM_BLOCK
-            last = ((rows + 1) * width - 1) // ADAM_BLOCK
-            reached = np.cumsum(np.bincount(first, minlength=count + 1)
-                                - np.bincount(last + 1, minlength=count + 1)) > 0
-            blocks = [blocks[k] for k in np.flatnonzero(reached).tolist()] + blocks[count:]
+        # the embedding's blocks are the buffer's first
+        width, count = self.dims.embed_dim, -(-memories[0].size // ADAM_BLOCK)
+        rows = np.flatnonzero(self.rows)
+        # a row reaches the blocks from its first element's to its last's
+        first = rows * width // ADAM_BLOCK
+        last = ((rows + 1) * width - 1) // ADAM_BLOCK
+        reached = np.cumsum(np.bincount(first, minlength=count + 1)
+                            - np.bincount(last + 1, minlength=count + 1)) > 0
+        blocks = [blocks[k] for k in np.flatnonzero(reached).tolist()] + blocks[count:]
         square = np.empty(ADAM_BLOCK, np.float64)
         total = 0.0
         for memory, lo in blocks:
@@ -790,8 +783,7 @@ def backward(
         gv[f"{name}.U"] += dz.T @ trace.h[prev, d]
         gv[f"{name}.b"] += dz.sum(axis=0)
         np.add.at(gv["embedding"], tokens, dz @ v[f"{name}.W"])
-    if grads.rows is not None:
-        grads.rows[trace.tokens[lo:]] = True
+    grads.rows[trace.tokens[lo:]] = True
     return grads
 
 

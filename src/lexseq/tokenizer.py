@@ -80,10 +80,9 @@ class Vocabulary:
     has id k + 2 and training-stream frequency ``freqs[k]``. ``lowercase``
     is how its texts were tokenized, and how text is tokenized for it.
 
-    Build it from the columns (``tokens=``, ``freqs=``) or from
-    ``(token, frequency)`` pairs (``entries``); both run every check and
-    make the token -> id dict. The dict is not part of ``==``, ``hash``
-    or ``repr``.
+    Build it from ``(token, frequency)`` pairs (``entries``), which runs
+    every check and makes the token -> id dict. The dict is not part of
+    ``==``, ``hash`` or ``repr``.
     """
 
     tokens: tuple[str, ...]
@@ -94,19 +93,12 @@ class Vocabulary:
                                           compare=False)
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, entries: Iterable[tuple[str, int]] | None = None, *, cap: int,
-                 lowercase: bool = True, tokens: Iterable[str] | None = None,
-                 freqs: Iterable[int] | None = None):
-        if not (tokens is None) == (freqs is None) != (entries is None):
-            raise TypeError("give either entries or both tokens and freqs")
-        if entries is not None:
-            entries = tuple(entries)
-            # a pass per column; zip(*entries) would make an iterator per entry
-            tokens = map(itemgetter(0), entries)
-            freqs = map(itemgetter(1), entries)
-        tokens, freqs = tuple(tokens), tuple(freqs)
-        if len(tokens) != len(freqs):
-            raise ValueError("vocabulary columns differ in length")
+    def __init__(self, entries: Iterable[tuple[str, int]], *, cap: int,
+                 lowercase: bool = True):
+        entries = tuple(entries)
+        # a pass per column; zip(*entries) would make an iterator per entry
+        tokens = tuple(map(itemgetter(0), entries))
+        freqs = tuple(map(itemgetter(1), entries))
         self._set(tokens, freqs, cap, lowercase, _checked_index(tokens, freqs, cap))
 
     @classmethod
@@ -242,7 +234,8 @@ def build_vocabulary(token_stream: Iterable[str], cap: int = 100_000,
 
 @dataclass(frozen=True)
 class EncodedSequence:
-    """Fixed-capacity id vector; positions beyond ``length`` are PAD."""
+    """A document's token ids: the first ``length`` are its tokens, and
+    any after them are PAD. :func:`encode` gives exactly ``length`` ids."""
 
     ids: np.ndarray
     length: int
@@ -260,10 +253,10 @@ class EncodedSequence:
 
 
 def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> EncodedSequence:
-    """Map tokens to ids, truncate to the ``max_len`` window, post-pad."""
+    """Map tokens to ids, truncated to the ``max_len`` window; the ids are
+    as long as the document's kept tokens, with no padding."""
     kept = tokens[:max_len]
-    ids = np.zeros(max_len, dtype=np.int64)
-    ids[:len(kept)] = list(map(vocab._ids().get, kept, repeat(OOV_ID)))
+    ids = np.fromiter(map(vocab._ids().get, kept, repeat(OOV_ID)), np.int64, len(kept))
     return EncodedSequence(ids=ids, length=len(kept))
 
 

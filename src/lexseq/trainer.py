@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -89,24 +88,25 @@ class TrainConfig:
 class AdamState:
     """Adam's first and second moments, in the parameter layout.
 
-    The state's mask, ``m.rows`` and ``v.rows`` (one set; see
-    ``nn.Gradients``), is the union of the masks of every gradient
-    :func:`adam_update` has stepped: the embedding rows where m and v may
-    be nonzero. ``zeros_like`` starts it empty, and ``load_checkpoint``'s
-    state has None, any row. Adam steps the rows of that union and of the
-    gradient's mask, so a row that a batch touched once decays its m and
-    v at every later step: this is Adam, not lazy Adam. Outside those rows
+    ``rows`` is a boolean mask over the embedding rows that holds every
+    row where m or v may be nonzero (see ``nn.Gradients``). ``zeros_like``
+    starts it empty, and ``load_checkpoint`` gives it the rows where m or v
+    has a nonzero bit. :func:`adam_update` merges each gradient's mask into
+    it, once the gradient's finite check has passed, and steps the rows of
+    the merged mask, so a row that a batch touched once decays its m and v
+    at every later step: this is Adam, not lazy Adam. Outside those rows
     the gradient, m and v are zero, where the step is +0.0 and changes no
-    bit of a parameter, m or v. The union is merged only once the
-    gradient's finite check has passed."""
+    bit of a parameter, m or v."""
 
     m: ParamBuffer
     v: ParamBuffer
     t: int = 0
+    rows: np.ndarray = field(kw_only=True, compare=False)
 
     @classmethod
     def zeros_like(cls, model: BiLstmClassifier) -> "AdamState":
-        return cls(m=ParamBuffer.zeros_like(model), v=ParamBuffer.zeros_like(model))
+        return cls(m=ParamBuffer.zeros_like(model), v=ParamBuffer.zeros_like(model),
+                   rows=np.zeros(model.dims.vocab_rows, bool))
 
 
 @dataclass
@@ -116,7 +116,6 @@ class EpochRecord:
     train_accuracy: float
     val_loss: float | None
     val_accuracy: float | None
-    seconds: float
 
 
 @dataclass
@@ -141,14 +140,16 @@ def adam_update(
     A non-finite gradient raises a NumericError naming the tensor of the
     first non-finite element in flat order, before anything changes: the
     gradient is checked first, and only then is ``state.t`` incremented,
-    the state's row mask merged (see :class:`AdamState`) and the step
-    taken. The step walks the flat parameter, gradient, m and v buffers in
-    blocks of at most ``nn.ADAM_BLOCK`` elements through two block-sized
-    scratch buffers, with ``out=`` ufuncs in the operation order of
-    ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, and gathers
-    embedding rows into scratch as ``nn.Gradients``' passes do. Every
-    element it walks goes through the operations of that expression, so
-    the result is bit-identical to it.
+    the gradient's row mask merged into the state's (see
+    :class:`AdamState`) and the step taken. The step walks the rows of the
+    state's mask, gathered into scratch as ``nn.Gradients``' passes gather
+    them, and the flat parameter, gradient, m and v buffers after the
+    embedding in blocks of at most ``nn.ADAM_BLOCK`` elements, through two
+    block-sized scratch buffers, with ``out=`` ufuncs in the operation
+    order of ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. Every
+    element it walks goes through the operations of that expression, and
+    every other element is zero in the gradient, m and v, so the result is
+    bit-identical to that expression over the whole buffers.
     """
     width = model.dims.embed_dim
     finite = np.empty(max(nn.ADAM_BLOCK, width), bool)
@@ -161,15 +162,13 @@ def adam_update(
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
-    masks = (grads.rows, state.m.rows, state.v.rows)
-    rows = None if any(mask is None for mask in masks) else np.logical_or.reduce(masks)
-    state.m.rows = state.v.rows = rows
+    state.rows |= grads.rows
 
     buffers = (model.params, grads, state.m, state.v)
     scratch = np.empty(max(nn.ADAM_BLOCK, width), grads.flat.dtype)
     denom = np.empty_like(scratch)
     # param, m and v go back to a gathered chunk's rows
-    for _, (param, grad, m, v) in _gathered(_walk(grads, rows), buffers, (0, 2, 3)):
+    for _, (param, grad, m, v) in _gathered(_walk(grads, state.rows), buffers, (0, 2, 3)):
         s, d = scratch[:param.size], denom[:param.size]
         m *= BETA1
         m += np.multiply(1.0 - BETA1, grad, out=s)
@@ -290,7 +289,6 @@ def train(
     n = len(train_seqs)
 
     for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
         order = list(range(n))
         rng.shuffle(order)
         epoch_loss = 0.0
@@ -329,7 +327,6 @@ def train(
             train_accuracy=correct / n,
             val_loss=val_loss,
             val_accuracy=val_acc,
-            seconds=time.perf_counter() - started,
         )
         history.epochs.append(record)
         if config.checkpoint_path is not None and val_acc is not None:
@@ -369,7 +366,14 @@ def save_checkpoint(
     state: AdamState | None = None,
 ) -> None:
     """Write ``model`` (and optionally its Adam state) to ``path``, one
-    tensor at a time, through ``errors.write_atomically``."""
+    tensor at a time, through ``errors.write_atomically``. Checkpoints hold
+    float32: a model or state of another dtype is a ValueError, raised
+    before anything is written."""
+    buffers = (model.params,) if state is None else (model.params, state.m, state.v)
+    for what, buf in zip(("model", "Adam state", "Adam state"), buffers):
+        if buf.flat.dtype != np.float32:
+            raise ValueError(f"cannot save a {buf.flat.dtype} {what}: "
+                             "checkpoints hold float32 tensors")
     header = json.dumps({
         "format": CHECKPOINT_FORMAT, "dims": asdict(model.dims),
         "labels": list(model.labels), "vocab_digest": model.vocab_digest,
@@ -382,11 +386,9 @@ def save_checkpoint(
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
         # through the buffer protocol, in C order (W and U are held in F)
-        tensors = model.params.arrays()
-        if state is not None:
-            tensors += state.m.arrays() + state.v.arrays()
-        for arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+        for buf in buffers:
+            for arr in buf.arrays():
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
     write_atomically(path, write)
 
@@ -457,6 +459,7 @@ def load_checkpoint(
             return buf
 
         model = BiLstmClassifier(read_into(params), labels, digest, activation)
-        state = None if adam_t is None else AdamState(
-            m=read_into(ParamBuffer(dims)), v=read_into(ParamBuffer(dims)), t=adam_t)
-    return model, state
+        if adam_t is None:
+            return model, None
+        m, v = read_into(ParamBuffer(dims)), read_into(ParamBuffer(dims))
+    return model, AdamState(m=m, v=v, t=adam_t, rows=m.nonzero_rows() | v.nonzero_rows())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import random
 import tracemalloc
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from lexseq import corpus, nn
+from lexseq import corpus, nn, trainer
 from lexseq.errors import DataError
 from lexseq.tokenizer import EncodedSequence
 
@@ -117,6 +118,45 @@ def overflow_head(model: nn.BiLstmClassifier, tokens=slice(None)) -> nn.BiLstmCl
     v["embedding"][tokens, 0] = 4.0
     v["head.W"][...] = 3e38
     return model
+
+
+# The whole-buffer expressions whose bits the gradient passes and Adam's
+# step give (see the docstrings of nn.Gradients and trainer.adam_update):
+# references for the passes over the rows of a mask, which read no mask.
+
+def dense_zero(grads: nn.Gradients) -> None:
+    grads.flat.fill(0)
+
+
+def dense_scale(grads: nn.Gradients, k: float) -> None:
+    grads.flat *= grads.flat.dtype.type(k)
+
+
+def dense_norm(grads: nn.Gradients) -> float:
+    """Every block of each tensor's memory squared and summed in float64,
+    the blocks' sums added in order."""
+    total = 0.0
+    for view in grads.arrays():
+        memory = view.ravel(order="A")
+        for lo in range(0, memory.size, nn.ADAM_BLOCK):
+            block = memory[lo:lo + nn.ADAM_BLOCK]
+            total += float(np.multiply(block, block, dtype=np.float64).sum())
+    return math.sqrt(total)
+
+
+def dense_adam(model, grads, state, config):
+    """One Adam step over the whole flat buffers, in the operation order
+    of ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``."""
+    state.t += 1
+    bc1 = 1.0 - trainer.BETA1 ** state.t
+    bc2 = 1.0 - trainer.BETA2 ** state.t
+    param, grad, m, v = (buf.flat for buf in (model.params, grads, state.m, state.v))
+    m *= trainer.BETA1
+    m += (1.0 - trainer.BETA1) * grad
+    v *= trainer.BETA2
+    v += (1.0 - trainer.BETA2) * (grad * grad)
+    param -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + trainer.EPSILON)
+    return model, state
 
 
 def finite_difference_gradients(

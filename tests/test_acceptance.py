@@ -11,7 +11,6 @@ contract.
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import time
@@ -178,8 +177,7 @@ def test_criterion_6_end_to_end_learning(tmp_path):
 
 def test_criterion_7_deterministic_checkpoints(tmp_path):
     """Two `python -m lexseq train` processes with other hash seeds write
-    the same checkpoint bytes, and the same history bytes but for the
-    wall-clock seconds of each epoch."""
+    the same checkpoint bytes and the same history bytes."""
     docs = make_synthetic_corpus(n_docs=90, seed=31)
     data, labels_path = tmp_path / "corpus.jsonl", tmp_path / "labels.txt"
     save_dataset(docs, LabelSet(SYNTH_LABELS), data)
@@ -200,10 +198,9 @@ def test_criterion_7_deterministic_checkpoints(tmp_path):
              "--max-len", "40", "-o", str(ckpt), "--history", str(history)],
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        outputs.append((ckpt.read_bytes(), re.sub(rb'"seconds": [^,\n}]+', b'"seconds": 0',
-                                                  history.read_bytes())))
+        outputs.append((ckpt.read_bytes(), history.read_bytes()))
     check(7, "identical config and seed give byte-identical checkpoints "
-          "in processes with other hash seeds", outputs[0] == outputs[1],
+          "and histories in processes with other hash seeds", outputs[0] == outputs[1],
           f"{len(outputs[0][0])} bytes")
 
 

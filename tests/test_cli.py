@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1032,8 +1033,9 @@ class TestTrainCommand:
         assert model.dims.hidden == 6
         records = json.loads(history.read_text(encoding="utf-8"))
         assert len(records) == 2
-        assert {"epoch", "train_loss", "train_accuracy", "val_loss",
-                "val_accuracy", "seconds"} <= set(records[0])
+        # results only: no wall-clock field, so equal runs write equal bytes
+        assert set(records[0]) == {"epoch", "train_loss", "train_accuracy", "val_loss",
+                                   "val_accuracy"}
 
     def test_clip_norm_run_writes_a_checkpoint(self, workspace, tmp_path):
         ckpt = tmp_path / "clipped.ckpt"
@@ -1041,6 +1043,15 @@ class TestTrainCommand:
                                   "-o", str(ckpt))) == 0
         model, _ = load_checkpoint(ckpt)
         assert model.dims.hidden == 6
+
+    def test_each_epoch_line_times_its_epoch(self, workspace, tmp_path, capsys):
+        # the history holds results only; the stderr line keeps the time
+        assert cli.run(train_args(workspace, "--epochs", "2",
+                                  "-o", str(tmp_path / "m.ckpt"))) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("epoch ")]
+        assert [line.split(":")[0] for line in lines] == ["epoch 1", "epoch 2"]
+        assert all(re.search(r" \(\d+\.\ds\)$", line) for line in lines), lines
 
     def test_zero_epochs_is_usage_error(self, workspace, tmp_path, capsys):
         code = cli.run([

@@ -42,7 +42,7 @@ def write_matrix_csv(path, version):
 
 
 def write_history(path, version):
-    TrainHistory([EpochRecord(1, 0.5, version / 4, None, None, 1.0)]).save_json(path)
+    TrainHistory([EpochRecord(1, 0.5, version / 4, None, None)]).save_json(path)
 
 
 def write_extract_line(path, version):

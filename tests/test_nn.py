@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     batch_gradient_check_error,
+    dense_norm,
+    dense_scale,
+    dense_zero,
     gradient_check_error,
     overflow_head,
     random_tiny_model,
@@ -34,7 +37,7 @@ def tiny_dims(**kw):
 
 
 def row_mask(dims, rows):
-    """A mask of the embedding rows ``rows``, as ``ParamBuffer.rows`` holds."""
+    """A mask of the embedding rows ``rows``, as ``Gradients.rows`` holds."""
     mask = np.zeros(dims.vocab_rows, bool)
     mask[rows] = True
     return mask
@@ -304,6 +307,13 @@ class TestBackward:
         for row in range(model.dims.vocab_rows):
             if row not in used:
                 npt.assert_array_equal(grads.views["embedding"][row], 0)
+
+    def test_backward_sets_the_rows_of_a_buffer_built_by_hand(self):
+        model = nn.init_parameters(tiny_dims(), seed=9)
+        _, trace = nn.forward([EncodedSequence(ids=np.array([6, 2, 6]), length=3)], model)
+        grads = nn.backward(trace, [1], out=nn.Gradients(model.dims))
+        assert np.flatnonzero(grads.rows).tolist() == [2, 6]
+        assert grads.rows.tolist() == grads.nonzero_rows().tolist()
 
     def test_accumulation_into_caller_buffer(self):
         model = nn.init_parameters(tiny_dims(), seed=3)
@@ -804,6 +814,24 @@ class TestParamBuffer:
         assert views["embedding"][0, 0] == before[0] + 1
         assert (twin.labels, twin.activation) == (model.labels, model.activation)
 
+    @pytest.mark.parametrize("copier", [
+        copy.deepcopy, copy.copy, lambda grads: pickle.loads(pickle.dumps(grads)),
+        lambda grads: nn.Gradients(grads.dims, grads.flat.dtype, grads.flat),
+    ], ids=["deepcopy", "copy", "pickle", "values"])
+    def test_a_gradient_built_from_values_masks_its_nonzero_rows(self, copier):
+        # -0.0 and NaN are nonzero bits; a row the mask held that is zero
+        # again, and values after the embedding, add no row
+        grads = nn.Gradients.zeros_like(nn.init_parameters(tiny_dims(), seed=2))
+        embedding = grads.views["embedding"]
+        embedding[2, 1], embedding[5, 0], embedding[9, 3] = 0.5, -0.0, np.nan
+        grads.views["head.b"][...] = 1.0
+        grads.rows[[2, 4, 5, 9]] = True
+        twin = copier(grads)
+        assert np.flatnonzero(twin.rows).tolist() == [2, 5, 9]
+        assert twin.flat.tobytes() == grads.flat.tobytes()
+        twin.zero_()
+        assert not twin.flat.view(np.uint32).any()  # -0.0 and NaN zeroed too
+
     def test_gradient_passes_cover_every_tensor(self):
         model = nn.init_parameters(tiny_dims(), seed=2)
         grads = nn.Gradients.zeros_like(model)
@@ -858,10 +886,13 @@ class TestParamBuffer:
         monkeypatch.setattr(nn, "ADAM_BLOCK", block)
         grads = nn.Gradients(dims, dtype)
         assert grads.flat.size > 2 * block and grads.flat.size % block
-        values = np.random.default_rng(7).standard_normal(grads.flat.size).astype(dtype)
+        rng = np.random.default_rng(7)
+        for view in grads.arrays():  # the gaps between tensors stay zero
+            view[...] = rng.standard_normal(view.shape)
+        values = grads.flat.copy()
         for k in (0.25, 1 / 3, 1e-30):
             grads.flat[...] = values
-            grads.rows = None  # any row: planted whole
+            grads.rows[:] = True  # every row planted
             grads.scale_(k)
             assert grads.flat.tobytes() == (values * dtype(k)).tobytes()
         grads.zero_()
@@ -871,46 +902,33 @@ class TestParamBuffer:
 class TestRowRanges:
     """The parts of a pass over the embedding rows of a buffer's mask (see
     nn._walk): the rows in chunks, which the pass gathers, and every tensor
-    after the embedding, with the bits of the whole-buffer passes."""
+    after the embedding, with the bits of the whole-buffer expressions."""
 
     dims = tiny_dims(vocab_rows=400, embed_dim=8, hidden=5)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(0, 399), max_size=200, unique=True),
+    @given(st.lists(st.integers(0, 399), max_size=400, unique=True),
            st.sampled_from([5, 7, 97, 4096]))
     def test_ranges_cover_the_rows_and_every_later_tensor(self, rows, block):
-        # up to half the rows: both sides of GATHER_SHARE; blocks of 5 and 7
-        # are narrower than a row
+        # any rows, up to all of them; blocks of 5 and 7 are narrower than
+        # a row
         buf = nn.ParamBuffer(self.dims)
         rows = np.array(sorted(rows), np.int64)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nn, "ADAM_BLOCK", block)
             parts = nn._walk(buf, row_mask(self.dims, rows))
         chunks = [part for part in parts if not isinstance(part, slice)]
-        start = 0
-        if len(rows) < nn.GATHER_SHARE * self.dims.vocab_rows:
-            # the rows in order, in full chunks of block // embed_dim rows but
-            # the last, and at least one row a chunk
-            per = max(1, block // self.dims.embed_dim)
-            assert all(len(chunk) == per for chunk in chunks[:-1])
-            assert 0 < len(chunks[-1] if chunks else [1]) <= per
-            assert sum((chunk.tolist() for chunk in chunks), []) == rows.tolist()
-            start = buf.starts[1]
-        else:
-            assert not chunks
-        # then consecutive slices of at most a block, gaps included, to the end
+        # the rows in order, in full chunks of block // embed_dim rows but
+        # the last, and at least one row a chunk
+        per = max(1, block // self.dims.embed_dim)
+        assert all(len(chunk) == per for chunk in chunks[:-1])
+        assert 0 < len(chunks[-1] if chunks else [1]) <= per
+        assert sum((chunk.tolist() for chunk in chunks), []) == rows.tolist()
+        # then consecutive slices of at most a block, gaps included, from
+        # the end of the embedding to the end of the buffer
         size = buf.flat.size
         assert parts[len(chunks):] == [slice(lo, min(lo + block, size))
-                                       for lo in range(start, size, block)]
-
-    @pytest.mark.parametrize("block", [7, nn.ADAM_BLOCK])
-    def test_no_rows_walk_the_whole_buffer_in_blocks(self, block, monkeypatch):
-        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
-        buf = nn.ParamBuffer(self.dims)
-        size = buf.flat.size
-        assert buf.rows is None  # not from zeros_like: any row
-        assert nn._walk(buf, buf.rows) == [slice(lo, min(lo + block, size))
-                                           for lo in range(0, size, block)]
+                                       for lo in range(buf.starts[1], size, block)]
 
     def test_no_rows_walk_only_the_tensors_after_the_embedding(self, monkeypatch):
         monkeypatch.setattr(nn, "ADAM_BLOCK", 10**6)
@@ -925,57 +943,36 @@ class TestRowRanges:
         assert parts[0].tolist() == [5, 6, 900]
         assert parts[1:] == [slice(buf.starts[1], buf.flat.size)]
 
-    @pytest.mark.parametrize("below", [1, 0], ids=["gathered", "whole"])
-    def test_from_gather_share_the_pass_takes_the_whole_buffer(self, below,
-                                                               monkeypatch):
-        # from GATHER_SHARE of the embedding's rows on, gathering costs more
-        # than a pass over the whole buffer in blocks
-        monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
-        buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
-        size = buf.flat.size
-        rows = np.arange(0, 2 * (math.ceil(nn.GATHER_SHARE * 20_000) - below), 2)
-        parts = nn._walk(buf, row_mask(buf.dims, rows))
-        chunks = [part for part in parts if not isinstance(part, slice)]
-        start = buf.starts[1] if below else 0
-        assert parts[len(chunks):] == [slice(lo, min(lo + 97, size))
-                                       for lo in range(start, size, 97)]
-        if below:  # 12 rows a chunk
-            assert np.concatenate(chunks).tolist() == rows.tolist()
-            assert {len(chunk) for chunk in chunks[:-1]} == {97 // 8}
-        else:
-            assert not chunks
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("block, count", [(nn.ADAM_BLOCK, 4096), (97, 1), (97, 64)])
+    @pytest.mark.parametrize("block, count", [(nn.ADAM_BLOCK, 4096), (97, 1), (97, 64),
+                                              (97, "all")])
     def test_row_passes_keep_the_bits_of_the_whole_buffer(self, dtype, block, count,
                                                           monkeypatch):
         # count scattered rows and the first and last ones: half a chunk of
         # 8,192 rows, or one and several chunks of 12 rows that straddle
-        # blocks of 97 elements
+        # blocks of 97 elements, or every row
         dims = tiny_dims(vocab_rows=nn.ADAM_BLOCK // 4 + 1001, embed_dim=8, hidden=5)
         monkeypatch.setattr(nn, "ADAM_BLOCK", block)
         rng = np.random.default_rng(8)
-        rows = np.unique(np.r_[0, dims.vocab_rows - 1,
-                               rng.choice(dims.vocab_rows, count, replace=False)])
-        assert rows.size < nn.GATHER_SHARE * dims.vocab_rows  # gathered
+        rows = np.arange(dims.vocab_rows) if count == "all" else np.unique(np.r_[
+            0, dims.vocab_rows - 1, rng.choice(dims.vocab_rows, count, replace=False)])
         dense = nn.Gradients(dims, dtype)
         for name, view in dense.views.items():
             view[...] = rng.standard_normal(view.shape) * 10.0 ** rng.integers(-9, 4, view.shape)
         mask = row_mask(dims, rows)
         dense.views["embedding"][~mask] = 0  # the rows a batch did not touch
-        results = []
-        for with_mask in (None, mask):
-            grads = nn.Gradients(dims, dtype, dense.flat)
-            grads.rows = None if with_mask is None else with_mask.copy()
-            norm = grads.global_norm()
-            grads.scale_(1 / 3)
-            scaled = grads.flat.tobytes()
-            grads.zero_()
-            assert not grads.flat.any() and not grads.rows.any()
-            results.append((norm, scaled))
-        assert results[0] == results[1]
-        assert results[0][0] == pytest.approx(math.sqrt(sum(  # the per-tensor sum
+        grads = nn.Gradients(dims, dtype)
+        grads.flat[...] = dense.flat
+        grads.rows[rows] = True
+        assert grads.global_norm() == dense_norm(dense)
+        assert dense_norm(dense) == pytest.approx(math.sqrt(sum(  # the per-tensor sum
             float(np.sum(arr.astype(np.float64) ** 2)) for arr in dense.arrays())), rel=1e-12)
+        grads.scale_(1 / 3)
+        dense_scale(dense, 1 / 3)
+        assert grads.flat.tobytes() == dense.flat.tobytes()
+        grads.zero_()
+        dense_zero(dense)
+        assert grads.flat.tobytes() == dense.flat.tobytes() and not grads.rows.any()
 
     def test_row_passes_leave_every_other_row_alone(self):
         grads = nn.Gradients(self.dims)

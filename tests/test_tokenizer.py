@@ -180,23 +180,22 @@ class TestBuildVocabulary:
 
 
 class TestEncode:
-    def test_oov_and_padding(self):
+    def test_oov_and_no_padding(self):
         vocab = build_vocabulary(iter(["a", "a", "b"]), cap=10)
         seq = encode(["a", "b", "zzz"], vocab, 5)
-        assert seq.ids.tolist() == [2, 3, 1, 0, 0]
+        assert seq.ids.tolist() == [2, 3, 1]
         assert seq.length == 3
 
     def test_truncation(self):
         vocab = build_vocabulary(iter(["a"]), cap=10)
         seq = encode(["a"] * 1200, vocab, 1000)
-        assert seq.length == 1000
+        assert seq.length == seq.ids.size == 1000
         assert np.all(seq.ids == 2)
 
     def test_empty_tokens(self):
         vocab = build_vocabulary(iter(["a"]), cap=10)
         seq = encode([], vocab, 4)
-        assert seq.length == 0
-        assert np.all(seq.ids == PAD_ID)
+        assert seq.length == seq.ids.size == 0
 
     def test_in_vocab_roundtrip(self):
         vocab = build_vocabulary(iter(["um", "dois", "um"]), cap=10)
@@ -210,21 +209,27 @@ class TestEncode:
     @settings(max_examples=100, deadline=None)
     def test_same_ids_as_the_per_token_loop(self, tokens, max_len):
         vocab = build_vocabulary(iter("aabbbcdef"), cap=4)
-        expected = np.zeros(max_len, dtype=np.int64)
-        for i in range(min(len(tokens), max_len)):
+        expected = np.zeros(min(len(tokens), max_len), dtype=np.int64)
+        for i in range(expected.size):
             expected[i] = vocab.id_of(tokens[i])
         seq = encode(tokens, vocab, max_len)
         assert seq.ids.dtype == expected.dtype
         npt.assert_array_equal(seq.ids, expected)
-        assert seq.length == min(len(tokens), max_len)
+        # ids of the document's own length, not of the window
+        assert seq.length == seq.ids.size == min(len(tokens), max_len)
+
+    def test_a_short_document_allocates_no_window(self):
+        # a window of 10**6 tokens would be 8 MB of ids
+        vocab = build_vocabulary(iter(["a", "b"]), cap=10)
+        assert traced_peak(lambda: encode(["a", "b", "c"], vocab, 10**6)) < 64 * 1024
 
     def test_encode_text_tokenizes_with_the_vocabulary_casing(self):
         lower = build_vocabulary(iter_tokens(["Recurso lei"]), cap=5)
         kept = build_vocabulary(iter_tokens(["Recurso lei"], lowercase=False), cap=5,
                                 lowercase=False)
         assert [t for t, _ in kept.entries] == ["Recurso", "lei"]
-        assert encode_text("Recurso LEI", lower, 4).ids.tolist() == [2, 3, 0, 0]
-        assert encode_text("Recurso LEI", kept, 4).ids.tolist() == [2, OOV_ID, 0, 0]
+        assert encode_text("Recurso LEI", lower, 4).ids.tolist() == [2, 3]
+        assert encode_text("Recurso LEI", kept, 4).ids.tolist() == [2, OOV_ID]
 
     @pytest.mark.parametrize("ids", [
         np.array([2.7, 3.2]), np.array([True, True]), np.array([[2, 3]]), [2, 3],
@@ -241,13 +246,7 @@ class TestEncode:
     def test_no_pad_before_nonpad(self):
         vocab = build_vocabulary(iter("abc"), cap=10)
         seq = encode(list("cab"), vocab, 8)
-        ids = seq.ids.tolist()
-        seen_pad = False
-        for v in ids:
-            if v == PAD_ID:
-                seen_pad = True
-            else:
-                assert not seen_pad
+        assert PAD_ID not in seq.ids.tolist()  # encode pads nothing
 
 
 def rendering(vocab) -> str:
@@ -362,7 +361,7 @@ class TestVocabularyFile:
         # more rows than one chunk, some of them not ASCII
         rows = 2 * tokenizer.RENDER_ROWS + 5
         tokens = [f"T{k}ção" if k % 3 else f"t{k}" for k in range(rows)]
-        vocab = tokenizer.Vocabulary(tokens=tokens, freqs=range(rows, 0, -1),
+        vocab = tokenizer.Vocabulary(zip(tokens, range(rows, 0, -1)),
                                      cap=rows + 1, lowercase=lowercase)
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
@@ -373,8 +372,7 @@ class TestVocabularyFile:
         # a 100,000-entry table's file is about 1.5 MiB; rendered as one
         # string and its bytes, the peak is 9.7 MiB
         tokens = [f"t{k}" for k in range(100_000)]
-        vocab = tokenizer.Vocabulary(tokens=tokens, freqs=range(100_000, 0, -1),
-                                     cap=100_000)
+        vocab = tokenizer.Vocabulary(zip(tokens, range(100_000, 0, -1)), cap=100_000)
         assert traced_peak(vocab.digest) < 2 ** 20
 
 
@@ -409,35 +407,20 @@ class TestVocabularyRules:
             tokenizer.Vocabulary(entries=entries, cap=cap)
         assert str(excinfo.value) == message
 
-    @RULE_CASES
-    def test_rejection_of_columns(self, entries, cap, message):
-        tokens, freqs = [t for t, _ in entries], [f for _, f in entries]
-        with pytest.raises(ValueError) as excinfo:
-            tokenizer.Vocabulary(tokens=tokens, freqs=freqs, cap=cap)
-        assert str(excinfo.value) == message
-
-    def test_columns_and_entries_build_the_same_table(self):
+    def test_entries_build_the_columns(self):
         entries = (("b", 3), ("a", 3), ("c", 1))
-        by_entries = tokenizer.Vocabulary(entries, cap=3, lowercase=False)
-        by_columns = tokenizer.Vocabulary(tokens=iter("bac"), freqs=[3, 3, 1], cap=3,
-                                          lowercase=False)
-        assert by_columns == by_entries and hash(by_columns) == hash(by_entries)
-        assert by_columns.tokens == ("b", "a", "c") and by_columns.freqs == (3, 3, 1)
-        assert by_columns.entries == entries
-        assert by_columns.digest() == by_entries.digest()
+        vocab = tokenizer.Vocabulary(iter(entries), cap=3, lowercase=False)
+        assert vocab.tokens == ("b", "a", "c") and vocab.freqs == (3, 3, 1)
+        assert vocab.entries == entries
+        assert vocab == tokenizer.Vocabulary(entries=entries, cap=3, lowercase=False)
 
     @pytest.mark.parametrize("kwargs", [
-        {}, {"tokens": ["a"]}, {"freqs": [1]},
-        {"entries": (("a", 1),), "tokens": ["a"], "freqs": [1]},
-        {"entries": (("a", 1),), "freqs": [1]}],
-        ids=["neither", "tokens-only", "freqs-only", "both", "entries-and-freqs"])
-    def test_one_way_of_construction(self, kwargs):
-        with pytest.raises(TypeError, match="either entries or both tokens and freqs"):
+        {}, {"tokens": ["a"], "freqs": [1]},
+        {"entries": (("a", 1),), "tokens": ["a"], "freqs": [1]}],
+        ids=["neither", "columns", "entries-and-columns"])
+    def test_entries_are_the_one_way_of_construction(self, kwargs):
+        with pytest.raises(TypeError):
             tokenizer.Vocabulary(cap=5, **kwargs)
-
-    def test_columns_of_different_lengths_rejected(self):
-        with pytest.raises(ValueError, match="columns differ in length"):
-            tokenizer.Vocabulary(tokens=["a", "b"], freqs=[2], cap=5)
 
     @pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
     def test_whitespace_anywhere_in_a_token(self, space):
@@ -555,7 +538,7 @@ class TestBuiltTableEqualsTheCheckedOne:
         assert built._index is None and checked._index is not None
         doc = ["the", "appeal", "court", "held", "nowhere", "the"]
         ids = encode(doc, built, max_len=8).ids
-        assert ids.tolist() == [checked.id_of(t) for t in doc] + [PAD_ID] * 2
+        assert ids.tolist() == [checked.id_of(t) for t in doc]
         assert built._index == checked._index
         index = built._index
         assert built.id_of("court") == 3 and built._index is index  # made once
@@ -715,7 +698,7 @@ def tables(draw) -> tokenizer.Vocabulary:
     tokens = draw(st.lists(TOKENS, min_size=1, max_size=8, unique=True))
     freqs = sorted(draw(st.lists(st.integers(-20, 10**12), min_size=len(tokens),
                                  max_size=len(tokens))), reverse=True)
-    return tokenizer.Vocabulary(tokens=tokens, freqs=freqs,
+    return tokenizer.Vocabulary(zip(tokens, freqs),
                                 cap=len(tokens) + draw(st.integers(0, 3)),
                                 lowercase=draw(st.booleans()))
 
@@ -769,7 +752,7 @@ class TestLoadedDigest:
     @pytest.mark.parametrize("lowercase", [True, False])
     def test_a_canonical_file_is_not_rendered(self, tmp_path, monkeypatch, lowercase):
         tokens = [f"t{k}" for k in range(1000)]
-        vocab = tokenizer.Vocabulary(tokens=tokens, freqs=range(1000, 0, -1),
+        vocab = tokenizer.Vocabulary(zip(tokens, range(1000, 0, -1)),
                                      cap=2000, lowercase=lowercase)
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 import re
 import threading
@@ -12,8 +14,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (SYNTH_LABELS, flip_bit, load_variant, make_synthetic_corpus,
-                      overflow_head, traced_peak)
+from conftest import (SYNTH_LABELS, dense_adam, dense_norm, dense_scale, dense_zero,
+                      flip_bit, load_variant, make_synthetic_corpus, overflow_head,
+                      traced_peak)
 
 from lexseq import nn, trainer
 from lexseq.corpus import Document, LabelSet, SplitDataset, stratified_split
@@ -68,25 +71,12 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
 
 
-def _adam_reference(params, grads, ms, vs, t, config):
-    """The per-tensor Adam step that the blocked adam_update replaced."""
-    bc1 = 1.0 - trainer.BETA1 ** t
-    bc2 = 1.0 - trainer.BETA2 ** t
-    for param, grad, m, v in zip(params, grads, ms, vs):
-        step = np.empty_like(grad)
-        denom = np.empty_like(grad)
-        m *= trainer.BETA1
-        m += np.multiply(1.0 - trainer.BETA1, grad, out=step)
-        v *= trainer.BETA2
-        np.multiply(grad, grad, out=denom)
-        v += np.multiply(1.0 - trainer.BETA2, denom, out=denom)
-        np.divide(m, bc1, out=step)
-        np.multiply(config.learning_rate, step, out=step)
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += trainer.EPSILON
-        step /= denom
-        param -= step
+# train()'s buffer passes over the rows of the masks, and the dense
+# references whose bits they give
+ROW_PASSES = types.SimpleNamespace(zero=nn.Gradients.zero_, scale=nn.Gradients.scale_,
+                                   norm=nn.Gradients.global_norm, adam=adam_update)
+DENSE_PASSES = types.SimpleNamespace(zero=dense_zero, scale=dense_scale, norm=dense_norm,
+                                     adam=dense_adam)
 
 
 class TestAdamUpdate:
@@ -139,35 +129,30 @@ class TestAdamUpdate:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 97])
-    def test_bit_identical_to_per_tensor_reference(self, dtype, block, monkeypatch):
+    def test_bit_identical_to_the_dense_reference(self, dtype, block, monkeypatch):
         # more than two blocks, the last one short; 97 also cuts small tensors
         dims = nn.ModelDims(vocab_rows=nn.ADAM_BLOCK // 4 + 1001, embed_dim=8,
                             hidden=5, classes=3, max_len=8)
         monkeypatch.setattr(nn, "ADAM_BLOCK", block)
-        model = nn.init_parameters(dims, seed=3, dtype=dtype)
-        size = model.params.flat.size
+        models = [nn.init_parameters(dims, seed=3, dtype=dtype) for _ in range(2)]
+        states = [AdamState.zeros_like(model) for model in models]
+        size = models[0].params.flat.size
         assert size > 2 * block and size % block
-        ref = [arr.copy() for arr in model.params.arrays()]
-        ref_m = [np.zeros_like(arr) for arr in ref]
-        ref_v = [np.zeros_like(arr) for arr in ref]
         config = TrainConfig(learning_rate=0.01)
         rng = np.random.default_rng(5)
-        steps = []
-        for t in range(1, 5):
-            grads = nn.Gradients.zeros_like(model)
+        for _ in range(4):
+            grads = nn.Gradients.zeros_like(models[0])
             for view in grads.arrays():
                 g = rng.standard_normal(view.shape) * 10.0 ** rng.integers(-9, 4, view.shape)
                 g[rng.random(view.shape) < 0.3] = 0  # like rows a batch never saw
                 view[...] = g
             grads.rows[:] = True  # every row planted
-            steps.append(grads)
-            _adam_reference(ref, [a.copy() for a in grads.arrays()], ref_m, ref_v, t, config)
-        model = nn.init_parameters(dims, seed=3, dtype=dtype)
-        state = AdamState.zeros_like(model)
-        for grads in steps:
-            adam_update(model, grads, state, config)
-        got = model.params.arrays() + state.m.arrays() + state.v.arrays()
-        for (name, _), a, b in zip(nn.param_shapes(dims) * 3, got, ref + ref_m + ref_v):
+            dense_adam(models[1], grads, states[1], config)
+            adam_update(models[0], grads, states[0], config)
+        assert states[0].t == states[1].t == 4
+        got, ref = (model.params.arrays() + state.m.arrays() + state.v.arrays()
+                    for model, state in zip(models, states))
+        for (name, _), a, b in zip(nn.param_shapes(dims) * 3, got, ref):
             assert a.tobytes() == b.tobytes(), name
 
     def test_non_finite_gradient_in_a_later_block_names_its_tensor(self, monkeypatch):
@@ -201,32 +186,29 @@ class TestAdamUpdate:
             assert a.tobytes() == b.tobytes()
 
     @staticmethod
-    def row_steps(dims, batches, use_rows, clip_norm):
-        """Run the buffer passes as train() does, on gradients written into
-        each batch's embedding rows and every other tensor: with the mask of
-        each batch's rows, or with no mask, over the whole buffers. The
-        bytes of the parameters, m and v after every step, the norms and
-        the state."""
+    def row_steps(dims, batches, clip_norm, passes):
+        """Run ``passes`` (ROW_PASSES or DENSE_PASSES) as train() runs the
+        buffer passes, on gradients written into each batch's embedding rows,
+        which the gradient's mask takes, and every other tensor. The bytes
+        of the parameters, m and v after every step, the norms and the
+        state."""
         model = nn.init_parameters(dims, seed=4)
         grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
         values = np.random.default_rng(10)
         snapshots, norms = [], []
         for rows in batches:
             if state.t:
-                grads.zero_()
+                passes.zero(grads)
             grads.views["embedding"][rows] += values.standard_normal((rows.size, dims.embed_dim))
             for view in grads.arrays()[1:]:
                 view += values.standard_normal(view.shape)
-            if use_rows:
-                grads.rows[rows] = True
-            else:
-                grads.rows = None
-            grads.scale_(0.25)
+            grads.rows[rows] = True
+            passes.scale(grads, 0.25)
             if clip_norm is not None:
-                norms.append(grads.global_norm())
+                norms.append(passes.norm(grads))
                 if norms[-1] > clip_norm:
-                    grads.scale_(clip_norm / norms[-1])
-            adam_update(model, grads, state, TrainConfig(learning_rate=0.01))
+                    passes.scale(grads, clip_norm / norms[-1])
+            passes.adam(model, grads, state, TrainConfig(learning_rate=0.01))
             snapshots.append(b"".join(buf.flat.tobytes()
                                       for buf in (model.params, state.m, state.v)))
         return snapshots, norms, state
@@ -241,16 +223,14 @@ class TestAdamUpdate:
         rng = np.random.default_rng(9)
         batches = [np.unique(np.r_[5, rng.integers(6, 500, 20)])] + [
             np.unique(rng.integers(6, 500, 20)) for _ in range(8)]
-        dense, dense_norms, dense_state = self.row_steps(dims, batches, False, clip_norm)
-        rows, row_norms, state = self.row_steps(dims, batches, True, clip_norm)
+        dense, dense_norms, _ = self.row_steps(dims, batches, clip_norm, DENSE_PASSES)
+        rows, row_norms, state = self.row_steps(dims, batches, clip_norm, ROW_PASSES)
         assert rows == dense and row_norms == dense_norms  # every bit, every step
         if clip_norm == 6.8:  # the norm crossed the bound both ways
             assert min(dense_norms) < clip_norm < max(dense_norms)
-        # the state's mask is every row a batch touched, or any row
-        assert dense_state.m.rows is None and dense_state.v.rows is None
+        # the state's mask is every row a batch touched
         touched = np.unique(np.concatenate(batches)).tolist()
-        assert np.flatnonzero(state.m.rows).tolist() == touched
-        assert np.flatnonzero(state.v.rows).tolist() == touched
+        assert np.flatnonzero(state.rows).tolist() == touched
         m = state.m.views["embedding"]
         first = np.frombuffer(rows[0], np.float32)[state.m.flat.size:][5 * 8:6 * 8]
         npt.assert_allclose(m[5], first * trainer.BETA1 ** 8, rtol=1e-5)
@@ -263,7 +243,6 @@ class TestAdamUpdate:
         monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
         dims = nn.ModelDims(vocab_rows=500, embed_dim=8, hidden=5, classes=3, max_len=8)
         rows = np.array([3, 40, 41, 250, 499])
-        assert rows.size < nn.GATHER_SHARE * dims.vocab_rows  # gathered
         for bad in (["embedding"], ["backward_dir.U"], ["backward_dir.U", "embedding"]):
             model = nn.init_parameters(dims, seed=4)
             grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
@@ -282,16 +261,14 @@ class TestAdamUpdate:
             assert state.t == 1
             for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
                 assert a.tobytes() == b.tobytes()
-            for mask in (state.m.rows, state.v.rows):
-                assert np.flatnonzero(mask).tolist() == rows.tolist()
+            assert np.flatnonzero(state.rows).tolist() == rows.tolist()
 
     def test_a_row_step_allocates_only_chunk_sized_scratch(self):
         # 3,000, 5,000 and 7,000 rows of 100 elements, in 5 to 11 chunks of
         # 655 rows: the step's two scratch arrays and the four it gathers
         # into, however many rows, with the check's scratch freed before
         # them; besides, the call reads the row ids out of the masks (8
-        # bytes a row) and keeps the state's new mask (a byte per embedding
-        # row)
+        # bytes a row), and merges the masks in place
         dims = nn.ModelDims(vocab_rows=20_000, embed_dim=100, hidden=4, classes=3,
                             max_len=8)
         model = nn.init_parameters(dims, seed=4)
@@ -299,7 +276,6 @@ class TestAdamUpdate:
         peaks = []
         for count in (3000, 3000, 5000, 7000):  # the first call warms up
             rows = np.sort(rng.choice(dims.vocab_rows, count, replace=False))
-            assert count < nn.GATHER_SHARE * dims.vocab_rows  # gathered
             grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
             grads.views["embedding"][rows] = 0.5
             grads.rows[rows] = True
@@ -307,8 +283,26 @@ class TestAdamUpdate:
                 lambda: adam_update(model, grads, state, TrainConfig())))
         chunk = 4 * nn.ADAM_BLOCK
         assert peaks[1] > 6 * (chunk // 2)  # the scratch is there
-        assert max(peaks[1:]) <= 6 * chunk + 8 * 7000 + dims.vocab_rows + 64 * 1024
+        assert max(peaks[1:]) <= 6 * chunk + 8 * 7000 + 64 * 1024
         assert max(peaks[2:]) <= peaks[1] + 64 * 1024
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copied_gradient_steps_the_bytes_of_the_original(self, copier):
+        # the copy's mask is its nonzero rows, not the rows backward set
+        dims = nn.ModelDims(vocab_rows=400, embed_dim=8, hidden=5, classes=3, max_len=8)
+        model = nn.init_parameters(dims, seed=4)
+        _, trace = nn.forward([EncodedSequence(np.array([3, 40, 41, 399, 3]), 5)], model)
+        grads = nn.backward(trace, [2])
+        twin = copier(grads)
+        assert twin.rows.tolist() == grads.rows.tolist() and twin.rows is not grads.rows
+        steps = []
+        for gradient in (grads, twin):
+            params, state = copy.deepcopy(model), AdamState.zeros_like(model)
+            for _ in range(2):
+                adam_update(params, gradient, state, TrainConfig(learning_rate=0.01))
+            steps.append([buf.flat.tobytes() for buf in (params.params, state.m, state.v)])
+        assert steps[0] == steps[1]
 
     def test_step_counter_increments(self):
         model = self.tiny_model()
@@ -338,15 +332,22 @@ class TestTrain:
             model, history = train(model, split, vocab, config)
             runs.append((model, history))
 
-        def stable(history):  # wall-clock seconds legitimately vary
-            return [
-                {k: v for k, v in record.items() if k != "seconds"}
-                for record in history.to_list()
-            ]
-
-        assert stable(runs[0][1]) == stable(runs[1][1])
+        assert runs[0][1].to_list() == runs[1][1].to_list()
         for x, y in zip(runs[0][0].params.arrays(), runs[1][0].params.arrays()):
             npt.assert_array_equal(x, y)
+
+    def test_equal_trainings_write_equal_history_bytes(self, tmp_path):
+        # results only: no wall-clock field
+        split, vocab = build_setup(n_docs=60)
+        config = TrainConfig(epochs=2, batch_size=8, seed=7)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            model = nn.init_parameters(small_dims(vocab), seed=7, labels=SYNTH_LABELS)
+            train(model, split, vocab, config)[1].save_json(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        records = json.loads(paths[0].read_text(encoding="utf-8"))
+        assert [set(record) for record in records] == [
+            {"epoch", "train_loss", "train_accuracy", "val_loss", "val_accuracy"}] * 2
 
     def test_step_counter_matches_batches(self):
         split, vocab = build_setup(n_docs=60)
@@ -577,7 +578,7 @@ class TestTrain:
 class TestRowPasses:
     """train() runs zero_, scale_, global_norm and Adam over the embedding
     rows of the gradient's and the state's masks; every byte must be that
-    of the passes over the whole buffers."""
+    of the dense references over the whole buffers (see conftest)."""
 
     @staticmethod
     def long_setup():
@@ -594,14 +595,14 @@ class TestRowPasses:
     @staticmethod
     def spy_walks(monkeypatch):
         """A list that gets, for each pass nn._walk runs, "gathered" if it
-        gathered rows, "whole" if it walked the whole buffer, or "tail" if
-        it walked only the tensors after the embedding."""
+        gathered rows, or "tail" if it walked only the tensors after the
+        embedding."""
         walk, walks = nn._walk, []
 
         def spy(buf, mask):
             parts = walk(buf, mask)
             walks.append("gathered" if any(isinstance(p, np.ndarray) for p in parts)
-                         else "whole" if parts[0].start == 0 else "tail")
+                         else "tail")
             return parts
 
         for module in (nn, trainer):
@@ -623,35 +624,39 @@ class TestRowPasses:
             steps.append(len(trace.steps))
             return backward(trace, targets, out=out)
 
-        def adam_spy(model, grads, state, cfg):
-            states.append(state)
-            rows = np.flatnonzero(grads.rows)
-            result = adam_update(model, grads, state, cfg)
-            adam_rows.append((rows, np.flatnonzero(state.m.rows)))
-            return result
-
         monkeypatch.setattr(trainer, "backward", backward_spy)
         monkeypatch.setattr(nn, "_phi_derivative",  # twice per BPTT step
                             lambda *args: calls.append(1) or phi_derivative(*args))
-        monkeypatch.setattr(trainer, "adam_update", adam_spy)
         walks = self.spy_walks(monkeypatch)
         results = []
-        for whole in (False, True):
-            if whole:  # no pass gathers
-                monkeypatch.setattr(nn, "GATHER_SHARE", 0)
+        for dense in (False, True):
+            if dense:  # the whole-buffer expressions, which walk nothing
+                for name, reference in (("zero_", dense_zero), ("scale_", dense_scale),
+                                        ("global_norm", dense_norm)):
+                    monkeypatch.setattr(nn.Gradients, name, reference)
+                monkeypatch.setattr(trainer, "adam_update", dense_adam)
+            step = trainer.adam_update
+
+            def adam_spy(model, grads, state, cfg, step=step):
+                states.append(state)
+                rows = np.flatnonzero(grads.rows)
+                result = step(model, grads, state, cfg)
+                adam_rows.append((rows, np.flatnonzero(state.rows)))
+                return result
+
+            monkeypatch.setattr(trainer, "adam_update", adam_spy)
             model = nn.init_parameters(dims, seed=3, labels=("a", "b", "c"),
                                        activation=activation)
             for direction in nn.DIRECTIONS:  # forget gates near 0.12
                 model.params.views[f"{direction}.b"][8:16] = -2.0
             train(model, split, vocab,
                   TrainConfig(epochs=3, batch_size=3, seed=2, clip_norm=clip_norm))
-            # gathered rows, and the whole buffer once the rows are dense
-            assert ("gathered" in walks) != whole and "whole" in walks
+            assert ("gathered" in walks) != dense
             walks.clear()
             results.append(b"".join(buf.flat.tobytes() for buf in
                                     (model.params, states[-1].m, states[-1].v)))
             assert states[-1].t == 15
-        assert all(result == results[0] for result in results)
+        assert results[0] == results[1]
         assert len(calls) // 2 < sum(steps)  # BPTT left early
         rows, moment_rows = adam_rows[0]
         assert moment_rows.size == rows.size < vocab.id_count / 3
@@ -659,20 +664,20 @@ class TestRowPasses:
         assert any(np.setdiff1d(moment_rows, rows).size for rows, moment_rows in adam_rows[1:15])
 
     @staticmethod
-    def pass_steps(model, batches, use_rows, clip_norm):
-        """Run train()'s buffer passes on each batch's gradient: backward
-        over documents of the batch's row ids (row 0, PAD, is no token), or
-        a gradient after the embedding only for a batch of no rows, plus a
-        planted value in each of its rows; with the masks backward and the
-        planting set, or with no mask, over the whole buffers. The bytes of
-        the parameters, m and v after every step, and the norms."""
+    def pass_steps(model, batches, clip_norm, passes):
+        """Run ``passes`` (ROW_PASSES or DENSE_PASSES) as train() runs the
+        buffer passes, on each batch's gradient: backward over documents of
+        the batch's row ids (row 0, PAD, is no token), or a gradient after
+        the embedding only for a batch of no rows, plus a planted value in
+        each of its rows, which the gradient's mask takes. The bytes of the
+        parameters, m and v after every step, and the norms."""
         dims = model.dims
         grads, state = nn.Gradients.zeros_like(model), AdamState.zeros_like(model)
         planted = np.random.default_rng(10)
         snapshots, norms = [], []
         for rows in batches:
             if state.t:
-                grads.zero_()
+                passes.zero(grads)
             tokens = rows[rows > 0]
             if tokens.size:
                 docs = np.array_split(tokens, -(-tokens.size // dims.max_len))
@@ -682,16 +687,13 @@ class TestRowPasses:
                 for view in grads.arrays()[1:]:
                     view += 0.5
             grads.views["embedding"][rows] += planted.standard_normal((rows.size, dims.embed_dim))
-            if use_rows:
-                grads.rows[rows] = True
-            else:
-                grads.rows = None
-            grads.scale_(1 / 3)
+            grads.rows[rows] = True
+            passes.scale(grads, 1 / 3)
             if clip_norm is not None:
-                norms.append(grads.global_norm())
+                norms.append(passes.norm(grads))
                 if norms[-1] > clip_norm:
-                    grads.scale_(clip_norm / norms[-1])
-            adam_update(model, grads, state, TrainConfig(learning_rate=0.01))
+                    passes.scale(grads, clip_norm / norms[-1])
+            passes.adam(model, grads, state, TrainConfig(learning_rate=0.01))
             snapshots.append(b"".join(buf.flat.tobytes()
                                       for buf in (model.params, state.m, state.v)))
         return snapshots, norms
@@ -706,10 +708,8 @@ class TestRowPasses:
         "chunks": [SAMPLE[:50], SAMPLE[50:100]],
         # a batch of no rows after one of three
         "empty": [[7, 8, 9], []],
-        # one row fewer than GATHER_SHARE of the rows, then as many: the step
-        # of the second batch and every later one walks the whole buffer
-        "crossover": [SAMPLE[:math.ceil(nn.GATHER_SHARE * VOCAB_ROWS) - 1],
-                      SAMPLE[-math.ceil(nn.GATHER_SHARE * VOCAB_ROWS):], [3]],
+        # every row, then one: every later step walks every row of the state
+        "every": [np.arange(VOCAB_ROWS), [3]],
     }
 
     @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
@@ -724,12 +724,10 @@ class TestRowPasses:
                             classes=3, max_len=64)
         walks = self.spy_walks(monkeypatch)
         results = []
-        for use_rows in (False, True):
-            walks.clear()
+        for passes in (DENSE_PASSES, ROW_PASSES):
             model = nn.init_parameters(dims, seed=5, activation=activation)
-            results.append(self.pass_steps(model, batches, use_rows, clip_norm))
+            results.append(self.pass_steps(model, batches, clip_norm, passes))
         assert "gathered" in walks
-        assert ("whole" in walks) == (case == "crossover")
         assert ("tail" in walks) == (case == "empty")
         assert results[0] == results[1]  # every bit, every step
 
@@ -768,16 +766,15 @@ class TestRowPasses:
                 adam_update(model, grads, state, TrainConfig(learning_rate=0.01))
             else:  # a NaN in row arg of a copy of the gradient, its mask set
                 bad = nn.Gradients(dims, model.dtype, grads.flat)
-                bad.rows = grads.rows.copy()
+                bad.rows |= grads.rows
                 bad.rows[arg] = True
                 bad.views["embedding"][arg, 0] = np.nan
-                masks = [state.m.rows.copy(), state.v.rows.copy()]
+                before = state.rows.copy()
                 with pytest.raises(NumericError, match="tensor embedding$"):
                     adam_update(model, bad, state, TrainConfig())
-                for mask, before in zip((state.m.rows, state.v.rows), masks):
-                    assert (mask == before).all()
-            for buf in (grads, state.m, state.v):
-                assert not (buf.views["embedding"].any(axis=1) & ~buf.rows).any(), op
+                assert (state.rows == before).all()
+            for buf, mask in ((grads, grads.rows), (state.m, state.rows), (state.v, state.rows)):
+                assert not (buf.views["embedding"].any(axis=1) & ~mask).any(), op
 
 
 class TestCheckpoint:
@@ -808,20 +805,22 @@ class TestCheckpoint:
         state = AdamState.zeros_like(model)
         for arr in state.m.arrays() + state.v.arrays():
             arr += 0.25
-        state.m.rows[:] = state.v.rows[:] = True  # every row planted
+        state.rows[:] = True  # every row planted
         state.t = 17
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, state=state)
         _, loaded_state = load_checkpoint(path)
         assert loaded_state is not None and loaded_state.t == 17
+        assert loaded_state.rows.all()
         for a, b in zip(state.m.arrays() + state.v.arrays(),
                         loaded_state.m.arrays() + loaded_state.v.arrays()):
             npt.assert_array_equal(a, b)
 
-    def test_a_loaded_state_has_no_mask_and_steps_the_bytes_of_the_live_one(
+    def test_a_loaded_state_masks_its_nonzero_rows_and_steps_the_bytes_of_the_live_one(
             self, tmp_path, monkeypatch):
         # a few hundred of 3,000 embedding rows touched, in chunks of 12
-        # rows: the live state gathers them, the loaded one walks every row
+        # rows: the loaded state's mask, the rows where m or v is nonzero,
+        # is the live state's, the rows a batch touched
         monkeypatch.setattr(nn, "ADAM_BLOCK", 97)
         dims = nn.ModelDims(vocab_rows=3000, embed_dim=8, hidden=5, classes=3, max_len=40)
         model = nn.init_parameters(dims, seed=6)
@@ -836,17 +835,46 @@ class TestCheckpoint:
 
         for _ in range(3):
             adam_update(model, gradient(), state, TrainConfig(learning_rate=0.01))
-        assert 0 < state.m.rows.sum() < nn.GATHER_SHARE * dims.vocab_rows  # gathered
+        assert 0 < state.rows.sum() < dims.vocab_rows / 4
         save_checkpoint(model, tmp_path / "model.ckpt", state)
         loaded, loaded_state = load_checkpoint(tmp_path / "model.ckpt")
-        assert loaded_state.m.rows is None and loaded_state.v.rows is None
+        assert loaded_state.rows is not state.rows
+        assert loaded_state.rows.tolist() == state.rows.tolist()
         grads = gradient()
         steps = []
         for params, adam in ((model, state), (loaded, loaded_state)):
             adam_update(params, grads, adam, TrainConfig(learning_rate=0.01))
             steps.append([buf.flat.tobytes() for buf in (params.params, adam.m, adam.v)])
         assert steps[0] == steps[1]
-        assert state.m.rows is not None and loaded_state.m.rows is None
+        assert loaded_state.rows.tolist() == state.rows.tolist()
+
+    def test_a_loaded_state_masks_the_rows_where_m_or_v_is_nonzero(self, tmp_path):
+        dims = nn.ModelDims(vocab_rows=20, embed_dim=3, hidden=2, classes=2, max_len=8)
+        model = nn.init_parameters(dims, seed=1)
+        state = AdamState.zeros_like(model)
+        state.m.views["embedding"][3, 2] = -1e-30  # m alone
+        state.v.views["embedding"][7, 0] = 1e-45  # v alone, subnormal
+        state.m.views["embedding"][11] = state.v.views["embedding"][11] = 0.5
+        state.m.views["head.b"][...] = 0.5  # no embedding row
+        save_checkpoint(model, tmp_path / "model.ckpt", state)
+        _, loaded = load_checkpoint(tmp_path / "model.ckpt")
+        assert np.flatnonzero(loaded.rows).tolist() == [3, 7, 11]
+
+    @pytest.mark.parametrize("what", ["model", "Adam state"])
+    def test_a_model_or_state_not_in_float32_is_refused_before_anything_is_written(
+            self, tmp_path, what):
+        # a float64 model written as float32 would load as another model
+        dims = nn.ModelDims(vocab_rows=12, embed_dim=4, hidden=3, classes=3, max_len=8)
+        model, wide = (nn.init_parameters(dims, seed=3, dtype=dtype)
+                       for dtype in (np.float32, np.float64))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        model, state = (wide, None) if what == "model" else (model, AdamState.zeros_like(wide))
+        with pytest.raises(ValueError, match=f"cannot save a float64 {what}:"):
+            save_checkpoint(model, path, state)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_truncated_payload(self, tmp_path):
         _, path, vocab, _ = self.roundtrip_model(tmp_path)
