@@ -136,7 +136,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-len", type=_int_at_least(1), default=dims.max_len)
     p.add_argument("--activation", choices=ACTIVATIONS,
                    default=_default(init_parameters, "activation"))
-    p.add_argument("--clip-norm", type=_finite_positive, default=None)
+    p.add_argument("--clip-norm", type=_finite_positive, default=config.clip_norm)
     p.add_argument("--history", default=None, help="write per-epoch JSON records")
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on labeled data")
@@ -178,7 +178,10 @@ def _cmd_extract(args) -> int:
     gate = extraction.QualityGateConfig(args.min_wordlike_ratio, args.min_chars)
     _require_output_dirs([args.output], [args.manifest])
     pages = extraction.load_page_manifest(args.manifest)
-    result = extraction.extract_text(pages, backend, gate, token_target=args.token_target)
+    try:
+        result = extraction.extract_text(pages, backend, gate, token_target=args.token_target)
+    except DataError as exc:
+        raise DataError(f"{args.manifest}: {exc}") from None
     doc_id = Path(args.manifest).stem if args.doc_id is None else args.doc_id
     record = json.dumps({"id": doc_id, "text": result.text}, ensure_ascii=False)
     write_atomically(args.output, (record + "\n").encode())

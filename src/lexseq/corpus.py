@@ -99,7 +99,10 @@ def load_dataset(path: str | Path, labels: LabelSet | None) -> list[Document]:
             raw_label = raw["label"]
             if not isinstance(raw_label, str):
                 raise DataError(f"{path}:{lineno}: 'label' must be a string")
-            label = labels.index_of(raw_label)
+            try:
+                label = labels.index_of(raw_label)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
         docs.append(Document(id=doc_id, text=text, label=label))
     return docs
 

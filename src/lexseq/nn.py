@@ -97,21 +97,21 @@ contiguous 1-D buffer with a named view each. The model is its buffer,
 ``model.params``, and code reads a tensor as
 ``model.params.views["forward_dir.U"]``; there is no second copy of
 the layout. The gradients and Adam's two moments use it too, so
-zeroing, scaling, copying and the Adam step are passes over one
-array, and the gradient norm one pass over each tensor's memory. The
-views of W and U are Fortran-ordered so that ``W.T`` and ``U.T`` are
-contiguous: OpenBLAS is several times slower on a few rows times a
-transposed C-ordered matrix. No bit depends on the layout; checkpoints
-store each tensor in C order.
+zeroing, scaling, the norm, copying and the Adam step are passes over
+one array. The views of W and U are Fortran-ordered so that ``W.T``
+and ``U.T`` are contiguous: OpenBLAS is several times slower on a few
+rows times a transposed C-ordered matrix. No bit depends on the layout;
+checkpoints store each tensor in C order.
 
 The embedding holds 95% of the parameters at reference dims, and a
 training batch touches a few hundred of its 100,002 rows, so the
 gradient and Adam's state each keep a mask of the embedding rows that
-may be nonzero. Every pass over them walks one list of parts
-(:func:`_walk`): the mask's rows, gathered in chunks, then every tensor
-after the embedding in blocks. Outside the mask the gradient, m and v
-are zero, where every pass changes no bit, so a pass gives the bits of
-its expression over the whole buffer (see :class:`Gradients` and
+may be nonzero. Every pass over them, the gradient norm and Adam's
+finite check included, is one walk (:func:`_walk`): the mask's rows,
+gathered in chunks, then everything after the embedding in blocks.
+Outside the mask the gradient, m and v are zero, where every pass
+changes no bit and the norm adds +0.0, so a pass gives the bits of its
+expression over the whole buffer (see :class:`Gradients` and
 ``trainer.AdamState``). The embedding of the gradient and moment
 buffers is on base pages (:func:`_small_pages`), so a pass over a few
 rows of a fresh buffer faults in a few pages, not a few 2 MB huge pages;
@@ -157,13 +157,12 @@ ACTIVATIONS = ("relu", "tanh", "relu_after_merge")
 # see the module docstring.
 GRAD_FLUSH = 2.0 ** -100
 
-# Elements per block of the passes over flat buffers: the unit that
-# Gradients.global_norm and trainer.adam_update walk through block-sized
-# scratch, at which every flat slice of a pass is cut, and, divided by the
-# embedding width, the rows per chunk a pass gathers (655 at reference
-# dims; see _walk). A block of Adam's six arrays (1.5 MB in float32) stays
-# in a 2 MB L2 cache. Adam's step ran 11% faster than at 131,072
-# (reference dims; see CHANGES.md).
+# Elements per part of _walk, the one walk of every pass over flat
+# buffers: the size of each slice after the embedding and, divided by the
+# embedding width, the rows per chunk it gathers (655 at reference dims).
+# A block of Adam's six arrays (1.5 MB in float32) stays in a 2 MB L2
+# cache. Adam's step ran 11% faster than at 131,072 (reference dims; see
+# CHANGES.md).
 ADAM_BLOCK = 65_536
 
 # numpy asks the kernel for transparent huge pages on arrays of this many
@@ -191,43 +190,33 @@ PROJECTION_ROWS = 256
 DIRECTIONS = ("forward_dir", "backward_dir")
 
 
-def _walk(buf: "ParamBuffer", mask: np.ndarray) -> list[slice | np.ndarray]:
-    """The parts of a pass over ``buf``, in order: the embedding rows of
-    ``mask`` (a boolean mask over them) in chunks of at most
-    ``ADAM_BLOCK // embed_dim`` row ids, which the pass gathers (see
-    :func:`_gathered`), then slices of ``buf.flat`` of at most ADAM_BLOCK
-    elements over everything after the embedding, gaps included."""
-    size, block = buf.flat.size, ADAM_BLOCK
+def _walk(bufs: Sequence["ParamBuffer"], mask: np.ndarray, writes: Sequence[int] = ()):
+    """The one walk of every pass over ``bufs``, buffers of one layout.
+    Yields each part with the part of each buffer as a 1-D array: first
+    the embedding rows of ``mask`` (a boolean mask over them), in order, in
+    chunks of at most ``ADAM_BLOCK // embed_dim`` row ids, gathered into
+    scratch of this call and, once the caller moves on, written back to the
+    buffers at positions ``writes``; then slices of ``flat`` of at most
+    ADAM_BLOCK elements over everything after the embedding, gaps
+    included, as views. Scratch is ``len(bufs)`` arrays of one chunk."""
+    first, block = bufs[0], ADAM_BLOCK
+    width, size = first.dims.embed_dim, first.flat.size
     rows = np.flatnonzero(mask)
-    per = max(1, block // buf.dims.embed_dim)
-    return ([rows[lo:lo + per] for lo in range(0, len(rows), per)]
-            + [slice(lo, min(lo + block, size)) for lo in range(buf.starts[1], size, block)])
-
-
-def _gathered(parts: list[slice | np.ndarray], bufs: Sequence["ParamBuffer"],
-              writes: Sequence[int]):
-    """For each part of a pass (see :func:`_walk`), the part of each buffer
-    of ``bufs`` as a 1-D array: for a slice, the slice of its ``flat``; for
-    a chunk of rows, those embedding rows gathered into scratch of this
-    call, and, once the caller moves on, written back to the buffers at
-    positions ``writes``. Yields the part with the arrays. Scratch is
-    ``len(bufs)`` arrays the size of the first chunk, the largest."""
-    scratch = None
-    for part in parts:
-        if isinstance(part, slice):
-            yield part, [buf.flat[part] for buf in bufs]
-            continue
-        width = bufs[0].dims.embed_dim
-        if scratch is None:
-            scratch = np.empty((len(bufs), part.size * width), bufs[0].flat.dtype)
-        rows = [s[:part.size * width] for s in scratch]
-        for buf, out in zip(bufs, rows):
+    per = max(1, block // width)
+    scratch = np.empty((len(bufs), min(per, rows.size) * width), first.flat.dtype)
+    for lo in range(0, rows.size, per):
+        part = rows[lo:lo + per]
+        arrays = [s[:part.size * width] for s in scratch]
+        for buf, out in zip(bufs, arrays):
             # clip, not raise, which copies out; the write-back checks the ids
             np.take(buf.views["embedding"], part, axis=0,
                     out=out.reshape(part.size, width), mode="clip")
-        yield part, rows
+        yield part, arrays
         for k in writes:
-            bufs[k].views["embedding"][part] = rows[k].reshape(part.size, width)
+            bufs[k].views["embedding"][part] = arrays[k].reshape(part.size, width)
+    for lo in range(first.starts[1], size, block):
+        part = slice(lo, min(lo + block, size))
+        yield part, [buf.flat[part] for buf in bufs]
 
 
 def _small_pages(a: np.ndarray, end: int) -> None:
@@ -389,15 +378,13 @@ class Gradients(ParamBuffer):
     embedding by hand, not through :func:`backward`, must set the rows it
     writes.
 
-    ``zero_``, ``scale_`` and ``global_norm`` walk the rows of the mask and
-    every tensor after the embedding (see :func:`_walk`): ``scale_`` gathers
-    the rows into scratch in chunks, scales them and writes them back,
-    ``zero_`` writes zero rows, and the norm sums every block of the
-    embedding's memory that one of the rows reaches. So the passes cost
-    what a batch touched, not the vocabulary, and give the bits of
-    ``flat.fill(0)``, ``flat *= k`` and the norm of every block: zero and
-    ``0 * k`` stay zero, and a block with none of the rows sums to exactly
-    0.0."""
+    ``zero_``, ``scale_`` and ``global_norm`` walk the rows of the mask,
+    gathered in chunks, then everything after the embedding (see
+    :func:`_walk`): ``zero_`` and ``scale_`` write their chunks back, and
+    the norm adds each row's sum. So the passes cost what a batch touched,
+    not the vocabulary, and give the bits of ``flat.fill(0)``,
+    ``flat *= k`` and the norm over every row: zero and ``0 * k`` stay
+    zero, and a zero row's sum adds exactly +0.0."""
 
     def __init__(self, dims: ModelDims, dtype=np.float32,
                  values: np.ndarray | None = None):
@@ -405,45 +392,30 @@ class Gradients(ParamBuffer):
         self.rows = np.zeros(dims.vocab_rows, bool) if values is None else self.nonzero_rows()
 
     def zero_(self) -> None:
-        embedding = self.views["embedding"]
-        for part in _walk(self, self.rows):
-            if isinstance(part, slice):
-                self.flat[part].fill(0)
-            else:
-                embedding[part] = 0
+        for _, (grad,) in _walk((self,), self.rows, (0,)):
+            grad.fill(0)
         self.rows[:] = False
 
     def scale_(self, k: float) -> None:
         k = self.flat.dtype.type(k)
-        for _, (grad,) in _gathered(_walk(self, self.rows), (self,), (0,)):
+        for _, (grad,) in _walk((self,), self.rows, (0,)):
             np.multiply(grad, k, out=grad)
 
     def global_norm(self) -> float:
-        """L2 norm of every gradient tensor, squared and summed in float64
-        over blocks of each tensor's memory; the gaps are not read. The
-        blocks' sums are added one by one in block order. An embedding
-        block that none of ``rows`` reaches is not summed: its sum would be
-        exactly 0.0, and adding it to the nonnegative total changes no bit.
-        A block that one reaches is summed whole."""
-        # views, not copies: W and U are F-contiguous
-        memories = [view.ravel(order="A") for view in self.arrays()]
-        blocks = [(memory, lo) for memory in memories
-                  for lo in range(0, memory.size, ADAM_BLOCK)]
-        # the embedding's blocks are the buffer's first
-        width, count = self.dims.embed_dim, -(-memories[0].size // ADAM_BLOCK)
-        rows = np.flatnonzero(self.rows)
-        # a row reaches the blocks from its first element's to its last's
-        first = rows * width // ADAM_BLOCK
-        last = ((rows + 1) * width - 1) // ADAM_BLOCK
-        reached = np.cumsum(np.bincount(first, minlength=count + 1)
-                            - np.bincount(last + 1, minlength=count + 1)) > 0
-        blocks = [blocks[k] for k in np.flatnonzero(reached).tolist()] + blocks[count:]
-        square = np.empty(ADAM_BLOCK, np.float64)
-        total = 0.0
-        for memory, lo in blocks:
-            block = memory[lo:lo + ADAM_BLOCK]
-            total += float(np.multiply(block, block, out=square[:block.size],
-                                       dtype=np.float64).sum())
+        """L2 norm of every gradient tensor: the float64 sum of squares of
+        each row of ``rows``, then of each slice after the embedding, added
+        to the total one at a time in walk order. A row outside the mask
+        is zero and would add exactly +0.0, so the norm is that of every
+        row, and a total built one term at a time does not depend on where
+        the chunks are cut."""
+        width, total = self.dims.embed_dim, 0.0
+        for part, (grad,) in _walk((self,), self.rows):
+            squares = np.multiply(grad, grad, dtype=np.float64)
+            if isinstance(part, slice):
+                total += float(squares.sum())
+                continue
+            for row in squares.reshape(part.size, width).sum(axis=1).tolist():
+                total += row
         return math.sqrt(total)
 
 

@@ -183,19 +183,28 @@ def _plain(tokens: Sequence[str]) -> bool:
     return not text or text.split() == [text]
 
 
+class _EntryFault(ValueError):
+    """A table rule broken by the entry at index ``entry``."""
+
+    def __init__(self, message: str, entry: int):
+        super().__init__(message)
+        self.entry = entry
+
+
 def _raise_first_fault(tokens: tuple[str, ...], freqs: tuple[int, ...]) -> None:
-    """Name the first entry that breaks a table rule, in entry order."""
+    """Raise the _EntryFault of the first entry that breaks a table rule,
+    in entry order."""
     seen = set()
     prev_freq = None
-    for token, freq in zip(tokens, freqs):
+    for entry, (token, freq) in enumerate(zip(tokens, freqs)):
         if not token:
-            raise ValueError("empty token in vocabulary")
+            raise _EntryFault("empty token in vocabulary", entry)
         if any(ch.isspace() for ch in token):
-            raise ValueError(f"token {token!r} contains whitespace")
+            raise _EntryFault(f"token {token!r} contains whitespace", entry)
         if token in seen:
-            raise ValueError(f"duplicate token {token!r} in vocabulary")
+            raise _EntryFault(f"duplicate token {token!r} in vocabulary", entry)
         if prev_freq is not None and freq > prev_freq:
-            raise ValueError("vocabulary frequencies must be non-increasing")
+            raise _EntryFault("vocabulary frequencies must be non-increasing", entry)
         prev_freq = freq
         seen.add(token)
 
@@ -356,7 +365,9 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         raise DataError(f"{path}: vocabulary has no tokens")
     try:
         index = _checked_index(tokens, freqs, cap, index)
-    except ValueError as exc:
+    except _EntryFault as exc:  # entry k is on line k + 2
+        raise DataError(f"{path}:{exc.entry + 2}: {exc}") from None
+    except ValueError as exc:  # the cap
         raise DataError(f"{path}: {exc}") from None
     vocab = Vocabulary._trusted(tokens, freqs, cap, lowercase, index)
     if canonical:  # these bytes are _render_chunks(vocab)'s, so their hash is the digest

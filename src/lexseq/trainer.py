@@ -36,8 +36,6 @@ from .nn import (
     Gradients,
     ModelDims,
     ParamBuffer,
-    _gathered,
-    _walk,
     backward,
     forward,
     loss,
@@ -141,19 +139,21 @@ def adam_update(
     first non-finite element in flat order, before anything changes: the
     gradient is checked first, and only then is ``state.t`` incremented,
     the gradient's row mask merged into the state's (see
-    :class:`AdamState`) and the step taken. The step walks the rows of the
-    state's mask, gathered into scratch as ``nn.Gradients``' passes gather
-    them, and the flat parameter, gradient, m and v buffers after the
-    embedding in blocks of at most ``nn.ADAM_BLOCK`` elements, through two
-    block-sized scratch buffers, with ``out=`` ufuncs in the operation
-    order of ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. Every
+    :class:`AdamState`) and the step taken. The check and the step go
+    through ``nn._walk``, the walk of ``nn.Gradients``' passes: the check
+    over the gradient's mask, the step over the state's, each gathering
+    the mask's rows into scratch and then walking the flat parameter,
+    gradient, m and v buffers after the embedding in blocks of at most
+    ``nn.ADAM_BLOCK`` elements. The step runs through two block-sized
+    scratch buffers, with ``out=`` ufuncs in the operation order of
+    ``param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. Every
     element it walks goes through the operations of that expression, and
     every other element is zero in the gradient, m and v, so the result is
     bit-identical to that expression over the whole buffers.
     """
     width = model.dims.embed_dim
     finite = np.empty(max(nn.ADAM_BLOCK, width), bool)
-    for part, (grad,) in _gathered(_walk(grads, grads.rows), (grads,), ()):
+    for part, (grad,) in nn._walk((grads,), grads.rows):
         if not np.isfinite(grad, out=finite[:grad.size]).all():
             bad = (grads.name_at(part.start + int(np.argmin(finite[:grad.size])))
                    if isinstance(part, slice) else "embedding")
@@ -168,7 +168,7 @@ def adam_update(
     scratch = np.empty(max(nn.ADAM_BLOCK, width), grads.flat.dtype)
     denom = np.empty_like(scratch)
     # param, m and v go back to a gathered chunk's rows
-    for _, (param, grad, m, v) in _gathered(_walk(grads, state.rows), buffers, (0, 2, 3)):
+    for _, (param, grad, m, v) in nn._walk(buffers, state.rows, (0, 2, 3)):
         s, d = scratch[:param.size], denom[:param.size]
         m *= BETA1
         m += np.multiply(1.0 - BETA1, grad, out=s)

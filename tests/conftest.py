@@ -133,14 +133,15 @@ def dense_scale(grads: nn.Gradients, k: float) -> None:
 
 
 def dense_norm(grads: nn.Gradients) -> float:
-    """Every block of each tensor's memory squared and summed in float64,
-    the blocks' sums added in order."""
-    total = 0.0
-    for view in grads.arrays():
-        memory = view.ravel(order="A")
-        for lo in range(0, memory.size, nn.ADAM_BLOCK):
-            block = memory[lo:lo + nn.ADAM_BLOCK]
-            total += float(np.multiply(block, block, dtype=np.float64).sum())
+    """The float64 sum of squares of every embedding row, then of each
+    block of the buffer after the embedding, gaps included, added to the
+    total one at a time in order."""
+    embedding, flat, total = grads.views["embedding"], grads.flat, 0.0
+    for row in np.multiply(embedding, embedding, dtype=np.float64).sum(axis=1).tolist():
+        total += row
+    for lo in range(grads.starts[1], flat.size, nn.ADAM_BLOCK):
+        block = flat[lo:lo + nn.ADAM_BLOCK]
+        total += float(np.multiply(block, block, dtype=np.float64).sum())
     return math.sqrt(total)
 
 

@@ -177,7 +177,8 @@ def test_criterion_6_end_to_end_learning(tmp_path):
 
 def test_criterion_7_deterministic_checkpoints(tmp_path):
     """Two `python -m lexseq train` processes with other hash seeds write
-    the same checkpoint bytes and the same history bytes."""
+    the same checkpoint bytes and the same history bytes, unclipped and
+    with a --clip-norm that clips every batch."""
     docs = make_synthetic_corpus(n_docs=90, seed=31)
     data, labels_path = tmp_path / "corpus.jsonl", tmp_path / "labels.txt"
     save_dataset(docs, LabelSet(SYNTH_LABELS), data)
@@ -186,22 +187,27 @@ def test_criterion_7_deterministic_checkpoints(tmp_path):
     assert cli.run(["build-vocab", str(data), "--labels", str(labels_path),
                     "--seed", "8", "--cap", "1000", "-o", str(vocab_path)]) == 0
     src = Path(cli.__file__).resolve().parents[1]
-    outputs = []
-    for hash_seed in ("0", "1"):
-        ckpt, history = tmp_path / f"{hash_seed}.ckpt", tmp_path / f"{hash_seed}.json"
+    ckpt, history = tmp_path / "model.ckpt", tmp_path / "history.json"
+
+    def train(hash_seed: str, *options: str) -> tuple[bytes, bytes]:
         env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         done = subprocess.run(
             [sys.executable, "-m", "lexseq", "train", str(data), "--labels",
              str(labels_path), "--vocab", str(vocab_path), "--seed", "8",
              "--epochs", "2", "--batch", "16", "--embed", "16", "--hidden", "12",
-             "--max-len", "40", "-o", str(ckpt), "--history", str(history)],
+             "--max-len", "40", "-o", str(ckpt), "--history", str(history), *options],
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        outputs.append((ckpt.read_bytes(), history.read_bytes()))
+        return ckpt.read_bytes(), history.read_bytes()
+
+    unclipped = [train(hash_seed) for hash_seed in ("0", "1")]
+    clipped = [train(hash_seed, "--clip-norm", "1e-3") for hash_seed in ("0", "1")]
+    assert clipped[0][0] != unclipped[0][0]  # the clip moved the training
     check(7, "identical config and seed give byte-identical checkpoints "
-          "and histories in processes with other hash seeds", outputs[0] == outputs[1],
-          f"{len(outputs[0][0])} bytes")
+          "and histories in processes with other hash seeds, clipped or not",
+          unclipped[0] == unclipped[1] and clipped[0] == clipped[1],
+          f"{len(unclipped[0][0])} bytes")
 
 
 def test_criterion_8_inference_throughput():

@@ -198,8 +198,12 @@ class TestSettings:
         assert ((args.embed, args.hidden, args.max_len)
                 == (dims.embed_dim, dims.hidden, dims.max_len))
         assert args.activation == nn.init_parameters(dims, 0).activation
+        assert args.clip_norm == config.clip_norm
+        assert args.ratios == inspect.signature(stratified_split).parameters["ratios"].default
         args = self.parse("build-vocab", "d", "-o", "o")
-        assert args.cap == build_vocabulary(iter(["lei"])).cap
+        vocab = build_vocabulary(iter(["lei"]))
+        assert args.cap == vocab.cap
+        assert (not args.no_lowercase) == vocab.lowercase
         args = self.parse("extract", "m", "--ocr-cmd", "c", "-o", "o")
         gate = extraction.QualityGateConfig()
         assert ((args.min_wordlike_ratio, args.min_chars)
@@ -956,6 +960,19 @@ class TestExtractCommand:
         assert record["id"] == "doc7"
         assert record["text"] == long_text
         assert "complete=true" in capsys.readouterr().err
+
+    def test_gate_failure_without_an_image_names_the_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "doc.jsonl"
+        manifest.write_text(json.dumps({"page": 1, "text": "@@ ##"}) + "\n",
+                            encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = cli.run(["extract", str(manifest), "--ocr-cmd", "true {input}",
+                        "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"lexseq: data error: {manifest}: page 1: embedded text failed "
+                       "the quality gate and no page image is available\n")
+        assert not out.exists()
 
     def test_ocr_failure_is_runtime_error(self, tmp_path, capsys):
         manifest = tmp_path / "doc.jsonl"

@@ -91,9 +91,11 @@ class TestLoadDataset:
 
     def test_unknown_label_names_the_label(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        write_jsonl(path, [{"id": "a", "text": "t", "label": "Embargos"}])
-        with pytest.raises(DataError, match="Embargos"):
+        write_jsonl(path, [{"id": "a", "text": "t", "label": "RE"},
+                           {"id": "b", "text": "t", "label": "Embargos"}])
+        with pytest.raises(DataError) as excinfo:
             load_dataset(path, LabelSet(DEFAULT_LABELS))
+        assert str(excinfo.value) == f"{path}:2: unknown label 'Embargos'"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -846,21 +846,6 @@ class TestParamBuffer:
         grads.zero_()
         assert not any(arr.any() for arr in grads.arrays()) and not grads.rows.any()
 
-    @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 7])
-    def test_global_norm_does_not_read_the_gaps(self, block, monkeypatch):
-        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
-        grads = nn.Gradients.zeros_like(nn.init_parameters(tiny_dims(hidden=5), seed=2))
-        for view in grads.arrays():
-            view[...] = np.arange(view.size).reshape(view.shape) % 5 - 2.0
-        grads.rows[:] = True  # every row planted
-        gap = np.ones(grads.flat.size, bool)
-        for start, view in zip(grads.starts, grads.arrays()):
-            gap[start:start + view.size] = False
-        assert gap.any()
-        norm = grads.global_norm()
-        grads.flat[gap] = 1e3
-        assert grads.global_norm() == norm
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 97])
     def test_global_norm_matches_the_per_tensor_sum(self, dtype, block, monkeypatch):
@@ -901,7 +886,7 @@ class TestParamBuffer:
 
 class TestRowRanges:
     """The parts of a pass over the embedding rows of a buffer's mask (see
-    nn._walk): the rows in chunks, which the pass gathers, and every tensor
+    nn._walk): the rows in chunks, which the walk gathers, and every tensor
     after the embedding, with the bits of the whole-buffer expressions."""
 
     dims = tiny_dims(vocab_rows=400, embed_dim=8, hidden=5)
@@ -916,7 +901,7 @@ class TestRowRanges:
         rows = np.array(sorted(rows), np.int64)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nn, "ADAM_BLOCK", block)
-            parts = nn._walk(buf, row_mask(self.dims, rows))
+            parts = [part for part, _ in nn._walk((buf,), row_mask(self.dims, rows))]
         chunks = [part for part in parts if not isinstance(part, slice)]
         # the rows in order, in full chunks of block // embed_dim rows but
         # the last, and at least one row a chunk
@@ -933,13 +918,13 @@ class TestRowRanges:
     def test_no_rows_walk_only_the_tensors_after_the_embedding(self, monkeypatch):
         monkeypatch.setattr(nn, "ADAM_BLOCK", 10**6)
         buf = nn.Gradients.zeros_like(nn.init_parameters(self.dims, seed=0))
-        assert nn._walk(buf, buf.rows) == [
+        assert [part for part, _ in nn._walk((buf,), buf.rows)] == [
             slice(self.dims.vocab_rows * 8, buf.flat.size)]
 
     def test_a_few_rows_gather_before_one_block_of_the_rest(self):
         # one chunk of rows, then the tensors after the embedding in one block
         buf = nn.ParamBuffer(tiny_dims(vocab_rows=20_000, embed_dim=8))
-        parts = nn._walk(buf, row_mask(buf.dims, [5, 6, 900]))
+        parts = [part for part, _ in nn._walk((buf,), row_mask(buf.dims, [5, 6, 900]))]
         assert parts[0].tolist() == [5, 6, 900]
         assert parts[1:] == [slice(buf.starts[1], buf.flat.size)]
 
@@ -973,6 +958,28 @@ class TestRowRanges:
         grads.zero_()
         dense_zero(dense)
         assert grads.flat.tobytes() == dense.flat.tobytes() and not grads.rows.any()
+
+    @pytest.mark.parametrize("dims", [
+        tiny_dims(vocab_rows=nn.ADAM_BLOCK // 4 + 1001, embed_dim=8, hidden=5),
+        nn.ModelDims(vocab_rows=100_002)], ids=["tiny", "reference"])
+    def test_global_norm_is_the_norm_of_every_row(self, dims):
+        # the exact mask, a deepcopy and a pickle (which mask the nonzero
+        # rows) and a mask with stale zero rows, cut into other chunks, all
+        # give the bits of the sum over every row
+        rng = np.random.default_rng(9)
+        grads = nn.Gradients(dims)
+        rows = rng.choice(dims.vocab_rows, 800, replace=False)
+        grads.views["embedding"][rows] = (rng.standard_normal((rows.size, dims.embed_dim))
+                                          * 10.0 ** rng.integers(-9, 4, (rows.size, 1)))
+        for view in grads.arrays()[1:]:
+            view[...] = rng.standard_normal(view.shape)
+        grads.rows[rows] = True
+        norm = grads.global_norm()
+        assert norm == dense_norm(grads)
+        assert copy.deepcopy(grads).global_norm() == norm
+        assert pickle.loads(pickle.dumps(grads)).global_norm() == norm
+        grads.rows[rng.choice(dims.vocab_rows, 1000)] = True
+        assert grads.global_norm() == norm
 
     def test_row_passes_leave_every_other_row_alone(self):
         grads = nn.Gradients(self.dims)
@@ -1025,10 +1032,10 @@ def _vm_flags(address: int) -> list[str]:
     return flags
 
 
-class TestGathered:
-    """nn._gathered, which hands a pass each part of its buffers: a slice
-    as views, a chunk of embedding rows gathered into scratch and written
-    back to the buffers it names."""
+class TestWalk:
+    """nn._walk, which hands a pass each part of its buffers: a chunk of
+    the mask's embedding rows gathered into scratch and written back to the
+    buffers it names, then each slice after the embedding as views."""
 
     dims = tiny_dims(vocab_rows=400, embed_dim=8, hidden=5)
 
@@ -1042,36 +1049,40 @@ class TestGathered:
         return bufs
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_slice_is_a_view_of_each_buffer(self, dtype):
+    def test_a_slice_is_a_view_of_each_buffer(self, dtype, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 40)
         bufs = self.buffers(dtype)
-        parts = [slice(5, 40), slice(bufs[0].starts[1], bufs[0].flat.size)]
-        seen = []
-        for part, arrays in nn._gathered(parts, bufs, (0,)):
+        size, seen = bufs[0].flat.size, []
+        for part, arrays in nn._walk(bufs, row_mask(self.dims, []), (0,)):
             seen.append(part)
             for buf, arr in zip(bufs, arrays):
                 assert arr.dtype == dtype and np.shares_memory(arr, buf.flat)
                 npt.assert_array_equal(arr, buf.flat[part])
             arrays[1][0] = -1.0  # a view: every buffer takes the write at once
             assert bufs[1].flat[part.start] == -1.0
-        assert seen == parts
+        assert seen == [slice(lo, min(lo + 40, size))
+                        for lo in range(bufs[0].starts[1], size, 40)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_chunk_holds_its_rows_of_each_buffer(self, dtype):
-        bufs = self.buffers(dtype)
-        parts = [np.array([3, 9, 200]), np.array([399])]
-        for part, arrays in nn._gathered(parts, bufs, ()):
+    def test_a_chunk_holds_its_rows_of_each_buffer(self, dtype, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 24)  # chunks of 3 rows
+        bufs, chunks = self.buffers(dtype), []
+        for part, arrays in nn._walk(bufs, row_mask(self.dims, [3, 9, 200, 399])):
+            if isinstance(part, slice):
+                break
+            chunks.append(part.tolist())
             for buf, arr in zip(bufs, arrays):
                 assert arr.dtype == dtype and not np.shares_memory(arr, buf.flat)
                 npt.assert_array_equal(arr, buf.views["embedding"][part].ravel())
+        assert chunks == [[3, 9, 200], [399]]
 
     @pytest.mark.parametrize("writes", [(), (0,), (1, 2), (0, 1, 2)])
-    def test_only_the_named_buffers_take_their_rows_back(self, writes):
+    def test_only_the_named_buffers_take_their_rows_back(self, writes, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 24)  # chunks of 3 rows
         bufs = self.buffers()
         before = [buf.flat.copy() for buf in bufs]
         rows = [3, 9, 200, 399]
-        parts = [np.array(rows[:3]), np.array(rows[3:]),
-                 slice(bufs[0].starts[1], bufs[0].starts[1] + 16)]
-        for part, arrays in nn._gathered(parts, bufs, writes):
+        for part, arrays in nn._walk(bufs, row_mask(self.dims, rows), writes):
             if not isinstance(part, slice):
                 for arr in arrays:
                     arr += 0.5
@@ -1081,33 +1092,38 @@ class TestGathered:
                 expected[:buf.starts[1]].reshape(self.dims.vocab_rows, 8)[rows] += 0.5
             assert buf.flat.tobytes() == expected.tobytes()
 
-    def test_a_chunk_goes_back_once_the_caller_moves_on(self):
+    def test_a_chunk_goes_back_once_the_caller_moves_on(self, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 16)  # chunks of 2 rows
         buf = self.buffers()[0]
-        walk = nn._gathered([np.array([1, 2]), np.array([7])], (buf,), (0,))
+        walk = nn._walk((buf,), row_mask(self.dims, [1, 2, 7]), (0,))
         part, (rows,) = next(walk)
         rows[:] = -1.0
         assert (buf.views["embedding"][[1, 2]] >= 0).all()  # not yet
         part, (rows,) = next(walk)
         assert (buf.views["embedding"][[1, 2]] == -1.0).all()
         rows[:] = -2.0
-        assert next(walk, None) is None  # the last chunk goes back at the end
+        assert isinstance(next(walk)[0], slice)  # the last chunk goes back first
         assert (buf.views["embedding"][7] == -2.0).all()
 
-    def test_every_chunk_reuses_the_first_chunks_scratch(self):
+    def test_every_chunk_reuses_the_first_chunks_scratch(self, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 40)  # chunks of 5 rows
         bufs = self.buffers()[:2]
-        parts = [np.array([0, 4, 5, 6, 10]), np.array([11, 12])]
-        arrays = [arrays for _, arrays in nn._gathered(parts, bufs, ())]
+        mask = row_mask(self.dims, [0, 4, 5, 6, 10, 11, 12])
+        arrays = [arrays for part, arrays in nn._walk(bufs, mask)
+                  if not isinstance(part, slice)]
         assert [arr.size for arr in arrays[0]] == [5 * 8] * 2
         assert [arr.size for arr in arrays[1]] == [2 * 8] * 2
         for first, second in zip(*arrays):
             assert np.shares_memory(first, second)
         assert not np.shares_memory(arrays[0][0], arrays[0][1])
 
-    def test_a_row_outside_the_embedding_is_refused_on_the_way_back(self):
+    def test_a_mask_longer_than_the_embedding_is_refused_on_the_way_back(self):
         buf = self.buffers()[0]
         before = buf.flat.copy()
+        mask = np.zeros(self.dims.vocab_rows + 1, bool)
+        mask[[2, self.dims.vocab_rows]] = True
         with pytest.raises(IndexError):
-            for _ in nn._gathered([np.array([2, 400])], (buf,), (0,)):
+            for _ in nn._walk((buf,), mask, (0,)):
                 pass
         assert buf.flat.tobytes() == before.tobytes()
 

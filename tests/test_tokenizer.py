@@ -436,11 +436,13 @@ class TestVocabularyRules:
 
     @pytest.mark.parametrize("body, message", [
         ("#vocab v1 size=2 cap=1\na\t2\t2\nb\t3\t1\n", ": vocabulary exceeds its cap"),
-        ("#vocab v1 size=2 cap=5\na\t2\t2\n\t3\t1\n", ": empty token in vocabulary"),
+        ("#vocab v1 size=2 cap=5\na\t2\t2\n\t3\t1\n", ":3: empty token in vocabulary"),
         ("#vocab v1 size=2 cap=5\na\t2\t2\na\t3\t1\n", ":3: duplicate token 'a'"),
         ("#vocab v1 size=2 cap=5\na\t2\t1\nb\t3\t2\n",
-         ": vocabulary frequencies must be non-increasing"),
-    ], ids=["cap", "empty", "duplicate", "rising"])
+         ":3: vocabulary frequencies must be non-increasing"),
+        ("#vocab v1 size=3 cap=5\na\t2\t3\nb\t3\t2\nc\t4\t9\n",
+         ":4: vocabulary frequencies must be non-increasing"),
+    ], ids=["cap", "empty", "duplicate", "rising", "rising-on-line-4"])
     def test_loaded_rejection_names_the_file(self, tmp_path, body, message):
         path = tmp_path / "vocab.txt"
         path.write_text(body, encoding="utf-8")
@@ -456,7 +458,7 @@ class TestVocabularyRules:
         with pytest.raises(DataError) as excinfo:
             load_vocabulary(path)
         if space in WHITESPACE_IN_A_FIELD:
-            expected = f"{path}: token {'b' + space + 'c'!r} contains whitespace"
+            expected = f"{path}:3: token {'b' + space + 'c'!r} contains whitespace"
         else:  # a line or field separator breaks the row first
             expected = f"{path}:3: expected token<TAB>id<TAB>frequency"
         assert str(excinfo.value) == expected
@@ -513,13 +515,19 @@ class TestBuiltTableEqualsTheCheckedOne:
         assert outcome(lambda: build_vocabulary(iter(stream), cap=10)) == expected
 
     def test_faulty_streams_name_the_fault(self):
-        for stream, fault in [
-                (["a", "", "b"], (ValueError, "empty token in vocabulary")),
-                (["a", 0, "a"], (ValueError, "empty token in vocabulary")),
+        # a broken entry raises a ValueError that also holds the entry's index
+        fault = tokenizer._EntryFault
+        for stream, expected in [
+                (["a", "", "b"], (fault, "empty token in vocabulary")),
+                (["a", 0, "a"], (fault, "empty token in vocabulary")),
                 (["a", 5], (TypeError, "sequence item 1: expected str instance, int found")),
-                *((["a", f"b{space}c"], (ValueError, f"token {'b' + space + 'c'!r} "
+                *((["a", f"b{space}c"], (fault, f"token {'b' + space + 'c'!r} "
                                          "contains whitespace")) for space in WHITESPACE)]:
-            assert outcome(lambda: build_vocabulary(iter(stream), cap=10)) == fault
+            assert outcome(lambda: build_vocabulary(iter(stream), cap=10)) == expected
+            if expected[0] is fault:
+                with pytest.raises(fault) as excinfo:
+                    build_vocabulary(iter(stream), cap=10)
+                assert excinfo.value.entry == 1
 
     def test_the_whitespace_check_is_str_isspace(self):
         # over every code point: none of the others splits a token, and
@@ -638,8 +646,10 @@ def reference_load_vocabulary(path) -> tokenizer.Vocabulary:
     try:
         return tokenizer.Vocabulary(entries=tuple(entries), cap=cap,
                                     lowercase="lowercase" not in fields)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    except ValueError as exc:  # a broken entry names its line; the cap, the file
+        entry = getattr(exc, "entry", None)
+        line = "" if entry is None else f":{entry + 2}"
+        raise DataError(f"{path}{line}: {exc}") from None
 
 
 def load_outcome(loader, path, blob: bytes):

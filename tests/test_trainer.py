@@ -596,17 +596,17 @@ class TestRowPasses:
     def spy_walks(monkeypatch):
         """A list that gets, for each pass nn._walk runs, "gathered" if it
         gathered rows, or "tail" if it walked only the tensors after the
-        embedding."""
+        embedding; rows come first, and every walk has a tail."""
         walk, walks = nn._walk, []
 
-        def spy(buf, mask):
-            parts = walk(buf, mask)
-            walks.append("gathered" if any(isinstance(p, np.ndarray) for p in parts)
-                         else "tail")
-            return parts
+        def spy(bufs, mask, writes=()):
+            parts = walk(bufs, mask, writes)
+            first = next(parts)
+            walks.append("tail" if isinstance(first[0], slice) else "gathered")
+            yield first
+            yield from parts
 
-        for module in (nn, trainer):
-            monkeypatch.setattr(module, "_walk", spy)
+        monkeypatch.setattr(nn, "_walk", spy)
         return walks
 
     @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
