@@ -68,15 +68,21 @@ class ExtractionResult:
 def assess_quality(
     text: str, config: QualityGateConfig = QualityGateConfig()
 ) -> tuple[float, bool]:
-    """Wordlike-token ratio plus a minimum-length requirement.
+    r"""Wordlike-token ratio plus a minimum-length requirement.
 
     The score is wordlike tokens over whitespace-separated tokens
     (0 when there are none); the gate passes when the score reaches the
     configured ratio and the text has at least ``min_chars`` characters.
+
+    A token of two or more characters that ``isalpha()`` is wordlike
+    without a search: every letter is in ``[^\W\d_]``, since no letter
+    is a decimal digit or ``_``. Only the other tokens run
+    ``_WORDLIKE.search``.
     """
     tokens = text.split()
     if tokens:
-        wordlike = sum(map(bool, map(_WORDLIKE.search, tokens)))
+        rest = [tok for tok in tokens if len(tok) < 2 or not tok.isalpha()]
+        wordlike = len(tokens) - len(rest) + sum(map(bool, map(_WORDLIKE.search, rest)))
         score = wordlike / len(tokens)
     else:
         score = 0.0

@@ -198,9 +198,12 @@ def _walk(bufs: Sequence["ParamBuffer"], mask: np.ndarray, writes: Sequence[int]
     scratch of this call and, once the caller moves on, written back to the
     buffers at positions ``writes``; then slices of ``flat`` of at most
     ADAM_BLOCK elements over everything after the embedding, gaps
-    included, as views. Scratch is ``len(bufs)`` arrays of one chunk."""
+    included, as views. Scratch is ``len(bufs)`` arrays of one chunk.
+    A mask that is not a boolean array over the embedding rows raises
+    ValueError (see :func:`_check_mask`) before any buffer is read."""
     first, block = bufs[0], ADAM_BLOCK
     width, size = first.dims.embed_dim, first.flat.size
+    _check_mask(mask, first.dims)
     rows = np.flatnonzero(mask)
     per = max(1, block // width)
     scratch = np.empty((len(bufs), min(per, rows.size) * width), first.flat.dtype)
@@ -208,7 +211,7 @@ def _walk(bufs: Sequence["ParamBuffer"], mask: np.ndarray, writes: Sequence[int]
         part = rows[lo:lo + per]
         arrays = [s[:part.size * width] for s in scratch]
         for buf, out in zip(bufs, arrays):
-            # clip, not raise, which copies out; the write-back checks the ids
+            # the mask's shape bounds the ids; clip, not raise, which copies out
             np.take(buf.views["embedding"], part, axis=0,
                     out=out.reshape(part.size, width), mode="clip")
         yield part, arrays
@@ -217,6 +220,15 @@ def _walk(bufs: Sequence["ParamBuffer"], mask: np.ndarray, writes: Sequence[int]
     for lo in range(first.starts[1], size, block):
         part = slice(lo, min(lo + block, size))
         yield part, [buf.flat[part] for buf in bufs]
+
+
+def _check_mask(mask: np.ndarray, dims: "ModelDims") -> None:
+    """Refuse a row mask that is not a boolean array of shape
+    ``(dims.vocab_rows,)``: a longer one would walk clipped ids, reading
+    the last row once per id past it."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+            and mask.shape == (dims.vocab_rows,)):
+        raise ValueError(f"a row mask must be a boolean array of shape ({dims.vocab_rows},)")
 
 
 def _small_pages(a: np.ndarray, end: int) -> None:

@@ -7,6 +7,9 @@ frequency with ties broken by first occurrence.
 Tokens are maximal runs of letters and digits (``isalnum()``); ``.``,
 ``/`` and ``-`` stay inside a token when the characters on both sides
 are decimal digits (``isdecimal()``). ``_TOKEN`` is that definition.
+``tokenize`` finds it a whitespace-separated part at a time and keeps a
+part that is all letters and digits as it is, with no regex (see its
+docstring).
 
 Lowercasing is the vocabulary's (``Vocabulary.lowercase``, kept in its
 file), and ``encode`` takes the window ``max_len`` from its caller,
@@ -67,11 +70,25 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     ``.``, ``/`` and ``-`` stay inside a token only when the adjacent
     characters are both decimal digits; every other character separates
     tokens.
+
+    The list is ``_TOKEN.findall`` of that text. It is found a
+    whitespace-separated part at a time, in order: whitespace is in no
+    token and bridges none, and the bridge's lookarounds fail at a
+    part's edge as they fail on whitespace. A part that ``isalnum()`` is
+    one maximal run, so it is its own token; every other part goes
+    through ``_TOKEN.findall``.
     """
     text = unicodedata.normalize("NFC", text)
     if lowercase:
         text = text.lower()
-    return _TOKEN.findall(text)
+    tokens: list[str] = []
+    keep = tokens.append
+    for part in text.split():
+        if part.isalnum():
+            keep(part)
+        else:
+            tokens += _TOKEN.findall(part)
+    return tokens
 
 
 @dataclass(frozen=True, init=False)

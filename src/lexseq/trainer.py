@@ -136,8 +136,10 @@ def adam_update(
     """One bias-corrected Adam step, applied in place to every parameter.
 
     A non-finite gradient raises a NumericError naming the tensor of the
-    first non-finite element in flat order, before anything changes: the
-    gradient is checked first, and only then is ``state.t`` incremented,
+    first non-finite element in flat order, and a row mask of the gradient
+    or the state that is not a boolean array over the embedding rows a
+    ValueError, before anything changes: the masks and the gradient are
+    checked first, and only then is ``state.t`` incremented,
     the gradient's row mask merged into the state's (see
     :class:`AdamState`) and the step taken. The check and the step go
     through ``nn._walk``, the walk of ``nn.Gradients``' passes: the check
@@ -159,6 +161,7 @@ def adam_update(
                    if isinstance(part, slice) else "embedding")
             raise NumericError(f"non-finite gradient for tensor {bad}")
     del finite  # freed before the step allocates its own scratch
+    nn._check_mask(state.rows, model.dims)  # the step's walk checks it only after the merge
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t

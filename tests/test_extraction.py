@@ -71,7 +71,7 @@ class TestAssessQuality:
         config = QualityGateConfig(min_wordlike_ratio=0.5, min_chars=1)
         assert assess_quality("bom ## ruim ##", config) == (0.5, True)
 
-    @given(st.text(st.one_of(st.sampled_from("ab1_ .,\n\t\xa0çÃ٣"), st.characters()),
+    @given(st.text(st.one_of(st.sampled_from("ab1_ .,\n\t\xa0çÃ٣ǅªーİ²"), st.characters()),
                    max_size=80))
     @settings(max_examples=300, deadline=None)
     def test_score_equals_the_per_token_count(self, text):
@@ -122,6 +122,18 @@ class TestExtractText:
         ]
         backend, _ = fake_ocr({})
         result = extract_text(pages, backend, token_target=10_000)
+        assert result.token_count == len(tokenize(result.text))
+
+    @given(st.lists(st.text(st.one_of(st.sampled_from("ab1 \n\t\xa0.-/_²\u0301İ"),
+                                      st.characters()), max_size=80),
+                    min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_token_count_is_that_of_the_text(self, texts):
+        # every page passes the gate, and the target is out of reach
+        pages = [PageRecord(n, embedded_text=text) for n, text in enumerate(texts, 1)]
+        gate = QualityGateConfig(min_wordlike_ratio=0.0, min_chars=0)
+        result = extract_text(pages, fake_ocr({})[0], gate, token_target=10_000)
+        assert len(result.pages_used) == len(texts) and not result.complete
         assert result.token_count == len(tokenize(result.text))
 
     def test_failed_gate_without_image_names_page(self):

@@ -1117,15 +1117,32 @@ class TestWalk:
             assert np.shares_memory(first, second)
         assert not np.shares_memory(arrays[0][0], arrays[0][1])
 
-    def test_a_mask_longer_than_the_embedding_is_refused_on_the_way_back(self):
+    @pytest.mark.parametrize("mask", [
+        np.ones(401, bool), np.ones(402, bool), np.ones(399, bool),
+        np.ones((400, 1), bool), np.ones(400, np.int64), [True] * 400],
+        ids=["one-longer", "two-longer", "shorter", "2-d", "integer", "list"])
+    def test_a_mask_not_over_the_embedding_rows_is_refused_before_a_read(
+            self, mask, monkeypatch):
+        gathered = []
+        monkeypatch.setattr(nn.np, "take", lambda *a, **kw: gathered.append(a))
         buf = self.buffers()[0]
         before = buf.flat.copy()
-        mask = np.zeros(self.dims.vocab_rows + 1, bool)
-        mask[[2, self.dims.vocab_rows]] = True
-        with pytest.raises(IndexError):
-            for _ in nn._walk((buf,), mask, (0,)):
-                pass
-        assert buf.flat.tobytes() == before.tobytes()
+        walk = nn._walk((buf,), mask, (0,))
+        with pytest.raises(ValueError, match=r"boolean array of shape \(400,\)"):
+            next(walk)
+        assert gathered == [] and buf.flat.tobytes() == before.tobytes()
+
+    def test_global_norm_refuses_a_mask_longer_than_the_embedding(self):
+        # with the ids clipped, a 12-element mask on 10 rows read row 9
+        # three times: 1.732 where the norm is 1.0
+        dims = tiny_dims(vocab_rows=10, embed_dim=4, hidden=3)
+        grads = nn.Gradients(dims)
+        grads.views["embedding"][9] = 0.5
+        grads.rows = np.ones(12, bool)
+        with pytest.raises(ValueError, match=r"shape \(10,\)"):
+            grads.global_norm()
+        grads.rows = np.ones(10, bool)
+        assert grads.global_norm() == 1.0
 
 
 class TestRowPieces:

@@ -117,6 +117,20 @@ class TestTokenizeEqualsTheCharacterLoop:
     def test_mixed_text(self, text, lowercase):
         assert tokenize(text, lowercase) == reference_tokens(text, lowercase)
 
+    # str.split() whitespace (with \x1c-\x1f, \x85 and \u2028, which are
+    # not " "), the non-space \u200b, and characters that lowercasing or NFC
+    # change next to a part's edge: İ lowercases to i + \u0307
+    @given(st.text(alphabet=st.one_of(
+        st.sampled_from("abÉç "),
+        st.sampled_from("\t\n\xa0\u3000\x1c\x1f\x85\u2028\u200bİ\u0307\u0301²½٣_./-"),
+        st.sampled_from("0123456789")), max_size=60), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_part_boundaries(self, text, lowercase):
+        expected = reference_tokens(text, lowercase)
+        assert tokenize(text, lowercase) == expected
+        normal = unicodedata.normalize("NFC", text)
+        assert tokenizer._TOKEN.findall(normal.lower() if lowercase else normal) == expected
+
 
 class TestBuildVocabulary:
     def test_cap_keeps_most_frequent(self):

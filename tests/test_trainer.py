@@ -185,6 +185,30 @@ class TestAdamUpdate:
         for a, b in zip((model.params.flat, state.m.flat, state.v.flat), before):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("owner", ["grads", "state"])
+    @pytest.mark.parametrize("length", [12, 9])
+    def test_a_mask_of_another_length_changes_nothing(self, owner, length):
+        dims = nn.ModelDims(vocab_rows=10, embed_dim=4, hidden=3, classes=2, max_len=4)
+        model = nn.init_parameters(dims, seed=0)
+        grads = nn.Gradients.zeros_like(model)
+        state = AdamState.zeros_like(model)
+        grads.flat[...] = np.linspace(-1, 1, grads.flat.size)
+        grads.rows[:] = True
+        adam_update(model, grads, state, TrainConfig())  # m, v, t and rows not zero
+        grads.rows[3] = False
+        bad = np.ones(length, bool)
+        if owner == "grads":
+            grads.rows = bad
+        else:
+            state.rows = bad
+        before = [a.tobytes() for a in (model.params.flat, state.m.flat, state.v.flat,
+                                        state.rows, grads.rows)]
+        with pytest.raises(ValueError, match=r"boolean array of shape \(10,\)"):
+            adam_update(model, grads, state, TrainConfig())
+        assert state.t == 1
+        assert [a.tobytes() for a in (model.params.flat, state.m.flat, state.v.flat,
+                                      state.rows, grads.rows)] == before
+
     @staticmethod
     def row_steps(dims, batches, clip_norm, passes):
         """Run ``passes`` (ROW_PASSES or DENSE_PASSES) as train() runs the
